@@ -59,7 +59,7 @@ CONFIG_SPEC = {
     "image_width": (int, 64),
     "image_height": (int, 64),
     "pool_block": (int, 4),
-    "threads": (int, 0),
+    "threads": (int, 0),  # accepted for compatibility; has no effect
     "strict": (lambda s: s.lower() == "true", False),
 }
 
@@ -294,7 +294,6 @@ def cmd_distmat(cfg):
         metric,
         omega=cfg["omega"],
         window=_dtw_window(cfg),
-        threads=cfg["threads"],
     )
     matrix = distances.normalize_matrix(
         matrix, cfg["normalization"], value_range=cfg["scale_hi"] - cfg["scale_lo"]
@@ -556,7 +555,7 @@ def make_parser():
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--input", help="override the input CSV path")
     parser.add_argument("--threads", type=int,
-                        help="worker threads for distance matrices (0 = auto)")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--strict", action="store_true",
                         help="escalate degenerate-computation warnings to exit 3")
     parser.add_argument("-O", "--option", action="append", default=[],

@@ -451,8 +451,8 @@ def filter_outliers(
     np.fill_diagonal(entries, np.inf)
     nn = entries.min(axis=1)
     cutoff = float(np.percentile(nn, percentile))
-    dropped = [s.series_id for s, d in zip(collection.series, nn) if d > cutoff]
-    kept = [s for s in collection.series if s.series_id not in set(dropped)]
+    dropped = {s.series_id for s, d in zip(collection.series, nn) if d > cutoff}
+    kept = [s for s in collection.series if s.series_id not in dropped]
     return SeriesCollection(
         series=kept,
         mode=collection.mode,

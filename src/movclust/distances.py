@@ -1,18 +1,22 @@
 """Pairwise distances and full symmetric distance matrices.
 
 Four metrics: euclidean, levenshtein, dtw, and the movement-pattern
-distance (mpbd) that compares per-step deltas instead of values.  Matrix
-construction partitions the upper triangle across worker threads; every
-cell has exactly one writer, so the result is bitwise independent of the
-worker count.
+distance (mpbd) that compares per-step deltas instead of values.
+
+Every metric runs as a batched numpy kernel, and the public pair functions
+are its one-pair case.  DTW and Levenshtein share one dynamic-programming
+kernel that sweeps the cost grid by anti-diagonals: each step updates one
+diagonal for a whole block of pairs in a few numpy ops, and only the last
+two diagonals are kept.  MPBD and euclidean broadcast one series against
+all later ones.  Every entry goes through the same floating-point
+operations, in the same order, as the one-pair recurrence, so a matrix is
+bit-identical to computing each pair on its own.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +24,13 @@ import numpy as np
 from .errors import DataError
 
 METRICS = ("euclidean", "levenshtein", "dtw", "mpbd")
+
+#: Pairs per call of the DP kernel.  Its buffers hold three diagonals of
+#: this many pairs, so memory stays bounded for any collection size.
+PAIR_BLOCK = 128
+#: Delta values per block of the MPBD row kernel: its temporaries stay
+#: small enough for the CPU cache whatever the collection size.
+ROW_BLOCK = 1 << 15
 
 
 def delta_sequence(x) -> np.ndarray:
@@ -30,12 +41,96 @@ def delta_sequence(x) -> np.ndarray:
     return x[:-1] - x[1:]
 
 
+def delta_rows(X) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step deltas of each row of a 2-D series array, and their signs."""
+    D = X[:, :-1] - X[:, 1:]
+    return D, np.sign(D)
+
+
+def mpbd_row(d, s, D, S, omega: float = 2.0) -> np.ndarray:
+    """MPBD from one delta row ``d`` (signs ``s``) to each row of ``D`` (signs ``S``).
+
+    The per-row sum runs over a contiguous row, so numpy's pairwise
+    summation adds the step costs exactly as it does for a single pair.
+    """
+    if len(d) == 0:
+        raise DataError("mpbd: sequences must have length >= 2")
+    out = np.empty(len(D))
+    step = max(1, ROW_BLOCK // len(d))
+    for c in range(0, len(D), step):
+        Dc, Sc = D[c : c + step], S[c : c + step]
+        gap = np.abs(d - Dc)
+        cost = np.where(d == Dc, 0.0, np.where(s != Sc, omega * gap, gap))
+        out[c : c + step] = cost.sum(axis=1)
+    return out
+
+
+def _euclidean_row(p, Q) -> np.ndarray:
+    """Euclidean distance from ``p`` to each row of ``Q``."""
+    return np.sqrt(((Q - p) ** 2).sum(axis=1))
+
+
+def _dp_last_cell(P, Q, window, edit: bool) -> np.ndarray:
+    """Final cell D[n, m] of the DTW or edit-distance table for each pair.
+
+    ``P`` (n, B) and ``Q`` (m, B) hold one pair per column.  Cell (i, j)
+    lies on anti-diagonal d = i + j and reads only diagonals d-1 and d-2, so
+    the grid is swept one diagonal at a time, each stored by row index i.
+    DTW: D = (p_i - q_j)^2 + min(up, left, diag) from D[0, 0] = 0 and an
+    infinite border.  Edit: D = min(min(up, left) + 1, diag + [p_i != q_j])
+    from the border D[i, 0] = i, D[0, j] = j.  A Sakoe-Chiba ``window``
+    keeps only the cells with |i - j| <= window.
+    """
+    n, B = P.shape
+    m = Q.shape[0]
+    if n == 0 or m == 0:  # border only: the edit distance is the other length
+        return np.full(B, float(n + m))
+    Qr = Q[::-1]  # q_j is row m - j, so a diagonal reads an ascending slice
+    w = n + m if window is None else window
+    inf = np.inf
+
+    def border(d, on_grid):
+        return float(d) if edit and on_grid else inf
+
+    two = np.full((n + 2, B), inf)  # diagonal d - 2
+    one = np.full((n + 2, B), inf)  # diagonal d - 1
+    cur = np.full((n + 2, B), inf)
+    two[0] = 0.0
+    one[0] = one[1] = border(1, True)
+    for d in range(2, n + m + 1):
+        lo = max(1, d - m, (d - w + 1) // 2)
+        hi = min(n, d - 1, (d + w) // 2)
+        # The next two diagonals read this one only within [lo - 1, hi + 1].
+        cur[lo - 1] = border(d, lo == 1 and d <= m)
+        cur[hi + 1] = border(d, hi == d - 1 and d <= n)
+        if lo <= hi:
+            out = cur[lo : hi + 1]
+            diag = two[lo - 1 : hi]
+            p, q = P[lo - 1 : hi], Qr[m - d + lo : m - d + hi + 1]
+            np.minimum(one[lo - 1 : hi], one[lo : hi + 1], out=out)
+            if edit:
+                out += 1.0
+                np.minimum(out, diag + (p != q), out=out)
+            else:
+                np.minimum(out, diag, out=out)
+                out += (p - q) ** 2
+        two, one, cur = one, cur, two
+    return one[n]
+
+
+def _check_dtw(n, m, window):
+    if n == 0 or m == 0:
+        raise DataError("dtw: empty sequence")
+    if window is not None and window < abs(n - m):
+        raise DataError(f"dtw window {window} smaller than length difference {abs(n - m)}")
+
+
 def euclidean(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DataError(f"euclidean: length mismatch {len(p)} vs {len(q)}")
-    return float(np.sqrt(np.sum((q - p) ** 2)))
+    return float(_euclidean_row(p, q[None])[0])
 
 
 def levenshtein(p, q) -> int:
@@ -43,21 +138,12 @@ def levenshtein(p, q) -> int:
 
     Accepts strings or integer level sequences.
     """
-    p = list(p)
-    q = list(q)
-    if len(p) < len(q):
-        p, q = q, p
-    prev = list(range(len(q) + 1))
-    for i, a in enumerate(p, start=1):
-        cur = [i] + [0] * len(q)
-        for j, b in enumerate(q, start=1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (0 if a == b else 1),
-            )
-        prev = cur
-    return prev[-1]
+    codes = {}  # items that compare equal share one integer code
+    P, Q = (
+        np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=float)
+        for seq in (p, q)
+    )
+    return int(_dp_last_cell(P[:, None], Q[:, None], None, edit=True)[0])
 
 
 def normalized_levenshtein(p, q) -> float:
@@ -74,26 +160,8 @@ def dtw(p, q, window: int | None = None) -> float:
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    n, m = len(p), len(q)
-    if n == 0 or m == 0:
-        raise DataError("dtw: empty sequence")
-    if window is not None and window < abs(n - m):
-        raise DataError(f"dtw window {window} smaller than length difference {abs(n - m)}")
-    inf = np.inf
-    prev = np.full(m + 1, inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, inf)
-        if window is None:
-            j_lo, j_hi = 1, m
-        else:
-            j_lo = max(1, i - window)
-            j_hi = min(m, i + window)
-        cost = (p[i - 1] - q[j_lo - 1 : j_hi]) ** 2
-        for j, c in zip(range(j_lo, j_hi + 1), cost):
-            cur[j] = c + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    return float(np.sqrt(prev[m]))
+    _check_dtw(len(p), len(q), window)
+    return float(np.sqrt(_dp_last_cell(p[:, None], q[:, None], window, edit=False)[0]))
 
 
 def mpbd(p, q, omega: float = 2.0) -> float:
@@ -107,14 +175,8 @@ def mpbd(p, q, omega: float = 2.0) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DataError(f"mpbd: length mismatch {len(p)} vs {len(q)}")
-    if len(p) < 2:
-        raise DataError("mpbd: sequences must have length >= 2")
-    dp = p[:-1] - p[1:]
-    dq = q[:-1] - q[1:]
-    gap = np.abs(dp - dq)
-    weighted = np.sign(dp) != np.sign(dq)
-    cost = np.where(dp == dq, 0.0, np.where(weighted, omega * gap, gap))
-    return float(cost.sum())
+    D, S = delta_rows(np.stack([p, q]))
+    return float(mpbd_row(D[0], S[0], D[1:], S[1:], omega)[0])
 
 
 @dataclass
@@ -171,49 +233,41 @@ def distance_matrix(
     metric: str,
     omega: float = 2.0,
     window: int | None = None,
-    threads: int = 0,
 ) -> DistanceMatrix:
     """Compute all pairwise distances for a collection.
 
-    ``threads=0`` picks the CPU count; the result is identical for any
-    thread count because each upper-triangle cell is computed once from
-    immutable inputs.
+    Each upper-triangle entry is computed once and mirrored, so the matrix
+    is exactly symmetric.
     """
     if metric not in METRICS:
         raise DataError(f"unknown metric {metric!r}")
     if len(collection.series) < 2:
         raise DataError("distance matrix needs at least 2 series")
-    seqs = _sequences_for(collection, metric)
+    X = np.stack(_sequences_for(collection, metric))
     ids = [s.series_id for s in collection.series]
-    n = len(seqs)
-
-    if metric == "euclidean":
-        pair = lambda a, b: euclidean(a, b)
-    elif metric == "levenshtein":
-        pair = lambda a, b: float(levenshtein(a.astype(int), b.astype(int)))
-    elif metric == "dtw":
-        pair = lambda a, b: dtw(a, b, window=window)
-    else:
-        pair = lambda a, b: mpbd(a, b, omega=omega)
+    n, length = X.shape
 
     entries = np.zeros((n, n))
-
-    def fill_rows(rows):
-        for i in rows:
-            for j in range(i + 1, n):
-                entries[i, j] = pair(seqs[i], seqs[j])
-
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or n < 4:
-        fill_rows(range(n - 1))
+    if metric in ("levenshtein", "dtw"):
+        edit = metric == "levenshtein"
+        if not edit:
+            _check_dtw(length, length, window)
+        XT = np.ascontiguousarray(X.T)
+        rows, cols = np.triu_indices(n, 1)
+        for start in range(0, len(rows), PAIR_BLOCK):
+            r, c = rows[start : start + PAIR_BLOCK], cols[start : start + PAIR_BLOCK]
+            last = _dp_last_cell(XT[:, r], XT[:, c], None if edit else window, edit)
+            entries[r, c] = last if edit else np.sqrt(last)
+    elif metric == "mpbd":
+        D, S = delta_rows(X)
+        for i in range(n - 1):
+            entries[i, i + 1 :] = mpbd_row(D[i], S[i], D[i + 1 :], S[i + 1 :], omega)
     else:
-        chunks = [range(i, n - 1, workers) for i in range(workers)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(fill_rows, c) for c in chunks]:
-                fut.result()
+        for i in range(n - 1):
+            entries[i, i + 1 :] = _euclidean_row(X[i], X[i + 1 :])
     entries += entries.T
 
-    params = {"series_length": len(seqs[0])}
+    params = {"series_length": length}
     if metric == "mpbd":
         params["omega"] = omega
     if metric == "dtw":
@@ -291,11 +345,12 @@ def read_matrix_csv(path) -> DistanceMatrix:
         rows = []
         for row in reader:
             rows.append([float(v) for v in row[1:]])
+    sidecar_path = path.rsplit(".", 1)[0] + ".json"
     try:
-        with open(path.rsplit(".", 1)[0] + ".json", encoding="utf-8") as fh:
+        with open(sidecar_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
     except OSError:
-        sidecar = {"metric": "unknown", "normalization": "none", "params": {}}
+        raise DataError(f"{path}: missing sidecar {sidecar_path}") from None
     return DistanceMatrix(
         ids=ids,
         entries=np.asarray(rows),

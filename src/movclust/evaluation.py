@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import mpbd
+from .distances import delta_rows, mpbd_row
 from .errors import DataError, DegenerateGeometryError
 
 
@@ -132,13 +132,15 @@ def mpbi(levels, ids, assignment, omega: float = 2.0) -> float:
     result averages those over clusters.  Singletons contribute 0; lower
     is better.
     """
-    seqs = [np.asarray(s, dtype=float) for s in levels]
+    groups = _groups(ids, assignment)
+    D, S = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]))
     total = 0.0
-    for members in _groups(ids, assignment):
-        pair_sum = 0.0
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pair_sum += mpbd(seqs[members[a]], seqs[members[b]], omega=omega)
+    for members in groups:
+        Dm, Sm = D[members], S[members]
+        pairs = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
+                 for a in range(len(members) - 1)]
+        # cumsum adds one pair at a time in (a, b) order, like a scalar loop
+        pair_sum = float(np.cumsum(np.concatenate(pairs))[-1]) if pairs else 0.0
         total += pair_sum / len(members)
     return total / assignment.k
 

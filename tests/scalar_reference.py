@@ -1,0 +1,82 @@
+"""Scalar one-pair references for the batched distance kernels.
+
+These are cell-by-cell loops of the Wagner-Fischer and DTW recurrences and
+a per-pair MPBD, written the plain way.  ``movclust.distances`` must
+reproduce every value they return bit for bit.
+"""
+
+import numpy as np
+
+
+def levenshtein_ref(p, q):
+    p = list(p)
+    q = list(q)
+    if len(p) < len(q):
+        p, q = q, p
+    prev = list(range(len(q) + 1))
+    for i, a in enumerate(p, start=1):
+        cur = [i] + [0] * len(q)
+        for j, b in enumerate(q, start=1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (0 if a == b else 1),
+            )
+        prev = cur
+    return prev[-1]
+
+
+def dtw_ref(p, q, window=None):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n, m = len(p), len(q)
+    inf = np.inf
+    prev = np.full(m + 1, inf)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        cur = np.full(m + 1, inf)
+        if window is None:
+            j_lo, j_hi = 1, m
+        else:
+            j_lo = max(1, i - window)
+            j_hi = min(m, i + window)
+        cost = (p[i - 1] - q[j_lo - 1 : j_hi]) ** 2
+        for j, c in zip(range(j_lo, j_hi + 1), cost):
+            cur[j] = c + min(prev[j], cur[j - 1], prev[j - 1])
+        prev = cur
+    return float(np.sqrt(prev[m]))
+
+
+def mpbd_ref(p, q, omega=2.0):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    dp = p[:-1] - p[1:]
+    dq = q[:-1] - q[1:]
+    gap = np.abs(dp - dq)
+    weighted = np.sign(dp) != np.sign(dq)
+    cost = np.where(dp == dq, 0.0, np.where(weighted, omega * gap, gap))
+    return float(cost.sum())
+
+
+def matrix_ref(seqs, pair):
+    """Full symmetric matrix, one ``pair`` call per upper-triangle entry."""
+    n = len(seqs)
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[i, j] = pair(seqs[i], seqs[j])
+    return entries + entries.T
+
+
+def mpbi_ref(levels, labels, omega=2.0):
+    """MPBI with the pair sums added one at a time in (a, b) order."""
+    total = 0.0
+    clusters = sorted(set(labels))
+    for c in clusters:
+        members = [s for s, label in zip(levels, labels) if label == c]
+        pair_sum = 0.0
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                pair_sum += mpbd_ref(members[a], members[b], omega=omega)
+        total += pair_sum / len(members)
+    return total / len(clusters)

@@ -9,6 +9,7 @@ from movclust import distances as di
 from movclust.errors import DataError
 
 from conftest import collection, sym, ts
+from scalar_reference import dtw_ref, levenshtein_ref, matrix_ref, mpbd_ref
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +142,10 @@ class TestDtw:
     def test_forced_diagonal(self):
         assert di.dtw([0, 0], [1, 1], window=0) == pytest.approx(math.sqrt(2))
 
+    def test_empty_sequence(self):
+        with pytest.raises(DataError, match="empty"):
+            di.dtw([], [1.0])
+
     def test_window_too_small(self):
         with pytest.raises(DataError):
             di.dtw([1, 2, 3, 4], [1], window=1)
@@ -271,13 +276,15 @@ class TestDistanceMatrix:
                         fn(seqs[i], seqs[j]), abs=1e-12
                     )
 
-    def test_deterministic_across_worker_counts(self):
+    @pytest.mark.parametrize("metric", ["mpbd", "levenshtein", "dtw"])
+    def test_deterministic_across_block_sizes(self, metric, monkeypatch):
         rng = np.random.default_rng(7)
-        col = collection([sym(f"S{i:02d}", rng.integers(1, 6, size=12)) for i in range(9)])
-        byte_images = {
-            di.distance_matrix(col, "mpbd", threads=t).entries.tobytes()
-            for t in (1, 2, 5, 8)
-        }
+        col = collection([sym(f"S{i:02d}", rng.integers(1, 6, size=12)) for i in range(19)])
+        byte_images = set()
+        for pair_block, row_block in ((1, 11), (7, 50), (128, 1 << 15), (1000, 1 << 20)):
+            monkeypatch.setattr(di, "PAIR_BLOCK", pair_block)
+            monkeypatch.setattr(di, "ROW_BLOCK", row_block)
+            byte_images.add(di.distance_matrix(col, metric).entries.tobytes())
         assert len(byte_images) == 1
 
     def test_levenshtein_requires_symbolic(self):
@@ -288,6 +295,16 @@ class TestDistanceMatrix:
     def test_too_small(self):
         with pytest.raises(DataError):
             di.distance_matrix(collection([sym("A", [1, 2])]), "mpbd")
+
+    def test_dtw_window_narrower_than_zero(self):
+        col = collection([ts("A", [0.1, 0.2]), ts("B", [0.3, 0.4])])
+        with pytest.raises(DataError, match="window"):
+            di.distance_matrix(col, "dtw", window=-1)
+
+    def test_mpbd_needs_two_steps(self):
+        col = collection([sym("A", [1]), sym("B", [2])])
+        with pytest.raises(DataError, match="length >= 2"):
+            di.distance_matrix(col, "mpbd")
 
     def test_params_recorded(self):
         col = collection([sym("A", [1, 2, 3]), sym("B", [2, 2, 2])])
@@ -337,6 +354,14 @@ class TestNormalizeMatrix:
         norm = di.normalize_matrix(raw, "table1", value_range=0.9)
         assert norm.entries[0, 1] == pytest.approx(1.0)
 
+    def test_missing_sidecar_rejected(self, tmp_path):
+        raw = self.scenario_pair([1, 2, 3], [3, 2, 1])
+        path = tmp_path / "m.csv"
+        di.write_matrix_csv(raw, path)
+        (tmp_path / "m.json").unlink()
+        with pytest.raises(DataError, match=r"missing sidecar .*m\.json"):
+            di.read_matrix_csv(path)
+
     def test_roundtrip_csv(self, tmp_path):
         raw = self.scenario_pair([1, 2, 3], [3, 2, 1])
         path = tmp_path / "m.csv"
@@ -345,3 +370,99 @@ class TestNormalizeMatrix:
         assert back.ids == raw.ids
         assert back.metric == "mpbd"
         assert np.allclose(back.entries, raw.entries)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the scalar references, bit for bit
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+values = st.one_of(
+    st.integers(0, 4).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+series = st.lists(values, min_size=1, max_size=9)
+
+
+def window_for(kind, n, m):
+    return {"none": None, "zero": 0, "diff": abs(n - m),
+            "diff+1": abs(n - m) + 1, "wide": n + m + 3}[kind]
+
+
+class TestBatchedMatchesScalar:
+    @settings(max_examples=300)
+    @given(series, series, st.sampled_from(["none", "zero", "diff", "diff+1", "wide"]))
+    def test_dtw_pair(self, p, q, kind):
+        window = window_for(kind, len(p), len(q))
+        if window is not None and window < abs(len(p) - len(q)):
+            with pytest.raises(DataError, match="window"):
+                di.dtw(p, q, window=window)
+        else:
+            assert same_bits(di.dtw(p, q, window=window), dtw_ref(p, q, window=window))
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.tuples(st.text(alphabet="ABCDE", max_size=9), st.text(alphabet="ABCDE", max_size=9)),
+            st.tuples(st.lists(st.integers(1, 5), max_size=9), st.lists(st.integers(1, 5), max_size=9)),
+        )
+    )
+    def test_levenshtein_pair(self, pq):
+        p, q = pq
+        got = di.levenshtein(p, q)
+        assert type(got) is int
+        assert got == levenshtein_ref(p, q)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(2, 12).flatmap(lambda n: st.tuples(
+            st.lists(values, min_size=n, max_size=n), st.lists(values, min_size=n, max_size=n))),
+        st.sampled_from([2.0, 3.0, 0.5]),
+    )
+    def test_mpbd_pair(self, pq, omega):
+        p, q = pq
+        assert same_bits(di.mpbd(p, q, omega=omega), mpbd_ref(p, q, omega=omega))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(2, 9),
+        st.sampled_from(["none", "zero", "wide"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_distance_matrix(self, n, length, kind, seed):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(1, 6, size=(n, length)).astype(float)
+        reals = rng.random((n, length))
+        symbolic = collection([sym(f"S{i}", row) for i, row in enumerate(levels)])
+        numeric = collection([ts(f"T{i}", row) for i, row in enumerate(reals)])
+        window = window_for(kind, length, length)
+        cases = [
+            ("mpbd", symbolic, levels, {"omega": 3.0}, lambda a, b: mpbd_ref(a, b, omega=3.0)),
+            ("mpbd", numeric, reals, {}, mpbd_ref),
+            ("levenshtein", symbolic, levels, {}, lambda a, b: float(levenshtein_ref(a, b))),
+            ("dtw", numeric, reals, {"window": window}, lambda a, b: dtw_ref(a, b, window)),
+            ("dtw", symbolic, levels, {"window": window}, lambda a, b: dtw_ref(a, b, window)),
+            ("euclidean", numeric, reals, {}, di.euclidean),
+        ]
+        for metric, col, seqs, kwargs, pair in cases:
+            got = di.distance_matrix(col, metric, **kwargs).entries
+            assert same_bits(got, matrix_ref(seqs, pair)), metric
+
+    @pytest.mark.parametrize("metric, n, length", [
+        # more pairs than one DP block
+        ("levenshtein", di.PAIR_BLOCK // 7 + 2, 15),
+        ("dtw", di.PAIR_BLOCK // 7 + 2, 15),
+        # rows longer than one MPBD block, and long enough for numpy's
+        # pairwise summation to recurse
+        ("mpbd", 40, 2 * di.ROW_BLOCK // 37 + 300),
+    ])
+    def test_many_blocks(self, metric, n, length):
+        levels = np.random.default_rng(8).integers(1, 6, size=(n, length)).astype(float)
+        col = collection([sym(f"S{i:03d}", row) for i, row in enumerate(levels)])
+        pair = {"levenshtein": lambda a, b: float(levenshtein_ref(a, b)),
+                "dtw": dtw_ref, "mpbd": mpbd_ref}[metric]
+        assert same_bits(di.distance_matrix(col, metric).entries, matrix_ref(levels, pair))

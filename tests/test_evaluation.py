@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from movclust import evaluation as ev
 from movclust.clustering import ClusterAssignment, kmeans
 from movclust.distances import mpbd
 from movclust.errors import DataError, DegenerateGeometryError
+
+from scalar_reference import mpbi_ref
 
 
 def assign(labels, ids=None):
@@ -189,6 +192,21 @@ class TestMpbi:
         assert ev.mpbi(levels, ids, a) == pytest.approx(
             mpbi_oracle(levels, labels), rel=1e-12
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.integers(2, 10), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_scalar_loop(self, n, length, k, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        labels = [int(c) for c in rng.permutation(
+            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        # real-valued levels, so the order the pair values are added in shows
+        levels = [rng.normal(size=length) for _ in range(n)]
+        a, ids = assign(labels)
+        for omega in (2.0, 3.0):
+            got = ev.mpbi(levels, ids, a, omega=omega)
+            assert type(got) is float
+            assert got == mpbi_ref(levels, labels, omega=omega)
 
     def test_relabel_and_reorder_invariance(self):
         rng = np.random.default_rng(24)
