@@ -24,7 +24,15 @@ import numpy as np
 from . import clustering, core_data, distances, evaluation, image_features
 from .errors import ConfigError, DataError, DegenerateGeometryError, MovclustError
 
-# key -> (parser, default).  A parser of None means plain string.
+
+def _boolean(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value == "true"
+
+
+# key -> (parser, default)
 CONFIG_SPEC = {
     "input": (str, ""),
     "input_format": (str, "long"),  # long | wide
@@ -41,7 +49,7 @@ CONFIG_SPEC = {
     "scale_lo": (float, 0.1),
     "scale_hi": (float, 1.0),
     "thresholds": (str, "0.29,0.47,0.65,0.83"),
-    "outlier_filter": (lambda s: s.lower() == "true", True),
+    "outlier_filter": (_boolean, True),
     "outlier_metric": (str, "mpbd"),
     "outlier_percentile": (float, 95.0),
     "metric": (str, "mpbd"),
@@ -60,7 +68,7 @@ CONFIG_SPEC = {
     "image_height": (int, 64),
     "pool_block": (int, 4),
     "threads": (int, 0),  # accepted for compatibility; has no effect
-    "strict": (lambda s: s.lower() == "true", False),
+    "strict": (_boolean, False),
 }
 
 
@@ -100,6 +108,8 @@ def build_config(file_values: dict, overrides: dict) -> dict:
     for key in merged:
         if key not in CONFIG_SPEC:
             raise ConfigError(f"unknown config key {key!r}")
+    if bool(cfg["date_start"]) != bool(cfg["date_end"]):
+        raise ConfigError("date_start and date_end must be given together")
     return cfg
 
 
@@ -174,9 +184,9 @@ def _read_wide_symbolic(path, mode):
     return core_data.SeriesCollection(series=series, mode=mode)
 
 
-def _read_metadata(out_dir):
+def _read_metadata(path):
     meta = {}
-    with open(os.path.join(out_dir, "metadata.csv"), newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             meta[row["series_id"]] = {
@@ -308,17 +318,14 @@ def cmd_distmat(cfg):
 
 def cmd_features(cfg):
     out = cfg["out"]
+    scaled = _read_wide_numeric(
+        _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
+    )
     if cfg["features_path"]:
-        scaled = _read_wide_numeric(
-            _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
-        )
         vectors = image_features.load_external_features(
             cfg["features_path"], known_ids=set(scaled.ids)
         )
     else:
-        scaled = _read_wide_numeric(
-            _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
-        )
         vectors = image_features.extract_features(
             scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
         )
@@ -330,38 +337,34 @@ def cmd_features(cfg):
     return 0
 
 
-def _cluster_assignment(cfg, k):
-    out = cfg["out"]
-    algorithm = cfg["algorithm"]
+def _clusterer(cfg):
+    """Load the algorithm's input artifact once; return (k -> assignment, dendrogram or None)."""
+    out, algorithm, seed = cfg["out"], cfg["algorithm"], cfg["seed"]
     if algorithm == "kmeans":
         scaled = _read_wide_numeric(
             _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
         )
         X = np.stack([s.values for s in scaled.series])
-        return clustering.kmeans(X, scaled.ids, k=k, seed=cfg["seed"])
+        return lambda k: clustering.kmeans(X, scaled.ids, k=k, seed=seed), None
     if algorithm == "kmeans_features":
         path = _require(os.path.join(out, "features.csv"), "features")
         vectors = image_features.load_external_features(path, extractor="features.csv")
-        return image_features.cluster_features(vectors, k=k, seed=cfg["seed"])
+        return lambda k: image_features.cluster_features(vectors, k=k, seed=seed), None
+    if algorithm not in ("kmedoids", "hierarchical"):
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     matrix = distances.read_matrix_csv(_require(os.path.join(out, "distmat.csv"), "distmat"))
     if algorithm == "kmedoids":
-        return clustering.kmedoids(matrix, k=k, seed=cfg["seed"])
-    if algorithm == "hierarchical":
-        dendrogram = clustering.agglomerative(matrix, linkage=cfg["linkage"])
-        return clustering.cut_dendrogram(
-            dendrogram, k, seed=cfg["seed"],
-            algorithm=f"hierarchical[{cfg['linkage']}](k={k})",
-        ), dendrogram
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+        return lambda k: clustering.kmedoids(matrix, k=k, seed=seed), None
+    linkage = cfg["linkage"]
+    dendrogram = clustering.agglomerative(matrix, linkage=linkage)
+    return lambda k: clustering.cut_dendrogram(
+        dendrogram, k, seed=seed, algorithm=f"hierarchical[{linkage}](k={k})"
+    ), dendrogram
 
 
 def cmd_cluster(cfg):
-    result = _cluster_assignment(cfg, cfg["k"])
-    dendrogram = None
-    if isinstance(result, tuple):
-        assignment, dendrogram = result
-    else:
-        assignment = result
+    cluster_fn, dendrogram = _clusterer(cfg)
+    assignment = cluster_fn(cfg["k"])
     extra = {"metric": cfg["metric"], "normalization": cfg["normalization"]}
 
     def produce(tmp):
@@ -390,19 +393,11 @@ def _evaluation_inputs(cfg):
 
 def cmd_sweep(cfg):
     ids, X, levels = _evaluation_inputs(cfg)
+    cluster_fn, _ = _clusterer(cfg)
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
-    algorithm = cfg["algorithm"]
-    if algorithm == "hierarchical":
-        matrix = distances.read_matrix_csv(
-            _require(os.path.join(cfg["out"], "distmat.csv"), "distmat")
-        )
-        dendrogram = clustering.agglomerative(matrix, linkage=cfg["linkage"])
-        cluster_fn = lambda k: clustering.cut_dendrogram(dendrogram, k, seed=cfg["seed"])
-    else:
-        cluster_fn = lambda k: _cluster_assignment({**cfg, "k": k}, k)
     rows = evaluation.sweep_k(X, levels, ids, ks, cluster_fn, omega=cfg["omega"])
     sidecar = {
-        "algorithm": algorithm,
+        "algorithm": cfg["algorithm"],
         "linkage": cfg["linkage"],
         "metric": cfg["metric"],
         "normalization": cfg["normalization"],
@@ -462,18 +457,19 @@ def cmd_profile(cfg):
     original = _read_wide_numeric(
         _require(os.path.join(out, "original.csv"), "preprocess"), cfg["mode"]
     )
-    meta = _read_metadata(out)
+    meta = _read_metadata(_require(os.path.join(out, "metadata.csv"), "preprocess"))
     assignment = clustering.read_assignment_csv(
         _require(os.path.join(out, "assignment.csv"), "cluster")
     )
     if sorted(assignment.labels) != sorted(original.ids):
         raise DataError("assignment ids do not match preprocessed collection")
     sales_mode = cfg["mode"] == "sales"
+    values_by_id = {s.series_id: s.values for s in original.series}
 
     rows = []
     for c in range(1, assignment.k + 1):
         members = assignment.members(c)
-        values = np.concatenate([original.get(sid).values for sid in members])
+        values = np.concatenate([values_by_id[sid] for sid in members])
         categories = {}
         products, stores = set(), set()
         for sid in members:

@@ -2,7 +2,8 @@
 
 All algorithms are deterministic given (data, k, seed): ties in nearest
 centroid/medoid go to the smallest index, merge ties go to the
-lexicographically smallest representative id pair.
+lexicographically smallest representative (smallest member) id pair,
+which ``agglomerative`` turns into index order by sorting the matrix by id.
 """
 
 from __future__ import annotations
@@ -138,17 +139,9 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
 
 
 def kmedoids(matrix, k: int, seed: int = 0, max_iter: int = 100) -> ClusterAssignment:
-    """Alternating assignment / medoid update on a precomputed matrix.
-
-    ``matrix`` is a DistanceMatrix or a bare symmetric ndarray with ids
-    0..n-1.
-    """
-    if hasattr(matrix, "entries"):
-        D = np.asarray(matrix.entries, dtype=float)
-        ids = list(matrix.ids)
-    else:
-        D = np.asarray(matrix, dtype=float)
-        ids = [str(i) for i in range(D.shape[0])]
+    """Alternating assignment / medoid update on a precomputed DistanceMatrix."""
+    D = matrix.entries
+    ids = list(matrix.ids)
     n = len(ids)
     if not 2 <= k <= n:
         raise DataError(f"k={k} out of range [2, {n}]")
@@ -195,66 +188,60 @@ def agglomerative(matrix, linkage: str = "ward") -> Dendrogram:
 
     Merge ties are broken by the lexicographically smallest (left, right)
     representative id pair, so input order does not affect the partition.
+
+    The matrix is permuted into sorted-id order and a merged cluster stays
+    at the smaller of its two indices, so the id at index i is the smallest
+    member of the cluster there and the tie rule becomes (i, j) index order.
+    The matrix is kept symmetric with +inf on the diagonal and in the rows
+    and columns of merged-away clusters, so the first minimum ``np.argmin``
+    finds in row-major order is the winning pair, with i < j.
     """
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r}")
-    if hasattr(matrix, "entries"):
-        D = np.asarray(matrix.entries, dtype=float).copy()
-        ids = list(matrix.ids)
-    else:
-        D = np.asarray(matrix, dtype=float).copy()
-        ids = [str(i) for i in range(D.shape[0])]
-    n = len(ids)
+    n = len(matrix.ids)
     if n < 2:
         raise DataError("agglomerative clustering needs at least 2 series")
-
-    active = list(range(n))
-    members = {i: (ids[i],) for i in range(n)}
-    sizes = {i: 1 for i in range(n)}
-    reps = {i: ids[i] for i in range(n)}
+    if not np.isfinite(matrix.entries).all():
+        raise DataError("agglomerative clustering needs finite distances")
+    order = sorted(range(n), key=matrix.ids.__getitem__)
+    ids = [matrix.ids[p] for p in order]
+    D = matrix.entries[np.ix_(order, order)]
+    np.fill_diagonal(D, np.inf)
+    sizes = np.ones(n, dtype=int)
+    members = [(sid,) for sid in ids]
+    active = np.ones(n, dtype=bool)
     merges = []
 
     for _ in range(n - 1):
-        best = None
-        for ai in range(len(active)):
-            i = active[ai]
-            for aj in range(ai + 1, len(active)):
-                j = active[aj]
-                d = D[i, j]
-                pair = tuple(sorted((reps[i], reps[j])))
-                key = (d, pair)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        (height, pair), i, j = best
-        left, right = (i, j) if reps[i] <= reps[j] else (j, i)
+        i, j = divmod(int(np.argmin(D)), n)
+        dij, si, sj = D[i, j], sizes[i], sizes[j]
+        active[j] = False
+        m = np.flatnonzero(active)
+        m = m[m != i]
+        dim, djm = D[i, m], D[j, m]
+        if linkage == "single":
+            new = np.minimum(dim, djm)
+        elif linkage == "complete":
+            new = np.maximum(dim, djm)
+        elif linkage == "average":
+            new = (si * dim + sj * djm) / (si + sj)
+        else:  # ward
+            # float_power squares with libm pow, as scalar x**2 does; array
+            # x**2 is x*x, which rounds differently now and then
+            sm = sizes[m]
+            new = np.sqrt(
+                ((si + sm) * np.float_power(dim, 2) + (sj + sm) * np.float_power(djm, 2)
+                 - sm * np.float_power(dij, 2))
+                / (si + sj + sm)
+            )
+        D[i, m] = D[m, i] = new
+        D[j, :] = D[:, j] = np.inf
 
-        si, sj = sizes[i], sizes[j]
-        dij = D[i, j]
-        for m in active:
-            if m in (i, j):
-                continue
-            dim, djm = D[i, m], D[j, m]
-            if linkage == "single":
-                new = min(dim, djm)
-            elif linkage == "complete":
-                new = max(dim, djm)
-            elif linkage == "average":
-                new = (si * dim + sj * djm) / (si + sj)
-            else:  # ward
-                sm = sizes[m]
-                new = np.sqrt(
-                    ((si + sm) * dim**2 + (sj + sm) * djm**2 - sm * dij**2)
-                    / (si + sj + sm)
-                )
-            D[i, m] = D[m, i] = new
-
-        merges.append((members[left], members[right], float(height), si + sj))
-        members[i] = tuple(sorted(members[left] + members[right]))
+        merges.append((members[i], members[j], float(dij), int(si + sj)))
+        members[i] = tuple(sorted(members[i] + members[j]))
         sizes[i] = si + sj
-        reps[i] = min(reps[i], reps[j])
-        active.remove(j)
 
-    return Dendrogram(leaves=sorted(ids), merges=merges)
+    return Dendrogram(leaves=ids, merges=merges)
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int, seed: int = 0,
@@ -314,15 +301,16 @@ def read_assignment_csv(path) -> ClusterAssignment:
         next(reader)
         for sid, cluster in reader:
             labels[sid] = int(cluster)
+    sidecar_path = path.rsplit(".", 1)[0] + ".json"
     try:
-        with open(path.rsplit(".", 1)[0] + ".json", encoding="utf-8") as fh:
+        with open(sidecar_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
     except OSError:
-        sidecar = {}
+        raise DataError(f"{path}: missing sidecar {sidecar_path}") from None
     return ClusterAssignment(
         labels=labels,
         k=max(labels.values()),
-        algorithm=sidecar.get("algorithm", "unknown"),
+        algorithm=sidecar["algorithm"],
         seed=sidecar.get("seed", 0),
         objective=sidecar.get("objective"),
     )

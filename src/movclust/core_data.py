@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,12 +111,6 @@ class SeriesCollection:
     def __len__(self) -> int:
         return len(self.series)
 
-    def get(self, series_id: str):
-        for s in self.series:
-            if s.series_id == series_id:
-                return s
-        raise KeyError(series_id)
-
     def with_step(self, step: str, params: dict, dropped_ids=()) -> list:
         return self.provenance + [
             {"step": step, "params": params, "dropped_ids": sorted(dropped_ids)}
@@ -129,9 +124,9 @@ class SeriesCollection:
 def load_long_csv(path, schema: dict | None = None):
     """Read a long-format CSV into observations plus a rejects report.
 
-    Returns (observations, rejects).  Rows with an unparseable date or value
-    are routed to the rejects list; duplicate (series_id, store, date) keys
-    are a hard error.
+    Returns (observations, rejects).  Rows with an unparseable date, an
+    unparseable or non-finite value, or an empty id are routed to the
+    rejects list; duplicate (series_id, store, date) keys are a hard error.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     observations: list[RawObservation] = []
@@ -164,6 +159,9 @@ def load_long_csv(path, schema: dict | None = None):
             except (TypeError, ValueError):
                 rejects.append(RejectedRow(lineno, raw, "unparseable value"))
                 continue
+            if not math.isfinite(value):
+                rejects.append(RejectedRow(lineno, raw, "non-finite value"))
+                continue
             series_id = row[schema["series_id"]].strip()
             if not series_id:
                 rejects.append(RejectedRow(lineno, raw, "empty series_id"))
@@ -183,7 +181,8 @@ def load_long_csv(path, schema: dict | None = None):
 def load_wide_csv(path):
     """Read a wide CSV (first column series_id, remaining columns ISO dates).
 
-    Empty cells mean missing.  Returns (observations, rejects) so the result
+    Empty cells mean missing; an unparseable or non-finite cell is rejected
+    and also left missing.  Returns (observations, rejects) so the result
     feeds the same assemble_series path as the long format.
     """
     observations: list[RawObservation] = []
@@ -223,6 +222,9 @@ def load_wide_csv(path):
                     value = float(cell)
                 except ValueError:
                     rejects.append(RejectedRow(lineno, raw, f"unparseable value {cell!r}"))
+                    continue
+                if not math.isfinite(value):
+                    rejects.append(RejectedRow(lineno, raw, "non-finite value"))
                     continue
                 observations.append(RawObservation(series_id, date, value))
     return observations, rejects

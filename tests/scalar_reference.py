@@ -1,11 +1,14 @@
-"""Scalar one-pair references for the batched distance kernels.
+"""Scalar references for the batched kernels.
 
-These are cell-by-cell loops of the Wagner-Fischer and DTW recurrences and
-a per-pair MPBD, written the plain way.  ``movclust.distances`` must
+These are cell-by-cell loops of the Wagner-Fischer and DTW recurrences, a
+per-pair MPBD, and a pair-by-pair agglomerative merge loop, written the
+plain way.  ``movclust.distances`` and ``movclust.clustering`` must
 reproduce every value they return bit for bit.
 """
 
 import numpy as np
+
+from movclust.clustering import Dendrogram
 
 
 def levenshtein_ref(p, q):
@@ -80,3 +83,62 @@ def mpbi_ref(levels, labels, omega=2.0):
                 pair_sum += mpbd_ref(members[a], members[b], omega=omega)
         total += pair_sum / len(members)
     return total / len(clusters)
+
+
+def agglomerative_ref(matrix, linkage="ward"):
+    """Lance-Williams merging with a full pair scan per merge.
+
+    Merge ties go to the lexicographically smallest (left, right)
+    representative id pair; each distance update is one scalar expression.
+    """
+    D = np.asarray(matrix.entries, dtype=float).copy()
+    ids = list(matrix.ids)
+    n = len(ids)
+
+    active = list(range(n))
+    members = {i: (ids[i],) for i in range(n)}
+    sizes = {i: 1 for i in range(n)}
+    reps = {i: ids[i] for i in range(n)}
+    merges = []
+
+    for _ in range(n - 1):
+        best = None
+        for ai in range(len(active)):
+            i = active[ai]
+            for aj in range(ai + 1, len(active)):
+                j = active[aj]
+                d = D[i, j]
+                pair = tuple(sorted((reps[i], reps[j])))
+                key = (d, pair)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        (height, pair), i, j = best
+        left, right = (i, j) if reps[i] <= reps[j] else (j, i)
+
+        si, sj = sizes[i], sizes[j]
+        dij = D[i, j]
+        for m in active:
+            if m in (i, j):
+                continue
+            dim, djm = D[i, m], D[j, m]
+            if linkage == "single":
+                new = min(dim, djm)
+            elif linkage == "complete":
+                new = max(dim, djm)
+            elif linkage == "average":
+                new = (si * dim + sj * djm) / (si + sj)
+            else:  # ward
+                sm = sizes[m]
+                new = np.sqrt(
+                    ((si + sm) * dim**2 + (sj + sm) * djm**2 - sm * dij**2)
+                    / (si + sj + sm)
+                )
+            D[i, m] = D[m, i] = new
+
+        merges.append((members[left], members[right], float(height), si + sj))
+        members[i] = tuple(sorted(members[left] + members[right]))
+        sizes[i] = si + sj
+        reps[i] = min(reps[i], reps[j])
+        active.remove(j)
+
+    return Dendrogram(leaves=sorted(ids), merges=merges)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from movclust import cli
+from movclust.errors import ConfigError
 
 
 def run(*argv):
@@ -65,6 +66,22 @@ class TestConfig:
         other = tmp_path / "elsewhere"
         assert run("preprocess", "--config", str(cfg), "--out", str(other)) == 0
         assert (other / "scaled.csv").exists()
+
+    @pytest.mark.parametrize("key", ["outlier_filter", "strict"])
+    def test_boolean_keys_are_strict(self, key):
+        assert cli.build_config({key: "TRUE"}, {})[key] is True
+        assert cli.build_config({}, {key: "False"})[key] is False
+        for raw in ("ture", "yes", "1", ""):
+            with pytest.raises(ConfigError, match=key):
+                cli.build_config({key: raw}, {})
+        assert run("preprocess", "-O", f"{key}=ture") == 1
+
+    @pytest.mark.parametrize("key", ["date_start", "date_end"])
+    def test_one_sided_date_range_exits_1(self, key, capsys):
+        with pytest.raises(ConfigError, match="date_start and date_end"):
+            cli.build_config({key: "2021-01-01"}, {})
+        assert run("preprocess", "-O", f"{key}=2021-01-01") == 1
+        assert "date_start and date_end" in capsys.readouterr().err
 
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -212,6 +229,30 @@ class TestStageCommands:
                    "-O", "k=6") == 0
         sidecar = json.loads((out / "assignment.json").read_text())
         assert sidecar["algorithm"].startswith("kmedoids")
+
+    @pytest.mark.parametrize("algorithm", ["kmedoids", "kmeans_features"])
+    def test_sweep_missing_input_artifact_exits_2(self, price_cfg, algorithm, capsys):
+        cfg, out = price_cfg
+        run("preprocess", "--config", str(cfg))
+        assert run("sweep", "--config", str(cfg), "-O", f"algorithm={algorithm}") == 2
+        assert "missing prerequisite artifact" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_evaluate_without_assignment_sidecar_exits_2(self, price_cfg, capsys):
+        cfg, out = price_cfg
+        for command in ("preprocess", "distmat", "cluster"):
+            assert run(command, "--config", str(cfg)) == 0
+        (out / "assignment.json").unlink()
+        assert run("evaluate", "--config", str(cfg)) == 2
+        assert "assignment.json" in capsys.readouterr().err
+
+    def test_profile_without_metadata_exits_2(self, price_cfg, capsys):
+        cfg, out = price_cfg
+        for command in ("preprocess", "distmat", "cluster"):
+            assert run(command, "--config", str(cfg)) == 0
+        (out / "metadata.csv").unlink()
+        assert run("profile", "--config", str(cfg)) == 2
+        assert "metadata.csv" in capsys.readouterr().err
 
     def test_sweep_table(self, price_cfg):
         cfg, out = price_cfg

@@ -8,6 +8,8 @@ from movclust import clustering as cl
 from movclust.distances import DistanceMatrix
 from movclust.errors import DataError
 
+from scalar_reference import agglomerative_ref
+
 
 def partition_of(assignment):
     """Label-free view: frozenset of frozensets of member ids."""
@@ -186,6 +188,63 @@ class TestAgglomerative:
         assert partition_of(base) == partition_of(other)
 
 
+def random_matrix(rng, n, integer):
+    """Symmetric zero-diagonal matrix; integer entries make merge ties common."""
+    A = rng.integers(0, 4, size=(n, n)).astype(float) if integer else rng.random((n, n))
+    D = np.triu(A, 1)
+    return D + D.T
+
+
+def exact(dendrogram):
+    """Merges with heights as hex strings, so equality is bit-identity."""
+    return dendrogram.leaves, [(l, r, h.hex(), s) for l, r, h, s in dendrogram.merges]
+
+
+class TestAgglomerativeMatchesScalarLoop:
+    @pytest.mark.parametrize("linkage", cl.LINKAGES)
+    def test_random_matrices(self, linkage):
+        rng = np.random.default_rng(17)
+        for trial in range(150):
+            n = int(rng.integers(2, 25))
+            ids = [f"s{v}" for v in rng.permutation(1000)[:n]]  # unsorted, uneven widths
+            matrix = matrix_from(random_matrix(rng, n, integer=trial % 2 == 0), ids)
+            assert exact(cl.agglomerative(matrix, linkage)) == exact(
+                agglomerative_ref(matrix, linkage)
+            ), trial
+
+    def test_ward_squares_like_scalar_pow(self):
+        # the second merge height rounds differently when d**2 is computed as d*d
+        a, b, c = (float.fromhex(h) for h in
+                   ("0x1.f0759b9db0e38p-1", "0x1.a82c5750f00f6p-1", "0x1.7826ed5e48f64p-2"))
+        matrix = matrix_from([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]], list("xyz"))
+        assert exact(cl.agglomerative(matrix, "ward")) == exact(agglomerative_ref(matrix, "ward"))
+
+    def test_non_finite_entry_is_error(self):
+        with pytest.raises(DataError):
+            cl.agglomerative(matrix_from([[0.0, np.inf], [np.inf, 0.0]]), "single")
+
+
+@pytest.mark.parametrize("linkage", cl.LINKAGES)
+def test_agglomerative_matches_scipy_linkage(linkage):
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    from scipy.spatial.distance import squareform
+
+    rng = np.random.default_rng(18)
+    for trial in range(200):
+        n = int(rng.integers(2, 16))
+        D = random_matrix(rng, n, integer=False)
+        dendrogram = cl.agglomerative(matrix_from(D), linkage)
+        Z = hierarchy.linkage(squareform(D), method=linkage)
+        assert np.allclose(sorted(dendrogram.heights()), np.sort(Z[:, 2]), rtol=1e-12), trial
+        ids = [f"S{i}" for i in range(n)]
+        for k in range(1, n + 1):
+            flat = hierarchy.fcluster(Z, k, criterion="maxclust")
+            expect = {
+                frozenset(ids[i] for i in np.flatnonzero(flat == c)) for c in set(flat)
+            }
+            assert partition_of(cl.cut_dendrogram(dendrogram, k)) == expect, (trial, k)
+
+
 class TestCutDendrogram:
     def small_dendrogram(self):
         points = np.array([0.0, 1.0, 10.0])
@@ -243,6 +302,14 @@ class TestAssignmentContract:
         assert back.labels == out.labels
         assert back.k == out.k
         assert back.objective == out.objective
+
+    def test_missing_sidecar_is_data_error(self, tmp_path):
+        X = np.array([[0.0], [0.0], [5.0], [5.0]])
+        path = tmp_path / "assignment.csv"
+        cl.write_assignment_csv(cl.kmeans(X, list("abcd"), k=2, seed=0), path)
+        (tmp_path / "assignment.json").unlink()
+        with pytest.raises(DataError, match="assignment.json"):
+            cl.read_assignment_csv(path)
 
     def test_dendrogram_csv(self, tmp_path):
         D = np.array([[0.0, 2.0], [2.0, 0.0]])

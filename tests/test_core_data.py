@@ -52,6 +52,18 @@ class TestLoadLongCsv:
         assert rejects[0].line_number == 3
         assert "value" in rejects[0].reason
 
+    def test_non_finite_value_routed_to_rejects(self, tmp_path):
+        path = write(
+            tmp_path / "in.csv",
+            "series_id,date,value\nP1,2021-01-01,1\nP1,2021-01-02,inf\n"
+            "P1,2021-01-03,nan\nP1,2021-01-04,-Infinity\nP1,2021-01-05,3\n",
+        )
+        obs, rejects = cd.load_long_csv(path)
+        assert [o.value for o in obs] == [1.0, 3.0]
+        assert [(r.line_number, r.reason) for r in rejects] == [
+            (3, "non-finite value"), (4, "non-finite value"), (5, "non-finite value"),
+        ]
+
     def test_malformed_date_routed_to_rejects(self, tmp_path):
         path = write(
             tmp_path / "in.csv",
@@ -87,6 +99,19 @@ class TestLoadWideCsv:
         obs, rejects = cd.load_wide_csv(path)
         assert rejects == []
         assert [(o.date.day, o.value) for o in obs] == [(1, 1.0), (3, 3.0)]
+
+    def test_non_finite_cells_routed_to_rejects(self, tmp_path):
+        path = write(
+            tmp_path / "w.csv",
+            "series_id,2021-01-01,2021-01-02,2021-01-03\nP1,1,inf,3\nP2,NaN,2,2\n",
+        )
+        obs, rejects = cd.load_wide_csv(path)
+        assert [(o.series_id, o.date.day, o.value) for o in obs] == [
+            ("P1", 1, 1.0), ("P1", 3, 3.0), ("P2", 2, 2.0), ("P2", 3, 2.0),
+        ]
+        assert [(r.line_number, r.reason) for r in rejects] == [
+            (2, "non-finite value"), (3, "non-finite value"),
+        ]
 
     def test_duplicate_row(self, tmp_path):
         path = write(tmp_path / "w.csv", "series_id,2021-01-01\nP1,1\nP1,2\n")
