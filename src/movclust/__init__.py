@@ -1,7 +1,7 @@
 """movclust: movement-pattern clustering for fixed-length time series."""
 
 from .core_data import (
-    RawObservation,
+    Observations,
     SeriesCollection,
     SymbolicSeries,
     TimeSeries,

@@ -123,6 +123,13 @@ def _thresholds(cfg):
     return parts
 
 
+def _date(cfg, key):
+    try:
+        return dt.date.fromisoformat(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
+
+
 def _dtw_window(cfg):
     return int(cfg["dtw_window"]) if cfg["dtw_window"] else None
 
@@ -211,6 +218,9 @@ def cmd_preprocess(cfg):
         "category": cfg["category_col"],
         "store": cfg["store_col"],
     }
+    date_range = None
+    if cfg["date_start"] and cfg["date_end"]:
+        date_range = (_date(cfg, "date_start"), _date(cfg, "date_end"))
     if cfg["input_format"] == "long":
         observations, rejects = core_data.load_long_csv(cfg["input"], schema)
     elif cfg["input_format"] == "wide":
@@ -218,12 +228,6 @@ def cmd_preprocess(cfg):
     else:
         raise ConfigError(f"unknown input_format {cfg['input_format']!r}")
 
-    date_range = None
-    if cfg["date_start"] and cfg["date_end"]:
-        date_range = (
-            dt.date.fromisoformat(cfg["date_start"]),
-            dt.date.fromisoformat(cfg["date_end"]),
-        )
     collection = core_data.assemble_series(observations, date_range, mode=cfg["mode"])
     assemble_params = collection.provenance[0]["params"]
     start = dt.date.fromisoformat(assemble_params["start"])

@@ -121,8 +121,8 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
             members = new_labels == c
             centers[c] = X[members].mean(axis=0)
         wcss = float(((X - centers[new_labels]) ** 2).sum())
-        if not repaired:
-            assert wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)), "WCSS increased"
+        if not repaired and wcss > prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)):
+            raise RuntimeError(f"k-means WCSS increased from {prev_wcss!r} to {wcss!r}")
         converged = labels is not None and np.array_equal(new_labels, labels)
         improvement = prev_wcss - wcss
         labels = new_labels

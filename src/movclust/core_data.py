@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,13 +32,22 @@ DEFAULT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RawObservation:
-    series_id: str
-    date: dt.date
-    value: float
-    category: str | None = None
-    store: str | None = None
+@dataclass
+class Observations:
+    """The accepted rows of one input file, column by column.
+
+    ``keys`` lists each distinct (series_id, store, category) in the order
+    first seen.  Row i belongs to ``keys[series[i]]``, falls on the day
+    ordinal ``day[i]`` (``date.toordinal()``) and holds ``value[i]``.
+    """
+
+    keys: list
+    series: np.ndarray
+    day: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
 
 
 @dataclass(frozen=True)
@@ -121,61 +131,123 @@ class SeriesCollection:
 # Loading
 
 
+def _ordinal(text: str):
+    """Day ordinal of an ISO date string, or None when it does not parse."""
+    try:
+        return dt.date.fromisoformat(text.strip()).toordinal()
+    except ValueError:
+        return None
+
+
+def _observations(keys, series: array, days: array, values: array) -> Observations:
+    """Observations over the typed arrays a loader filled, without a copy."""
+    return Observations(
+        keys,
+        np.frombuffer(series, dtype=np.int64),
+        np.frombuffer(days, dtype=np.int64),
+        np.frombuffer(values, dtype=float),
+    )
+
+
+def _first_repeat(codes: np.ndarray):
+    """Index of the first entry equal to an earlier entry, or None."""
+    _, first = np.unique(codes, return_index=True)
+    if len(first) == len(codes):
+        return None
+    repeated = np.ones(len(codes), dtype=bool)
+    repeated[first] = False
+    return int(np.argmax(repeated))
+
+
 def load_long_csv(path, schema: dict | None = None):
     """Read a long-format CSV into observations plus a rejects report.
 
-    Returns (observations, rejects).  Rows with an unparseable date, an
-    unparseable or non-finite value, or an empty id are routed to the
-    rejects list; duplicate (series_id, store, date) keys are a hard error.
+    Returns (observations, rejects).  Rows with a column count other than
+    the header's, an unparseable date, an unparseable or non-finite value,
+    or an empty id are routed to the rejects list; duplicate
+    (series_id, store, date) keys are a hard error.  Blank lines are
+    skipped and not numbered.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    observations: list[RawObservation] = []
     rejects: list[RejectedRow] = []
-    seen: set[tuple] = set()
+    key_index: dict[tuple, int] = {}  # (series_id, store, category) -> index, first seen first
+    ordinals: dict[str, int | None] = {}
+    series, days, values, lines = array("q"), array("q"), array("d"), array("q")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open input file: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file, header row required")
+        # a repeated column name means its last column, as with csv.DictReader
+        columns = {name: i for i, name in enumerate(header)}
         for role in ("series_id", "date", "value"):
-            if schema[role] not in reader.fieldnames:
+            if schema[role] not in columns:
                 raise DataError(
                     f"{path}: mapped column {schema[role]!r} (for {role}) not in header"
                 )
-        has_category = schema["category"] in reader.fieldnames
-        has_store = schema["store"] in reader.fieldnames
-        for lineno, row in enumerate(reader, start=2):
-            raw = ",".join("" if v is None else v for v in row.values())
+        id_col, date_col, value_col = (columns[schema[r]] for r in ("series_id", "date", "value"))
+        category_col = columns.get(schema["category"])
+        store_col = columns.get(schema["store"])
+        width = len(header)
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            if len(row) != width:
+                rejects.append(RejectedRow(lineno, ",".join(row), "column count mismatch"))
+                continue
+            text = row[date_col]
             try:
-                date = dt.date.fromisoformat(row[schema["date"]].strip())
-            except (ValueError, AttributeError):
-                rejects.append(RejectedRow(lineno, raw, "unparseable date"))
+                day = ordinals[text]
+            except KeyError:
+                day = ordinals[text] = _ordinal(text)
+            if day is None:
+                rejects.append(RejectedRow(lineno, ",".join(row), "unparseable date"))
                 continue
             try:
-                value = float(row[schema["value"]])
-            except (TypeError, ValueError):
-                rejects.append(RejectedRow(lineno, raw, "unparseable value"))
+                value = float(row[value_col])
+            except ValueError:
+                rejects.append(RejectedRow(lineno, ",".join(row), "unparseable value"))
                 continue
             if not math.isfinite(value):
-                rejects.append(RejectedRow(lineno, raw, "non-finite value"))
+                rejects.append(RejectedRow(lineno, ",".join(row), "non-finite value"))
                 continue
-            series_id = row[schema["series_id"]].strip()
+            series_id = row[id_col].strip()
             if not series_id:
-                rejects.append(RejectedRow(lineno, raw, "empty series_id"))
+                rejects.append(RejectedRow(lineno, ",".join(row), "empty series_id"))
                 continue
-            category = row[schema["category"]].strip() or None if has_category else None
-            store = row[schema["store"]].strip() or None if has_store else None
-            key = (series_id, store, date)
-            if key in seen:
-                raise DuplicateObservationError(
-                    f"line {lineno}: duplicate observation for {key}"
-                )
-            seen.add(key)
-            observations.append(RawObservation(series_id, date, value, category, store))
+            store = row[store_col].strip() or None if store_col is not None else None
+            category = row[category_col].strip() or None if category_col is not None else None
+            series.append(key_index.setdefault((series_id, store, category), len(key_index)))
+            days.append(day)
+            values.append(value)
+            lines.append(lineno)
+    observations = _observations(list(key_index), series, days, values)
+    _check_duplicate_keys(observations, lines)
     return observations, rejects
+
+
+def _check_duplicate_keys(observations: Observations, lines: array):
+    """Raise on the first row whose (series_id, store, date) an earlier row has."""
+    if not len(observations):
+        return
+    pairs: dict[tuple, int] = {}
+    pair_of_key = np.array(
+        [pairs.setdefault(key[:2], len(pairs)) for key in observations.keys], dtype=np.int64
+    )
+    day = observations.day - observations.day.min()
+    repeat = _first_repeat(pair_of_key[observations.series] * (int(day.max()) + 1) + day)
+    if repeat is not None:
+        series_id, store, _ = observations.keys[observations.series[repeat]]
+        key = (series_id, store, dt.date.fromordinal(int(observations.day[repeat])))
+        raise DuplicateObservationError(
+            f"line {lines[repeat]}: duplicate observation for {key}"
+        )
 
 
 def load_wide_csv(path):
@@ -185,8 +257,9 @@ def load_wide_csv(path):
     and also left missing.  Returns (observations, rejects) so the result
     feeds the same assemble_series path as the long format.
     """
-    observations: list[RawObservation] = []
     rejects: list[RejectedRow] = []
+    keys: list[tuple] = []
+    series, days, values = array("q"), array("q"), array("d")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -198,7 +271,7 @@ def load_wide_csv(path):
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         try:
-            dates = [dt.date.fromisoformat(c) for c in header[1:]]
+            ordinals = [dt.date.fromisoformat(c).toordinal() for c in header[1:]]
         except ValueError as exc:
             raise DataError(f"{path}: non-ISO date in header: {exc}") from exc
         seen: set[str] = set()
@@ -211,10 +284,11 @@ def load_wide_csv(path):
             if series_id in seen:
                 raise DuplicateObservationError(f"line {lineno}: duplicate row for {series_id}")
             seen.add(series_id)
-            if len(row) - 1 != len(dates):
+            if len(row) - 1 != len(ordinals):
                 rejects.append(RejectedRow(lineno, raw, "column count mismatch"))
                 continue
-            for date, cell in zip(dates, row[1:]):
+            index, accepted = len(keys), len(values)
+            for day, cell in zip(ordinals, row[1:]):
                 cell = cell.strip()
                 if not cell:
                     continue
@@ -226,8 +300,12 @@ def load_wide_csv(path):
                 if not math.isfinite(value):
                     rejects.append(RejectedRow(lineno, raw, "non-finite value"))
                     continue
-                observations.append(RawObservation(series_id, date, value))
-    return observations, rejects
+                series.append(index)
+                days.append(day)
+                values.append(value)
+            if len(values) > accepted:
+                keys.append((series_id, None, None))
+    return _observations(keys, series, days, values), rejects
 
 
 # ---------------------------------------------------------------------------
@@ -239,58 +317,59 @@ def assemble_series(observations, date_range=None, mode: str = "price") -> Serie
 
     In sales mode a (series_id, store) pair identifies a series and the
     composite id becomes ``"<series_id>::<store>"``.  The date range
-    defaults to [min date, max date] over all observations.
+    defaults to [min date, max date] over all observations.  A series takes
+    its category, store and product from its first row inside the range.
     """
-    if not observations:
+    if not len(observations):
         raise DataError("assemble_series: empty observation list")
     if mode not in ("price", "sales"):
         raise DataError(f"unknown mode {mode!r}")
     if date_range is None:
-        start = min(o.date for o in observations)
-        end = max(o.date for o in observations)
+        start = dt.date.fromordinal(int(observations.day.min()))
+        end = dt.date.fromordinal(int(observations.day.max()))
     else:
         start, end = date_range
         if start > end:
             raise DataError(f"date range start {start} after end {end}")
     n = (end - start).days + 1
 
-    grouped: dict[str, dict] = {}
-    for obs in observations:
-        if obs.date < start or obs.date > end:
-            continue
-        if mode == "sales" and obs.store is not None:
-            key = f"{obs.series_id}::{obs.store}"
-        else:
-            key = obs.series_id
-        entry = grouped.setdefault(
-            key,
-            {
-                "values": np.full(n, np.nan),
-                "mask": np.ones(n, dtype=bool),
-                "category": obs.category,
-                "store": obs.store,
-                "product": obs.series_id,
-            },
-        )
-        pos = (obs.date - start).days
-        if not entry["mask"][pos]:
-            raise DuplicateObservationError(
-                f"conflicting observations for series {key} on {obs.date}"
-            )
-        entry["values"][pos] = obs.value
-        entry["mask"][pos] = False
-
-    series = [
-        TimeSeries(
-            series_id=key,
-            values=entry["values"],
-            missing_mask=entry["mask"],
-            category=entry["category"],
-            store=entry["store"],
-            product=entry["product"],
-        )
-        for key, entry in sorted(grouped.items())
+    inside = (observations.day >= start.toordinal()) & (observations.day <= end.toordinal())
+    row_key = observations.series[inside]
+    names = [
+        f"{series_id}::{store}" if mode == "sales" and store is not None else series_id
+        for series_id, store, _ in observations.keys
     ]
+    sorted_names = sorted(set(names))
+    position = {name: i for i, name in enumerate(sorted_names)}
+    name_of_key = np.array([position[name] for name in names], dtype=np.int64)
+    used, first_row, group = np.unique(
+        name_of_key[row_key], return_index=True, return_inverse=True
+    )
+    cells = group * n + (observations.day[inside] - start.toordinal())
+    repeat = _first_repeat(cells)
+    if repeat is not None:
+        raise DuplicateObservationError(
+            f"conflicting observations for series {sorted_names[used[group[repeat]]]} "
+            f"on {start + dt.timedelta(days=int(cells[repeat] % n))}"
+        )
+    values = np.full((len(used), n), np.nan)
+    missing = np.ones((len(used), n), dtype=bool)
+    values.reshape(-1)[cells] = observations.value[inside]
+    missing.reshape(-1)[cells] = False
+
+    series = []
+    for i, (name, row) in enumerate(zip(used, first_row)):
+        product, store, category = observations.keys[row_key[row]]
+        series.append(
+            TimeSeries(
+                series_id=sorted_names[name],
+                values=values[i],
+                missing_mask=missing[i],
+                category=category,
+                store=store,
+                product=product,
+            )
+        )
     provenance = [
         {
             "step": "assemble",

@@ -60,50 +60,98 @@ def _bresenham(r0, c0, r1, c1):
             r += sr
 
 
+#: Series rasterized together by extract_features; bounds the pixel cube.
+_BLOCK_SERIES = 256
+
+
+def _pixel_coords(values, width, height):
+    """Validate a (series x time) block of scaled values; return its pixel rows and columns."""
+    if width < 2 or height < 2:
+        raise DataError(f"grid must be at least 2x2, got {width}x{height}")
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise DataError("rasterize requires a complete series")
+    if (values < 0).any() or (values > 1).any():
+        raise DataError("rasterize expects values in [0, 1] (scaled series)")
+    n = values.shape[1]
+    if n < 2:
+        raise DataError("rasterize needs at least 2 points")
+    cols = np.rint(np.arange(n) * (width - 1) / (n - 1)).astype(int)
+    rows = (height - 1) - np.rint(values * (height - 1)).astype(int)
+    return rows, cols
+
+
+def _draw(rows, cols, width, height, paths):
+    """Binary (series, height, width) cube of the polylines through (rows[s, t], cols[t]).
+
+    A Bresenham line depends only on its end's offset from its start, so the
+    segments are grouped by offset (dr, dc) and each group is drawn with one
+    assignment.  ``paths`` caches the pixel offsets of each (dr, dc).
+    """
+    m, n = rows.shape
+    cube = np.zeros((m, height, width), dtype=bool)
+    series = np.repeat(np.arange(m), n - 1)
+    r0 = rows[:, :-1].reshape(-1)
+    c0 = np.tile(cols[:-1], m)
+    # columns never decrease and dc < width, so the code identifies (dr, dc)
+    codes = (rows[:, 1:].reshape(-1) - r0) * width + np.tile(np.diff(cols), m)
+    order = np.argsort(codes, kind="stable")
+    offsets, starts = np.unique(codes[order], return_index=True)
+    for code, segments in zip(offsets.tolist(), np.split(order, starts[1:])):
+        offset = divmod(code, width)
+        if offset not in paths:
+            paths[offset] = np.array(list(_bresenham(0, 0, *offset))).T
+        path_r, path_c = paths[offset]
+        segments = segments[:, None]
+        cube[series[segments], r0[segments] + path_r, c0[segments] + path_c] = True
+    return cube
+
+
+def _pool(pixels, block):
+    """Mean intensity per block x block tile of each (height, width) image, row-major."""
+    m, height, width = pixels.shape
+    if width % block or height % block:
+        raise DataError(f"block {block} does not divide {width}x{height}")
+    tiles = pixels.reshape(m, height // block, block, width // block, block).sum(axis=(2, 4))
+    return tiles.reshape(m, -1) / (block * block)
+
+
 def rasterize(series, width: int = 64, height: int = 64) -> ImageGrid:
     """Draw the series polyline into a binary width x height grid.
 
     Time maps onto columns [0, width-1]; value 0 maps to the bottom row and
     value 1 to the top row.  No anti-aliasing: pixels are 0 or 1.
     """
-    if width < 2 or height < 2:
-        raise DataError(f"grid must be at least 2x2, got {width}x{height}")
     values = np.asarray(getattr(series, "values", series), dtype=float)
-    if np.isnan(values).any():
-        raise DataError("rasterize requires a complete series")
-    if (values < 0).any() or (values > 1).any():
-        raise DataError("rasterize expects values in [0, 1] (scaled series)")
-    n = len(values)
-    if n < 2:
-        raise DataError("rasterize needs at least 2 points")
-    cols = np.rint(np.arange(n) * (width - 1) / (n - 1)).astype(int)
-    rows = (height - 1) - np.rint(values * (height - 1)).astype(int)
-    pixels = np.zeros((height, width))
-    for t in range(n - 1):
-        for r, c in _bresenham(rows[t], cols[t], rows[t + 1], cols[t + 1]):
-            pixels[r, c] = 1.0
+    rows, cols = _pixel_coords(values[None, :], width, height)
+    pixels = _draw(rows, cols, width, height, {})[0]
     return ImageGrid(width=width, height=height, pixels=pixels)
 
 
 def pool_features(image: ImageGrid, block: int = 4, series_id: str = "") -> FeatureVector:
     """Average intensity per non-overlapping block x block tile, row-major."""
-    if image.width % block or image.height % block:
-        raise DataError(f"block {block} does not divide {image.width}x{image.height}")
-    h, w = image.height // block, image.width // block
-    tiles = image.pixels.reshape(h, block, w, block).mean(axis=(1, 3))
     return FeatureVector(
         series_id=series_id,
-        features=tiles.reshape(-1),
+        features=_pool(image.pixels[None], block)[0],
         extractor=f"raster{image.width}x{image.height}/pool{block}",
     )
 
 
 def extract_features(collection, width: int = 64, height: int = 64, block: int = 4):
-    """Rasterize-and-pool every series of a scaled numeric collection."""
-    return [
-        pool_features(rasterize(s, width, height), block, series_id=s.series_id)
-        for s in collection.series
-    ]
+    """Rasterize-and-pool every series of a scaled numeric collection.
+
+    Equal to ``pool_features(rasterize(s))`` per series, computed for
+    ``_BLOCK_SERIES`` series at a time.
+    """
+    extractor = f"raster{width}x{height}/pool{block}"
+    paths = {}
+    vectors = []
+    for lo in range(0, len(collection.series), _BLOCK_SERIES):
+        chunk = collection.series[lo : lo + _BLOCK_SERIES]
+        rows, cols = _pixel_coords(np.stack([s.values for s in chunk]), width, height)
+        tiles = _pool(_draw(rows, cols, width, height, paths), block)
+        vectors += [FeatureVector(s.series_id, t, extractor) for s, t in zip(chunk, tiles)]
+    return vectors
 
 
 def write_features_csv(vectors, path):

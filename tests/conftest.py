@@ -2,8 +2,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
-from movclust.core_data import SeriesCollection, SymbolicSeries, TimeSeries
+from movclust.core_data import Observations, SeriesCollection, SymbolicSeries, TimeSeries
+
+#: Settings of the differential tests of a fast kernel against its scalar
+#: reference.  Hypothesis's explain phase re-runs a failing example once per
+#: drawn value; on these many-draw inputs it runs for minutes, so it is left out.
+DIFFERENTIAL = settings(max_examples=300, deadline=None,
+                        phases=[p for p in Phase if p is not Phase.explain])
 
 
 def ts(series_id, values, missing=None, **kwargs):
@@ -29,6 +36,30 @@ def collection(series, mode="price"):
 
 def day(offset):
     return dt.date(2021, 1, 1) + dt.timedelta(days=offset)
+
+
+def observations(rows):
+    """Observations from (series_id, date, value[, category[, store]]) tuples."""
+    index, series, days, values = {}, [], [], []
+    for row in rows:
+        series_id, date, value, category, store = (*row, None, None)[:5]
+        series.append(index.setdefault((series_id, store, category), len(index)))
+        days.append(date.toordinal())
+        values.append(value)
+    return Observations(
+        list(index),
+        np.array(series, dtype=np.int64),
+        np.array(days, dtype=np.int64),
+        np.array(values, dtype=float),
+    )
+
+
+def observation_rows(obs):
+    """(series_id, date, value, category, store) per accepted row, in input order."""
+    return [
+        (obs.keys[s][0], dt.date.fromordinal(d), v, obs.keys[s][2], obs.keys[s][1])
+        for s, d, v in zip(obs.series.tolist(), obs.day.tolist(), obs.value.tolist())
+    ]
 
 
 @pytest.fixture(scope="session")

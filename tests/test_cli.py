@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +85,13 @@ class TestConfig:
         assert run("preprocess", "-O", f"{key}=2021-01-01") == 1
         assert "date_start and date_end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["date_start", "date_end"])
+    def test_malformed_date_bound_exits_1(self, key, capsys):
+        bounds = {"date_start": "2021-01-01", "date_end": "2021-12-31", key: "2021-13-01"}
+        argv = [item for k, v in bounds.items() for item in ("-O", f"{k}={v}")]
+        assert run("preprocess", "--input", "unused.csv", *argv) == 1
+        assert f"error: bad value for '{key}': '2021-13-01'" in capsys.readouterr().err
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\n\nseed = 5  # trailing\n")
@@ -155,6 +164,18 @@ class TestPreprocess:
         assert len(rows) == 1
         assert rows[0]["line_number"] == "4"
         assert rows[0]["reason"] == "unparseable value"
+
+    @pytest.mark.parametrize("row", ["B,2021-01-02,2,x", "B,2021-01-02"])
+    def test_ragged_row_rejected(self, tmp_path, row):
+        src = tmp_path / "in.csv"
+        src.write_text(f"series_id,date,value\nA,2021-01-01,1\nA,2021-01-02,2\n{row}\n")
+        out = tmp_path / "out"
+        assert run("preprocess", "--input", str(src), "--out", str(out),
+                   "-O", "outlier_filter=false") == 0
+        rows = list(csv.DictReader((out / "rejects.csv").open()))
+        assert [(r["line_number"], r["raw_row"], r["reason"]) for r in rows] == [
+            ("4", row, "column count mismatch"),
+        ]
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.csv"),
@@ -286,3 +307,30 @@ class TestPipeline:
         assert run("pipeline", "--config", str(cfg), "--out", str(out8),
                    "--threads", "8") == 0
         assert snapshot(out8) == single
+
+
+#: sha256 of every artifact that the sales image pipeline writes on the bundled
+#: sample_data/sales_long.csv, recorded from the row-by-row loaders and
+#: rasterizer that the columnar ones replaced.
+SALES_FEATURES_DIGESTS = {
+    "assignment.csv": "30b627f79abc3266598372c6d41578dccd8d649fda6035ca230afacdaa363bf3",
+    "assignment.json": "c3243d6ace50d4ff3a833d83a823bb1673b96208e8d4741a078bb5712c1a3093",
+    "evaluate.json": "17312f64c38051fde9b0641487ef14f06a8d1682c542fef44c9714c19032e862",
+    "features.csv": "cadf2abfd4b690f9ace98abb62593748507b04b2be5710c3dc6422af73f24194",
+    "metadata.csv": "8d597d79b4532755a0ba4d39e6bc0273cea40bc887f1fcfd33654a75b8aad183",
+    "original.csv": "f0d972ced9ba2e9582052c2dbafb22e73b2d0b9add4ead2956f3fb67ab3ddd91",
+    "profile.csv": "ef04c2cf01cca85a00ec5ffebdc7c7fd24eced09c256d94afedccd67d435e8bc",
+    "provenance.json": "0663ae1633715e7144b38db2c4cb19569183ef41fb7477a1ebdaad55af710152",
+    "rejects.csv": "e0a76e04b068ae9ae44adaed361fda9fa6a8d55de6a0500c56789e3be00eb8af",
+    "scaled.csv": "7504ee787566a4c974ce5d2dcab7c44aef80fce93bdbca069750648cba2e87db",
+    "symbolic.csv": "86974495bc55086269fecbcd4b8b92a42bc1c7f9527a84bf6ab95f9c647dd41a",
+}
+
+
+def test_sales_image_pipeline_golden_digests(tmp_path):
+    sales = Path(__file__).resolve().parents[1] / "sample_data" / "sales_long.csv"
+    out = tmp_path / "out"
+    assert run("pipeline", "--input", str(sales), "--out", str(out), "-O", "mode=sales",
+               "-O", "algorithm=kmeans_features", "-O", "outlier_filter=false") == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in snapshot(out).items()}
+    assert digests == SALES_FEATURES_DIGESTS

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -88,6 +92,32 @@ class TestKmeans:
             cl.kmeans(X, list("abc"), k=4, seed=0)
         with pytest.raises(DataError):
             cl.kmeans(X, list("abc"), k=1, seed=0)
+
+    def test_wcss_increase_raises_under_optimize(self):
+        # Centroids that drift further from the means on every update make the
+        # WCSS grow; the check must hold under python -O, where asserts vanish.
+        script = textwrap.dedent("""
+            import types
+            import numpy as np
+            from movclust import clustering
+
+            class Drifting(np.ndarray):
+                calls = 0
+
+                def mean(self, *args, **kwargs):
+                    Drifting.calls += 1
+                    return np.asarray(super().mean(*args, **kwargs)) + 0.1 * Drifting.calls
+
+            drifting = lambda a, dtype=None: np.asarray(a, dtype).view(Drifting)
+            clustering.np = types.SimpleNamespace(**{**vars(np), "asarray": drifting})
+            assert False, "not reached under -O"
+            clustering.kmeans([[0.0], [0.5], [100.0], [100.5]], list("abcd"), k=2)
+            """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "RuntimeError: k-means WCSS increased" in result.stderr
 
     def test_no_empty_clusters(self):
         # 11 coincident points and one far away force empty-cluster repair

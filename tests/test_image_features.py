@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from movclust import image_features as imf
 from movclust.errors import DataError
 
-from conftest import ts
+from conftest import DIFFERENTIAL, collection, ts
+from scalar_reference import pool_features_ref, rasterize_ref
 
 
 class TestRasterize:
@@ -181,3 +183,54 @@ class TestPgm:
         path = tmp_path / "grid.pgm"
         imf.write_pgm(grid, path)
         assert path.read_text() == "P2\n3 2\n1\n0 1 0\n0 0 0\n"
+
+
+def _same_vectors(got, expected):
+    assert [(v.series_id, v.extractor, v.features.tobytes()) for v in got] == [
+        (v.series_id, v.extractor, v.features.tobytes()) for v in expected
+    ]
+
+
+class TestRasterMatchesSegmentLoop:
+    @DIFFERENTIAL
+    @given(st.data())
+    def test_random_series(self, data):
+        block = data.draw(st.sampled_from([1, 2, 3, 4]), label="block")
+        width = block * data.draw(st.integers(-(-2 // block), 12), label="width")
+        height = block * data.draw(st.integers(-(-2 // block), 12), label="height")
+        n = data.draw(st.integers(2, 3 * width), label="n")  # fewer or more points than columns
+        level = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        shapes = {
+            "random": st.lists(level, min_size=n, max_size=n),
+            "flat": level.map(lambda v: [v] * n),
+            "full-height jumps": st.just([float(t % 2) for t in range(n)]),
+        }
+        series = [
+            ts(f"s{i}", data.draw(shapes[data.draw(st.sampled_from(sorted(shapes)))]))
+            for i in range(data.draw(st.integers(1, 4), label="series"))
+        ]
+        expected = [rasterize_ref(s, width, height) for s in series]
+        for s, grid in zip(series, expected):
+            assert imf.rasterize(s, width, height).pixels.tobytes() == grid.pixels.tobytes()
+        _same_vectors(
+            imf.extract_features(collection(series), width, height, block),
+            [pool_features_ref(g, block, series_id=s.series_id) for s, g in zip(series, expected)],
+        )
+
+    def test_several_blocks_of_series(self):
+        rng = np.random.default_rng(5)
+        series = [
+            ts(f"s{i:03d}", rng.uniform(0.0, 1.0, size=50))
+            for i in range(2 * imf._BLOCK_SERIES + 7)
+        ]
+        _same_vectors(
+            imf.extract_features(collection(series)),
+            [pool_features_ref(rasterize_ref(s), series_id=s.series_id) for s in series],
+        )
+
+    def test_pool_of_grey_pixels(self):
+        rng = np.random.default_rng(6)
+        grid = imf.ImageGrid(width=8, height=12, pixels=rng.random((12, 8)))
+        for block in (1, 2, 4):
+            _same_vectors([imf.pool_features(grid, block, "g")],
+                          [pool_features_ref(grid, block, "g")])
