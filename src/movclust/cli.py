@@ -15,13 +15,14 @@ import argparse
 import csv
 import datetime as dt
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from . import clustering, core_data, distances, evaluation, image_features
+from . import clustering, core_data, distances, evaluation, image_features, tables
 from .errors import ConfigError, DataError, DegenerateGeometryError, MovclustError
 
 
@@ -110,6 +111,8 @@ def build_config(file_values: dict, overrides: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
     if bool(cfg["date_start"]) != bool(cfg["date_end"]):
         raise ConfigError("date_start and date_end must be given together")
+    if not (math.isfinite(cfg["omega"]) and cfg["omega"] >= 0):
+        raise ConfigError(f"bad value for 'omega': {cfg['omega']!r} (must be finite and >= 0)")
     return cfg
 
 
@@ -152,12 +155,13 @@ def _atomic_writes(out_dir, producer):
 
 
 def _write_wide(path, collection, dates, symbolic=False):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id"] + [d.isoformat() for d in dates])
-        for s in collection.series:
-            row = s.levels.tolist() if symbolic else [_fmt(v) for v in s.values]
-            writer.writerow([s.series_id] + row)
+    tables.write_table(
+        path,
+        ["series_id"] + [d.isoformat() for d in dates],
+        collection.ids,
+        [s.levels if symbolic else s.values for s in collection.series],
+        cell="%d" if symbolic else "%.9g",
+    )
 
 
 def _read_wide_numeric(path, mode):
@@ -396,6 +400,8 @@ def _evaluation_inputs(cfg):
 
 
 def cmd_sweep(cfg):
+    if cfg["k_min"] > cfg["k_max"]:
+        raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
     ids, X, levels = _evaluation_inputs(cfg)
     cluster_fn, _ = _clusterer(cfg)
     ks = range(cfg["k_min"], cfg["k_max"] + 1)

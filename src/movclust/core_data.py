@@ -165,8 +165,9 @@ def load_long_csv(path, schema: dict | None = None):
     Returns (observations, rejects).  Rows with a column count other than
     the header's, an unparseable date, an unparseable or non-finite value,
     or an empty id are routed to the rejects list; duplicate
-    (series_id, store, date) keys are a hard error.  Blank lines are
-    skipped and not numbered.
+    (series_id, store, date) keys and a header that names a mapped column
+    more than once are hard errors.  Blank lines are skipped and not
+    numbered.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     rejects: list[RejectedRow] = []
@@ -182,8 +183,12 @@ def load_long_csv(path, schema: dict | None = None):
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, header row required")
-        # a repeated column name means its last column, as with csv.DictReader
         columns = {name: i for i, name in enumerate(header)}
+        for role in DEFAULT_SCHEMA:
+            if header.count(schema[role]) > 1:
+                raise DataError(
+                    f"{path}: mapped column {schema[role]!r} (for {role}) repeated in header"
+                )
         for role in ("series_id", "date", "value"):
             if schema[role] not in columns:
                 raise DataError(

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
+from .tables import write_table
 
 METRICS = ("euclidean", "levenshtein", "dtw", "mpbd")
 
@@ -52,6 +53,9 @@ def mpbd_row(d, s, D, S, omega: float = 2.0) -> np.ndarray:
 
     The per-row sum runs over a contiguous row, so numpy's pairwise
     summation adds the step costs exactly as it does for a single pair.
+    Each step costs gap x weight, the weight omega where the signs differ
+    and 1 elsewhere: equal deltas have a zero gap and equal signs, so they
+    cost exactly 0 without a test of their own.
     """
     if len(d) == 0:
         raise DataError("mpbd: sequences must have length >= 2")
@@ -59,10 +63,20 @@ def mpbd_row(d, s, D, S, omega: float = 2.0) -> np.ndarray:
     step = max(1, ROW_BLOCK // len(d))
     for c in range(0, len(D), step):
         Dc, Sc = D[c : c + step], S[c : c + step]
-        gap = np.abs(d - Dc)
-        cost = np.where(d == Dc, 0.0, np.where(s != Sc, omega * gap, gap))
+        cost = np.abs(d - Dc)
+        cost *= np.where(s != Sc, omega, 1.0)
         out[c : c + step] = cost.sum(axis=1)
     return out
+
+
+def mpbd_upper(X, omega: float = 2.0) -> np.ndarray:
+    """Raw MPBD between the rows of ``X``: entry (i, j) for i < j, zeros elsewhere."""
+    n = len(X)
+    D, S = delta_rows(X)
+    entries = np.zeros((n, n))
+    for i in range(n - 1):
+        entries[i, i + 1 :] = mpbd_row(D[i], S[i], D[i + 1 :], S[i + 1 :], omega)
+    return entries
 
 
 def _euclidean_row(p, Q) -> np.ndarray:
@@ -247,7 +261,7 @@ def distance_matrix(
     ids = [s.series_id for s in collection.series]
     n, length = X.shape
 
-    entries = np.zeros((n, n))
+    entries = mpbd_upper(X, omega) if metric == "mpbd" else np.zeros((n, n))
     if metric in ("levenshtein", "dtw"):
         edit = metric == "levenshtein"
         if not edit:
@@ -258,11 +272,7 @@ def distance_matrix(
             r, c = rows[start : start + PAIR_BLOCK], cols[start : start + PAIR_BLOCK]
             last = _dp_last_cell(XT[:, r], XT[:, c], None if edit else window, edit)
             entries[r, c] = last if edit else np.sqrt(last)
-    elif metric == "mpbd":
-        D, S = delta_rows(X)
-        for i in range(n - 1):
-            entries[i, i + 1 :] = mpbd_row(D[i], S[i], D[i + 1 :], S[i + 1 :], omega)
-    else:
+    elif metric == "euclidean":
         for i in range(n - 1):
             entries[i, i + 1 :] = _euclidean_row(X[i], X[i + 1 :])
     entries += entries.T
@@ -321,11 +331,7 @@ def normalize_matrix(matrix: DistanceMatrix, mode: str, value_range: float = 0.9
 def write_matrix_csv(matrix: DistanceMatrix, path):
     """CSV with an id header column/row plus a JSON sidecar next to it."""
     path = str(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + matrix.ids)
-        for sid, row in zip(matrix.ids, matrix.entries):
-            writer.writerow([sid] + [format(v, ".9g") for v in row])
+    write_table(path, ["id"] + matrix.ids, matrix.ids, matrix.entries)
     sidecar = {
         "metric": matrix.metric,
         "normalization": matrix.normalization,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import delta_rows, mpbd_row
+from .distances import delta_rows, mpbd_row, mpbd_upper
 from .errors import DataError, DegenerateGeometryError
 
 
@@ -109,45 +109,55 @@ def db_index(vectors, ids, assignment) -> float:
     S = np.asarray(
         [np.sqrt(((X[m] - mu) ** 2).sum() / len(m)) for m, mu in zip(groups, mus)]
     )
-    total = 0.0
-    for i in range(k):
-        worst = -np.inf
-        for j in range(k):
-            if i == j:
-                continue
-            M = float(np.sqrt(((mus[i] - mus[j]) ** 2).sum()))
-            if M == 0.0:
-                raise DegenerateGeometryError(
-                    f"db_index: coincident centroids for clusters {i + 1} and {j + 1}"
-                )
-            worst = max(worst, (S[i] + S[j]) / M)
-        total += worst
-    return total / k
+    # centroid distances; each row's sum runs over a contiguous row, as for one pair
+    M = np.stack([np.sqrt(((mu - mus) ** 2).sum(axis=1)) for mu in mus])
+    np.fill_diagonal(M, np.inf)  # a cluster's own ratio, 2 S / inf = 0, never wins a max
+    coincident = np.argwhere(M == 0.0)
+    if len(coincident):
+        i, j = coincident[0]
+        raise DegenerateGeometryError(
+            f"db_index: coincident centroids for clusters {i + 1} and {j + 1}"
+        )
+    worst = ((S[:, None] + S[None]) / M).max(axis=1)
+    return float(np.cumsum(worst)[-1]) / k
 
 
-def mpbi(levels, ids, assignment, omega: float = 2.0) -> float:
+def _pair_sum(pairs) -> float:
+    """One cluster's pairwise distances, added one at a time in (a, b) order like a scalar loop."""
+    return float(np.cumsum(pairs)[-1]) if len(pairs) else 0.0
+
+
+def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
     """Movement-pattern index: per-cluster mean pairwise raw distance.
 
     Per cluster, the pairwise mpbd sum divided by the cluster size; the
     result averages those over clusters.  Singletons contribute 0; lower
-    is better.
+    is better.  ``raw_mpbd``, when given, is ``distances.mpbd_upper`` of
+    ``levels`` at this ``omega``: each cluster's pairs are then read from
+    it instead of computed.
     """
     groups = _groups(ids, assignment)
-    D, S = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]))
+    if raw_mpbd is None:
+        D, S = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]))
     total = 0.0
     for members in groups:
-        Dm, Sm = D[members], S[members]
-        pairs = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
-                 for a in range(len(members) - 1)]
-        # cumsum adds one pair at a time in (a, b) order, like a scalar loop
-        pair_sum = float(np.cumsum(np.concatenate(pairs))[-1]) if pairs else 0.0
-        total += pair_sum / len(members)
+        if raw_mpbd is not None:
+            pairs = raw_mpbd[np.ix_(members, members)][np.triu_indices(len(members), 1)]
+        else:
+            Dm, Sm = D[members], S[members]
+            rows = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
+                    for a in range(len(members) - 1)]
+            pairs = np.concatenate(rows) if rows else ()
+        total += _pair_sum(pairs) / len(members)
     return total / assignment.k
 
 
 def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
-             ch_variant: str = "standard") -> ValidityReport:
-    """Compute all three indices; degenerate geometry is noted, not fatal."""
+             ch_variant: str = "standard", raw_mpbd=None) -> ValidityReport:
+    """Compute all three indices; degenerate geometry is noted, not fatal.
+
+    ``raw_mpbd`` is passed on to ``mpbi``.
+    """
     notes = {}
     try:
         ch = ch_index(vectors, ids, assignment, ch_variant)
@@ -157,21 +167,30 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
         db = db_index(vectors, ids, assignment)
     except DegenerateGeometryError as exc:
         db, notes["db"] = None, str(exc)
-    index = mpbi(levels, ids, assignment, omega=omega)
+    index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd)
     return ValidityReport(k=assignment.k, ch=ch, ch_variant=ch_variant, db=db,
                           mpbi=index, notes=notes or None)
 
 
 def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0,
             ch_variant: str = "standard") -> list[SweepRow]:
-    """Run cluster_fn(k) for each k and score it; per-k failures become notes."""
+    """Run cluster_fn(k) for each k and score it; per-k failures become notes.
+
+    Every k's MPBI reads one raw MPBD matrix over ``levels``, computed once.
+    """
     ks = sorted(set(int(k) for k in ks))
+    raw_mpbd = None
+    if ks and len(levels) >= 2:
+        try:
+            raw_mpbd = mpbd_upper(np.stack([np.asarray(s, dtype=float) for s in levels]), omega)
+        except DataError:
+            pass  # series too short to move: each k's mpbi meets and notes the same error
     rows = []
     for k in ks:
         try:
             assignment = cluster_fn(k)
             report = evaluate(vectors, levels, ids, assignment, omega=omega,
-                              ch_variant=ch_variant)
+                              ch_variant=ch_variant, raw_mpbd=raw_mpbd)
         except (DataError, DegenerateGeometryError) as exc:
             rows.append(SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
             continue

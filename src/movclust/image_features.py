@@ -15,6 +15,7 @@ import numpy as np
 
 from . import clustering
 from .errors import DataError
+from .tables import write_table
 
 
 @dataclass
@@ -158,13 +159,15 @@ def write_features_csv(vectors, path):
     if not vectors:
         raise DataError("no feature vectors to write")
     m = len(vectors[0].features)
-    with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id"] + [f"f{i + 1}" for i in range(m)])
-        for vec in vectors:
-            if len(vec.features) != m:
-                raise DataError(f"{vec.series_id}: inconsistent feature length")
-            writer.writerow([vec.series_id] + [format(v, ".9g") for v in vec.features])
+    for vec in vectors:
+        if len(vec.features) != m:
+            raise DataError(f"{vec.series_id}: inconsistent feature length")
+    write_table(
+        path,
+        ["series_id"] + [f"f{i + 1}" for i in range(m)],
+        [vec.series_id for vec in vectors],
+        [vec.features for vec in vectors],
+    )
 
 
 def load_external_features(path, known_ids=None, extractor: str = "external"):

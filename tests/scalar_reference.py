@@ -6,6 +6,12 @@ loaders and series assembly, and the segment-by-segment rasterizer, written
 the plain way.  ``movclust.distances``, ``movclust.clustering``,
 ``movclust.core_data`` and ``movclust.image_features`` must reproduce every
 value they return bit for bit.
+
+More are earlier forms of the package code, kept as they were: the sweep
+that recomputed each k's within-cluster MPBD pairs, the Davies-Bouldin
+loop over cluster pairs, and the artifact writers that formatted and
+csv-quoted one cell at a time.  The sweep's scores and the writers' bytes
+must equal theirs.
 """
 
 import csv
@@ -15,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from movclust import evaluation
 from movclust.clustering import Dendrogram
 from movclust.core_data import DEFAULT_SCHEMA, RejectedRow, SeriesCollection, TimeSeries
-from movclust.errors import DataError, DuplicateObservationError
+from movclust.distances import delta_rows, mpbd_row
+from movclust.errors import DataError, DegenerateGeometryError, DuplicateObservationError
 from movclust.image_features import FeatureVector, ImageGrid
 
 
@@ -400,3 +408,115 @@ def pool_features_ref(image: ImageGrid, block: int = 4, series_id: str = "") -> 
         features=tiles.reshape(-1),
         extractor=f"raster{image.width}x{image.height}/pool{block}",
     )
+
+
+# ---------------------------------------------------------------------------
+# MPBI computed per k, Davies-Bouldin pair by pair, and the per-cell writers
+
+
+def mpbi_rows_ref(levels, ids, assignment, omega=2.0):
+    """MPBI with each cluster's pairs computed by the MPBD row kernel."""
+    groups = evaluation._groups(ids, assignment)
+    D, S = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]))
+    total = 0.0
+    for members in groups:
+        Dm, Sm = D[members], S[members]
+        pairs = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
+                 for a in range(len(members) - 1)]
+        # cumsum adds one pair at a time in (a, b) order, like a scalar loop
+        pair_sum = float(np.cumsum(np.concatenate(pairs))[-1]) if pairs else 0.0
+        total += pair_sum / len(members)
+    return total / assignment.k
+
+
+def db_index_ref(vectors, ids, assignment):
+    X = np.asarray(vectors, dtype=float)
+    k = assignment.k
+    if not 2 <= k <= X.shape[0]:
+        raise DataError(f"db_index requires 2 <= k <= n, got k={k}")
+    groups = evaluation._groups(ids, assignment)
+    mus = np.stack([X[m].mean(axis=0) for m in groups])
+    S = np.asarray(
+        [np.sqrt(((X[m] - mu) ** 2).sum() / len(m)) for m, mu in zip(groups, mus)]
+    )
+    total = 0.0
+    for i in range(k):
+        worst = -np.inf
+        for j in range(k):
+            if i == j:
+                continue
+            M = float(np.sqrt(((mus[i] - mus[j]) ** 2).sum()))
+            if M == 0.0:
+                raise DegenerateGeometryError(
+                    f"db_index: coincident centroids for clusters {i + 1} and {j + 1}"
+                )
+            worst = max(worst, (S[i] + S[j]) / M)
+        total += worst
+    return total / k
+
+
+def evaluate_ref(vectors, levels, ids, assignment, omega=2.0, ch_variant="standard"):
+    notes = {}
+    try:
+        ch = evaluation.ch_index(vectors, ids, assignment, ch_variant)
+    except DegenerateGeometryError as exc:
+        ch, notes["ch"] = None, str(exc)
+    try:
+        db = db_index_ref(vectors, ids, assignment)
+    except DegenerateGeometryError as exc:
+        db, notes["db"] = None, str(exc)
+    index = mpbi_rows_ref(levels, ids, assignment, omega=omega)
+    return evaluation.ValidityReport(k=assignment.k, ch=ch, ch_variant=ch_variant, db=db,
+                                     mpbi=index, notes=notes or None)
+
+
+def sweep_k_ref(vectors, levels, ids, ks, cluster_fn, omega=2.0, ch_variant="standard"):
+    """k-sweep whose every k computes its own MPBI pairs."""
+    ks = sorted(set(int(k) for k in ks))
+    rows = []
+    for k in ks:
+        try:
+            assignment = cluster_fn(k)
+            report = evaluate_ref(vectors, levels, ids, assignment, omega=omega,
+                                  ch_variant=ch_variant)
+        except (DataError, DegenerateGeometryError) as exc:
+            rows.append(evaluation.SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
+            continue
+        note = ";".join(f"{key}:{msg}" for key, msg in sorted((report.notes or {}).items()))
+        rows.append(evaluation.SweepRow(k=k, ch=report.ch, db=report.db, mpbi=report.mpbi,
+                                        note=note))
+    return rows
+
+
+def _fmt(value) -> str:
+    return format(float(value), ".9g")
+
+
+def write_wide_ref(path, collection, dates, symbolic=False):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id"] + [d.isoformat() for d in dates])
+        for s in collection.series:
+            row = s.levels.tolist() if symbolic else [_fmt(v) for v in s.values]
+            writer.writerow([s.series_id] + row)
+
+
+def write_matrix_csv_ref(matrix, path):
+    with open(str(path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + matrix.ids)
+        for sid, row in zip(matrix.ids, matrix.entries):
+            writer.writerow([sid] + [format(v, ".9g") for v in row])
+
+
+def write_features_csv_ref(vectors, path):
+    if not vectors:
+        raise DataError("no feature vectors to write")
+    m = len(vectors[0].features)
+    with open(str(path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id"] + [f"f{i + 1}" for i in range(m)])
+        for vec in vectors:
+            if len(vec.features) != m:
+                raise DataError(f"{vec.series_id}: inconsistent feature length")
+            writer.writerow([vec.series_id] + [format(v, ".9g") for v in vec.features])

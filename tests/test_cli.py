@@ -69,6 +69,18 @@ class TestConfig:
         assert run("preprocess", "--config", str(cfg), "--out", str(other)) == 0
         assert (other / "scaled.csv").exists()
 
+    @pytest.mark.parametrize("omega", ["-1", "nan", "inf", "-inf"])
+    def test_omega_must_be_finite_and_not_negative(self, price_cfg, omega, capsys):
+        cfg, out = price_cfg
+        with pytest.raises(ConfigError, match="omega"):
+            cli.build_config({"omega": omega}, {})
+        assert run("pipeline", "--config", str(cfg), "-O", f"omega={omega}") == 1
+        assert "error: bad value for 'omega'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omega_zero_is_allowed(self):
+        assert cli.build_config({}, {"omega": "0"})["omega"] == 0.0
+
     @pytest.mark.parametrize("key", ["outlier_filter", "strict"])
     def test_boolean_keys_are_strict(self, key):
         assert cli.build_config({key: "TRUE"}, {})[key] is True
@@ -275,6 +287,28 @@ class TestStageCommands:
         assert run("profile", "--config", str(cfg)) == 2
         assert "metadata.csv" in capsys.readouterr().err
 
+    def test_repeated_mapped_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("series_id,date,value,value\nA,2021-01-01,1,5\n", encoding="utf-8")
+        assert run("preprocess", "--input", str(path), "--out", str(tmp_path / "out")) == 2
+        assert "mapped column 'value' (for value) repeated in header" in capsys.readouterr().err
+
+    def test_empty_sweep_range_exits_1_before_reading_artifacts(self, price_cfg, capsys):
+        cfg, out = price_cfg
+        assert run("sweep", "--config", str(cfg), "-O", "k_min=5", "-O", "k_max=3") == 1
+        assert "error: empty sweep range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_of_one_day_notes_every_k(self, price_cfg):
+        cfg, out = price_cfg
+        one_day = ["-O", "date_start=2021-01-10", "-O", "date_end=2021-01-10",
+                   "-O", "outlier_filter=false", "-O", "algorithm=kmeans"]
+        assert run("preprocess", "--config", str(cfg), *one_day) == 0
+        assert run("sweep", "--config", str(cfg), *one_day, "-O", "k_max=4") == 0
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert [int(r["k"]) for r in rows] == [2, 3, 4]
+        assert all(not r["mpbi"] and "length >= 2" in r["note"] for r in rows)
+
     def test_sweep_table(self, price_cfg):
         cfg, out = price_cfg
         run("preprocess", "--config", str(cfg))
@@ -334,3 +368,41 @@ def test_sales_image_pipeline_golden_digests(tmp_path):
                "-O", "algorithm=kmeans_features", "-O", "outlier_filter=false") == 0
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in snapshot(out).items()}
     assert digests == SALES_FEATURES_DIGESTS
+
+
+#: sha256 of the price pipeline's artifacts and of its k=2..20 sweeps on the
+#: bundled sample_data/price_long.csv, recorded from the sweep that computed
+#: every k's MPBD pairs anew and the writers that formatted one cell at a time.
+PRICE_DIGESTS = {
+    "assignment.csv": "6efdaadfb9eb20f37fe48182be501dfb821b89085d77872d9a03e08f4972834f",
+    "assignment.json": "69543baf09552dce85c6b0876e43bcce391b78952b5b35b47344b0d02531273a",
+    "dendrogram.csv": "5370a92f1fb4e0253e3463ecf5b6f5af465a294bcf2b4239e6a80419c2efddfa",
+    "distmat.csv": "ff22356a526c53d53a3d88250fc197b8df30199629f7ece670cd616e40fd1e7d",
+    "distmat.json": "e5ebed315cb7bb0ec4cb1a814c5dfa558062e1fcb0647cee79169375597d7fce",
+    "evaluate.json": "ab8bc944ec1bc8d81a3c7de71b11c4b767a8a308454aba8910ba2a09ee3fe7c3",
+    "metadata.csv": "ba20a0f5fa952104ea8a0f6761cc9c3c550fc4f547345eb46897a4f9b72269c2",
+    "original.csv": "42f297e6dd8dab9b24a93530a2c578fc2b691e4cf17d8c51b4e77a6047562076",
+    "profile.csv": "827ed915447146a31fc9c879d13b6454d597959cb915fa447ed3b29e3011ce67",
+    "provenance.json": "e3c98651069077ab83af105b6ddbabdefc07256716f22722de65c123c7e666bb",
+    "rejects.csv": "e0a76e04b068ae9ae44adaed361fda9fa6a8d55de6a0500c56789e3be00eb8af",
+    "scaled.csv": "df0e0b2b3b2db165cd8305bdc53d82812056ddad2ca538dd970822b5b4b45240",
+    "symbolic.csv": "db79f03f20e720287730cb9e3188eab10d7148aac1c1b8a10fd9713a7c1351a9",
+}
+PRICE_SWEEP_DIGESTS = {
+    (): "76f71dc0904ff6fe3e9739d505c78431d60e46c26e004689901ac86a0d7faa9a",
+    ("algorithm=kmedoids",): "95542ea41f13b16563e3791474a31992b16cc8051ded18c77be0b727f57bc93c",
+    ("algorithm=kmeans",): "339dcebefb26289a6b6e20e21d00dc32e1e55216dd4fcd0f02ab0e2090649e09",
+    ("omega=0.3",): "b60d97cdb2a5815abefe37dc434c1108b572ade4d40477af996b196164b6e7b1",
+}
+
+
+def test_price_pipeline_and_sweep_golden_digests(tmp_path):
+    price = Path(__file__).resolve().parents[1] / "sample_data" / "price_long.csv"
+    out = tmp_path / "out"
+    assert run("pipeline", "--input", str(price), "--out", str(out)) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in snapshot(out).items()}
+    assert digests == PRICE_DIGESTS
+    for options, digest in PRICE_SWEEP_DIGESTS.items():
+        overrides = [arg for option in options for arg in ("-O", option)]
+        assert run("sweep", "--out", str(out), *overrides) == 0
+        assert hashlib.sha256(read(out / "sweep.csv")).hexdigest() == digest, options

@@ -85,6 +85,27 @@ class TestLoadLongCsv:
         with pytest.raises(DataError, match="series_id"):
             cd.load_long_csv(path)
 
+    @pytest.mark.parametrize("header, column", [
+        ("series_id,date,value,value", "value"),
+        ("series_id,store,date,value,store", "store"),
+        ("series_id,series_id,date,value,category", "series_id"),
+    ])
+    def test_repeated_mapped_column_is_error(self, tmp_path, header, column):
+        row = ",".join(["A", "2021-01-01", "1", "5", "x"][: header.count(",") + 1])
+        path = write(tmp_path / "in.csv", f"{header}\n{row}\n")
+        with pytest.raises(DataError, match=f"mapped column '{column}' .* repeated in header"):
+            cd.load_long_csv(path)
+
+    def test_repeated_column_in_custom_schema_is_error(self, tmp_path):
+        path = write(tmp_path / "in.csv", "item,day,price,price\nP1,2021-01-01,2,3\n")
+        with pytest.raises(DataError, match="'price' \\(for value\\) repeated"):
+            cd.load_long_csv(path, {"series_id": "item", "date": "day", "value": "price"})
+
+    def test_repeated_unmapped_column_is_allowed(self, tmp_path):
+        path = write(tmp_path / "in.csv", "series_id,date,value,note,note\nA,2021-01-01,1,x,y\n")
+        obs, rejects = cd.load_long_csv(path)
+        assert observation_rows(obs) == [("A", day(0), 1.0, None, None)] and not rejects
+
     def test_custom_schema(self, tmp_path):
         path = write(tmp_path / "in.csv", "item,day,price\nP1,2021-01-01,2\n")
         obs, _ = cd.load_long_csv(

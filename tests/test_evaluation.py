@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from movclust import evaluation as ev
-from movclust.clustering import ClusterAssignment, kmeans
-from movclust.distances import mpbd
+from movclust.clustering import ClusterAssignment, agglomerative, cut_dendrogram, kmeans, kmedoids
+from movclust.distances import distance_matrix, mpbd, mpbd_upper
 from movclust.errors import DataError, DegenerateGeometryError
 
-from scalar_reference import mpbi_ref
+from conftest import collection, ts
+from scalar_reference import db_index_ref, mpbi_ref, mpbi_rows_ref, sweep_k_ref
 
 
 def assign(labels, ids=None):
@@ -164,6 +165,24 @@ class TestDbIndex:
         with pytest.raises(DegenerateGeometryError):
             ev.db_index(X, ids, a)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 400), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_pair_loop(self, n, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        labels = [int(c) for c in rng.permutation(
+            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        # few distinct values, so centroids can coincide
+        X = rng.integers(0, 2, size=(n, dim)) * rng.normal(size=dim)
+        a, ids = assign(labels)
+        try:
+            expected = float.hex(db_index_ref(X, ids, a))
+        except DegenerateGeometryError as exc:
+            with pytest.raises(DegenerateGeometryError, match=f"^{exc}$"):
+                ev.db_index(X, ids, a)
+        else:
+            assert float.hex(ev.db_index(X, ids, a)) == expected
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(22)
         X = rng.normal(size=(10, 2))
@@ -288,3 +307,64 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,ch,db,mpbi,note"
         assert len(lines) == 3
+
+
+class TestSweepFromOneMatrix:
+    """A sweep reads every k's MPBI pairs from one raw MPBD matrix.
+
+    Its scores must equal, bit for bit, one-off ``mpbi`` calls, the scalar
+    loop and the sweep that computed each k's pairs anew.
+    """
+
+    @staticmethod
+    def clusterers(levels, ids, omega):
+        matrix = distance_matrix(collection(ts(i, s) for i, s in zip(ids, levels)), "mpbd",
+                                 omega=omega)
+        dendrogram = agglomerative(matrix, linkage="ward")
+        X = np.stack(levels)
+        return {
+            "hierarchical": lambda k: cut_dendrogram(dendrogram, k),
+            "kmedoids": lambda k: kmedoids(matrix, k=k, seed=1),
+            "kmeans": lambda k: kmeans(X, ids, k=k, seed=1),
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 14), st.integers(2, 9), st.sampled_from([0.3, 3.0]),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_per_k_mpbi(self, n, length, omega, seed):
+        rng = np.random.default_rng(seed)
+        # real-valued levels, so the order the pair values are added in shows
+        levels = [rng.normal(size=length) for _ in range(n)]
+        ids = [f"s{i:02d}" for i in range(n)]
+        X = np.stack(levels)
+        raw = mpbd_upper(X, omega)
+        for name, fn in self.clusterers(levels, ids, omega).items():
+            ks = range(1, n + 1)
+            rows = ev.sweep_k(X, levels, ids, ks, fn, omega=omega)
+            assert rows == sweep_k_ref(X, levels, ids, ks, fn, omega=omega), name
+            for row in rows:
+                try:
+                    a = fn(row.k)
+                except DataError:
+                    continue
+                labels = [a.labels[i] for i in ids]
+                # k = n is all singletons, which a sweep notes as a CH error
+                one_off = ev.mpbi(levels, ids, a, omega=omega)
+                expected = [float.hex(mpbi_ref(levels, labels, omega=omega)),
+                            float.hex(mpbi_rows_ref(levels, ids, a, omega=omega))]
+                assert [float.hex(one_off)] * 2 == expected, (name, row.k)
+                assert float.hex(ev.mpbi(levels, ids, a, omega=omega, raw_mpbd=raw)) \
+                    == expected[0], (name, row.k)
+                if row.mpbi is not None:
+                    assert float.hex(row.mpbi) == expected[0], (name, row.k)
+            assert any(row.mpbi is not None for row in rows) or n < 3
+
+    def test_levels_too_short_note_every_k(self):
+        rng = np.random.default_rng(28)
+        X = rng.normal(size=(8, 2))
+        ids = [f"s{i}" for i in range(8)]
+        levels = [[3] for _ in ids]
+        fn = lambda k: kmeans(X, ids, k=k, seed=0)
+        rows = ev.sweep_k(X, levels, ids, [2, 3, 4], fn)
+        assert rows == sweep_k_ref(X, levels, ids, [2, 3, 4], fn)
+        assert all(r.mpbi is None and "length >= 2" in r.note for r in rows)
