@@ -80,6 +80,17 @@ def _farthest_point_indices(first: int, k: int, point_dist) -> list[int]:
     return chosen
 
 
+def _sq_dists(X, centers, out) -> np.ndarray:
+    """``out[i, c]`` = squared distance from row i of ``X`` to centre c.
+
+    One (n, m) temporary per centre instead of an (n, k, m) cube: each entry
+    is the same contiguous row sum either way.
+    """
+    for c, center in enumerate(centers):
+        out[:, c] = ((X - center) ** 2).sum(axis=1)
+    return out
+
+
 def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
            tol: float = 1e-6) -> ClusterAssignment:
     """Lloyd iterations with deterministic seeded farthest-point init.
@@ -102,8 +113,9 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
 
     prev_wcss = np.inf
     labels = None
+    d2 = np.empty((n, k))
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        _sq_dists(X, centers, d2)
         new_labels = d2.argmin(axis=1)
         # repair empty clusters with the worst-fitting point from a non-singleton cluster
         repaired = False

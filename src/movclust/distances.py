@@ -8,9 +8,12 @@ are its one-pair case.  DTW and Levenshtein share one dynamic-programming
 kernel that sweeps the cost grid by anti-diagonals: each step updates one
 diagonal for a whole block of pairs in a few numpy ops, and only the last
 two diagonals are kept.  MPBD and euclidean broadcast one series against
-all later ones.  Every entry goes through the same floating-point
-operations, in the same order, as the one-pair recurrence, so a matrix is
-bit-identical to computing each pair on its own.
+all later ones.  DTW, Levenshtein and euclidean entries go through the same
+floating-point operations, in the same order, as the one-pair recurrence.
+MPBD runs in the narrowest integer dtype when every step cost is an exact
+integer (integral deltas and omega, see ``delta_rows``) and in float64
+otherwise; integer sums below 2**53 are what the float64 sum gives too.  So
+every matrix is bit-identical to computing each pair on its own.
 """
 
 from __future__ import annotations
@@ -29,53 +32,90 @@ METRICS = ("euclidean", "levenshtein", "dtw", "mpbd")
 #: Pairs per call of the DP kernel.  Its buffers hold three diagonals of
 #: this many pairs, so memory stays bounded for any collection size.
 PAIR_BLOCK = 128
-#: Delta values per block of the MPBD row kernel: its temporaries stay
-#: small enough for the CPU cache whatever the collection size.
+#: Delta values per block of the MPBD row kernel, in float64: its
+#: temporaries stay small enough for the CPU cache whatever the collection
+#: size.  Integer blocks take as many bytes (eight times the values in int8).
 ROW_BLOCK = 1 << 15
 
 
-def delta_sequence(x) -> np.ndarray:
-    """Per-step deltas d[t] = x[t] - x[t+1] (sign convention of the movement rules)."""
-    x = np.asarray(x, dtype=float)
-    if len(x) < 2:
-        raise DataError("delta sequence needs length >= 2")
-    return x[:-1] - x[1:]
+#: Integer dtypes of the MPBD step costs, narrowest first.
+_COST_DTYPES = (np.int8, np.int16, np.int32)
 
 
-def delta_rows(X) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step deltas of each row of a 2-D series array, and their signs."""
+def _cost_dtype(D, omega):
+    """Narrowest integer dtype that holds every step cost |d - D| * omega, or None.
+
+    Costs are exact integers when the deltas and omega are integral and
+    omega >= 0.  Every cost is at most ``top`` = max(2 max|D|, 1) x
+    max(omega, 1), the weight (omega) included, and a row's sum at most
+    ``top`` x (L - 1); below 2**53 that sum is also exact in float64.
+    Whether every delta is integral is left to the caller.
+    """
+    if D.size == 0 or not (omega >= 0 and float(omega).is_integer()):
+        return None
+    peak = float(np.abs(D).max())
+    if not peak.is_integer():  # also nan and inf
+        return None
+    top = max(2 * int(peak), 1) * max(int(omega), 1)
+    if top * D.shape[1] >= 2**53:
+        return None
+    return next((t for t in _COST_DTYPES if top <= np.iinfo(t).max), None)
+
+
+def delta_rows(X, omega):
+    """Per-step deltas of each row of a 2-D series array, their signs, and omega.
+
+    When every step cost is an exact integer (``_cost_dtype``), all three
+    come back in the narrowest integer dtype that holds the largest cost:
+    symbolic levels 1..5 at omega 2 run in int8.  Otherwise the deltas are
+    float64 and omega is returned as given.
+    """
     D = X[:, :-1] - X[:, 1:]
-    return D, np.sign(D)
+    dtype = _cost_dtype(D, omega)
+    if dtype is not None:
+        Di = D.astype(dtype)
+        if np.array_equal(Di, D):
+            return Di, np.sign(Di), dtype(omega)
+    return D, np.sign(D), omega
 
 
-def mpbd_row(d, s, D, S, omega: float = 2.0) -> np.ndarray:
+def mpbd_row(d, s, D, S, omega) -> np.ndarray:
     """MPBD from one delta row ``d`` (signs ``s``) to each row of ``D`` (signs ``S``).
 
-    The per-row sum runs over a contiguous row, so numpy's pairwise
-    summation adds the step costs exactly as it does for a single pair.
-    Each step costs gap x weight, the weight omega where the signs differ
-    and 1 elsewhere: equal deltas have a zero gap and equal signs, so they
-    cost exactly 0 without a test of their own.
+    Takes the three values of ``delta_rows``.  Each step costs gap x
+    weight, the weight omega where the signs differ and 1 elsewhere: equal
+    deltas have a zero gap and equal signs, so they cost exactly 0 without
+    a test of their own.  Integer rows weigh steps without a branch and sum
+    exactly, in int32 when no row can overflow it; float rows sum over a
+    contiguous row, so numpy's pairwise summation adds the step costs
+    exactly as it does for a single pair.
     """
     if len(d) == 0:
         raise DataError("mpbd: sequences must have length >= 2")
+    exact = D.dtype.kind == "i"
+    # every integer cost fits its dtype, so a row's sum fits int32 when this does
+    acc = np.int32 if exact and np.iinfo(D.dtype).max * len(d) <= 2**31 - 1 else None
     out = np.empty(len(D))
-    step = max(1, ROW_BLOCK // len(d))
+    step = max(1, ROW_BLOCK * 8 // (D.itemsize * len(d)))
     for c in range(0, len(D), step):
         Dc, Sc = D[c : c + step], S[c : c + step]
         cost = np.abs(d - Dc)
-        cost *= np.where(s != Sc, omega, 1.0)
-        out[c : c + step] = cost.sum(axis=1)
+        differ = s != Sc
+        if exact:
+            cost *= differ.view(np.int8) * (omega - 1) + 1
+        else:
+            cost *= np.where(differ, omega, 1.0)
+        out[c : c + step] = cost.sum(axis=1, dtype=acc)
     return out
 
 
 def mpbd_upper(X, omega: float = 2.0) -> np.ndarray:
     """Raw MPBD between the rows of ``X``: entry (i, j) for i < j, zeros elsewhere."""
     n = len(X)
-    D, S = delta_rows(X)
+    D, S, w = delta_rows(X, omega)
     entries = np.zeros((n, n))
     for i in range(n - 1):
-        entries[i, i + 1 :] = mpbd_row(D[i], S[i], D[i + 1 :], S[i + 1 :], omega)
+        entries[i, i + 1 :] = mpbd_row(D[i], S[i], D[i + 1 :], S[i + 1 :], w)
     return entries
 
 
@@ -189,8 +229,8 @@ def mpbd(p, q, omega: float = 2.0) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DataError(f"mpbd: length mismatch {len(p)} vs {len(q)}")
-    D, S = delta_rows(np.stack([p, q]))
-    return float(mpbd_row(D[0], S[0], D[1:], S[1:], omega)[0])
+    D, S, w = delta_rows(np.stack([p, q]), omega)
+    return float(mpbd_row(D[0], S[0], D[1:], S[1:], w)[0])
 
 
 @dataclass

@@ -48,14 +48,34 @@ def _groups(ids, assignment):
     return groups
 
 
+def _cluster_means(X, ids, assignment):
+    """Each cluster's member rows of ``X`` and its mean vector."""
+    groups = _groups(ids, assignment)
+    return groups, [X[members].mean(axis=0) for members in groups]
+
+
+def _wcss(X, groups, mus) -> float:
+    total = 0.0
+    for members, mu in zip(groups, mus):
+        total += float(((X[members] - mu) ** 2).sum())
+    return total
+
+
+def _bcss(X, groups, mus, variant) -> float:
+    grand = X.mean(axis=0)
+    total = 0.0
+    for members, mu in zip(groups, mus):
+        term = float(((mu - grand) ** 2).sum())
+        if variant == "weighted":
+            term *= len(members)
+        total += term
+    return total
+
+
 def wcss(vectors, ids, assignment) -> float:
     """Within-cluster sum of squared deviations from cluster means."""
     X = np.asarray(vectors, dtype=float)
-    total = 0.0
-    for members in _groups(ids, assignment):
-        mu = X[members].mean(axis=0)
-        total += float(((X[members] - mu) ** 2).sum())
-    return total
+    return _wcss(X, *_cluster_means(X, ids, assignment))
 
 
 def bcss(vectors, ids, assignment, variant: str = "paper") -> float:
@@ -63,15 +83,7 @@ def bcss(vectors, ids, assignment, variant: str = "paper") -> float:
     if variant not in ("paper", "weighted"):
         raise DataError(f"unknown bcss variant {variant!r}")
     X = np.asarray(vectors, dtype=float)
-    grand = X.mean(axis=0)
-    total = 0.0
-    for members in _groups(ids, assignment):
-        mu = X[members].mean(axis=0)
-        term = float(((mu - grand) ** 2).sum())
-        if variant == "weighted":
-            term *= len(members)
-        total += term
-    return total
+    return _bcss(X, *_cluster_means(X, ids, assignment), variant)
 
 
 def ch_index(vectors, ids, assignment, variant: str = "standard") -> float:
@@ -84,14 +96,15 @@ def ch_index(vectors, ids, assignment, variant: str = "standard") -> float:
     n, k = X.shape[0], assignment.k
     if not 2 <= k < n:
         raise DataError(f"ch_index requires 2 <= k < n, got k={k}, n={n}")
-    w = wcss(X, ids, assignment)
+    groups, mus = _cluster_means(X, ids, assignment)
+    w = _wcss(X, groups, mus)
     if variant == "standard":
-        b = bcss(X, ids, assignment, "weighted")
+        b = _bcss(X, groups, mus, "weighted")
         if w == 0.0:
             raise DegenerateGeometryError("ch_index: zero within-cluster scatter")
         return (b / (k - 1)) / (w / (n - k))
     if variant == "paper":
-        b = bcss(X, ids, assignment, "paper")
+        b = _bcss(X, groups, mus, "paper")
         if b == 0.0:
             raise DegenerateGeometryError("ch_index: zero between-cluster scatter")
         return w / b
@@ -104,8 +117,8 @@ def db_index(vectors, ids, assignment) -> float:
     k = assignment.k
     if not 2 <= k <= X.shape[0]:
         raise DataError(f"db_index requires 2 <= k <= n, got k={k}")
-    groups = _groups(ids, assignment)
-    mus = np.stack([X[m].mean(axis=0) for m in groups])
+    groups, mus = _cluster_means(X, ids, assignment)
+    mus = np.stack(mus)
     S = np.asarray(
         [np.sqrt(((X[m] - mu) ** 2).sum() / len(m)) for m, mu in zip(groups, mus)]
     )
@@ -138,14 +151,14 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
     """
     groups = _groups(ids, assignment)
     if raw_mpbd is None:
-        D, S = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]))
+        D, S, w = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]), omega)
     total = 0.0
     for members in groups:
         if raw_mpbd is not None:
             pairs = raw_mpbd[np.ix_(members, members)][np.triu_indices(len(members), 1)]
         else:
             Dm, Sm = D[members], S[members]
-            rows = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
+            rows = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], w)
                     for a in range(len(members) - 1)]
             pairs = np.concatenate(rows) if rows else ()
         total += _pair_sum(pairs) / len(members)

@@ -8,23 +8,25 @@ the plain way.  ``movclust.distances``, ``movclust.clustering``,
 value they return bit for bit.
 
 More are earlier forms of the package code, kept as they were: the sweep
-that recomputed each k's within-cluster MPBD pairs, the Davies-Bouldin
-loop over cluster pairs, and the artifact writers that formatted and
-csv-quoted one cell at a time.  The sweep's scores and the writers' bytes
-must equal theirs.
+that recomputed each k's within-cluster MPBD pairs, the float64 MPBD row
+kernel that the integer one must match, the Davies-Bouldin loop over
+cluster pairs, the Calinski-Harabasz sums that each worked out the cluster
+means again, k-means distances through an (n, k, m) cube, and the artifact
+writers that formatted and csv-quoted one cell at a time.  The package's
+scores, matrices, labels and bytes must equal theirs.
 """
 
 import csv
 import datetime as dt
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from movclust import evaluation
-from movclust.clustering import Dendrogram
+from movclust import clustering, evaluation
+from movclust.clustering import ClusterAssignment, Dendrogram
 from movclust.core_data import DEFAULT_SCHEMA, RejectedRow, SeriesCollection, TimeSeries
-from movclust.distances import delta_rows, mpbd_row
 from movclust.errors import DataError, DegenerateGeometryError, DuplicateObservationError
 from movclust.image_features import FeatureVector, ImageGrid
 
@@ -414,14 +416,44 @@ def pool_features_ref(image: ImageGrid, block: int = 4, series_id: str = "") -> 
 # MPBI computed per k, Davies-Bouldin pair by pair, and the per-cell writers
 
 
+def delta_rows_float(X):
+    """Per-step deltas of each row of a 2-D series array, and their signs."""
+    D = X[:, :-1] - X[:, 1:]
+    return D, np.sign(D)
+
+
+def mpbd_row_float(d, s, D, S, omega=2.0, row_block=1 << 15):
+    """The float64 MPBD row kernel: one pairwise sum per contiguous cost row."""
+    if len(d) == 0:
+        raise DataError("mpbd: sequences must have length >= 2")
+    out = np.empty(len(D))
+    step = max(1, row_block // len(d))
+    for c in range(0, len(D), step):
+        Dc, Sc = D[c : c + step], S[c : c + step]
+        cost = np.abs(d - Dc)
+        cost *= np.where(s != Sc, omega, 1.0)
+        out[c : c + step] = cost.sum(axis=1)
+    return out
+
+
+def mpbd_upper_float(X, omega=2.0):
+    """Raw MPBD upper triangle with every step cost in float64."""
+    n = len(X)
+    D, S = delta_rows_float(X)
+    entries = np.zeros((n, n))
+    for i in range(n - 1):
+        entries[i, i + 1 :] = mpbd_row_float(D[i], S[i], D[i + 1 :], S[i + 1 :], omega)
+    return entries
+
+
 def mpbi_rows_ref(levels, ids, assignment, omega=2.0):
-    """MPBI with each cluster's pairs computed by the MPBD row kernel."""
+    """MPBI with each cluster's pairs computed by the float64 MPBD row kernel."""
     groups = evaluation._groups(ids, assignment)
-    D, S = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]))
+    D, S = delta_rows_float(np.stack([np.asarray(s, dtype=float) for s in levels]))
     total = 0.0
     for members in groups:
         Dm, Sm = D[members], S[members]
-        pairs = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
+        pairs = [mpbd_row_float(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], omega)
                  for a in range(len(members) - 1)]
         # cumsum adds one pair at a time in (a, b) order, like a scalar loop
         pair_sum = float(np.cumsum(np.concatenate(pairs))[-1]) if pairs else 0.0
@@ -458,7 +490,7 @@ def db_index_ref(vectors, ids, assignment):
 def evaluate_ref(vectors, levels, ids, assignment, omega=2.0, ch_variant="standard"):
     notes = {}
     try:
-        ch = evaluation.ch_index(vectors, ids, assignment, ch_variant)
+        ch = ch_index_ref(vectors, ids, assignment, ch_variant)
     except DegenerateGeometryError as exc:
         ch, notes["ch"] = None, str(exc)
     try:
@@ -520,3 +552,116 @@ def write_features_csv_ref(vectors, path):
             if len(vec.features) != m:
                 raise DataError(f"{vec.series_id}: inconsistent feature length")
             writer.writerow([vec.series_id] + [format(v, ".9g") for v in vec.features])
+
+
+# ---------------------------------------------------------------------------
+# Calinski-Harabasz with the groups and cluster means worked out once per
+# sum, and k-means distances through an (n, k, m) cube
+
+
+def wcss_ref(vectors, ids, assignment) -> float:
+    """Within-cluster sum of squared deviations from cluster means."""
+    X = np.asarray(vectors, dtype=float)
+    total = 0.0
+    for members in evaluation._groups(ids, assignment):
+        mu = X[members].mean(axis=0)
+        total += float(((X[members] - mu) ** 2).sum())
+    return total
+
+
+def bcss_ref(vectors, ids, assignment, variant: str = "paper") -> float:
+    """Between-cluster sum of squares, unweighted (paper) or size-weighted."""
+    if variant not in ("paper", "weighted"):
+        raise DataError(f"unknown bcss variant {variant!r}")
+    X = np.asarray(vectors, dtype=float)
+    grand = X.mean(axis=0)
+    total = 0.0
+    for members in evaluation._groups(ids, assignment):
+        mu = X[members].mean(axis=0)
+        term = float(((mu - grand) ** 2).sum())
+        if variant == "weighted":
+            term *= len(members)
+        total += term
+    return total
+
+
+def ch_index_ref(vectors, ids, assignment, variant: str = "standard") -> float:
+    """Calinski-Harabasz score.
+
+    standard: (BCSS_w / (k-1)) / (WCSS / (n-k)), higher is better.
+    paper:    WCSS / BCSS_unweighted, lower is better.
+    """
+    X = np.asarray(vectors, dtype=float)
+    n, k = X.shape[0], assignment.k
+    if not 2 <= k < n:
+        raise DataError(f"ch_index requires 2 <= k < n, got k={k}, n={n}")
+    w = wcss_ref(X, ids, assignment)
+    if variant == "standard":
+        b = bcss_ref(X, ids, assignment, "weighted")
+        if w == 0.0:
+            raise DegenerateGeometryError("ch_index: zero within-cluster scatter")
+        return (b / (k - 1)) / (w / (n - k))
+    if variant == "paper":
+        b = bcss_ref(X, ids, assignment, "paper")
+        if b == 0.0:
+            raise DegenerateGeometryError("ch_index: zero between-cluster scatter")
+        return w / b
+    raise DataError(f"unknown ch variant {variant!r}")
+
+
+def sq_dists_ref(X, centers):
+    return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def kmeans_ref(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
+               tol: float = 1e-6) -> ClusterAssignment:
+    """Lloyd iterations with deterministic seeded farthest-point init.
+
+    Empty clusters are repaired by reseeding with the point farthest from
+    its assigned centroid.  The objective is the final WCSS.
+    """
+    X = np.asarray(vectors, dtype=float)
+    ids = list(ids)
+    n = len(ids)
+    if X.shape[0] != n:
+        raise DataError("vectors/ids length mismatch")
+    if not 2 <= k <= n:
+        raise DataError(f"k={k} out of range [2, {n}]")
+
+    rng = random.Random(seed)
+    first = rng.randrange(n)
+    point_dist = lambda i: ((X - X[i]) ** 2).sum(axis=1)
+    centers = X[clustering._farthest_point_indices(first, k, point_dist)].copy()
+
+    prev_wcss = np.inf
+    labels = None
+    for _ in range(max_iter):
+        d2 = sq_dists_ref(X, centers)
+        new_labels = d2.argmin(axis=1)
+        # repair empty clusters with the worst-fitting point from a non-singleton cluster
+        repaired = False
+        for c in range(k):
+            if not (new_labels == c).any():
+                repaired = True
+                fit = d2[np.arange(n), new_labels]
+                counts = np.bincount(new_labels, minlength=k)
+                fit = np.where(counts[new_labels] > 1, fit, -np.inf)
+                worst = int(np.argmax(fit))
+                new_labels[worst] = c
+                d2[worst, :] = np.inf
+                d2[worst, c] = 0.0
+        for c in range(k):
+            members = new_labels == c
+            centers[c] = X[members].mean(axis=0)
+        wcss = float(((X - centers[new_labels]) ** 2).sum())
+        if not repaired and wcss > prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)):
+            raise RuntimeError(f"k-means WCSS increased from {prev_wcss!r} to {wcss!r}")
+        converged = labels is not None and np.array_equal(new_labels, labels)
+        improvement = prev_wcss - wcss
+        labels = new_labels
+        prev_wcss = wcss
+        if converged or improvement < tol:
+            break
+
+    groups = [[ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)]
+    return clustering._canonical_labels(groups, k, f"kmeans(k={k})", seed, prev_wcss)

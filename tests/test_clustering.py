@@ -7,12 +7,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from movclust import clustering as cl
 from movclust.distances import DistanceMatrix
 from movclust.errors import DataError
 
-from scalar_reference import agglomerative_ref
+from scalar_reference import agglomerative_ref, kmeans_ref, sq_dists_ref
 
 
 def partition_of(assignment):
@@ -124,6 +125,29 @@ class TestKmeans:
         X = np.array([[0.0]] * 11 + [[100.0]])
         out = cl.kmeans(X, [f"p{i}" for i in range(12)], k=3, seed=1)
         assert all(out.members(c) for c in range(1, 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 300), st.integers(2, 15), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_cube_loop(self, n, dim, k, coarse, seed):
+        # one centre at a time, each distance is the same contiguous row sum
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        # coarse: repeated points, so distance ties and empty-cluster repairs occur
+        X = rng.integers(0, 3, size=(n, dim)).astype(float) if coarse else rng.normal(size=(n, dim))
+        ids = [f"p{i:02d}" for i in range(n)]
+        got = cl.kmeans(X, ids, k=k, seed=seed % 7)
+        expected = kmeans_ref(X, ids, k=k, seed=seed % 7)
+        assert got.labels == expected.labels
+        assert float.hex(got.objective) == float.hex(expected.objective)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(1, 15), st.integers(0, 2**32 - 1))
+    def test_sq_dists_match_cube(self, n, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        X, centers = rng.normal(size=(n, dim)), rng.normal(size=(k, dim))
+        got = cl._sq_dists(X, centers, np.empty((n, k)))
+        assert got.tobytes() == sq_dists_ref(X, centers).tobytes()
 
 
 class TestKmedoids:

@@ -9,7 +9,10 @@ from movclust import distances as di
 from movclust.errors import DataError
 
 from conftest import collection, sym, ts
-from scalar_reference import dtw_ref, levenshtein_ref, matrix_ref, mpbd_ref
+from scalar_reference import (
+    delta_rows_float, dtw_ref, levenshtein_ref, matrix_ref, mpbd_ref, mpbd_row_float,
+    mpbd_upper_float,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +279,21 @@ class TestDistanceMatrix:
                         fn(seqs[i], seqs[j]), abs=1e-12
                     )
 
-    @pytest.mark.parametrize("metric", ["mpbd", "levenshtein", "dtw"])
-    def test_deterministic_across_block_sizes(self, metric, monkeypatch):
+    @pytest.mark.parametrize("metric, kwargs", [
+        pytest.param("mpbd", {}, id="mpbd"),
+        # a non-integral omega keeps the float64 MPBD kernel
+        pytest.param("mpbd", {"omega": 0.3}, id="mpbd-omega0.3"),
+        pytest.param("levenshtein", {}, id="levenshtein"),
+        pytest.param("dtw", {}, id="dtw"),
+    ])
+    def test_deterministic_across_block_sizes(self, metric, kwargs, monkeypatch):
         rng = np.random.default_rng(7)
         col = collection([sym(f"S{i:02d}", rng.integers(1, 6, size=12)) for i in range(19)])
         byte_images = set()
         for pair_block, row_block in ((1, 11), (7, 50), (128, 1 << 15), (1000, 1 << 20)):
             monkeypatch.setattr(di, "PAIR_BLOCK", pair_block)
             monkeypatch.setattr(di, "ROW_BLOCK", row_block)
-            byte_images.add(di.distance_matrix(col, metric).entries.tobytes())
+            byte_images.add(di.distance_matrix(col, metric, **kwargs).entries.tobytes())
         assert len(byte_images) == 1
 
     def test_levenshtein_requires_symbolic(self):
@@ -466,3 +475,92 @@ class TestBatchedMatchesScalar:
         pair = {"levenshtein": lambda a, b: float(levenshtein_ref(a, b)),
                 "dtw": dtw_ref, "mpbd": mpbd_ref}[metric]
         assert same_bits(di.distance_matrix(col, metric).entries, matrix_ref(levels, pair))
+
+
+# ---------------------------------------------------------------------------
+# the integer MPBD kernel against the float64 one, bit for bit
+
+#: omega values on both sides of the int8 bound for levels 1..5 (top = 8 x
+#: omega: 15 -> 120, 16 -> 128) and for unit deltas (63 -> 126, 64 -> 128),
+#: plus two non-integral ones that keep the float64 kernel.
+OMEGAS = [0.0, 1.0, 2.0, 3.0, 15.0, 16.0, 63.0, 64.0, 0.3, 2.5]
+#: Level ranges: symbolic levels, and wide ones whose costs need int16 or int32.
+LEVEL_RANGES = [(1, 5), (1, 3000), (-10**6, 10**6)]
+
+
+@st.composite
+def level_rows(draw):
+    """(levels (n, L) float array, omega) with integral levels."""
+    n = draw(st.integers(2, 7))
+    length = draw(st.sampled_from([2, 3, 5, 12, di.ROW_BLOCK + 5]))
+    lo, hi = draw(st.sampled_from(LEVEL_RANGES))
+    omega = draw(st.sampled_from(OMEGAS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(lo, hi + 1, size=(n, length)).astype(float)
+    # flat and repeated rows, so equal deltas and zero costs occur
+    if draw(st.booleans()):
+        X[0] = X[0, 0]
+    if n > 2 and draw(st.booleans()):
+        X[-1] = X[1]
+    return X, omega
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("X, omega, dtype", [
+        # top = max(2 max|D|, 1) x max(omega, 1) picks the narrowest dtype
+        ([[3, 3, 3], [3, 3, 3]], 127.0, np.int8),  # flat rows: top = omega
+        ([[3, 3, 3], [3, 3, 3]], 128.0, np.int16),
+        ([[1, 5, 1], [3, 3, 3]], 15.0, np.int8),  # 2 x 4 x 15 = 120
+        ([[1, 5, 1], [3, 3, 3]], 16.0, np.int16),  # 2 x 4 x 16 = 128
+        ([[1, 2, 1], [2, 2, 2]], 63.0, np.int8),
+        ([[1, 2, 1], [2, 2, 2]], 64.0, np.int16),
+        ([[1, 2, 1], [2, 2, 2]], 0.0, np.int8),
+        ([[1, 5000, 1], [2, 2, 2]], 3.0, np.int16),  # 29994
+        ([[1, 5500, 1], [2, 2, 2]], 3.0, np.int32),  # 32994
+        ([[0, 2**29, 0], [2, 2, 2]], 1.0, np.int32),  # 2**30
+        ([[0, 2**30, 0], [2, 2, 2]], 1.0, np.float64),  # 2**31: no int32
+        ([[3, 3, 3], [3, 3, 3]], 1000.0, np.int16),
+        ([[3, 3, 3], [3, 3, 3]], 2.0**40, np.float64),
+        ([[1, 2, 3], [3, 2, 1]], 0.3, np.float64),
+        ([[1, 2, 3], [3, 2, 1]], 2.5, np.float64),
+        ([[1, 2, 3], [3, 2, 1]], -1.0, np.float64),
+        ([[1, 2.5, 3], [3, 2, 1]], 2.0, np.float64),  # non-integral deltas
+        ([[1, np.inf, 3], [3, 2, 1]], 2.0, np.float64),
+    ])
+    def test_dtype_choice(self, X, omega, dtype):
+        X = np.asarray(X, dtype=float)
+        D, S, w = di.delta_rows(X, omega)
+        assert D.dtype == S.dtype == dtype
+        if dtype is np.float64:
+            assert w is omega
+        else:
+            assert type(w) is dtype and w == omega
+        assert np.array_equal(D, X[:, :-1] - X[:, 1:])
+
+    def test_row_sums_stay_below_2_53(self):
+        # the largest int32 top allows rows of fewer than 2**22 steps
+        omega = 2**31 - 1
+        assert di._cost_dtype(np.zeros((1, 2**22 - 1), dtype=np.int8), omega) is np.int32
+        assert di._cost_dtype(np.zeros((1, 2**22 + 1), dtype=np.int8), omega) is None
+
+    @pytest.mark.parametrize("omega", [1000.0, 2.0**40])
+    def test_flat_rows_with_large_omega(self, omega):
+        X = np.full((4, 9), 3.0)
+        assert not di.mpbd_upper(X, omega).any()
+        assert di.mpbd(X[0], X[1], omega=omega) == 0.0
+        X[2, 4] = 5.0
+        assert same_bits(di.mpbd_upper(X, omega), mpbd_upper_float(X, omega))
+
+    @settings(max_examples=200, deadline=None)
+    @given(level_rows())
+    def test_matches_float_kernel(self, case):
+        X, omega = case
+        D, _, _ = di.delta_rows(X, omega)
+        assert (D.dtype.kind == "i") == float(omega).is_integer()
+        upper = mpbd_upper_float(X, omega)
+        assert same_bits(di.mpbd_upper(X, omega), upper)
+        col = collection([sym(f"S{i}", row) for i, row in enumerate(X)])
+        assert same_bits(di.distance_matrix(col, "mpbd", omega=omega).entries, upper + upper.T)
+        Df, Sf = delta_rows_float(X[:2])
+        pair = mpbd_row_float(Df[0], Sf[0], Df[1:], Sf[1:], omega)[0]
+        assert float.hex(di.mpbd(X[0], X[1], omega=omega)) == float.hex(pair)

@@ -10,7 +10,9 @@ from movclust.distances import distance_matrix, mpbd, mpbd_upper
 from movclust.errors import DataError, DegenerateGeometryError
 
 from conftest import collection, ts
-from scalar_reference import db_index_ref, mpbi_ref, mpbi_rows_ref, sweep_k_ref
+from scalar_reference import (
+    bcss_ref, ch_index_ref, db_index_ref, mpbi_ref, mpbi_rows_ref, sweep_k_ref, wcss_ref,
+)
 
 
 def assign(labels, ids=None):
@@ -141,6 +143,30 @@ class TestChIndex:
         with pytest.raises(DataError):
             ev.ch_index(X, ids, a)  # k = n
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 300), st.integers(2, 8), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_recomputed_sums(self, n, dim, k, coarse, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        labels = [int(c) for c in rng.permutation(
+            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        # coarse: few distinct values, so zero scatter occurs
+        X = (rng.integers(0, 2, size=(n, dim)) * rng.normal(size=dim) if coarse
+             else rng.normal(size=(n, dim)))
+        a, ids = assign(labels)
+        assert float.hex(ev.wcss(X, ids, a)) == float.hex(wcss_ref(X, ids, a))
+        for variant in ("paper", "weighted"):
+            assert float.hex(ev.bcss(X, ids, a, variant)) == float.hex(bcss_ref(X, ids, a, variant))
+        for variant in ("standard", "paper"):
+            try:
+                expected = float.hex(ch_index_ref(X, ids, a, variant))
+            except (DataError, DegenerateGeometryError) as exc:
+                with pytest.raises(type(exc), match=f"^{exc}$"):
+                    ev.ch_index(X, ids, a, variant)
+            else:
+                assert float.hex(ev.ch_index(X, ids, a, variant)) == expected
+
 
 class TestDbIndex:
     def test_two_singletons(self):
@@ -226,6 +252,24 @@ class TestMpbi:
             got = ev.mpbi(levels, ids, a, omega=omega)
             assert type(got) is float
             assert got == mpbi_ref(levels, labels, omega=omega)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.sampled_from([2, 3, 9]), st.integers(1, 4),
+           st.sampled_from([0.0, 1.0, 2.0, 3.0, 15.0, 16.0, 63.0, 64.0, 0.3, 2.5]),
+           st.sampled_from([(1, 5), (1, 3000), (-10**6, 10**6)]), st.integers(0, 2**32 - 1))
+    def test_integer_kernel_matches_float_kernel(self, n, length, k, omega, span, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        labels = [int(c) for c in rng.permutation(
+            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        # integral levels: int8/int16/int32 costs at integral omega, float64 otherwise
+        levels = [rng.integers(span[0], span[1] + 1, size=length).astype(float)
+                  for _ in range(n)]
+        a, ids = assign(labels)
+        expected = float.hex(mpbi_rows_ref(levels, ids, a, omega=omega))
+        raw = mpbd_upper(np.stack(levels), omega)
+        assert float.hex(ev.mpbi(levels, ids, a, omega=omega)) == expected
+        assert float.hex(ev.mpbi(levels, ids, a, omega=omega, raw_mpbd=raw)) == expected
 
     def test_relabel_and_reorder_invariance(self):
         rng = np.random.default_rng(24)
@@ -334,7 +378,19 @@ class TestSweepFromOneMatrix:
     def test_bit_identical_to_per_k_mpbi(self, n, length, omega, seed):
         rng = np.random.default_rng(seed)
         # real-valued levels, so the order the pair values are added in shows
-        levels = [rng.normal(size=length) for _ in range(n)]
+        self.check_sweep([rng.normal(size=length) for _ in range(n)], omega)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 14), st.integers(2, 9), st.sampled_from([0.3, 2.0, 16.0]),
+           st.integers(0, 2**32 - 1))
+    def test_integer_levels_bit_identical_to_per_k_mpbi(self, n, length, omega, seed):
+        rng = np.random.default_rng(seed)
+        # symbolic levels: the integer MPBD kernel at integral omega
+        self.check_sweep([rng.integers(1, 6, size=length).astype(float) for _ in range(n)],
+                         omega)
+
+    def check_sweep(self, levels, omega):
+        n = len(levels)
         ids = [f"s{i:02d}" for i in range(n)]
         X = np.stack(levels)
         raw = mpbd_upper(X, omega)
