@@ -10,10 +10,10 @@ diagonal for a whole block of pairs in a few numpy ops, and only the last
 two diagonals are kept.  MPBD and euclidean broadcast one series against
 all later ones.  DTW, Levenshtein and euclidean entries go through the same
 floating-point operations, in the same order, as the one-pair recurrence.
-MPBD runs in the narrowest integer dtype when every step cost is an exact
-integer (integral deltas and omega, see ``delta_rows``) and in float64
-otherwise; integer sums below 2**53 are what the float64 sum gives too.  So
-every matrix is bit-identical to computing each pair on its own.
+MPBD runs in int8 when every step cost is an exact integer of at most 127
+(integral deltas and omega, see ``delta_rows``) and in float64 otherwise;
+the integer sums are exact, and so is the float64 sum of the same costs.
+So every matrix is bit-identical to computing each pair on its own.
 """
 
 from __future__ import annotations
@@ -34,48 +34,45 @@ METRICS = ("euclidean", "levenshtein", "dtw", "mpbd")
 PAIR_BLOCK = 128
 #: Delta values per block of the MPBD row kernel, in float64: its
 #: temporaries stay small enough for the CPU cache whatever the collection
-#: size.  Integer blocks take as many bytes (eight times the values in int8).
+#: size.  int8 blocks take as many bytes (eight times the values).
 ROW_BLOCK = 1 << 15
 
 
-#: Integer dtypes of the MPBD step costs, narrowest first.
-_COST_DTYPES = (np.int8, np.int16, np.int32)
+#: Largest step cost, omega included, of the int8 MPBD kernel.
+_INT8_TOP = int(np.iinfo(np.int8).max)
+#: Longest delta row whose int8 costs always sum within int32.
+_INT32_STEPS = (2**31 - 1) // _INT8_TOP
 
 
-def _cost_dtype(D, omega):
-    """Narrowest integer dtype that holds every step cost |d - D| * omega, or None.
+def _int8_costs(D, omega) -> bool:
+    """Whether every step cost |d - D| * omega is an exact integer that int8 holds.
 
     Costs are exact integers when the deltas and omega are integral and
-    omega >= 0.  Every cost is at most ``top`` = max(2 max|D|, 1) x
-    max(omega, 1), the weight (omega) included, and a row's sum at most
-    ``top`` x (L - 1); below 2**53 that sum is also exact in float64.
-    Whether every delta is integral is left to the caller.
+    omega >= 0.  Every cost, and the weight omega itself, is at most
+    max(2 max|D|, 1) x max(omega, 1).  Whether every delta is integral is
+    left to the caller.
     """
     if D.size == 0 or not (omega >= 0 and float(omega).is_integer()):
-        return None
+        return False
     peak = float(np.abs(D).max())
     if not peak.is_integer():  # also nan and inf
-        return None
-    top = max(2 * int(peak), 1) * max(int(omega), 1)
-    if top * D.shape[1] >= 2**53:
-        return None
-    return next((t for t in _COST_DTYPES if top <= np.iinfo(t).max), None)
+        return False
+    return max(2 * int(peak), 1) * max(int(omega), 1) <= _INT8_TOP
 
 
 def delta_rows(X, omega):
     """Per-step deltas of each row of a 2-D series array, their signs, and omega.
 
-    When every step cost is an exact integer (``_cost_dtype``), all three
-    come back in the narrowest integer dtype that holds the largest cost:
-    symbolic levels 1..5 at omega 2 run in int8.  Otherwise the deltas are
-    float64 and omega is returned as given.
+    When every step cost is an exact integer of at most 127 (``_int8_costs``),
+    all three come back in int8: symbolic levels 1..5 run in int8 for every
+    integral omega up to 15.  Otherwise the deltas are float64 and omega is
+    returned as given.
     """
     D = X[:, :-1] - X[:, 1:]
-    dtype = _cost_dtype(D, omega)
-    if dtype is not None:
-        Di = D.astype(dtype)
+    if _int8_costs(D, omega):
+        Di = D.astype(np.int8)
         if np.array_equal(Di, D):
-            return Di, np.sign(Di), dtype(omega)
+            return Di, np.sign(Di), np.int8(omega)
     return D, np.sign(D), omega
 
 
@@ -85,16 +82,16 @@ def mpbd_row(d, s, D, S, omega) -> np.ndarray:
     Takes the three values of ``delta_rows``.  Each step costs gap x
     weight, the weight omega where the signs differ and 1 elsewhere: equal
     deltas have a zero gap and equal signs, so they cost exactly 0 without
-    a test of their own.  Integer rows weigh steps without a branch and sum
-    exactly, in int32 when no row can overflow it; float rows sum over a
-    contiguous row, so numpy's pairwise summation adds the step costs
-    exactly as it does for a single pair.
+    a test of their own.  int8 rows weigh steps without a branch and sum
+    exactly, in int32 (int64 past ``_INT32_STEPS`` steps); any such sum is
+    far below 2**53, so it is also what the float64 sum of the same costs
+    gives.  Float rows sum over a contiguous row, so numpy's pairwise
+    summation adds the step costs exactly as it does for a single pair.
     """
     if len(d) == 0:
         raise DataError("mpbd: sequences must have length >= 2")
-    exact = D.dtype.kind == "i"
-    # every integer cost fits its dtype, so a row's sum fits int32 when this does
-    acc = np.int32 if exact and np.iinfo(D.dtype).max * len(d) <= 2**31 - 1 else None
+    exact = D.dtype == np.int8
+    acc = (np.int32 if len(d) <= _INT32_STEPS else np.int64) if exact else None
     out = np.empty(len(D))
     step = max(1, ROW_BLOCK * 8 // (D.itemsize * len(d)))
     for c in range(0, len(D), step):

@@ -256,14 +256,14 @@ class TestMpbi:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 30), st.sampled_from([2, 3, 9]), st.integers(1, 4),
            st.sampled_from([0.0, 1.0, 2.0, 3.0, 15.0, 16.0, 63.0, 64.0, 0.3, 2.5]),
-           st.sampled_from([(1, 5), (1, 3000), (-10**6, 10**6)]), st.integers(0, 2**32 - 1))
-    def test_integer_kernel_matches_float_kernel(self, n, length, k, omega, span, seed):
+           st.integers(0, 2**32 - 1))
+    def test_integer_kernel_matches_float_kernel(self, n, length, k, omega, seed):
         rng = np.random.default_rng(seed)
         k = min(k, n)
         labels = [int(c) for c in rng.permutation(
             np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
-        # integral levels: int8/int16/int32 costs at integral omega, float64 otherwise
-        levels = [rng.integers(span[0], span[1] + 1, size=length).astype(float)
+        # symbolic levels: int8 costs up to omega 15, float64 above and off integers
+        levels = [rng.integers(1, 6, size=length).astype(float)
                   for _ in range(n)]
         a, ids = assign(labels)
         expected = float.hex(mpbi_rows_ref(levels, ids, a, omega=omega))
