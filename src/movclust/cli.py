@@ -154,45 +154,39 @@ def _atomic_writes(out_dir, producer):
 # wide CSV helpers for intermediate artifacts
 
 
-def _write_wide(path, collection, dates, symbolic=False):
+def _write_wide(path, collection, dates):
     tables.write_table(
         path,
         ["series_id"] + [d.isoformat() for d in dates],
         collection.ids,
-        [s.levels if symbolic else s.values for s in collection.series],
-        cell="%d" if symbolic else "%.9g",
+        collection.values,
+        cell="%d" if collection.values.dtype.kind == "i" else "%.9g",
     )
 
 
-def _read_wide_numeric(path, mode):
-    series = []
+def _read_wide(cfg, name, dtype=float):
+    """Read the wide artifact ``name`` of preprocess into one matrix of ``dtype`` cells.
+
+    A row whose cell count differs from the header's, or a cell that does
+    not parse as ``dtype``, is a data error naming the file and line.
+    """
+    path = _require(os.path.join(cfg["out"], name), "preprocess")
+    ids, rows = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 1
-        for row in reader:
-            series.append(
-                core_data.TimeSeries(
-                    series_id=row[0],
-                    values=np.asarray([float(v) for v in row[1:]]),
-                    missing_mask=np.zeros(n, dtype=bool),
-                )
-            )
-    return core_data.SeriesCollection(series=series, mode=mode)
-
-
-def _read_wide_symbolic(path, mode):
-    series = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            series.append(
-                core_data.SymbolicSeries(
-                    series_id=row[0], levels=np.asarray([int(v) for v in row[1:]])
-                )
-            )
-    return core_data.SeriesCollection(series=series, mode=mode)
+        width = len(next(reader, ()))
+        if not width:
+            raise DataError(f"{path}: empty file, header row required")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} cells, header has {width}")
+                rows.append(np.array(row[1:], dtype=dtype))
+            except ValueError as exc:
+                raise DataError(f"{path}, line {lineno}: {exc}") from None
+            ids.append(row[0])
+    values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
+    return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
 
 
 def _read_metadata(path):
@@ -245,34 +239,26 @@ def cmd_preprocess(cfg):
     scaled = core_data.scale_collection(original, cfg["scale_lo"], cfg["scale_hi"])
     symbolic = core_data.discretize_collection(scaled, _thresholds(cfg))
     if cfg["outlier_filter"] and len(symbolic) >= 2:
-        symbolic = core_data.filter_outliers(
+        filtered = core_data.filter_outliers(
             symbolic,
             metric=cfg["outlier_metric"],
             percentile=cfg["outlier_percentile"],
             omega=cfg["omega"],
             window=_dtw_window(cfg),
         )
-        keep = set(symbolic.ids)
-        original = core_data.SeriesCollection(
-            series=[s for s in original.series if s.series_id in keep],
-            mode=original.mode,
-            provenance=symbolic.provenance,
-        )
-        scaled = core_data.SeriesCollection(
-            series=[s for s in scaled.series if s.series_id in keep],
-            mode=scaled.mode,
-            provenance=symbolic.provenance,
-        )
+        keep = np.isin(symbolic.ids, filtered.ids)
+        original, scaled = (c.select(keep, filtered.provenance) for c in (original, scaled))
+        symbolic = filtered
 
     def produce(tmp):
         _write_wide(os.path.join(tmp, "original.csv"), original, dates)
         _write_wide(os.path.join(tmp, "scaled.csv"), scaled, dates)
-        _write_wide(os.path.join(tmp, "symbolic.csv"), symbolic, dates, symbolic=True)
+        _write_wide(os.path.join(tmp, "symbolic.csv"), symbolic, dates)
         with open(os.path.join(tmp, "metadata.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["series_id", "product", "store", "category"])
-            for s in original.series:
-                writer.writerow([s.series_id, s.product or "", s.store or "", s.category or ""])
+            for sid, attrs in zip(original.ids, original.attrs):
+                writer.writerow([sid, *(a or "" for a in attrs)])
         with open(os.path.join(tmp, "rejects.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["line_number", "raw_row", "reason"])
@@ -286,13 +272,6 @@ def cmd_preprocess(cfg):
     return 0
 
 
-def _load_matrix_inputs(cfg, metric):
-    out = cfg["out"]
-    if metric in ("mpbd", "levenshtein"):
-        return _read_wide_symbolic(os.path.join(out, "symbolic.csv"), cfg["mode"])
-    return _read_wide_numeric(os.path.join(out, "scaled.csv"), cfg["mode"])
-
-
 def _require(path, hint):
     if not os.path.exists(path):
         raise DataError(f"missing prerequisite artifact {path} (run `{hint}` first)")
@@ -303,10 +282,9 @@ def cmd_distmat(cfg):
     out = cfg["out"]
     metric = cfg["metric"]
     if metric in ("mpbd", "levenshtein"):
-        _require(os.path.join(out, "symbolic.csv"), "preprocess")
+        collection = _read_wide(cfg, "symbolic.csv", int)
     else:
-        _require(os.path.join(out, "scaled.csv"), "preprocess")
-    collection = _load_matrix_inputs(cfg, metric)
+        collection = _read_wide(cfg, "scaled.csv")
     matrix = distances.distance_matrix(
         collection,
         metric,
@@ -326,9 +304,7 @@ def cmd_distmat(cfg):
 
 def cmd_features(cfg):
     out = cfg["out"]
-    scaled = _read_wide_numeric(
-        _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
-    )
+    scaled = _read_wide(cfg, "scaled.csv")
     if cfg["features_path"]:
         vectors = image_features.load_external_features(
             cfg["features_path"], known_ids=set(scaled.ids)
@@ -349,11 +325,8 @@ def _clusterer(cfg):
     """Load the algorithm's input artifact once; return (k -> assignment, dendrogram or None)."""
     out, algorithm, seed = cfg["out"], cfg["algorithm"], cfg["seed"]
     if algorithm == "kmeans":
-        scaled = _read_wide_numeric(
-            _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
-        )
-        X = np.stack([s.values for s in scaled.series])
-        return lambda k: clustering.kmeans(X, scaled.ids, k=k, seed=seed), None
+        scaled = _read_wide(cfg, "scaled.csv")
+        return lambda k: clustering.kmeans(scaled.values, scaled.ids, k=k, seed=seed), None
     if algorithm == "kmeans_features":
         path = _require(os.path.join(out, "features.csv"), "features")
         vectors = image_features.load_external_features(path, extractor="features.csv")
@@ -385,18 +358,11 @@ def cmd_cluster(cfg):
 
 
 def _evaluation_inputs(cfg):
-    out = cfg["out"]
-    scaled = _read_wide_numeric(
-        _require(os.path.join(out, "scaled.csv"), "preprocess"), cfg["mode"]
-    )
-    symbolic = _read_wide_symbolic(
-        _require(os.path.join(out, "symbolic.csv"), "preprocess"), cfg["mode"]
-    )
+    scaled = _read_wide(cfg, "scaled.csv")
+    symbolic = _read_wide(cfg, "symbolic.csv", int)
     if scaled.ids != symbolic.ids:
         raise DataError("scaled.csv and symbolic.csv disagree on series ids")
-    X = np.stack([s.values for s in scaled.series])
-    levels = [s.levels for s in symbolic.series]
-    return scaled.ids, X, levels
+    return scaled.ids, scaled.values, symbolic.values
 
 
 def cmd_sweep(cfg):
@@ -464,9 +430,7 @@ def cmd_evaluate(cfg):
 
 def cmd_profile(cfg):
     out = cfg["out"]
-    original = _read_wide_numeric(
-        _require(os.path.join(out, "original.csv"), "preprocess"), cfg["mode"]
-    )
+    original = _read_wide(cfg, "original.csv")
     meta = _read_metadata(_require(os.path.join(out, "metadata.csv"), "preprocess"))
     assignment = clustering.read_assignment_csv(
         _require(os.path.join(out, "assignment.csv"), "cluster")
@@ -474,12 +438,12 @@ def cmd_profile(cfg):
     if sorted(assignment.labels) != sorted(original.ids):
         raise DataError("assignment ids do not match preprocessed collection")
     sales_mode = cfg["mode"] == "sales"
-    values_by_id = {s.series_id: s.values for s in original.series}
+    row_of = {sid: i for i, sid in enumerate(original.ids)}
 
     rows = []
     for c in range(1, assignment.k + 1):
         members = assignment.members(c)
-        values = np.concatenate([values_by_id[sid] for sid in members])
+        values = original.values[[row_of[sid] for sid in members]].ravel()
         categories = {}
         products, stores = set(), set()
         for sid in members:

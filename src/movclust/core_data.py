@@ -4,6 +4,13 @@ The pipeline order is fixed: assemble -> drop_sparse -> fill (forward for
 price mode, mean for sales mode) -> minmax_scale -> discretize ->
 filter_outliers.  Every step is a pure transformation; collections are
 never mutated in place and each step appends a provenance record.
+
+A ``SeriesCollection`` is columnar: its series are the rows of one (n x L)
+matrix, float64 values or, once discretized, int64 levels 1..5, with one
+missing mask and one (product, store, category) tuple per row.  Each step
+transforms the whole matrix at once.  The one-series functions
+(``fill_forward``, ``fill_mean``, ``minmax_scale``, ``discretize``) run the
+same matrix code on a one-row matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import datetime as dt
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -100,31 +108,48 @@ class SymbolicSeries:
 
 @dataclass
 class SeriesCollection:
-    """Ordered list of series sharing one length, plus preprocessing history."""
+    """Equal-length series as the rows of one matrix, plus preprocessing history.
 
-    series: list
+    ``values`` is (n x L) with one row per id: float64 values, or int64
+    levels once discretized.  ``missing`` marks the cells that held no
+    observation (default none); filling keeps it.  ``attrs`` holds one
+    (product, store, category) tuple per row (default all None).
+    """
+
+    ids: list
+    values: np.ndarray
+    missing: np.ndarray | None = None
+    attrs: list | None = None
     mode: str = "price"
     provenance: list = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [s.series_id for s in self.series]
-        if len(set(ids)) != len(ids):
+        self.ids = list(self.ids)
+        values = np.asarray(self.values)
+        self.values = values.astype(np.int64 if values.dtype.kind in "iu" else float, copy=False)
+        shape = self.values.shape
+        self.missing = np.zeros(shape, bool) if self.missing is None else np.asarray(self.missing, bool)
+        self.attrs = [(None, None, None)] * len(self.ids) if self.attrs is None else self.attrs
+        if len(shape) != 2 or shape[0] != len(self.ids) or self.missing.shape != shape:
+            raise DataError(f"{len(self.ids)} series need (n x L) values and mask, "
+                            f"got {shape} and {self.missing.shape}")
+        if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate series_id in collection")
-        lengths = {len(s) for s in self.series}
-        if len(lengths) > 1:
-            raise DataError(f"collection members differ in length: {sorted(lengths)}")
-
-    @property
-    def ids(self) -> list[str]:
-        return [s.series_id for s in self.series]
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.ids)
 
     def with_step(self, step: str, params: dict, dropped_ids=()) -> list:
         return self.provenance + [
             {"step": step, "params": params, "dropped_ids": sorted(dropped_ids)}
         ]
+
+    def select(self, keep, provenance: list) -> SeriesCollection:
+        """The rows where the boolean mask ``keep`` is set, under ``provenance``."""
+        return SeriesCollection(
+            list(compress(self.ids, keep)), self.values[keep], self.missing[keep],
+            list(compress(self.attrs, keep)), self.mode, provenance,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +387,6 @@ def assemble_series(observations, date_range=None, mode: str = "price") -> Serie
     values.reshape(-1)[cells] = observations.value[inside]
     missing.reshape(-1)[cells] = False
 
-    series = []
-    for i, (name, row) in enumerate(zip(used, first_row)):
-        product, store, category = observations.keys[row_key[row]]
-        series.append(
-            TimeSeries(
-                series_id=sorted_names[name],
-                values=values[i],
-                missing_mask=missing[i],
-                category=category,
-                store=store,
-                product=product,
-            )
-        )
     provenance = [
         {
             "step": "assemble",
@@ -382,31 +394,97 @@ def assemble_series(observations, date_range=None, mode: str = "price") -> Serie
             "dropped_ids": [],
         }
     ]
-    return SeriesCollection(series=series, mode=mode, provenance=provenance)
+    # a key is (series_id, store, category), and the product is the raw series_id
+    return SeriesCollection(
+        ids=[sorted_names[name] for name in used.tolist()],
+        values=values,
+        missing=missing,
+        attrs=[observations.keys[key] for key in row_key[first_row].tolist()],
+        mode=mode,
+        provenance=provenance,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing steps
+# Preprocessing steps: each one transforms every row of a (n x L) matrix
+
+
+def _raise_first(ids, *checks):
+    """Raise a DataError for the first row that fails a check, as a row loop would.
+
+    Each check is a (row mask, message) pair; a row that fails several
+    checks gets the message of the first.
+    """
+    failing = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
+    if failing:
+        row, message = min(failing, key=lambda f: f[0])
+        raise DataError(f"{ids[row]}: {message}")
+
+
+def _fill(values, missing, ids, strategy: str) -> np.ndarray:
+    """Rows of ``values`` with the cells marked in ``missing`` filled."""
+    if strategy not in ("forward", "mean"):
+        raise DataError(f"unknown fill strategy {strategy!r}")
+    present = ~missing
+    _raise_first(ids, (~present.any(axis=1), "cannot fill an all-missing series"))
+    if strategy == "mean":
+        filled = values.copy()
+        # each row's present values gathered in order, so numpy sums them as for one series
+        for i in np.flatnonzero(missing.any(axis=1)):
+            filled[i, missing[i]] = values[i, present[i]].mean()
+        return filled
+    idx = np.where(present, np.arange(values.shape[1]), -1)
+    idx = np.maximum.accumulate(idx, axis=1)
+    idx = np.where(idx < 0, np.argmax(present, axis=1)[:, None], idx)
+    return np.take_along_axis(values, idx, axis=1)
+
+
+def _scale(values, ids, lo: float, hi: float) -> np.ndarray:
+    """Each row of ``values`` min-max scaled into [lo, hi]; a constant row maps to lo."""
+    if lo >= hi:
+        raise DataError(f"scale bounds require lo < hi, got {lo} >= {hi}")
+    _raise_first(ids, (np.isnan(values).any(axis=1), "scaling requires a complete series"))
+    vmin = values.min(axis=1, keepdims=True)
+    vmax = values.max(axis=1, keepdims=True)
+    span = np.where(vmax == vmin, 1.0, vmax - vmin)  # a constant row is pinned to lo below
+    scaled = np.clip(lo + (hi - lo) * (values - vmin) / span, lo, hi)
+    # pin the extremes exactly; the affine map can be one ulp off
+    scaled[values == vmax] = hi
+    scaled[values == vmin] = lo
+    return scaled
+
+
+def _levels(values, ids, thresholds) -> np.ndarray:
+    """Integer levels 1..5 of each scaled row of ``values``."""
+    if values.dtype.kind != "f":
+        raise TypeError("series is already discretized")
+    _raise_first(
+        ids,
+        (np.isnan(values).any(axis=1), "discretize requires a complete series"),
+        (((values < 0) | (values > 1)).any(axis=1),
+         "values outside [0, 1]; run minmax_scale first"),
+    )
+    if len(thresholds) != 4 or list(thresholds) != sorted(thresholds):
+        raise DataError(f"need 4 increasing thresholds, got {thresholds}")
+    return 1 + np.searchsorted(np.asarray(thresholds), values, side="right")
 
 
 def drop_sparse(collection: SeriesCollection, max_missing_fraction: float = 0.8) -> SeriesCollection:
     """Drop series with strictly more than the allowed fraction missing."""
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise DataError(f"max_missing_fraction out of [0,1]: {max_missing_fraction}")
-    kept, dropped = [], []
-    for s in collection.series:
-        frac = float(np.count_nonzero(s.missing_mask)) / len(s)
-        if frac > max_missing_fraction:
-            dropped.append(s.series_id)
-        else:
-            kept.append(s)
-    return SeriesCollection(
-        series=kept,
-        mode=collection.mode,
-        provenance=collection.with_step(
-            "drop_sparse", {"max_missing_fraction": max_missing_fraction}, dropped
-        ),
-    )
+    missing = collection.missing
+    keep = np.count_nonzero(missing, axis=1) / missing.shape[1] <= max_missing_fraction
+    return collection.select(keep, collection.with_step(
+        "drop_sparse", {"max_missing_fraction": max_missing_fraction},
+        compress(collection.ids, ~keep),
+    ))
+
+
+def _one_row(kernel, series, *args) -> TimeSeries:
+    """``series`` with its values replaced by ``kernel`` run on it as a one-row matrix."""
+    values = kernel(series.values[None], *args)[0]
+    return replace(series, values=values, missing_mask=series.missing_mask.copy())
 
 
 def fill_forward(series: TimeSeries) -> TimeSeries:
@@ -415,37 +493,18 @@ def fill_forward(series: TimeSeries) -> TimeSeries:
     Leading gaps are backfilled from the first present value so the result
     is always complete.
     """
-    present = ~series.missing_mask
-    if not present.any():
-        raise DataError(f"{series.series_id}: cannot fill an all-missing series")
-    values = series.values.copy()
-    idx = np.where(present, np.arange(len(values)), -1)
-    idx = np.maximum.accumulate(idx)
-    first = int(np.argmax(present))
-    idx[idx < 0] = first
-    return replace(series, values=values[idx], missing_mask=series.missing_mask.copy())
+    return _one_row(_fill, series, series.missing_mask[None], [series.series_id], "forward")
 
 
 def fill_mean(series: TimeSeries) -> TimeSeries:
     """Fill missing positions with the mean of the series' present values."""
-    present = ~series.missing_mask
-    if not present.any():
-        raise DataError(f"{series.series_id}: cannot fill an all-missing series")
-    mean = float(series.values[present].mean())
-    values = np.where(series.missing_mask, mean, series.values)
-    return replace(series, values=values, missing_mask=series.missing_mask.copy())
+    return _one_row(_fill, series, series.missing_mask[None], [series.series_id], "mean")
 
 
 def fill_collection(collection: SeriesCollection, strategy: str) -> SeriesCollection:
-    if strategy == "forward":
-        filled = [fill_forward(s) for s in collection.series]
-    elif strategy == "mean":
-        filled = [fill_mean(s) for s in collection.series]
-    else:
-        raise DataError(f"unknown fill strategy {strategy!r}")
-    return SeriesCollection(
-        series=filled,
-        mode=collection.mode,
+    return replace(
+        collection,
+        values=_fill(collection.values, collection.missing, collection.ids, strategy),
         provenance=collection.with_step("fill", {"strategy": strategy}),
     )
 
@@ -455,26 +514,13 @@ def minmax_scale(series: TimeSeries, lo: float = 0.1, hi: float = 1.0) -> TimeSe
 
     A constant series maps every position to lo.
     """
-    if lo >= hi:
-        raise DataError(f"scale bounds require lo < hi, got {lo} >= {hi}")
-    if np.isnan(series.values).any():
-        raise DataError(f"{series.series_id}: scaling requires a complete series")
-    vmin = series.values.min()
-    vmax = series.values.max()
-    if vmax == vmin:
-        scaled = np.full_like(series.values, lo)
-    else:
-        scaled = np.clip(lo + (hi - lo) * (series.values - vmin) / (vmax - vmin), lo, hi)
-        # pin the extremes exactly; the affine map can be one ulp off
-        scaled[series.values == vmin] = lo
-        scaled[series.values == vmax] = hi
-    return replace(series, values=scaled, missing_mask=series.missing_mask.copy())
+    return _one_row(_scale, series, [series.series_id], lo, hi)
 
 
 def scale_collection(collection: SeriesCollection, lo: float = 0.1, hi: float = 1.0) -> SeriesCollection:
-    return SeriesCollection(
-        series=[minmax_scale(s, lo, hi) for s in collection.series],
-        mode=collection.mode,
+    return replace(
+        collection,
+        values=_scale(collection.values, collection.ids, lo, hi),
         provenance=collection.with_step("minmax_scale", {"lo": lo, "hi": hi}),
     )
 
@@ -487,29 +533,14 @@ def discretize(series: TimeSeries, thresholds=DEFAULT_THRESHOLDS) -> SymbolicSer
     """
     if isinstance(series, SymbolicSeries):
         raise TypeError("series is already discretized")
-    values = series.values
-    if np.isnan(values).any():
-        raise DataError(f"{series.series_id}: discretize requires a complete series")
-    if (values < 0).any() or (values > 1).any():
-        raise DataError(
-            f"{series.series_id}: values outside [0, 1]; run minmax_scale first"
-        )
-    if len(thresholds) != 4 or list(thresholds) != sorted(thresholds):
-        raise DataError(f"need 4 increasing thresholds, got {thresholds}")
-    levels = 1 + np.searchsorted(np.asarray(thresholds), values, side="right")
-    return SymbolicSeries(
-        series_id=series.series_id,
-        levels=levels,
-        category=series.category,
-        store=series.store,
-        product=series.product,
-    )
+    levels = _levels(series.values[None], [series.series_id], thresholds)[0]
+    return SymbolicSeries(series.series_id, levels, series.category, series.store, series.product)
 
 
 def discretize_collection(collection: SeriesCollection, thresholds=DEFAULT_THRESHOLDS) -> SeriesCollection:
-    return SeriesCollection(
-        series=[discretize(s, thresholds) for s in collection.series],
-        mode=collection.mode,
+    return replace(
+        collection,
+        values=_levels(collection.values, collection.ids, thresholds),
         provenance=collection.with_step("discretize", {"thresholds": list(thresholds)}),
     )
 
@@ -536,15 +567,9 @@ def filter_outliers(
     entries = matrix.entries.copy()
     np.fill_diagonal(entries, np.inf)
     nn = entries.min(axis=1)
-    cutoff = float(np.percentile(nn, percentile))
-    dropped = {s.series_id for s, d in zip(collection.series, nn) if d > cutoff}
-    kept = [s for s in collection.series if s.series_id not in dropped]
-    return SeriesCollection(
-        series=kept,
-        mode=collection.mode,
-        provenance=collection.with_step(
-            "filter_outliers",
-            {"metric": metric, "percentile": percentile, "omega": omega},
-            dropped,
-        ),
-    )
+    keep = nn <= float(np.percentile(nn, percentile))
+    return collection.select(keep, collection.with_step(
+        "filter_outliers",
+        {"metric": metric, "percentile": percentile, "omega": omega},
+        compress(collection.ids, ~keep),
+    ))

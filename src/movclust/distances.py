@@ -255,30 +255,6 @@ class DistanceMatrix:
             raise DataError("negative distance entry")
 
 
-def _sequences_for(collection, metric):
-    from .core_data import SymbolicSeries
-
-    seqs = []
-    symbolic = None
-    for s in collection.series:
-        if isinstance(s, SymbolicSeries):
-            this_symbolic = True
-            seq = np.asarray(s.levels, dtype=float)
-        else:
-            this_symbolic = False
-            seq = np.asarray(s.values, dtype=float)
-            if np.isnan(seq).any():
-                raise DataError(f"{s.series_id}: incomplete series in distance matrix")
-        if symbolic is None:
-            symbolic = this_symbolic
-        elif symbolic != this_symbolic:
-            raise DataError("collection mixes numeric and symbolic series")
-        seqs.append(seq)
-    if metric == "levenshtein" and not symbolic:
-        raise DataError("levenshtein requires a discretized (symbolic) collection")
-    return seqs
-
-
 def distance_matrix(
     collection,
     metric: str,
@@ -287,15 +263,23 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Compute all pairwise distances for a collection.
 
+    Takes the collection's matrix as it is: float values or integer levels.
     Each upper-triangle entry is computed once and mirrored, so the matrix
     is exactly symmetric.
     """
     if metric not in METRICS:
         raise DataError(f"unknown metric {metric!r}")
-    if len(collection.series) < 2:
+    if len(collection) < 2:
         raise DataError("distance matrix needs at least 2 series")
-    X = np.stack(_sequences_for(collection, metric))
-    ids = [s.series_id for s in collection.series]
+    X = collection.values
+    if X.dtype.kind == "f":
+        incomplete = np.isnan(X).any(axis=1)
+        if incomplete.any():
+            sid = collection.ids[int(np.argmax(incomplete))]
+            raise DataError(f"{sid}: incomplete series in distance matrix")
+        if metric == "levenshtein":
+            raise DataError("levenshtein requires a discretized (symbolic) collection")
+    X = np.asarray(X, dtype=float)
     n, length = X.shape
 
     entries = mpbd_upper(X, omega) if metric == "mpbd" else np.zeros((n, n))
@@ -319,7 +303,7 @@ def distance_matrix(
         params["omega"] = omega
     if metric == "dtw":
         params["window"] = window
-    return DistanceMatrix(ids=ids, entries=entries, metric=metric, params=params)
+    return DistanceMatrix(ids=list(collection.ids), entries=entries, metric=metric, params=params)
 
 
 def normalize_matrix(matrix: DistanceMatrix, mode: str, value_range: float = 0.9) -> DistanceMatrix:

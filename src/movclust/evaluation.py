@@ -86,17 +86,13 @@ def bcss(vectors, ids, assignment, variant: str = "paper") -> float:
     return _bcss(X, *_cluster_means(X, ids, assignment), variant)
 
 
-def ch_index(vectors, ids, assignment, variant: str = "standard") -> float:
-    """Calinski-Harabasz score.
-
-    standard: (BCSS_w / (k-1)) / (WCSS / (n-k)), higher is better.
-    paper:    WCSS / BCSS_unweighted, lower is better.
-    """
-    X = np.asarray(vectors, dtype=float)
-    n, k = X.shape[0], assignment.k
+def _check_ch_k(k, n):
     if not 2 <= k < n:
         raise DataError(f"ch_index requires 2 <= k < n, got k={k}, n={n}")
-    groups, mus = _cluster_means(X, ids, assignment)
+
+
+def _ch(X, groups, mus, variant) -> float:
+    n, k = X.shape[0], len(groups)
     w = _wcss(X, groups, mus)
     if variant == "standard":
         b = _bcss(X, groups, mus, "weighted")
@@ -111,13 +107,19 @@ def ch_index(vectors, ids, assignment, variant: str = "standard") -> float:
     raise DataError(f"unknown ch variant {variant!r}")
 
 
-def db_index(vectors, ids, assignment) -> float:
-    """Davies-Bouldin index: mean over clusters of the worst R_ij ratio."""
+def ch_index(vectors, ids, assignment, variant: str = "standard") -> float:
+    """Calinski-Harabasz score.
+
+    standard: (BCSS_w / (k-1)) / (WCSS / (n-k)), higher is better.
+    paper:    WCSS / BCSS_unweighted, lower is better.
+    """
     X = np.asarray(vectors, dtype=float)
-    k = assignment.k
-    if not 2 <= k <= X.shape[0]:
-        raise DataError(f"db_index requires 2 <= k <= n, got k={k}")
-    groups, mus = _cluster_means(X, ids, assignment)
+    _check_ch_k(assignment.k, X.shape[0])
+    return _ch(X, *_cluster_means(X, ids, assignment), variant)
+
+
+def _db(X, groups, mus) -> float:
+    k = len(groups)
     mus = np.stack(mus)
     S = np.asarray(
         [np.sqrt(((X[m] - mu) ** 2).sum() / len(m)) for m, mu in zip(groups, mus)]
@@ -133,6 +135,15 @@ def db_index(vectors, ids, assignment) -> float:
         )
     worst = ((S[:, None] + S[None]) / M).max(axis=1)
     return float(np.cumsum(worst)[-1]) / k
+
+
+def db_index(vectors, ids, assignment) -> float:
+    """Davies-Bouldin index: mean over clusters of the worst R_ij ratio."""
+    X = np.asarray(vectors, dtype=float)
+    k = assignment.k
+    if not 2 <= k <= X.shape[0]:
+        raise DataError(f"db_index requires 2 <= k <= n, got k={k}")
+    return _db(X, *_cluster_means(X, ids, assignment))
 
 
 def _pair_sum(pairs) -> float:
@@ -151,7 +162,7 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
     """
     groups = _groups(ids, assignment)
     if raw_mpbd is None:
-        D, S, w = delta_rows(np.stack([np.asarray(s, dtype=float) for s in levels]), omega)
+        D, S, w = delta_rows(np.asarray(levels, dtype=float), omega)
     total = 0.0
     for members in groups:
         if raw_mpbd is not None:
@@ -169,15 +180,20 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
              ch_variant: str = "standard", raw_mpbd=None) -> ValidityReport:
     """Compute all three indices; degenerate geometry is noted, not fatal.
 
-    ``raw_mpbd`` is passed on to ``mpbi``.
+    The clusters and their means are worked out once for CH and DB.
+    ``raw_mpbd`` is passed on to ``mpbi``, which is called by its public
+    name so that a wrapper around it sees every call.
     """
+    X = np.asarray(vectors, dtype=float)
+    _check_ch_k(assignment.k, X.shape[0])  # it implies db_index's 2 <= k <= n
+    groups, mus = _cluster_means(X, ids, assignment)
     notes = {}
     try:
-        ch = ch_index(vectors, ids, assignment, ch_variant)
+        ch = _ch(X, groups, mus, ch_variant)
     except DegenerateGeometryError as exc:
         ch, notes["ch"] = None, str(exc)
     try:
-        db = db_index(vectors, ids, assignment)
+        db = _db(X, groups, mus)
     except DegenerateGeometryError as exc:
         db, notes["db"] = None, str(exc)
     index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd)
@@ -195,7 +211,7 @@ def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0,
     raw_mpbd = None
     if ks and len(levels) >= 2:
         try:
-            raw_mpbd = mpbd_upper(np.stack([np.asarray(s, dtype=float) for s in levels]), omega)
+            raw_mpbd = mpbd_upper(np.asarray(levels, dtype=float), omega)
         except DataError:
             pass  # series too short to move: each k's mpbi meets and notes the same error
     rows = []

@@ -147,11 +147,11 @@ def extract_features(collection, width: int = 64, height: int = 64, block: int =
     extractor = f"raster{width}x{height}/pool{block}"
     paths = {}
     vectors = []
-    for lo in range(0, len(collection.series), _BLOCK_SERIES):
-        chunk = collection.series[lo : lo + _BLOCK_SERIES]
-        rows, cols = _pixel_coords(np.stack([s.values for s in chunk]), width, height)
+    for lo in range(0, len(collection), _BLOCK_SERIES):
+        chunk = slice(lo, lo + _BLOCK_SERIES)
+        rows, cols = _pixel_coords(collection.values[chunk], width, height)
         tiles = _pool(_draw(rows, cols, width, height, paths), block)
-        vectors += [FeatureVector(s.series_id, t, extractor) for s, t in zip(chunk, tiles)]
+        vectors += [FeatureVector(sid, t, extractor) for sid, t in zip(collection.ids[chunk], tiles)]
     return vectors
 
 

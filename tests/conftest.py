@@ -31,7 +31,17 @@ def sym(series_id, levels, **kwargs):
 
 
 def collection(series, mode="price"):
-    return SeriesCollection(series=list(series), mode=mode)
+    """A SeriesCollection whose rows are the given TimeSeries, or SymbolicSeries levels."""
+    series = list(series)
+    rows = [getattr(s, "values", getattr(s, "levels", None)) for s in series]
+    return SeriesCollection(
+        ids=[s.series_id for s in series],
+        values=np.stack(rows) if rows else np.empty((0, 0)),
+        missing=np.stack([getattr(s, "missing_mask", np.zeros(len(s), dtype=bool)) for s in series])
+        if series else None,
+        attrs=[(s.product, s.store, s.category) for s in series],
+        mode=mode,
+    )
 
 
 def day(offset):

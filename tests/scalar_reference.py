@@ -2,10 +2,11 @@
 
 These are cell-by-cell loops of the Wagner-Fischer and DTW recurrences, a
 per-pair MPBD, a pair-by-pair agglomerative merge loop, the row-by-row CSV
-loaders and series assembly, and the segment-by-segment rasterizer, written
-the plain way.  ``movclust.distances``, ``movclust.clustering``,
-``movclust.core_data`` and ``movclust.image_features`` must reproduce every
-value they return bit for bit.
+loaders and series assembly, the series-by-series preprocessing steps, and
+the segment-by-segment rasterizer, written the plain way.
+``movclust.distances``, ``movclust.clustering``, ``movclust.core_data`` and
+``movclust.image_features`` must reproduce every value they return bit for
+bit.
 
 More are earlier forms of the package code, kept as they were: the sweep
 that recomputed each k's within-cluster MPBD pairs, the float64 MPBD row
@@ -20,13 +21,19 @@ import csv
 import datetime as dt
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from movclust import clustering, evaluation
 from movclust.clustering import ClusterAssignment, Dendrogram
-from movclust.core_data import DEFAULT_SCHEMA, RejectedRow, SeriesCollection, TimeSeries
+from movclust.core_data import (
+    DEFAULT_SCHEMA,
+    DEFAULT_THRESHOLDS,
+    RejectedRow,
+    SymbolicSeries,
+    TimeSeries,
+)
 from movclust.errors import DataError, DegenerateGeometryError, DuplicateObservationError
 from movclust.image_features import FeatureVector, ImageGrid
 
@@ -286,7 +293,25 @@ def load_wide_csv_ref(path):
     return observations, rejects
 
 
-def assemble_series_ref(observations, date_range=None, mode: str = "price") -> SeriesCollection:
+@dataclass
+class SeriesList:
+    """A collection as the list of per-series objects that every step rebuilt."""
+
+    series: list
+    mode: str = "price"
+    provenance: list = field(default_factory=list)
+
+    @property
+    def ids(self):
+        return [s.series_id for s in self.series]
+
+    def with_step(self, step, params, dropped_ids=()):
+        return self.provenance + [
+            {"step": step, "params": params, "dropped_ids": sorted(dropped_ids)}
+        ]
+
+
+def assemble_series_ref(observations, date_range=None, mode: str = "price") -> SeriesList:
     """Align observations onto one shared daily index.
 
     In sales mode a (series_id, store) pair identifies a series and the
@@ -350,7 +375,119 @@ def assemble_series_ref(observations, date_range=None, mode: str = "price") -> S
             "dropped_ids": [],
         }
     ]
-    return SeriesCollection(series=series, mode=mode, provenance=provenance)
+    return SeriesList(series=series, mode=mode, provenance=provenance)
+
+
+def drop_sparse_ref(collection: SeriesList, max_missing_fraction: float = 0.8) -> SeriesList:
+    """Drop series with strictly more than the allowed fraction missing."""
+    if not 0.0 <= max_missing_fraction <= 1.0:
+        raise DataError(f"max_missing_fraction out of [0,1]: {max_missing_fraction}")
+    kept, dropped = [], []
+    for s in collection.series:
+        frac = float(np.count_nonzero(s.missing_mask)) / len(s)
+        if frac > max_missing_fraction:
+            dropped.append(s.series_id)
+        else:
+            kept.append(s)
+    return SeriesList(kept, collection.mode, collection.with_step(
+        "drop_sparse", {"max_missing_fraction": max_missing_fraction}, dropped))
+
+
+def fill_forward_ref(series: TimeSeries) -> TimeSeries:
+    present = ~series.missing_mask
+    if not present.any():
+        raise DataError(f"{series.series_id}: cannot fill an all-missing series")
+    values = series.values.copy()
+    idx = np.where(present, np.arange(len(values)), -1)
+    idx = np.maximum.accumulate(idx)
+    first = int(np.argmax(present))
+    idx[idx < 0] = first
+    return replace(series, values=values[idx], missing_mask=series.missing_mask.copy())
+
+
+def fill_mean_ref(series: TimeSeries) -> TimeSeries:
+    present = ~series.missing_mask
+    if not present.any():
+        raise DataError(f"{series.series_id}: cannot fill an all-missing series")
+    mean = float(series.values[present].mean())
+    values = np.where(series.missing_mask, mean, series.values)
+    return replace(series, values=values, missing_mask=series.missing_mask.copy())
+
+
+def minmax_scale_ref(series: TimeSeries, lo: float = 0.1, hi: float = 1.0) -> TimeSeries:
+    if lo >= hi:
+        raise DataError(f"scale bounds require lo < hi, got {lo} >= {hi}")
+    if np.isnan(series.values).any():
+        raise DataError(f"{series.series_id}: scaling requires a complete series")
+    vmin = series.values.min()
+    vmax = series.values.max()
+    if vmax == vmin:
+        scaled = np.full_like(series.values, lo)
+    else:
+        scaled = np.clip(lo + (hi - lo) * (series.values - vmin) / (vmax - vmin), lo, hi)
+        scaled[series.values == vmin] = lo
+        scaled[series.values == vmax] = hi
+    return replace(series, values=scaled, missing_mask=series.missing_mask.copy())
+
+
+def discretize_ref(series: TimeSeries, thresholds=DEFAULT_THRESHOLDS) -> SymbolicSeries:
+    if isinstance(series, SymbolicSeries):
+        raise TypeError("series is already discretized")
+    values = series.values
+    if np.isnan(values).any():
+        raise DataError(f"{series.series_id}: discretize requires a complete series")
+    if (values < 0).any() or (values > 1).any():
+        raise DataError(f"{series.series_id}: values outside [0, 1]; run minmax_scale first")
+    if len(thresholds) != 4 or list(thresholds) != sorted(thresholds):
+        raise DataError(f"need 4 increasing thresholds, got {thresholds}")
+    levels = 1 + np.searchsorted(np.asarray(thresholds), values, side="right")
+    return SymbolicSeries(series.series_id, levels, series.category, series.store,
+                          series.product)
+
+
+def filter_outliers_ref(collection: SeriesList, metric="mpbd", percentile=95.0, omega=2.0,
+                        window=None) -> SeriesList:
+    """The nearest-neighbour filter over a matrix of scalar pair distances."""
+    if not 0.0 < percentile < 100.0 and percentile != 100.0:
+        raise DataError(f"percentile out of (0, 100]: {percentile}")
+    if len(collection.series) < 2:
+        raise DataError("outlier filtering needs at least 2 series")
+    if metric == "mpbd" and len(collection.series[0]) < 2:
+        raise DataError("mpbd: sequences must have length >= 2")
+    pair = {
+        "mpbd": lambda p, q: mpbd_ref(p, q, omega),
+        "levenshtein": lambda p, q: float(levenshtein_ref(p, q)),
+        "dtw": lambda p, q: dtw_ref(p, q, window),
+    }[metric]
+    seqs = [np.asarray(s.levels if isinstance(s, SymbolicSeries) else s.values, dtype=float)
+            for s in collection.series]
+    entries = matrix_ref(seqs, pair)
+    np.fill_diagonal(entries, np.inf)
+    nn = entries.min(axis=1)
+    cutoff = float(np.percentile(nn, percentile))
+    dropped = {s.series_id for s, d in zip(collection.series, nn) if d > cutoff}
+    kept = [s for s in collection.series if s.series_id not in dropped]
+    return SeriesList(kept, collection.mode, collection.with_step(
+        "filter_outliers", {"metric": metric, "percentile": percentile, "omega": omega},
+        dropped))
+
+
+def fill_collection_ref(collection: SeriesList, strategy: str) -> SeriesList:
+    fill = {"forward": fill_forward_ref, "mean": fill_mean_ref}.get(strategy)
+    if fill is None:
+        raise DataError(f"unknown fill strategy {strategy!r}")
+    return SeriesList([fill(s) for s in collection.series], collection.mode,
+                      collection.with_step("fill", {"strategy": strategy}))
+
+
+def scale_collection_ref(collection: SeriesList, lo=0.1, hi=1.0) -> SeriesList:
+    return SeriesList([minmax_scale_ref(s, lo, hi) for s in collection.series], collection.mode,
+                      collection.with_step("minmax_scale", {"lo": lo, "hi": hi}))
+
+
+def discretize_collection_ref(collection: SeriesList, thresholds=DEFAULT_THRESHOLDS) -> SeriesList:
+    return SeriesList([discretize_ref(s, thresholds) for s in collection.series], collection.mode,
+                      collection.with_step("discretize", {"thresholds": list(thresholds)}))
 
 
 def _bresenham(r0, c0, r1, c1):
@@ -528,9 +665,9 @@ def write_wide_ref(path, collection, dates, symbolic=False):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series_id"] + [d.isoformat() for d in dates])
-        for s in collection.series:
-            row = s.levels.tolist() if symbolic else [_fmt(v) for v in s.values]
-            writer.writerow([s.series_id] + row)
+        for sid, values in zip(collection.ids, collection.values):
+            row = values.tolist() if symbolic else [_fmt(v) for v in values]
+            writer.writerow([sid] + row)
 
 
 def write_matrix_csv_ref(matrix, path):

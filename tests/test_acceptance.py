@@ -44,7 +44,7 @@ def ts(series_id, values):
 
 
 def pair_matrix(p, q, metric="mpbd"):
-    col = SeriesCollection(series=[sym("p", p), sym("q", q)])
+    col = SeriesCollection(ids=["p", "q"], values=np.array([p, q]))
     return di.distance_matrix(col, metric)
 
 

@@ -406,3 +406,56 @@ def test_price_pipeline_and_sweep_golden_digests(tmp_path):
         overrides = [arg for option in options for arg in ("-O", option)]
         assert run("sweep", "--out", str(out), *overrides) == 0
         assert hashlib.sha256(read(out / "sweep.csv")).hexdigest() == digest, options
+
+
+class TestBadArtifacts:
+    """An intermediate artifact that does not parse is a data error naming its file and line."""
+
+    @pytest.fixture()
+    def preprocessed(self, price_cfg):
+        cfg, out = price_cfg
+        assert run("preprocess", "--config", str(cfg)) == 0
+        return cfg, out
+
+    @staticmethod
+    def edit_cells(path, lineno, edit):
+        """Rewrite the cells of one line (the sample's ids hold no comma)."""
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_unparseable_scaled_cell_exits_2(self, preprocessed, capsys):
+        cfg, out = preprocessed
+        self.edit_cells(out / "scaled.csv", 3, lambda cells: [cells[0], "x", *cells[2:]])
+        assert run("cluster", "--config", str(cfg), "-O", "algorithm=kmeans") == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out / 'scaled.csv'}, line 3: could not convert string to float: 'x'" in err
+        assert not (out / "assignment.csv").exists()
+
+    @pytest.mark.parametrize("command", ["distmat", "evaluate"])
+    def test_short_symbolic_row_exits_2(self, preprocessed, command, capsys):
+        cfg, out = preprocessed
+        run("distmat", "--config", str(cfg))
+        run("cluster", "--config", str(cfg))
+        self.edit_cells(out / "symbolic.csv", 4, lambda cells: cells[:-1])
+        assert run(command, "--config", str(cfg)) == 2
+        width = len((out / "symbolic.csv").read_text().splitlines()[0].split(","))
+        assert (f"data error: {out / 'symbolic.csv'}, line 4: {width - 1} cells, "
+                f"header has {width}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["hierarchical", "kmeans", "kmeans_features"])
+def test_all_sparse_input_exits_2(tmp_path, algorithm, capsys):
+    src = tmp_path / "in.csv"
+    # one observed day in ten per series: every series is 90% missing
+    src.write_text("series_id,date,value\nA,2021-01-01,1\nB,2021-01-10,2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("pipeline", "--input", str(src), "--out", str(out),
+               "-O", f"algorithm={algorithm}") == 2
+    assert "data error:" in capsys.readouterr().err
+    days = ",".join(f"2021-01-{d:02d}" for d in range(1, 11))
+    for name in ("original.csv", "scaled.csv", "symbolic.csv"):
+        assert (out / name).read_text() == f"series_id,{days}\n"
+    assert (out / "metadata.csv").read_text() == "series_id,product,store,category\n"
+    provenance = json.loads((out / "provenance.json").read_text())
+    assert provenance[1]["dropped_ids"] == ["A", "B"]

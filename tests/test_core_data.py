@@ -155,14 +155,13 @@ class TestAssembleSeries:
         )
         col = cd.assemble_series(obs)
         assert len(col) == 2
-        for s in col.series:
-            assert len(s) == 3
-            assert not s.missing_mask.any()
+        assert col.values.shape == (2, 3)
+        assert not col.missing.any()
 
     def test_missing_mask(self):
         obs = observations([("A", day(0), 1.0), ("A", day(2), 2.0)])
         col = cd.assemble_series(obs)
-        assert col.series[0].missing_mask.tolist() == [False, True, False]
+        assert col.missing[0].tolist() == [False, True, False]
 
     def test_sales_mode_store_pairs(self):
         obs = observations([
@@ -171,7 +170,7 @@ class TestAssembleSeries:
         ])
         col = cd.assemble_series(obs, mode="sales")
         assert col.ids == ["I1::S1", "I1::S2"]
-        assert col.series[0].product == "I1"
+        assert col.attrs[0] == ("I1", "S1", None)  # (product, store, category)
 
     def test_empty_observation_list(self):
         with pytest.raises(DataError):
@@ -326,7 +325,9 @@ class TestCollectionInvariants:
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(DataError):
-            collection([sym("A", [1, 2]), sym("B", [1, 2, 3])])
+            cd.SeriesCollection(["A", "B"], np.zeros((2, 2)), missing=np.zeros((2, 3)))
+        with pytest.raises(DataError):
+            cd.SeriesCollection(["A", "B", "C"], np.zeros((2, 2)))
 
     def test_pipeline_rerun_is_identical(self):
         series = [ts("A", [3.0, None, 9.0, 4.0]), ts("B", [1.0, 5.0, None, 2.0])]
@@ -339,8 +340,7 @@ class TestCollectionInvariants:
             return cd.discretize_collection(col)
 
         a, b = run(), run()
-        for s1, s2 in zip(a.series, b.series):
-            assert np.array_equal(s1.levels, s2.levels)
+        assert a.values.dtype == np.int64 and np.array_equal(a.values, b.values)
         assert a.provenance == b.provenance
 
 
@@ -465,14 +465,16 @@ def _reject_rows(rejects):
 
 
 def _summary(collection):
-    if not isinstance(collection, cd.SeriesCollection):
+    """Mode, provenance and every row's bytes and attributes, of either representation."""
+    if isinstance(collection, cd.SeriesCollection):
+        rows = [(sid, values.tobytes(), missing.tobytes(), *attrs) for sid, values, missing, attrs
+                in zip(collection.ids, collection.values, collection.missing, collection.attrs)]
+    elif isinstance(collection, scalar_reference.SeriesList):
+        rows = [(s.series_id, s.values.tobytes(), s.missing_mask.tobytes(), s.product, s.store,
+                 s.category) for s in collection.series]
+    else:
         return collection  # the error
-    return (
-        collection.mode,
-        collection.provenance,
-        [(s.series_id, s.values.tobytes(), s.missing_mask.tobytes(), s.category, s.store,
-          s.product) for s in collection.series],
-    )
+    return collection.mode, collection.provenance, rows
 
 
 def _assert_same_assembly(old_obs, new_obs, date_range):
@@ -543,3 +545,135 @@ class TestRaggedLongRows:
         obs, rejects = cd.load_long_csv(path)
         assert observation_rows(obs) == [("A", dt.date(2021, 1, 2), 2.0, "Snacks", "S1")]
         assert _reject_rows(rejects) == [(2, "A,2021-01-01,1", "column count mismatch")]
+
+
+# ---------------------------------------------------------------------------
+# The whole-matrix preprocessing against the series-by-series steps
+
+
+@st.composite
+def gapped_series(draw):
+    """TimeSeries rows of one length with random gaps, constant and all-missing rows."""
+    n = draw(st.integers(1, 8))
+    length = draw(st.sampled_from([1, 2, 8, 9, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a few distinct values tie the extremes; normal draws use the whole mantissa
+    draws = rng.integers(0, 3, size=(n, length)) if draw(st.booleans()) else rng.normal(
+        size=(n, length))
+    values = draws * 10.0 ** draw(st.integers(-3, 6)) + draw(st.sampled_from([0.0, 1.0, -250.5]))
+    missing = rng.random((n, length)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        values[i] = values[i, 0]  # constant row
+    if draw(st.booleans()):
+        missing[draw(st.integers(0, n - 1))] = True  # all-missing row
+    values[missing] = np.nan
+    attrs = st.sampled_from([None, "x", "y"])
+    return [ts(f"s{i}", values[i], missing[i], category=draw(attrs), store=draw(attrs),
+               product=f"p{i % 3}") for i in range(n)]
+
+
+def _stage(collection):
+    """Provenance, then every row's id, value bytes, mask bytes and attributes."""
+    if isinstance(collection, cd.SeriesCollection):
+        return collection.provenance, [
+            (sid, values.tobytes(), missing.tobytes(), *attrs) for sid, values, missing, attrs
+            in zip(collection.ids, collection.values, collection.missing, collection.attrs)
+        ]
+    if not isinstance(collection, scalar_reference.SeriesList):
+        return collection  # the error
+    return collection.provenance, [
+        (s.series_id, s.values.tobytes(), s.missing_mask.tobytes(), s.product, s.store, s.category)
+        for s in collection.series
+    ]
+
+
+def _series_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, cd.SymbolicSeries):
+        return out.levels.dtype, out.levels.tobytes()
+    return out.values.tobytes(), out.missing_mask.tobytes()
+
+
+SCALES = [(0.1, 1.0), (0.0, 1.0), (0.25, 0.75)]
+
+
+class TestPreprocessingMatchesSeriesLoop:
+    @DIFFERENTIAL
+    @given(gapped_series(), st.sampled_from(SCALES))
+    def test_one_series_functions(self, series, bounds):
+        ref = scalar_reference
+        for s in series:
+            for step, step_ref in ((cd.minmax_scale, ref.minmax_scale_ref),
+                                   (cd.discretize, ref.discretize_ref)):
+                assert _series_outcome(step, s) == _series_outcome(step_ref, s)  # NaN in gaps
+            for fill, fill_ref in ((cd.fill_forward, ref.fill_forward_ref),
+                                   (cd.fill_mean, ref.fill_mean_ref)):
+                outcome = _series_outcome(fill, s)
+                assert outcome == _series_outcome(fill_ref, s)
+                if isinstance(outcome[0], type):
+                    continue
+                filled = fill_ref(s)
+                assert _series_outcome(cd.minmax_scale, filled, *bounds) == _series_outcome(
+                    ref.minmax_scale_ref, filled, *bounds)
+                scaled = ref.minmax_scale_ref(filled, *bounds)
+                assert _series_outcome(cd.discretize, scaled) == _series_outcome(
+                    ref.discretize_ref, scaled)
+
+    @DIFFERENTIAL
+    @given(gapped_series(), st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+           st.sampled_from(["forward", "mean"]), st.sampled_from(SCALES), st.data())
+    def test_collection_steps(self, series, max_missing, strategy, bounds, data):
+        ref = scalar_reference
+        length = len(series[0])
+        metric = data.draw(st.sampled_from(["mpbd"] + ["levenshtein", "dtw"] * (length <= 9)))
+        omega = data.draw(st.sampled_from([2.0, 0.3]))
+        percentile = data.draw(st.sampled_from([50.0, 90.0, 95.0, 100.0]))
+        steps = [
+            (lambda c: cd.drop_sparse(c, max_missing),
+             lambda c: ref.drop_sparse_ref(c, max_missing)),
+            (lambda c: cd.fill_collection(c, strategy),
+             lambda c: ref.fill_collection_ref(c, strategy)),
+            (lambda c: cd.scale_collection(c, *bounds),
+             lambda c: ref.scale_collection_ref(c, *bounds)),
+            (cd.discretize_collection, ref.discretize_collection_ref),
+            (lambda c: cd.filter_outliers(c, metric, percentile, omega),
+             lambda c: ref.filter_outliers_ref(c, metric, percentile, omega)),
+        ]
+        new, old = collection(series), ref.SeriesList(series)
+        for number, (step, step_ref) in enumerate(steps):
+            new, old = _outcome(step, new), _outcome(step_ref, old)
+            if number < 3:
+                assert _stage(new) == _stage(old), number
+            elif isinstance(old, tuple):
+                assert new == old, number  # the same error
+            else:  # levels: the reference's symbolic series carry no mask
+                assert new.values.dtype == np.int64
+                assert new.provenance == old.provenance
+                assert new.ids == old.ids
+                assert new.values.tobytes() == b"".join(s.levels.tobytes() for s in old.series)
+                assert new.attrs == [(s.product, s.store, s.category) for s in old.series]
+            if isinstance(old, tuple):
+                return
+
+    def test_all_missing_row_names_the_first(self):
+        col = collection([ts("A", [1.0, 2.0]), ts("B", [None, None]), ts("C", [None, None])])
+        for strategy in ("forward", "mean"):
+            with pytest.raises(DataError, match="^B: cannot fill an all-missing series$"):
+                cd.fill_collection(col, strategy)
+
+    def test_first_failing_row_wins_across_checks(self):
+        # row A is out of range, row B incomplete: a row loop meets A first
+        col = collection([ts("A", [0.5, 1.5]), ts("B", [0.5, None])])
+        with pytest.raises(DataError, match="^A: values outside"):
+            cd.discretize_collection(col)
+        col = collection([ts("A", [0.5, None]), ts("B", [0.5, 1.5])])
+        with pytest.raises(DataError, match="^A: discretize requires a complete series$"):
+            cd.discretize_collection(col)
+
+    def test_discretize_collection_twice_is_type_error(self):
+        levels = cd.discretize_collection(collection([ts("A", [0.1, 0.5])]))
+        with pytest.raises(TypeError):
+            cd.discretize_collection(levels)

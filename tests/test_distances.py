@@ -272,7 +272,7 @@ class TestDistanceMatrix:
         ]:
             matrix = di.distance_matrix(col, metric)
             matrix.validate()
-            seqs = [s.levels for s in col.series]
+            seqs = col.values
             for i in range(3):
                 for j in range(3):
                     assert matrix.entries[i, j] == pytest.approx(

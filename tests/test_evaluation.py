@@ -303,6 +303,44 @@ class TestInvariances:
         assert ev.db_index(X, ids, a1) == pytest.approx(ev.db_index(X, ids, a2))
 
 
+def _outcome(fn, *args, **kwargs):
+    """fn's result as hex, None for a noted degenerate geometry, or the error."""
+    try:
+        return float.hex(fn(*args, **kwargs))
+    except DegenerateGeometryError:
+        return None
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestEvaluateComputesClustersOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 40), st.integers(2, 5), st.integers(1, 8),
+           st.booleans(), st.sampled_from(["standard", "paper"]), st.sampled_from([0.3, 2.0]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_separate_public_calls(self, n, dim, length, k, coarse, variant, omega,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        labels = [int(c) for c in rng.permutation(
+            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        # coarse: few distinct values, so zero scatter and coincident centroids occur
+        X = (rng.integers(0, 2, size=(n, dim)) * rng.normal(size=dim) if coarse
+             else rng.normal(size=(n, dim)))
+        levels = rng.integers(1, 6, size=(n, length))
+        a, ids = assign(labels)
+        separate = (_outcome(ev.ch_index, X, ids, a, variant), _outcome(ev.db_index, X, ids, a),
+                    _outcome(ev.mpbi, levels, ids, a, omega=omega))
+        try:
+            report = ev.evaluate(X, levels, ids, a, omega=omega, ch_variant=variant)
+        except DataError as exc:  # k = n: ch_index's range check
+            assert separate[0] == (type(exc), str(exc))
+            return
+        together = tuple(None if v is None else float.hex(v)
+                         for v in (report.ch, report.db, report.mpbi))
+        assert together == separate
+
+
 class TestSweep:
     def blobs(self):
         rng = np.random.default_rng(27)

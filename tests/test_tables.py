@@ -92,5 +92,5 @@ def test_wide_symbolic_csv(tmp_path_factory, table):
     series = collection(sym(i, row) for i, row in zip(ids, levels))
     days = dates(levels.shape[1])
     assert same_bytes(tmp_path_factory.mktemp("s"),
-                      lambda p: cli._write_wide(p, series, days, symbolic=True),
+                      lambda p: cli._write_wide(p, series, days),
                       lambda p: write_wide_ref(p, series, days, symbolic=True))
