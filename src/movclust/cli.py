@@ -12,13 +12,12 @@ computation escalated by --strict.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
-import json
 import math
 import os
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -137,10 +136,6 @@ def _dtw_window(cfg):
     return int(cfg["dtw_window"]) if cfg["dtw_window"] else None
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".9g")
-
-
 def _atomic_writes(out_dir, producer):
     """Run producer(tmp_dir), then move every produced file into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -160,46 +155,24 @@ def _write_wide(path, collection, dates):
         ["series_id"] + [d.isoformat() for d in dates],
         collection.ids,
         collection.values,
-        cell="%d" if collection.values.dtype.kind == "i" else "%.9g",
+        cell="%d" if collection.values.dtype.kind == "i" else tables.NUMBER,
     )
 
 
 def _read_wide(cfg, name, dtype=float):
-    """Read the wide artifact ``name`` of preprocess into one matrix of ``dtype`` cells.
-
-    A row whose cell count differs from the header's, or a cell that does
-    not parse as ``dtype``, is a data error naming the file and line.
-    """
+    """Read the wide artifact ``name`` of preprocess into one matrix of ``dtype`` cells."""
     path = _require(os.path.join(cfg["out"], name), "preprocess")
-    ids, rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        width = len(next(reader, ()))
-        if not width:
-            raise DataError(f"{path}: empty file, header row required")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != width:
-                    raise ValueError(f"{len(row)} cells, header has {width}")
-                rows.append(np.array(row[1:], dtype=dtype))
-            except ValueError as exc:
-                raise DataError(f"{path}, line {lineno}: {exc}") from None
-            ids.append(row[0])
-    values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
+    _, ids, values = tables.read_table(path, dtype)
     return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
 
 
+METADATA = ["series_id", "product", "store", "category"]
+
+
 def _read_metadata(path):
-    meta = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            meta[row["series_id"]] = {
-                "product": row["product"] or None,
-                "store": row["store"] or None,
-                "category": row["category"] or None,
-            }
-    return meta
+    """series id -> its (product, store, category), each "" when unknown."""
+    _, ids, attrs = tables.read_table(path, object, header=METADATA)
+    return dict(zip(ids, attrs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +227,12 @@ def cmd_preprocess(cfg):
         _write_wide(os.path.join(tmp, "original.csv"), original, dates)
         _write_wide(os.path.join(tmp, "scaled.csv"), scaled, dates)
         _write_wide(os.path.join(tmp, "symbolic.csv"), symbolic, dates)
-        with open(os.path.join(tmp, "metadata.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["series_id", "product", "store", "category"])
-            for sid, attrs in zip(original.ids, original.attrs):
-                writer.writerow([sid, *(a or "" for a in attrs)])
-        with open(os.path.join(tmp, "rejects.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["line_number", "raw_row", "reason"])
-            for r in rejects:
-                writer.writerow([r.line_number, r.raw_row, r.reason])
-        with open(os.path.join(tmp, "provenance.json"), "w", encoding="utf-8") as fh:
-            json.dump(symbolic.provenance, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        tables.write_rows(os.path.join(tmp, "metadata.csv"), METADATA,
+                          ([sid, *(a or "" for a in attrs)]
+                           for sid, attrs in zip(original.ids, original.attrs)))
+        tables.write_rows(os.path.join(tmp, "rejects.csv"), ["line_number", "raw_row", "reason"],
+                          ([r.line_number, r.raw_row, r.reason] for r in rejects))
+        tables.write_json(os.path.join(tmp, "provenance.json"), symbolic.provenance)
 
     _atomic_writes(cfg["out"], produce)
     return 0
@@ -420,9 +386,7 @@ def cmd_evaluate(cfg):
     }
 
     def produce(tmp):
-        with open(os.path.join(tmp, "evaluate.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        tables.write_json(os.path.join(tmp, "evaluate.json"), payload)
 
     _atomic_writes(out, produce)
     return 0
@@ -444,30 +408,13 @@ def cmd_profile(cfg):
     for c in range(1, assignment.k + 1):
         members = assignment.members(c)
         values = original.values[[row_of[sid] for sid in members]].ravel()
-        categories = {}
-        products, stores = set(), set()
-        for sid in members:
-            m = meta.get(sid, {})
-            if m.get("category"):
-                categories[m["category"]] = categories.get(m["category"], 0) + 1
-            if m.get("product"):
-                products.add(m["product"])
-            if m.get("store"):
-                stores.add(m["store"])
-        top = sorted(categories.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
-        row = {
-            "cluster": c,
-            "size": len(members),
-            "n_categories": len(categories),
-            "top_categories": "; ".join(f"{name}: {count}" for name, count in top),
-            "avg_value": _fmt(values.mean()),
-            "min_value": _fmt(values.min()),
-            "max_value": _fmt(values.max()),
-        }
-        if sales_mode:
-            row["n_products"] = len(products)
-            row["n_stores"] = len(stores)
-        rows.append(row)
+        products, stores, categories = zip(*(meta.get(sid, ("", "", "")) for sid in members))
+        counts = Counter(name for name in categories if name)
+        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
+        sales = [len(set(products) - {""}), len(set(stores) - {""})] if sales_mode else []
+        rows.append([c, len(members), *sales, len(counts),
+                     "; ".join(f"{name}: {count}" for name, count in top),
+                     *(tables.NUMBER % v for v in (values.mean(), values.min(), values.max()))])
 
     columns = ["cluster", "size"]
     if sales_mode:
@@ -475,11 +422,7 @@ def cmd_profile(cfg):
     columns += ["n_categories", "top_categories", "avg_value", "min_value", "max_value"]
 
     def produce(tmp):
-        with open(os.path.join(tmp, "profile.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([row[c] for c in columns])
+        tables.write_rows(os.path.join(tmp, "profile.csv"), columns, rows)
 
     _atomic_writes(out, produce)
     return 0

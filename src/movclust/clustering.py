@@ -8,16 +8,17 @@ which ``agglomerative`` turns into index order by sorting the matrix by id.
 
 from __future__ import annotations
 
-import csv
-import json
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
+from .tables import NUMBER, read_sidecar, read_table, write_rows
 
 LINKAGES = ("ward", "average", "complete", "single")
+#: Header of an assignment table.
+ASSIGNMENT = ["series_id", "cluster"]
 
 
 @dataclass
@@ -287,12 +288,6 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int, seed: int = 0,
 
 
 def write_assignment_csv(assignment: ClusterAssignment, path, extra: dict | None = None):
-    path = str(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "cluster"])
-        for sid in sorted(assignment.labels):
-            writer.writerow([sid, assignment.labels[sid]])
     sidecar = {
         "algorithm": assignment.algorithm,
         "k": assignment.k,
@@ -300,28 +295,17 @@ def write_assignment_csv(assignment: ClusterAssignment, path, extra: dict | None
         "objective": assignment.objective,
     }
     sidecar.update(extra or {})
-    with open(path.rsplit(".", 1)[0] + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    labels = assignment.labels
+    write_rows(path, ASSIGNMENT, ([sid, labels[sid]] for sid in sorted(labels)), sidecar)
 
 
 def read_assignment_csv(path) -> ClusterAssignment:
-    path = str(path)
-    labels = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for sid, cluster in reader:
-            labels[sid] = int(cluster)
-    sidecar_path = path.rsplit(".", 1)[0] + ".json"
-    try:
-        with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except OSError:
-        raise DataError(f"{path}: missing sidecar {sidecar_path}") from None
+    _, ids, clusters = read_table(path, int, header=ASSIGNMENT)
+    labels = dict(zip(ids, clusters[:, 0].tolist()))
+    sidecar = read_sidecar(path)
     return ClusterAssignment(
         labels=labels,
-        k=max(labels.values()),
+        k=max(labels.values(), default=0),
         algorithm=sidecar["algorithm"],
         seed=sidecar.get("seed", 0),
         objective=sidecar.get("objective"),
@@ -329,8 +313,6 @@ def read_assignment_csv(path) -> ClusterAssignment:
 
 
 def write_dendrogram_csv(dendrogram: Dendrogram, path):
-    with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "left", "right", "height", "size"])
-        for step, (left, right, height, size) in enumerate(dendrogram.merges, start=1):
-            writer.writerow([step, left[0], right[0], format(height, ".9g"), size])
+    write_rows(path, ["step", "left", "right", "height", "size"],
+               ([step, left[0], right[0], NUMBER % height, size]
+                for step, (left, right, height, size) in enumerate(dendrogram.merges, start=1)))

@@ -18,14 +18,12 @@ So every matrix is bit-identical to computing each pair on its own.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError
-from .tables import write_table
+from .tables import read_sidecar, read_table, write_table
 
 METRICS = ("euclidean", "levenshtein", "dtw", "mpbd")
 
@@ -226,8 +224,7 @@ def mpbd(p, q, omega: float = 2.0) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DataError(f"mpbd: length mismatch {len(p)} vs {len(q)}")
-    D, S, w = delta_rows(np.stack([p, q]), omega)
-    return float(mpbd_row(D[0], S[0], D[1:], S[1:], w)[0])
+    return float(mpbd_upper(np.stack([p, q]), omega)[0, 1])
 
 
 @dataclass
@@ -351,36 +348,20 @@ def normalize_matrix(matrix: DistanceMatrix, mode: str, value_range: float = 0.9
 
 def write_matrix_csv(matrix: DistanceMatrix, path):
     """CSV with an id header column/row plus a JSON sidecar next to it."""
-    path = str(path)
-    write_table(path, ["id"] + matrix.ids, matrix.ids, matrix.entries)
     sidecar = {
         "metric": matrix.metric,
         "normalization": matrix.normalization,
         "params": matrix.params,
     }
-    with open(path.rsplit(".", 1)[0] + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_table(path, ["id"] + matrix.ids, matrix.ids, matrix.entries, sidecar=sidecar)
 
 
 def read_matrix_csv(path) -> DistanceMatrix:
-    path = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ids = header[1:]
-        rows = []
-        for row in reader:
-            rows.append([float(v) for v in row[1:]])
-    sidecar_path = path.rsplit(".", 1)[0] + ".json"
-    try:
-        with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except OSError:
-        raise DataError(f"{path}: missing sidecar {sidecar_path}") from None
+    header, _, entries = read_table(path)
+    sidecar = read_sidecar(path)
     return DistanceMatrix(
-        ids=ids,
-        entries=np.asarray(rows),
+        ids=header[1:],
+        entries=entries,
         metric=sidecar["metric"],
         normalization=sidecar["normalization"],
         params=sidecar.get("params", {}),

@@ -8,14 +8,13 @@ default.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import delta_rows, mpbd_row, mpbd_upper
+from .distances import mpbd_upper
 from .errors import DataError, DegenerateGeometryError
+from .tables import NUMBER, write_rows
 
 
 @dataclass
@@ -156,23 +155,18 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
 
     Per cluster, the pairwise mpbd sum divided by the cluster size; the
     result averages those over clusters.  Singletons contribute 0; lower
-    is better.  ``raw_mpbd``, when given, is ``distances.mpbd_upper`` of
-    ``levels`` at this ``omega``: each cluster's pairs are then read from
-    it instead of computed.
+    is better.  Each cluster's pairs are the upper triangle of its rows of
+    ``raw_mpbd``, which is ``distances.mpbd_upper`` of ``levels`` at this
+    ``omega``; without it, of ``mpbd_upper`` of the cluster's levels.
     """
-    groups = _groups(ids, assignment)
-    if raw_mpbd is None:
-        D, S, w = delta_rows(np.asarray(levels, dtype=float), omega)
+    levels = np.asarray(levels, dtype=float)
     total = 0.0
-    for members in groups:
-        if raw_mpbd is not None:
-            pairs = raw_mpbd[np.ix_(members, members)][np.triu_indices(len(members), 1)]
+    for members in _groups(ids, assignment):
+        if raw_mpbd is None:
+            within = mpbd_upper(levels[members], omega)
         else:
-            Dm, Sm = D[members], S[members]
-            rows = [mpbd_row(Dm[a], Sm[a], Dm[a + 1 :], Sm[a + 1 :], w)
-                    for a in range(len(members) - 1)]
-            pairs = np.concatenate(rows) if rows else ()
-        total += _pair_sum(pairs) / len(members)
+            within = raw_mpbd[np.ix_(members, members)]
+        total += _pair_sum(within[np.triu_indices(len(members), 1)]) / len(members)
     return total / assignment.k
 
 
@@ -229,17 +223,6 @@ def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0,
 
 
 def write_sweep_csv(rows, path, sidecar: dict | None = None):
-    path = str(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "ch", "db", "mpbi", "note"])
-        for row in rows:
-            writer.writerow(
-                [row.k]
-                + ["" if v is None else format(v, ".9g") for v in (row.ch, row.db, row.mpbi)]
-                + [row.note]
-            )
-    if sidecar is not None:
-        with open(path.rsplit(".", 1)[0] + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    write_rows(path, ["k", "ch", "db", "mpbi", "note"],
+               ([row.k] + ["" if v is None else NUMBER % v for v in (row.ch, row.db, row.mpbi)]
+                + [row.note] for row in rows), sidecar)

@@ -8,14 +8,13 @@ and clustered the same way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import clustering
 from .errors import DataError
-from .tables import write_table
+from .tables import read_table, write_table
 
 
 @dataclass
@@ -173,37 +172,17 @@ def write_features_csv(vectors, path):
 def load_external_features(path, known_ids=None, extractor: str = "external"):
     """Load feature vectors from CSV (header series_id,f1,...,fm).
 
-    Ragged rows, non-numeric cells, and ids outside ``known_ids`` are errors.
+    Ragged rows, non-numeric or non-finite cells, and ids outside
+    ``known_ids`` are errors.
     """
-    vectors = []
-    unknown = []
-    try:
-        fh = open(str(path), newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open feature file: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("feature file is empty") from None
-        m = len(header) - 1
-        if m < 1:
-            raise DataError("feature file needs at least one feature column")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) - 1 != m:
-                raise DataError(f"line {lineno}: ragged row ({len(row) - 1} features, expected {m})")
-            sid = row[0]
-            try:
-                features = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: non-numeric cell: {exc}") from exc
-            if known_ids is not None and sid not in known_ids:
-                unknown.append(sid)
-            vectors.append(FeatureVector(series_id=sid, features=features, extractor=extractor))
-    if unknown:
-        raise DataError(f"unknown series ids in feature file: {sorted(unknown)}")
-    return vectors
+    header, ids, features = read_table(path)
+    if len(header) < 2:
+        raise DataError(f"{path}: feature file needs at least one feature column")
+    if known_ids is not None:
+        unknown = sorted(sid for sid in ids if sid not in known_ids)
+        if unknown:
+            raise DataError(f"unknown series ids in feature file: {unknown}")
+    return [FeatureVector(sid, row, extractor) for sid, row in zip(ids, features)]
 
 
 def cluster_features(vectors, k: int, seed: int = 0) -> clustering.ClusterAssignment:

@@ -1,12 +1,58 @@
-"""CSV tables of id-keyed numeric rows: wide series, distance matrices, features."""
+"""The artifact file format: CSV tables of id-keyed rows and their JSON sidecars.
+
+Every artifact the CLI writes, and every one it reads back, goes through
+this module.  A table is a header row, then one row per id: the id, then
+its cells.  A table's sidecar holds what the cells do not say, in a JSON
+file of the same name.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+
+import numpy as np
+
+from .errors import DataError
+
+#: Format of every float an artifact holds: ``NUMBER % v`` is ``format(float(v), ".9g")``.
+NUMBER = "%.9g"
 
 
-def write_table(path, header, ids, rows, cell: str = "%.9g"):
+def _sidecar_path(path) -> str:
+    return str(path).rsplit(".", 1)[0] + ".json"
+
+
+def write_json(path, payload):
+    with open(str(path), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def read_sidecar(path) -> dict:
+    """The sidecar of the table at ``path``; a missing or unparseable one is a data error."""
+    sidecar = _sidecar_path(path)
+    try:
+        with open(sidecar, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError:
+        raise DataError(f"{path}: missing sidecar {sidecar}") from None
+    except ValueError as exc:
+        raise DataError(f"{sidecar}: {exc}") from None
+
+
+def write_rows(path, header, rows, sidecar: dict | None = None):
+    """Write a header row, then ``rows``, each cell through the csv module."""
+    with open(str(path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    if sidecar is not None:
+        write_json(_sidecar_path(path), sidecar)
+
+
+def write_table(path, header, ids, rows, cell: str = NUMBER, sidecar: dict | None = None):
     """Write a header row, then one line per id: the id, then its row's values.
 
     Only the header and the id cells go through the csv module's quoting.
@@ -24,3 +70,46 @@ def write_table(path, header, ids, rows, cell: str = "%.9g"):
             start.truncate()
             id_writer.writerow((sid, "") if values else (sid,))
             fh.write(start.getvalue()[:-1] + ",".join([cell] * len(values)) % values + "\n")
+    if sidecar is not None:
+        write_json(_sidecar_path(path), sidecar)
+
+
+def read_table(path, dtype=float, header=None):
+    """Read a table back: its header row, the first cell of every other row, and the rest.
+
+    The rest comes back as one (rows, header cells - 1) matrix of ``dtype``.
+    An unreadable or empty file, a header other than ``header`` (when
+    given), a row whose cell count differs from the header's, a cell that
+    does not parse as ``dtype`` and a non-finite float are data errors that
+    name the file and line.
+    """
+    try:
+        fh = open(str(path), newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from None
+    ids, rows = [], []
+    with fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        if not found:
+            raise DataError(f"{path}: empty file, header row required")
+        if header is not None and found != list(header):
+            raise DataError(f"{path}, line 1: header {found} is not {list(header)}")
+        width = len(found)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DataError(f"{path}, line {lineno}: {len(row)} cells, "
+                                f"header has {width} (ragged row)")
+            try:
+                rows.append(np.array(row[1:], dtype=dtype))
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}, line {lineno}: {exc} (non-numeric cell)") from None
+            ids.append(row[0])
+    values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
+    if values.dtype.kind == "f":
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            r, c = bad[0]
+            raise DataError(f"{path}, line {r + 2}: non-finite cell {values[r, c]} "
+                            f"in column {found[c + 1]!r}")
+    return found, ids, values

@@ -12,20 +12,23 @@ More are earlier forms of the package code, kept as they were: the sweep
 that recomputed each k's within-cluster MPBD pairs, the float64 MPBD row
 kernel that the integer one must match, the Davies-Bouldin loop over
 cluster pairs, the Calinski-Harabasz sums that each worked out the cluster
-means again, k-means distances through an (n, k, m) cube, and the artifact
-writers that formatted and csv-quoted one cell at a time.  The package's
-scores, matrices, labels and bytes must equal theirs.
+means again, k-means distances through an (n, k, m) cube, the artifact
+writers that formatted and csv-quoted one cell at a time, and the artifact
+readers that each parsed their own rows.  The package's scores, matrices,
+labels, bytes and read-back values must equal theirs.
 """
 
 import csv
 import datetime as dt
+import json
 import math
+import os
 import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from movclust import clustering, evaluation
+from movclust import cli, clustering, core_data, evaluation
 from movclust.clustering import ClusterAssignment, Dendrogram
 from movclust.core_data import (
     DEFAULT_SCHEMA,
@@ -34,6 +37,7 @@ from movclust.core_data import (
     SymbolicSeries,
     TimeSeries,
 )
+from movclust.distances import DistanceMatrix
 from movclust.errors import DataError, DegenerateGeometryError, DuplicateObservationError
 from movclust.image_features import FeatureVector, ImageGrid
 
@@ -802,3 +806,129 @@ def kmeans_ref(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 
 
     groups = [[ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)]
     return clustering._canonical_labels(groups, k, f"kmeans(k={k})", seed, prev_wcss)
+
+
+# ---------------------------------------------------------------------------
+# The artifact readers, each with its own csv loop, before they shared
+# ``tables.read_table``
+
+
+def read_wide_ref(cfg, name, dtype=float):
+    """Read the wide artifact ``name`` of preprocess into one matrix of ``dtype`` cells.
+
+    A row whose cell count differs from the header's, or a cell that does
+    not parse as ``dtype``, is a data error naming the file and line.
+    """
+    path = cli._require(os.path.join(cfg["out"], name), "preprocess")
+    ids, rows = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader, ()))
+        if not width:
+            raise DataError(f"{path}: empty file, header row required")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} cells, header has {width}")
+                rows.append(np.array(row[1:], dtype=dtype))
+            except ValueError as exc:
+                raise DataError(f"{path}, line {lineno}: {exc}") from None
+            ids.append(row[0])
+    values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
+    return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
+
+
+def read_metadata_ref(path):
+    meta = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            meta[row["series_id"]] = {
+                "product": row["product"] or None,
+                "store": row["store"] or None,
+                "category": row["category"] or None,
+            }
+    return meta
+
+
+def read_matrix_csv_ref(path) -> DistanceMatrix:
+    path = str(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        ids = header[1:]
+        rows = []
+        for row in reader:
+            rows.append([float(v) for v in row[1:]])
+    sidecar_path = path.rsplit(".", 1)[0] + ".json"
+    try:
+        with open(sidecar_path, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except OSError:
+        raise DataError(f"{path}: missing sidecar {sidecar_path}") from None
+    return DistanceMatrix(
+        ids=ids,
+        entries=np.asarray(rows),
+        metric=sidecar["metric"],
+        normalization=sidecar["normalization"],
+        params=sidecar.get("params", {}),
+    )
+
+
+def read_assignment_csv_ref(path) -> ClusterAssignment:
+    path = str(path)
+    labels = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for sid, cluster in reader:
+            labels[sid] = int(cluster)
+    sidecar_path = path.rsplit(".", 1)[0] + ".json"
+    try:
+        with open(sidecar_path, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except OSError:
+        raise DataError(f"{path}: missing sidecar {sidecar_path}") from None
+    return ClusterAssignment(
+        labels=labels,
+        k=max(labels.values()),
+        algorithm=sidecar["algorithm"],
+        seed=sidecar.get("seed", 0),
+        objective=sidecar.get("objective"),
+    )
+
+
+def load_external_features_ref(path, known_ids=None, extractor: str = "external"):
+    """Load feature vectors from CSV (header series_id,f1,...,fm).
+
+    Ragged rows, non-numeric cells, and ids outside ``known_ids`` are errors.
+    """
+    vectors = []
+    unknown = []
+    try:
+        fh = open(str(path), newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open feature file: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("feature file is empty") from None
+        m = len(header) - 1
+        if m < 1:
+            raise DataError("feature file needs at least one feature column")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) - 1 != m:
+                raise DataError(f"line {lineno}: ragged row ({len(row) - 1} features, expected {m})")
+            sid = row[0]
+            try:
+                features = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: non-numeric cell: {exc}") from exc
+            if known_ids is not None and sid not in known_ids:
+                unknown.append(sid)
+            vectors.append(FeatureVector(series_id=sid, features=features, extractor=extractor))
+    if unknown:
+        raise DataError(f"unknown series ids in feature file: {sorted(unknown)}")
+    return vectors

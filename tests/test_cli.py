@@ -443,6 +443,51 @@ class TestBadArtifacts:
         assert (f"data error: {out / 'symbolic.csv'}, line 4: {width - 1} cells, "
                 f"header has {width}") in capsys.readouterr().err
 
+    @pytest.fixture()
+    def clustered(self, preprocessed):
+        cfg, out = preprocessed
+        assert run("distmat", "--config", str(cfg)) == 0
+        assert run("cluster", "--config", str(cfg)) == 0
+        return cfg, out
+
+    @pytest.mark.parametrize("name, lineno, edit, command, message", [
+        ("distmat.csv", 3, lambda cells: [cells[0], "x", *cells[2:]], "cluster",
+         "could not convert string to float: 'x'"),
+        ("distmat.csv", 4, lambda cells: cells[:-1], "sweep", "{w1} cells, header has {w}"),
+        ("assignment.csv", 2, lambda cells: cells + ["7"], "evaluate", "3 cells, header has 2"),
+        ("assignment.csv", 3, lambda cells: [cells[0], "x"], "profile",
+         "invalid literal for int() with base 10: 'x'"),
+        ("metadata.csv", 1, lambda cells: cells[:3], "profile",
+         "header ['series_id', 'product', 'store'] is not "
+         "['series_id', 'product', 'store', 'category']"),
+    ], ids=["distmat-cell", "distmat-ragged", "assignment-ragged", "assignment-label",
+            "metadata-header"])
+    def test_bad_artifact_exits_2(self, clustered, name, lineno, edit, command, message, capsys):
+        cfg, out = clustered
+        width = len((out / name).read_text().splitlines()[0].split(","))
+        self.edit_cells(out / name, lineno, edit)
+        assert run(command, "--config", str(cfg)) == 2
+        message = message.format(w=width, w1=width - 1)
+        assert f"data error: {out / name}, line {lineno}: {message}" in capsys.readouterr().err
+
+    def test_header_only_assignment_exits_2(self, clustered, capsys):
+        cfg, out = clustered
+        (out / "assignment.csv").write_text("series_id,cluster\n", encoding="utf-8")
+        assert run("evaluate", "--config", str(cfg)) == 2
+        assert "data error: assignment ids do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell_exits_2(self, preprocessed, tmp_path, cell, capsys):
+        cfg, out = preprocessed
+        ids = [line.split(",")[0] for line in (out / "scaled.csv").read_text().splitlines()[1:3]]
+        features = tmp_path / "external.csv"
+        features.write_text(f"series_id,f1,f2\n{ids[0]},0.5,1\n{ids[1]},{cell},1\n",
+                            encoding="utf-8")
+        assert run("features", "--config", str(cfg), "-O", f"features_path={features}") == 2
+        assert (f"data error: {features}, line 3: non-finite cell {cell} in column 'f1'"
+                in capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
+
 
 @pytest.mark.parametrize("algorithm", ["hierarchical", "kmeans", "kmeans_features"])
 def test_all_sparse_input_exits_2(tmp_path, algorithm, capsys):

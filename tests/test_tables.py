@@ -1,18 +1,34 @@
-"""The artifact writers against the per-cell writers they replaced, byte for byte."""
+"""The artifact writers and readers against the per-cell code they replaced.
 
+The writers must put the same bytes in a file, and the readers must return
+the same ids and bit-identical values.  Only ``tables`` may import csv or
+json, so the artifact format has one owner.
+"""
+
+import ast
+import csv
 import datetime as dt
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import movclust
 from movclust import cli
-from movclust.distances import DistanceMatrix, write_matrix_csv
+from movclust.clustering import read_assignment_csv
+from movclust.distances import DistanceMatrix, read_matrix_csv, write_matrix_csv
 from movclust.errors import DataError
-from movclust.image_features import FeatureVector, write_features_csv
+from movclust.image_features import FeatureVector, load_external_features, write_features_csv
+from movclust.tables import NUMBER, read_sidecar, read_table, write_table
 
 from conftest import collection, sym, ts
-from scalar_reference import write_features_csv_ref, write_matrix_csv_ref, write_wide_ref
+from scalar_reference import (
+    load_external_features_ref, read_assignment_csv_ref, read_matrix_csv_ref, read_metadata_ref,
+    read_wide_ref, write_features_csv_ref, write_matrix_csv_ref, write_wide_ref,
+)
 
 #: Ids that csv must quote (comma, quote, line breaks, surrounding spaces),
 #: non-ASCII ones, and any other text.
@@ -20,6 +36,10 @@ IDS = st.one_of(
     st.sampled_from(["a,b", 'say "hi"', " padded ", "é–ü", "line\nbreak", "cr\r", "", "plain"]),
     st.text(max_size=6),
 )
+#: Ids without a carriage return: csv.writer, given the "\n" line terminator
+#: of every artifact, leaves a lone "\r" unquoted, and the reader then ends
+#: the row there (pinned by test_id_with_carriage_return_does_not_read_back).
+READABLE_IDS = IDS.filter(lambda sid: "\r" not in sid)
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 0.1, 1 / 3]),
     st.floats(),
@@ -27,13 +47,17 @@ FLOATS = st.one_of(
 
 
 @st.composite
-def tables(draw, elements=FLOATS, dtype=float, min_rows=0):
+def tables(draw, elements=FLOATS, dtype=float, min_rows=0, ids=IDS):
     """(ids, values): up to 5 rows of 1 to 5 values each."""
     n = draw(st.integers(min_rows, 5))
     m = draw(st.integers(1, 5))
-    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
     values = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n))
     return ids, np.array(values, dtype=dtype).reshape(n, m)
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
 
 
 def same_bytes(tmp, write, write_ref):
@@ -94,3 +118,202 @@ def test_wide_symbolic_csv(tmp_path_factory, table):
     assert same_bytes(tmp_path_factory.mktemp("s"),
                       lambda p: cli._write_wide(p, series, days),
                       lambda p: write_wide_ref(p, series, days, symbolic=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(elements=st.floats(allow_nan=False, allow_infinity=False), ids=READABLE_IDS))
+def test_float_table_round_trip(tmp_path_factory, table):
+    """read_table returns what write_table wrote: each value rounded to 9 digits."""
+    ids, values = table
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    header = ["id"] + [f"c{j}" for j in range(values.shape[1])]
+    write_table(path, header, ids, values)
+    assert read_table(path)[:2] == (header, ids)
+    assert hexes(read_table(path)[2]) == hexes([float(NUMBER % v) for v in values.ravel()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(elements=st.integers(-(2**63), 2**63 - 1), dtype=np.int64, ids=READABLE_IDS))
+def test_int_table_round_trip(tmp_path_factory, table):
+    ids, values = table
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    write_table(path, ["id"] + ["c"] * values.shape[1], ids, values, cell="%d")
+    _, got_ids, got = read_table(path, int)
+    assert (got_ids, got.dtype, got.shape) == (ids, values.dtype, values.shape)
+    assert got.tolist() == values.tolist()
+
+
+@pytest.mark.xfail(strict=True, raises=DataError,
+                   reason="csv.writer leaves a lone carriage return in an id unquoted")
+def test_id_with_carriage_return_does_not_read_back(tmp_path):
+    write_table(tmp_path / "t.csv", ["id", "c"], ["cr\r"], np.zeros((1, 1)))
+    assert read_table(tmp_path / "t.csv")[1] == ["cr\r"]
+
+
+# ---------------------------------------------------------------------------
+# The readers against the old ones on well-formed tables
+
+#: Cell text as the writers emit it, and other text that float() accepts.
+FLOAT_CELLS = st.one_of(
+    st.sampled_from(["-0.0", "-0", "5e-324", "1e300", "1e-300", "-1e+300", "1_0", " 2", "+3"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: NUMBER % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+INT_CELLS = st.one_of(
+    st.sampled_from(["-0", "1_0", " 2", "+3", "007"]),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+)
+
+
+@st.composite
+def cell_tables(draw, cells, min_rows=0, width=st.integers(1, 5)):
+    """(ids, rows, m): up to 5 rows of m cells of text; ``width=None`` makes m the row count."""
+    n = draw(st.integers(min_rows, 5))
+    m = n if width is None else draw(width)
+    ids = draw(st.lists(READABLE_IDS, min_size=n, max_size=n, unique=True))
+    return ids, draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n)), m
+
+
+def write_cells(path, header, ids, rows, sidecar=None):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([sid, *row] for sid, row in zip(ids, rows))
+    if sidecar is not None:
+        path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+@pytest.mark.parametrize("cells, dtype", [(FLOAT_CELLS, float), (INT_CELLS, int)],
+                         ids=["float", "int"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_read_wide_matches_old_reader(tmp_path_factory, cells, dtype, data):
+    ids, rows, m = data.draw(cell_tables(cells))
+    out = tmp_path_factory.mktemp("w")
+    write_cells(out / "scaled.csv", ["series_id"] + [f"2021-01-{d:02d}" for d in range(1, m + 1)],
+                ids, rows)
+    cfg = {"out": str(out), "mode": "price"}
+    old, new = read_wide_ref(cfg, "scaled.csv", dtype), cli._read_wide(cfg, "scaled.csv", dtype)
+    assert new.ids == old.ids == ids
+    assert new.values.dtype == old.values.dtype
+    assert new.values.shape == old.values.shape
+    assert new.values.tolist() == old.values.tolist()
+    assert hexes(new.values) == hexes(old.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_tables(READABLE_IDS, width=st.just(3)))
+def test_read_metadata_matches_old_reader(tmp_path_factory, table):
+    ids, rows, _ = table
+    path = tmp_path_factory.mktemp("m") / "metadata.csv"
+    write_cells(path, cli.METADATA, ids, rows)
+    old = read_metadata_ref(path)
+    assert list(old) == ids
+    assert cli._read_metadata(path) == {
+        sid: [attrs["product"] or "", attrs["store"] or "", attrs["category"] or ""]
+        for sid, attrs in old.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_tables(FLOAT_CELLS, min_rows=1, width=None))
+def test_read_matrix_matches_old_reader(tmp_path_factory, table):
+    ids, rows, _ = table
+    path = tmp_path_factory.mktemp("d") / "distmat.csv"
+    write_cells(path, ["id"] + ids, ids, rows,
+                {"metric": "dtw", "normalization": "none", "params": {"window": 3}})
+    old, new = read_matrix_csv_ref(path), read_matrix_csv(path)
+    assert new.ids == old.ids == ids
+    assert hexes(new.entries) == hexes(old.entries)
+    assert (new.metric, new.normalization, new.params) == (old.metric, old.normalization,
+                                                          old.params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_read_assignment_matches_old_reader(tmp_path_factory, data):
+    ids = data.draw(st.lists(READABLE_IDS, min_size=1, max_size=6, unique=True))
+    k = data.draw(st.integers(1, len(ids)))
+    spell = data.draw(st.sampled_from(["{}", "+{}", " {}", "0{}"]))
+    labels = [[spell.format(i % k + 1)] for i in range(len(ids))]
+    path = tmp_path_factory.mktemp("a") / "assignment.csv"
+    write_cells(path, ["series_id", "cluster"], ids, labels,
+                {"algorithm": "kmeans(k=2)", "seed": 7, "objective": 0.5})
+    old, new = read_assignment_csv_ref(path), read_assignment_csv(path)
+    assert list(new.labels.items()) == list(old.labels.items())
+    assert (new.k, new.algorithm, new.seed, new.objective) == (old.k, old.algorithm, old.seed,
+                                                               old.objective)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_tables(FLOAT_CELLS))
+def test_load_features_matches_old_reader(tmp_path_factory, table):
+    ids, rows, m = table
+    path = tmp_path_factory.mktemp("f") / "features.csv"
+    write_cells(path, ["series_id"] + [f"f{j + 1}" for j in range(m)], ids, rows)
+    old = load_external_features_ref(path, known_ids=set(ids))
+    new = load_external_features(path, known_ids=set(ids))
+    assert [v.series_id for v in new] == [v.series_id for v in old] == ids
+    assert [hexes(v.features) for v in new] == [hexes(v.features) for v in old]
+    assert [v.extractor for v in new] == [v.extractor for v in old]
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("x", "line 3: could not convert string to float: 'x' (non-numeric cell)"),
+    ("nan", "line 3: non-finite cell nan in column 'b'"),
+    ("-inf", "line 3: non-finite cell -inf in column 'b'"),
+])
+def test_read_table_names_file_and_line(tmp_path, cell, error):
+    path = tmp_path / "t.csv"
+    path.write_text(f"id,a,b\nr1,1,2\nr2,3,{cell}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}, {error}")):
+        read_table(path)
+
+
+def test_read_table_rejects_ragged_rows_header_and_empty_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,a,b\nr1,1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}, line 2: 2 cells, header has 3 (ragged")):
+        read_table(path)
+    with pytest.raises(DataError, match=re.escape(f"{path}, line 1: header ['id', 'a', 'b'] is")):
+        read_table(path, header=["id", "a", "c"])
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(DataError, match="empty file"):
+        read_table(path)
+
+
+def test_read_sidecar_rejects_missing_and_unparseable_sidecars(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["id", "a"], ["r"], np.ones((1, 1)), sidecar={"metric": "mpbd"})
+    assert read_sidecar(path) == {"metric": "mpbd"}
+    (tmp_path / "t.json").write_text("{", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 't.json'}: Expecting")):
+        read_sidecar(path)
+    (tmp_path / "t.json").unlink()
+    with pytest.raises(DataError, match=re.escape(f"{path}: missing sidecar")):
+        read_sidecar(path)
+
+
+# ---------------------------------------------------------------------------
+# One owner of the artifact format
+
+#: The modules that may import csv or json: the artifact format, the raw
+#: input loaders and the sample-data writer.
+FORMAT_MODULES = {"tables", "core_data", "sample"}
+
+
+def imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(Path(movclust.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_format_modules_import_csv_or_json(path):
+    if path.stem not in FORMAT_MODULES:
+        assert not imported_modules(path) & {"csv", "json"}
