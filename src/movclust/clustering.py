@@ -302,7 +302,7 @@ def write_assignment_csv(assignment: ClusterAssignment, path, extra: dict | None
 def read_assignment_csv(path) -> ClusterAssignment:
     _, ids, clusters = read_table(path, int, header=ASSIGNMENT)
     labels = dict(zip(ids, clusters[:, 0].tolist()))
-    sidecar = read_sidecar(path)
+    sidecar = read_sidecar(path, "algorithm")
     return ClusterAssignment(
         labels=labels,
         k=max(labels.values(), default=0),

@@ -4,16 +4,20 @@ Four metrics: euclidean, levenshtein, dtw, and the movement-pattern
 distance (mpbd) that compares per-step deltas instead of values.
 
 Every metric runs as a batched numpy kernel, and the public pair functions
-are its one-pair case.  DTW and Levenshtein share one dynamic-programming
-kernel that sweeps the cost grid by anti-diagonals: each step updates one
-diagonal for a whole block of pairs in a few numpy ops, and only the last
-two diagonals are kept.  MPBD and euclidean broadcast one series against
-all later ones.  DTW, Levenshtein and euclidean entries go through the same
-floating-point operations, in the same order, as the one-pair recurrence.
-MPBD runs in int8 when every step cost is an exact integer of at most 127
-(integral deltas and omega, see ``delta_rows``) and in float64 otherwise;
-the integer sums are exact, and so is the float64 sum of the same costs.
-So every matrix is bit-identical to computing each pair on its own.
+are its one-pair case.  DTW runs a dynamic program that sweeps the cost
+grid by anti-diagonals: each step updates one diagonal for a whole block of
+pairs in a few numpy ops, and only the last two diagonals are kept.
+Levenshtein runs the bit-parallel recurrence of Myers (1999, J. ACM 46(3))
+in the multi-word form of Hyyrö (2003): one text item advances a whole
+column of the edit-distance table, 64 rows per uint64 word, for a block of
+pairs at once, and the distances come out as exact integers.  MPBD and
+euclidean broadcast one series against all later ones.  DTW and euclidean
+entries go through the same floating-point operations, in the same order,
+as the one-pair recurrence.  MPBD runs in int8 when every step cost is an
+exact integer of at most 127 (integral deltas and omega, see
+``delta_rows``) and in float64 otherwise; the integer sums are exact, and
+so is the float64 sum of the same costs.  So every matrix is bit-identical
+to computing each pair on its own.
 """
 
 from __future__ import annotations
@@ -27,9 +31,15 @@ from .tables import read_sidecar, read_table, write_table
 
 METRICS = ("euclidean", "levenshtein", "dtw", "mpbd")
 
-#: Pairs per call of the DP kernel.  Its buffers hold three diagonals of
+#: Pairs per call of the DTW kernel.  Its buffers hold three diagonals of
 #: this many pairs, so memory stays bounded for any collection size.
 PAIR_BLOCK = 128
+#: Bytes of one (words, pairs) uint64 array of the Levenshtein kernel, and
+#: of the pattern bitmasks of one block.  A block holds 5461 pairs at
+#: L=365 (6 words), and its dozen such arrays stay within a few MiB.
+BIT_BLOCK = 1 << 18
+#: Bits per word of the Levenshtein kernel.
+WORD = 64
 #: Delta values per block of the MPBD row kernel, in float64: its
 #: temporaries stay small enough for the CPU cache whatever the collection
 #: size.  int8 blocks take as many bytes (eight times the values).
@@ -119,52 +129,140 @@ def _euclidean_row(p, Q) -> np.ndarray:
     return np.sqrt(((Q - p) ** 2).sum(axis=1))
 
 
-def _dp_last_cell(P, Q, window, edit: bool) -> np.ndarray:
-    """Final cell D[n, m] of the DTW or edit-distance table for each pair.
+def _dp_last_cell(P, Q, window) -> np.ndarray:
+    """Final cell D[n, m] of the DTW table for each pair.
 
     ``P`` (n, B) and ``Q`` (m, B) hold one pair per column.  Cell (i, j)
     lies on anti-diagonal d = i + j and reads only diagonals d-1 and d-2, so
-    the grid is swept one diagonal at a time, each stored by row index i.
-    DTW: D = (p_i - q_j)^2 + min(up, left, diag) from D[0, 0] = 0 and an
-    infinite border.  Edit: D = min(min(up, left) + 1, diag + [p_i != q_j])
-    from the border D[i, 0] = i, D[0, j] = j.  A Sakoe-Chiba ``window``
-    keeps only the cells with |i - j| <= window.
+    the grid is swept one diagonal at a time, each stored by row index i:
+    D = (p_i - q_j)^2 + min(up, left, diag) from D[0, 0] = 0 and an infinite
+    border.  A Sakoe-Chiba ``window`` keeps only the cells with
+    |i - j| <= window.
     """
     n, B = P.shape
     m = Q.shape[0]
-    if n == 0 or m == 0:  # border only: the edit distance is the other length
-        return np.full(B, float(n + m))
     Qr = Q[::-1]  # q_j is row m - j, so a diagonal reads an ascending slice
     w = n + m if window is None else window
     inf = np.inf
-
-    def border(d, on_grid):
-        return float(d) if edit and on_grid else inf
 
     two = np.full((n + 2, B), inf)  # diagonal d - 2
     one = np.full((n + 2, B), inf)  # diagonal d - 1
     cur = np.full((n + 2, B), inf)
     two[0] = 0.0
-    one[0] = one[1] = border(1, True)
     for d in range(2, n + m + 1):
         lo = max(1, d - m, (d - w + 1) // 2)
         hi = min(n, d - 1, (d + w) // 2)
         # The next two diagonals read this one only within [lo - 1, hi + 1].
-        cur[lo - 1] = border(d, lo == 1 and d <= m)
-        cur[hi + 1] = border(d, hi == d - 1 and d <= n)
+        cur[lo - 1] = cur[hi + 1] = inf
         if lo <= hi:
             out = cur[lo : hi + 1]
-            diag = two[lo - 1 : hi]
             p, q = P[lo - 1 : hi], Qr[m - d + lo : m - d + hi + 1]
             np.minimum(one[lo - 1 : hi], one[lo : hi + 1], out=out)
-            if edit:
-                out += 1.0
-                np.minimum(out, diag + (p != q), out=out)
-            else:
-                np.minimum(out, diag, out=out)
-                out += (p - q) ** 2
+            np.minimum(out, two[lo - 1 : hi], out=out)
+            out += (p - q) ** 2
         two, one, cur = one, cur, two
     return one[n]
+
+
+def _myers(P, A, rows, text) -> np.ndarray:
+    """Edit distance from row ``rows[b]`` of ``P`` to column b of ``text``, for each b.
+
+    ``P`` (k, m) and ``text`` (l, B) hold item codes below ``A``, with m and
+    l >= 1.  Bit i of word w of a (words, B) uint64 vector stands for row
+    64 w + i + 1 of pair b's table: Pv / Mv mark the rows where the current
+    column steps +1 / -1 from the row above, and Peq[a] the pattern items
+    equal to a.  One text item updates every word, low to high, carrying
+    between words both the add and the two shifts.  Ph shifts in 1 at row 0,
+    because the top row of a global distance grows by 1 per item.  The
+    score starts at D[m, 0] = m and follows the horizontal steps of row m,
+    read in the last word under the mask of the pattern's last row.  Bits
+    past that row only ever feed higher bits, so they are left as they come.
+    """
+    k, m = P.shape
+    words = -(-m // WORD)
+    B = text.shape[1]
+    # peq[:, r * A + a]: the bits of the items of row r of P that equal a
+    peq = np.zeros((words, k * A), np.uint64)
+    base = np.arange(k) * A
+    for i in range(m):
+        peq[i // WORD, base + P[:, i]] |= np.uint64(1 << i % WORD)
+    base = base[rows]
+    pv = np.full((words, B), ~np.uint64(0))
+    mv = np.zeros_like(pv)
+    eq, x, s, t, ph, mh = (np.empty_like(pv) for _ in range(6))
+    carry, gen, full = (np.zeros((words, B), bool) for _ in range(3))
+    up, down, bit = (np.zeros(B, np.uint64) for _ in range(3))
+    one, high = np.uint64(1), np.uint64(WORD - 1)
+    last = np.uint64((m - 1) % WORD)  # the pattern's last row, in the last word
+    for item in text:
+        np.take(peq, base + item, axis=1, out=eq)
+        np.bitwise_or(eq, mv, out=x)  # Xv = Eq | Mv
+        # Xh = (((Eq & Pv) + Pv) ^ Pv) | Eq, the add carrying word to word
+        np.bitwise_and(eq, pv, out=t)
+        np.add(t, pv, out=s)
+        if words > 1:
+            np.less(s, t, out=gen)  # the word's own sum overflowed
+            np.equal(s, ~np.uint64(0), out=full)  # a carry in would overflow it
+            for w in range(1, words):
+                np.logical_and(full[w - 1], carry[w - 1], out=carry[w])
+                carry[w] |= gen[w - 1]
+            s += carry
+        s ^= pv
+        s |= eq
+        np.bitwise_or(s, pv, out=ph)  # Ph = Mv | ~(Xh | Pv)
+        np.invert(ph, out=ph)
+        ph |= mv
+        np.bitwise_and(pv, s, out=mh)  # Mh = Pv & Xh
+        np.right_shift(ph[-1], last, out=bit)
+        bit &= one
+        up += bit
+        np.right_shift(mh[-1], last, out=bit)
+        bit &= one
+        down += bit
+        # Ph << 1 | 1 and Mh << 1, each word taking the top bit of the one below
+        np.right_shift(ph[:-1], high, out=t[1:])
+        t[0] = one
+        ph <<= one
+        ph |= t
+        np.right_shift(mh[:-1], high, out=t[1:])
+        t[0] = 0
+        mh <<= one
+        mh |= t
+        np.bitwise_or(x, ph, out=pv)  # Pv = Mh | ~(Xv | Ph)
+        np.invert(pv, out=pv)
+        pv |= mh
+        np.bitwise_and(ph, x, out=mv)  # Mv = Ph & Xv
+    return m + up.astype(np.int64) - down.astype(np.int64)
+
+
+def _edit_distance(P, Q, rows, cols) -> np.ndarray:
+    """Edit distance from row ``rows[b]`` of ``P`` to row ``cols[b]`` of ``Q``, for each b.
+
+    ``P`` (n, m) and ``Q`` (n', l) hold item codes from 0, items that
+    compare equal sharing one code; ``rows`` is nondecreasing.  Pairs run
+    through ``_myers`` in blocks of at most BIT_BLOCK bytes per bit vector,
+    and of as many pattern rows as BIT_BLOCK bytes of bitmasks hold, so
+    memory stays bounded for any collection size and alphabet.  The text
+    codes of a block are kept in the smallest unsigned type that holds them.
+    """
+    m, l = P.shape[1], Q.shape[1]
+    out = np.full(len(rows), m + l)
+    if m == 0 or l == 0:  # the other sequence is all inserts
+        return out
+    A = int(max(P.max(), Q.max())) + 1
+    words = -(-m // WORD)
+    pairs = max(1, BIT_BLOCK // (8 * words))
+    span = max(1, BIT_BLOCK // (8 * words * A))
+    text = np.ascontiguousarray(Q.T, dtype=np.min_scalar_type(A - 1))
+    start = 0
+    while start < len(rows):
+        lo = rows[start]
+        stop = min(start + pairs, int(np.searchsorted(rows, lo + span)))
+        block = slice(start, stop)
+        hi = rows[stop - 1] + 1
+        out[block] = _myers(P[lo:hi], A, rows[block] - lo, text[:, cols[block]])
+        start = stop
+    return out
 
 
 def _check_dtw(n, m, window):
@@ -185,18 +283,20 @@ def euclidean(p, q) -> float:
 def levenshtein(p, q) -> int:
     """Edit distance with unit insert/delete/substitute costs.
 
-    Accepts strings or integer level sequences.
+    Accepts strings or sequences of any hashable items, such as levels.
     """
     codes = {}  # items that compare equal share one integer code
     P, Q = (
-        np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=float)
+        np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=np.intp)[None]
         for seq in (p, q)
     )
-    return int(_dp_last_cell(P[:, None], Q[:, None], None, edit=True)[0])
+    pair = np.zeros(1, np.intp)
+    return int(_edit_distance(P, Q, pair, pair)[0])
 
 
 def normalized_levenshtein(p, q) -> float:
-    longest = max(len(list(p)), len(list(q)))
+    p, q = list(p), list(q)
+    longest = max(len(p), len(q))
     if longest == 0:
         return 0.0
     return levenshtein(p, q) / longest
@@ -210,7 +310,7 @@ def dtw(p, q, window: int | None = None) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     _check_dtw(len(p), len(q), window)
-    return float(np.sqrt(_dp_last_cell(p[:, None], q[:, None], window, edit=False)[0]))
+    return float(np.sqrt(_dp_last_cell(p[:, None], q[:, None], window)[0]))
 
 
 def mpbd(p, q, omega: float = 2.0) -> float:
@@ -280,16 +380,17 @@ def distance_matrix(
     n, length = X.shape
 
     entries = mpbd_upper(X, omega) if metric == "mpbd" else np.zeros((n, n))
-    if metric in ("levenshtein", "dtw"):
-        edit = metric == "levenshtein"
-        if not edit:
-            _check_dtw(length, length, window)
+    if metric == "levenshtein":
+        codes = np.unique(X, return_inverse=True)[1].reshape(n, length)
+        rows, cols = np.triu_indices(n, 1)
+        entries[rows, cols] = _edit_distance(codes, codes, rows, cols)
+    elif metric == "dtw":
+        _check_dtw(length, length, window)
         XT = np.ascontiguousarray(X.T)
         rows, cols = np.triu_indices(n, 1)
         for start in range(0, len(rows), PAIR_BLOCK):
             r, c = rows[start : start + PAIR_BLOCK], cols[start : start + PAIR_BLOCK]
-            last = _dp_last_cell(XT[:, r], XT[:, c], None if edit else window, edit)
-            entries[r, c] = last if edit else np.sqrt(last)
+            entries[r, c] = np.sqrt(_dp_last_cell(XT[:, r], XT[:, c], window))
     elif metric == "euclidean":
         for i in range(n - 1):
             entries[i, i + 1 :] = _euclidean_row(X[i], X[i + 1 :])
@@ -358,7 +459,7 @@ def write_matrix_csv(matrix: DistanceMatrix, path):
 
 def read_matrix_csv(path) -> DistanceMatrix:
     header, _, entries = read_table(path)
-    sidecar = read_sidecar(path)
+    sidecar = read_sidecar(path, "metric", "normalization")
     return DistanceMatrix(
         ids=header[1:],
         entries=entries,

@@ -30,22 +30,51 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def read_sidecar(path) -> dict:
-    """The sidecar of the table at ``path``; a missing or unparseable one is a data error."""
+def read_sidecar(path, *keys) -> dict:
+    """The sidecar of the table at ``path``, which must hold each of ``keys``.
+
+    A missing or unparseable sidecar, and one that is not a JSON object or
+    lacks one of ``keys``, is a data error.
+    """
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except OSError:
         raise DataError(f"{path}: missing sidecar {sidecar}") from None
     except ValueError as exc:
         raise DataError(f"{sidecar}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{sidecar}: not a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise DataError(f"{sidecar}: missing key {key!r}")
+    return payload
+
+
+class _Lines:
+    """csv.writer target that ends each row with "\n" where the writer wrote "\r\n".
+
+    A writer whose line terminator is "\r\n" quotes every cell that holds a
+    "\r" or a "\n".  With "\n" alone it would leave a lone "\r" bare, and
+    ``read_table`` would end the row there.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, line):
+        return self.fh.write(line[:-2] + "\n")
+
+
+def _writer(fh):
+    return csv.writer(_Lines(fh), lineterminator="\r\n")
 
 
 def write_rows(path, header, rows, sidecar: dict | None = None):
     """Write a header row, then ``rows``, each cell through the csv module."""
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     if sidecar is not None:
@@ -61,9 +90,9 @@ def write_table(path, header, ids, rows, cell: str = NUMBER, sidecar: dict | Non
     ``format(float(v), ".9g")``, and ``"%d" % v`` is ``str(v)`` for an int.
     """
     start = io.StringIO()  # the id cell and its comma, as csv.writer writes them
-    id_writer = csv.writer(start, lineterminator="\n")
+    id_writer = _writer(start)
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        _writer(fh).writerow(header)
         for sid, row in zip(ids, rows):
             values = tuple(row.tolist())
             start.seek(0)

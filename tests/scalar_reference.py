@@ -8,14 +8,16 @@ the segment-by-segment rasterizer, written the plain way.
 ``movclust.image_features`` must reproduce every value they return bit for
 bit.
 
-More are earlier forms of the package code, kept as they were: the sweep
-that recomputed each k's within-cluster MPBD pairs, the float64 MPBD row
-kernel that the integer one must match, the Davies-Bouldin loop over
-cluster pairs, the Calinski-Harabasz sums that each worked out the cluster
-means again, k-means distances through an (n, k, m) cube, the artifact
-writers that formatted and csv-quoted one cell at a time, and the artifact
-readers that each parsed their own rows.  The package's scores, matrices,
-labels, bytes and read-back values must equal theirs.
+More are earlier forms of the package code, kept as they were: the
+anti-diagonal edit-distance DP that ran Levenshtein before the bit-parallel
+kernel, the sweep that recomputed each k's within-cluster MPBD pairs, the
+float64 MPBD row kernel that the integer one must match, the Davies-Bouldin
+loop over cluster pairs, the Calinski-Harabasz sums that each worked out the
+cluster means again, k-means distances through an (n, k, m) cube, the
+artifact writers that formatted and csv-quoted one cell at a time (now
+quoting a cell with a carriage return, as the package writers do), and the
+artifact readers that each parsed their own rows.  The package's scores,
+matrices, labels, bytes and read-back values must equal theirs.
 """
 
 import csv
@@ -58,6 +60,59 @@ def levenshtein_ref(p, q):
             )
         prev = cur
     return prev[-1]
+
+
+def levenshtein_dp_ref(P, Q, window=None):
+    """Final cell D[n, m] of the edit-distance table for each pair, as floats.
+
+    The edit branch of the anti-diagonal DP that ``distances._dp_last_cell``
+    shared between DTW and Levenshtein.  ``P`` (n, B) and ``Q`` (m, B) hold
+    one pair per column.  Cell (i, j) lies on anti-diagonal d = i + j and
+    reads only diagonals d-1 and d-2, so the grid is swept one diagonal at a
+    time, each stored by row index i.  Edit: D = min(min(up, left) + 1,
+    diag + [p_i != q_j]) from the border D[i, 0] = i, D[0, j] = j.
+    """
+    n, B = P.shape
+    m = Q.shape[0]
+    if n == 0 or m == 0:  # border only: the edit distance is the other length
+        return np.full(B, float(n + m))
+    Qr = Q[::-1]  # q_j is row m - j, so a diagonal reads an ascending slice
+    w = n + m if window is None else window
+    inf = np.inf
+
+    def border(d, on_grid):
+        return float(d) if on_grid else inf
+
+    two = np.full((n + 2, B), inf)  # diagonal d - 2
+    one = np.full((n + 2, B), inf)  # diagonal d - 1
+    cur = np.full((n + 2, B), inf)
+    two[0] = 0.0
+    one[0] = one[1] = border(1, True)
+    for d in range(2, n + m + 1):
+        lo = max(1, d - m, (d - w + 1) // 2)
+        hi = min(n, d - 1, (d + w) // 2)
+        # The next two diagonals read this one only within [lo - 1, hi + 1].
+        cur[lo - 1] = border(d, lo == 1 and d <= m)
+        cur[hi + 1] = border(d, hi == d - 1 and d <= n)
+        if lo <= hi:
+            out = cur[lo : hi + 1]
+            diag = two[lo - 1 : hi]
+            p, q = P[lo - 1 : hi], Qr[m - d + lo : m - d + hi + 1]
+            np.minimum(one[lo - 1 : hi], one[lo : hi + 1], out=out)
+            out += 1.0
+            np.minimum(out, diag + (p != q), out=out)
+        two, one, cur = one, cur, two
+    return one[n]
+
+
+def levenshtein_matrix_dp_ref(levels):
+    """Levenshtein matrix of the rows of ``levels``, every pair in one DP call."""
+    n = len(levels)
+    XT = np.asarray(levels, dtype=float).T
+    rows, cols = np.triu_indices(n, 1)
+    entries = np.zeros((n, n))
+    entries[rows, cols] = levenshtein_dp_ref(XT[:, rows], XT[:, cols])
+    return entries + entries.T
 
 
 def dtw_ref(p, q, window=None):
@@ -665,9 +720,28 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
+class _Lines:
+    """csv.writer target that ends each row with "\n" where the writer wrote "\r\n".
+
+    A writer whose line terminator is "\r\n" quotes any cell with a "\r"
+    or a "\n" in it, which a "\n" terminator alone does not.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, line):
+        assert line.endswith("\r\n")
+        return self.fh.write(line[:-2] + "\n")
+
+
+def _writer(fh):
+    return csv.writer(_Lines(fh), lineterminator="\r\n")
+
+
 def write_wide_ref(path, collection, dates, symbolic=False):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _writer(fh)
         writer.writerow(["series_id"] + [d.isoformat() for d in dates])
         for sid, values in zip(collection.ids, collection.values):
             row = values.tolist() if symbolic else [_fmt(v) for v in values]
@@ -676,7 +750,7 @@ def write_wide_ref(path, collection, dates, symbolic=False):
 
 def write_matrix_csv_ref(matrix, path):
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _writer(fh)
         writer.writerow(["id"] + matrix.ids)
         for sid, row in zip(matrix.ids, matrix.entries):
             writer.writerow([sid] + [format(v, ".9g") for v in row])
@@ -687,7 +761,7 @@ def write_features_csv_ref(vectors, path):
         raise DataError("no feature vectors to write")
     m = len(vectors[0].features)
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _writer(fh)
         writer.writerow(["series_id"] + [f"f{i + 1}" for i in range(m)])
         for vec in vectors:
             if len(vec.features) != m:

@@ -470,6 +470,16 @@ class TestBadArtifacts:
         message = message.format(w=width, w1=width - 1)
         assert f"data error: {out / name}, line {lineno}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar, command, key", [
+        ("distmat.json", "cluster", "metric"),
+        ("assignment.json", "evaluate", "algorithm"),
+    ])
+    def test_sidecar_without_key_exits_2(self, clustered, sidecar, command, key, capsys):
+        cfg, out = clustered
+        (out / sidecar).write_text("{}\n", encoding="utf-8")
+        assert run(command, "--config", str(cfg)) == 2
+        assert f"data error: {out / sidecar}: missing key {key!r}" in capsys.readouterr().err
+
     def test_header_only_assignment_exits_2(self, clustered, capsys):
         cfg, out = clustered
         (out / "assignment.csv").write_text("series_id,cluster\n", encoding="utf-8")

@@ -10,8 +10,8 @@ from movclust.errors import DataError
 
 from conftest import collection, sym, ts
 from scalar_reference import (
-    delta_rows_float, dtw_ref, levenshtein_ref, matrix_ref, mpbd_ref, mpbd_row_float,
-    mpbd_upper_float,
+    delta_rows_float, dtw_ref, levenshtein_dp_ref, levenshtein_matrix_dp_ref, levenshtein_ref,
+    matrix_ref, mpbd_ref, mpbd_row_float, mpbd_upper_float,
 )
 
 
@@ -133,6 +133,11 @@ class TestLevenshtein:
         assert di.normalized_levenshtein(a, b) == pytest.approx(0.30)
         assert di.normalized_levenshtein([1] * 10, [2] * 10) == 1.0
         assert di.normalized_levenshtein(a, a) == 0.0
+
+    def test_normalized_reads_each_input_once(self):
+        assert di.normalized_levenshtein(iter("AB"), iter("AC")) == 0.5
+        assert di.normalized_levenshtein((c for c in "ABBA"), iter("")) == 1.0
+        assert di.normalized_levenshtein(iter([1, 2, 2]), iter([1, 3, 2])) == pytest.approx(1 / 3)
 
 
 class TestDtw:
@@ -290,9 +295,13 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(7)
         col = collection([sym(f"S{i:02d}", rng.integers(1, 6, size=12)) for i in range(19)])
         byte_images = set()
-        for pair_block, row_block in ((1, 11), (7, 50), (128, 1 << 15), (1000, 1 << 20)):
+        # BIT_BLOCK 1 and 56 give Levenshtein blocks of 1 and 7 pairs, of one row each
+        for pair_block, row_block, bit_block in (
+            (1, 11, 1), (7, 50, 56), (128, 1 << 15, 1 << 18), (1000, 1 << 20, 1 << 22),
+        ):
             monkeypatch.setattr(di, "PAIR_BLOCK", pair_block)
             monkeypatch.setattr(di, "ROW_BLOCK", row_block)
+            monkeypatch.setattr(di, "BIT_BLOCK", bit_block)
             byte_images.add(di.distance_matrix(col, metric, **kwargs).entries.tobytes())
         assert len(byte_images) == 1
 
@@ -462,19 +471,122 @@ class TestBatchedMatchesScalar:
             assert same_bits(got, matrix_ref(seqs, pair)), metric
 
     @pytest.mark.parametrize("metric, n, length", [
-        # more pairs than one DP block
-        ("levenshtein", di.PAIR_BLOCK // 7 + 2, 15),
+        # more pairs than one DTW block
         ("dtw", di.PAIR_BLOCK // 7 + 2, 15),
+        # Levenshtein blocks of 48 pairs and 9 rows in one word, and of 16
+        # pairs and 3 rows in three words
+        ("levenshtein", di.PAIR_BLOCK // 7 + 2, 15),
+        ("levenshtein", 12, 130),
         # rows longer than one MPBD block, and long enough for numpy's
         # pairwise summation to recurse
         ("mpbd", 40, 2 * di.ROW_BLOCK // 37 + 300),
     ])
-    def test_many_blocks(self, metric, n, length):
+    def test_many_blocks(self, metric, n, length, monkeypatch):
+        monkeypatch.setattr(di, "BIT_BLOCK", 8 * 3 * 16)
         levels = np.random.default_rng(8).integers(1, 6, size=(n, length)).astype(float)
         col = collection([sym(f"S{i:03d}", row) for i, row in enumerate(levels)])
         pair = {"levenshtein": lambda a, b: float(levenshtein_ref(a, b)),
                 "dtw": dtw_ref, "mpbd": mpbd_ref}[metric]
         assert same_bits(di.distance_matrix(col, metric).entries, matrix_ref(levels, pair))
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel Levenshtein kernel against the anti-diagonal DP it
+# replaced and the Wagner-Fischer loop, as exact integers
+
+#: Lengths on both sides of one and two 64-bit words.
+WORD_EDGES = [1, 63, 64, 65, 127, 128, 129, 200]
+#: Item kinds: few symbols, more than 5, more than 64, text, and floats
+#: that equal ints (1.0 == 1, so the two are one item).
+ITEMS = {
+    "levels": st.integers(1, 5),
+    "six": st.integers(0, 6),
+    "wide": st.integers(-40, 60),
+    "text": st.characters(codec="utf-8"),
+    "mixed": st.sampled_from([1, 1.0, 2, 2.0, 3, 3.0, True, 0, 0.0]),
+}
+
+
+@st.composite
+def item_sequence(draw, items, length):
+    """A list of ``length`` items, mostly runs so that long inputs share items."""
+    pool = draw(st.lists(items, min_size=1, max_size=80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [pool[i] for i in rng.integers(0, len(pool), size=length)]
+
+
+@st.composite
+def sequence_pairs(draw):
+    kind = draw(st.sampled_from(sorted(ITEMS)))
+    lengths = st.one_of(st.sampled_from([0] + WORD_EDGES), st.integers(0, 200))
+    p, q = (draw(item_sequence(ITEMS[kind], draw(lengths))) for _ in range(2))
+    if kind == "text" and draw(st.booleans()):
+        return "".join(p), "".join(q)
+    return p, q
+
+
+def dp_distance(p, q):
+    """The edit distance of the anti-diagonal DP, on shared integer codes."""
+    codes = {}
+    P, Q = (np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=float)
+            for seq in (p, q))
+    return levenshtein_dp_ref(P[:, None], Q[:, None])[0]
+
+
+class TestBitParallelLevenshtein:
+    @settings(max_examples=200, deadline=None)
+    @given(sequence_pairs())
+    def test_pair_matches_dp_and_loop(self, pq):
+        p, q = pq
+        got = di.levenshtein(p, q)
+        assert type(got) is int
+        assert got == dp_distance(p, q) == levenshtein_ref(p, q)
+        assert di.levenshtein(q, p) == got
+
+    @pytest.mark.parametrize("p, q, expected", [
+        ("", "", 0), ([], [], 0), ("", [], 0), ("abc", "", 3), ([], [1, 2], 2),
+        ([1.0, 2.0, 3.0], [1, 2, 3], 0), ([1.5, 2], [1, 2.0], 1), ([True, 0], [1, 0.0], 0),
+        ("a" * 64, "a" * 65, 1), ("a" * 129, "b" * 64, 129), ("ab" * 100, "ba" * 100, 2),
+    ])
+    def test_pair_cases(self, p, q, expected):
+        assert di.levenshtein(p, q) == expected == levenshtein_ref(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.sampled_from(WORD_EDGES),
+        st.sampled_from([2, 5, 6, 65, 300]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_matches_dp_and_loop(self, n, length, alphabet, seed):
+        levels = np.random.default_rng(seed).integers(0, alphabet, size=(n, length))
+        if n > 2:
+            levels[-1] = levels[0]  # a zero off the diagonal
+        col = collection([sym(f"S{i}", row) for i, row in enumerate(levels)])
+        got = di.distance_matrix(col, "levenshtein").entries
+        assert got.dtype == np.float64
+        assert got.tobytes() == levenshtein_matrix_dp_ref(levels).tobytes()
+        loop = matrix_ref(levels, lambda a, b: float(levenshtein_ref(a, b)))
+        assert got.tobytes() == loop.tobytes()
+
+    def test_matrix_of_one_item_rows(self):
+        col = collection([sym("A", [3]), sym("B", [4]), sym("C", [3])])
+        assert di.distance_matrix(col, "levenshtein").entries.tolist() == [
+            [0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+    def test_wide_alphabet_blocks_hold_few_rows(self, monkeypatch):
+        """A block's pattern bitmasks stay within BIT_BLOCK bytes, however many items."""
+        levels = np.arange(6 * 70).reshape(6, 70) % 250  # 250 items, two words per row
+        levels[3] = levels[0]
+        monkeypatch.setattr(di, "BIT_BLOCK", 2 * 250 * 2 * 8)  # two rows of bitmasks
+        masks = []
+        myers = di._myers
+        monkeypatch.setattr(di, "_myers", lambda P, A, *rest: masks.append(len(P) * A * 2 * 8)
+                            or myers(P, A, *rest))
+        col = collection([sym(f"S{i}", row) for i, row in enumerate(levels)])
+        got = di.distance_matrix(col, "levenshtein").entries
+        assert got.tobytes() == levenshtein_matrix_dp_ref(levels).tobytes()
+        assert len(masks) > 1 and max(masks) <= di.BIT_BLOCK
 
 
 # ---------------------------------------------------------------------------

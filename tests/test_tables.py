@@ -6,9 +6,7 @@ json, so the artifact format has one owner.
 """
 
 import ast
-import csv
 import datetime as dt
-import json
 import re
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from movclust.clustering import read_assignment_csv
 from movclust.distances import DistanceMatrix, read_matrix_csv, write_matrix_csv
 from movclust.errors import DataError
 from movclust.image_features import FeatureVector, load_external_features, write_features_csv
-from movclust.tables import NUMBER, read_sidecar, read_table, write_table
+from movclust.tables import NUMBER, read_sidecar, read_table, write_rows, write_table
 
 from conftest import collection, sym, ts
 from scalar_reference import (
@@ -36,10 +34,6 @@ IDS = st.one_of(
     st.sampled_from(["a,b", 'say "hi"', " padded ", "é–ü", "line\nbreak", "cr\r", "", "plain"]),
     st.text(max_size=6),
 )
-#: Ids without a carriage return: csv.writer, given the "\n" line terminator
-#: of every artifact, leaves a lone "\r" unquoted, and the reader then ends
-#: the row there (pinned by test_id_with_carriage_return_does_not_read_back).
-READABLE_IDS = IDS.filter(lambda sid: "\r" not in sid)
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 0.1, 1 / 3]),
     st.floats(),
@@ -47,11 +41,11 @@ FLOATS = st.one_of(
 
 
 @st.composite
-def tables(draw, elements=FLOATS, dtype=float, min_rows=0, ids=IDS):
+def tables(draw, elements=FLOATS, dtype=float, min_rows=0):
     """(ids, values): up to 5 rows of 1 to 5 values each."""
     n = draw(st.integers(min_rows, 5))
     m = draw(st.integers(1, 5))
-    ids = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
     values = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n))
     return ids, np.array(values, dtype=dtype).reshape(n, m)
 
@@ -121,7 +115,7 @@ def test_wide_symbolic_csv(tmp_path_factory, table):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables(elements=st.floats(allow_nan=False, allow_infinity=False), ids=READABLE_IDS))
+@given(tables(elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_float_table_round_trip(tmp_path_factory, table):
     """read_table returns what write_table wrote: each value rounded to 9 digits."""
     ids, values = table
@@ -133,7 +127,7 @@ def test_float_table_round_trip(tmp_path_factory, table):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables(elements=st.integers(-(2**63), 2**63 - 1), dtype=np.int64, ids=READABLE_IDS))
+@given(tables(elements=st.integers(-(2**63), 2**63 - 1), dtype=np.int64))
 def test_int_table_round_trip(tmp_path_factory, table):
     ids, values = table
     path = tmp_path_factory.mktemp("t") / "t.csv"
@@ -143,11 +137,13 @@ def test_int_table_round_trip(tmp_path_factory, table):
     assert got.tolist() == values.tolist()
 
 
-@pytest.mark.xfail(strict=True, raises=DataError,
-                   reason="csv.writer leaves a lone carriage return in an id unquoted")
-def test_id_with_carriage_return_does_not_read_back(tmp_path):
-    write_table(tmp_path / "t.csv", ["id", "c"], ["cr\r"], np.zeros((1, 1)))
-    assert read_table(tmp_path / "t.csv")[1] == ["cr\r"]
+@pytest.mark.parametrize("sid", ["cr\r", "\r", "a\rb", "crlf\r\n"])
+def test_id_with_carriage_return_reads_back(tmp_path, sid):
+    write_table(tmp_path / "t.csv", ["id", sid], [sid], np.zeros((1, 1)))
+    write_rows(tmp_path / "r.csv", ["id", sid], [[sid, 0]])
+    assert f'"{sid}"'.encode() in (tmp_path / "t.csv").read_bytes()
+    for name in ("t.csv", "r.csv"):
+        assert read_table(tmp_path / name)[:2] == (["id", sid], [sid])
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +166,12 @@ def cell_tables(draw, cells, min_rows=0, width=st.integers(1, 5)):
     """(ids, rows, m): up to 5 rows of m cells of text; ``width=None`` makes m the row count."""
     n = draw(st.integers(min_rows, 5))
     m = n if width is None else draw(width)
-    ids = draw(st.lists(READABLE_IDS, min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
     return ids, draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n)), m
 
 
 def write_cells(path, header, ids, rows, sidecar=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([sid, *row] for sid, row in zip(ids, rows))
-    if sidecar is not None:
-        path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+    write_rows(path, header, ([sid, *row] for sid, row in zip(ids, rows)), sidecar)
 
 
 @pytest.mark.parametrize("cells, dtype", [(FLOAT_CELLS, float), (INT_CELLS, int)],
@@ -202,7 +193,7 @@ def test_read_wide_matches_old_reader(tmp_path_factory, cells, dtype, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cell_tables(READABLE_IDS, width=st.just(3)))
+@given(cell_tables(IDS, width=st.just(3)))
 def test_read_metadata_matches_old_reader(tmp_path_factory, table):
     ids, rows, _ = table
     path = tmp_path_factory.mktemp("m") / "metadata.csv"
@@ -232,7 +223,7 @@ def test_read_matrix_matches_old_reader(tmp_path_factory, table):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_read_assignment_matches_old_reader(tmp_path_factory, data):
-    ids = data.draw(st.lists(READABLE_IDS, min_size=1, max_size=6, unique=True))
+    ids = data.draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
     k = data.draw(st.integers(1, len(ids)))
     spell = data.draw(st.sampled_from(["{}", "+{}", " {}", "0{}"]))
     labels = [[spell.format(i % k + 1)] for i in range(len(ids))]
@@ -286,6 +277,12 @@ def test_read_sidecar_rejects_missing_and_unparseable_sidecars(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["id", "a"], ["r"], np.ones((1, 1)), sidecar={"metric": "mpbd"})
     assert read_sidecar(path) == {"metric": "mpbd"}
+    assert read_sidecar(path, "metric") == {"metric": "mpbd"}
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 't.json'}: missing key 'seed'")):
+        read_sidecar(path, "metric", "seed")
+    (tmp_path / "t.json").write_text('"metric"', encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 't.json'}: not a JSON object")):
+        read_sidecar(path, "metric")
     (tmp_path / "t.json").write_text("{", encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{tmp_path / 't.json'}: Expecting")):
         read_sidecar(path)
