@@ -1,9 +1,12 @@
 """Command-line pipeline: raw CSV -> assignments, sweeps, reports, profiles.
 
 Subcommands: preprocess, distmat, features, cluster, sweep, evaluate,
-profile, pipeline.  Configuration is a flat ``key = value`` file with
-``#`` comments; CLI flags and ``-O key=value`` overrides win over the
-file.  All randomness flows from the single configured seed.
+profile, pipeline.  Each stage command loads its input artifacts, runs the
+stage and writes its own; ``pipeline`` runs the stages in memory and writes
+the same artifacts, byte for byte, without reading any of them back.
+Configuration is a flat ``key = value`` file with ``#`` comments; CLI flags
+and ``-O key=value`` overrides win over the file.  All randomness flows
+from the single configured seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 degenerate
 computation escalated by --strict.
@@ -18,6 +21,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,6 +34,10 @@ def _boolean(raw: str) -> bool:
     if value not in ("true", "false"):
         raise ValueError("expected true or false")
     return value == "true"
+
+
+def _window(raw: str) -> int | None:
+    return int(raw) if raw else None
 
 
 # key -> (parser, default)
@@ -54,7 +62,7 @@ CONFIG_SPEC = {
     "outlier_percentile": (float, 95.0),
     "metric": (str, "mpbd"),
     "omega": (float, 2.0),
-    "dtw_window": (str, ""),  # empty = unconstrained
+    "dtw_window": (_window, None),  # empty = unconstrained
     "normalization": (str, "matrix_max"),
     "algorithm": (str, "hierarchical"),  # kmeans | kmeans_features | kmedoids | hierarchical
     "linkage": (str, "ward"),
@@ -132,10 +140,6 @@ def _date(cfg, key):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
 
 
-def _dtw_window(cfg):
-    return int(cfg["dtw_window"]) if cfg["dtw_window"] else None
-
-
 def _atomic_writes(out_dir, producer):
     """Run producer(tmp_dir), then move every produced file into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -149,10 +153,14 @@ def _atomic_writes(out_dir, producer):
 # wide CSV helpers for intermediate artifacts
 
 
+def _wide_header(dates):
+    return ["series_id"] + [d.isoformat() for d in dates]
+
+
 def _write_wide(path, collection, dates):
     tables.write_table(
         path,
-        ["series_id"] + [d.isoformat() for d in dates],
+        _wide_header(dates),
         collection.ids,
         collection.values,
         cell="%d" if collection.values.dtype.kind == "i" else tables.NUMBER,
@@ -166,6 +174,12 @@ def _read_wide(cfg, name, dtype=float):
     return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
 
 
+def _as_read(cfg, name, collection, dates):
+    """``collection`` with its values as ``_read_wide`` reads them back from ``name``."""
+    path = os.path.join(cfg["out"], name)
+    return replace(collection, values=tables.as_written(collection.values, path, _wide_header(dates)))
+
+
 METADATA = ["series_id", "product", "store", "category"]
 
 
@@ -175,11 +189,39 @@ def _read_metadata(path):
     return dict(zip(ids, attrs.tolist()))
 
 
+def _require(path, hint):
+    if not os.path.exists(path):
+        raise DataError(f"missing prerequisite artifact {path} (run `{hint}` first)")
+    return path
+
+
+def _read_assignment(cfg):
+    return clustering.read_assignment_csv(
+        _require(os.path.join(cfg["out"], "assignment.csv"), "cluster")
+    )
+
+
+def _check_assignment(assignment, ids):
+    if sorted(assignment.labels) != sorted(ids):
+        raise DataError("assignment ids do not match preprocessed collection")
+
+
 # ---------------------------------------------------------------------------
-# commands
+# stages: each computes in memory and writes its artifacts through _atomic_writes.
+# The commands load a stage's input artifacts; ``pipeline`` passes them on, each
+# float matrix rounded as the next stage would read it back.
+
+#: Metrics that ``distmat`` computes over the symbolic levels, not the scaled values.
+SYMBOLIC_METRICS = ("mpbd", "levenshtein")
 
 
-def cmd_preprocess(cfg):
+def _preprocess(cfg):
+    """Load, align and preprocess the input.
+
+    Returns (dates, original, scaled, symbolic, rejects, raw).  ``raw`` is
+    the outlier filter's distance matrix over the series it kept when the
+    filter ran with ``distmat``'s metric over the same levels, else None.
+    """
     if not cfg["input"]:
         raise ConfigError("config key 'input' is required")
     schema = {
@@ -211,107 +253,149 @@ def cmd_preprocess(cfg):
     original = core_data.fill_collection(collection, fill)
     scaled = core_data.scale_collection(original, cfg["scale_lo"], cfg["scale_hi"])
     symbolic = core_data.discretize_collection(scaled, _thresholds(cfg))
+    raw = None
     if cfg["outlier_filter"] and len(symbolic) >= 2:
+        metric = cfg["outlier_metric"]
+        if metric == cfg["metric"] and metric in SYMBOLIC_METRICS:
+            raw = distances.distance_matrix(symbolic, metric, omega=cfg["omega"],
+                                            window=cfg["dtw_window"])
         filtered = core_data.filter_outliers(
             symbolic,
-            metric=cfg["outlier_metric"],
+            metric=metric,
             percentile=cfg["outlier_percentile"],
             omega=cfg["omega"],
-            window=_dtw_window(cfg),
+            window=cfg["dtw_window"],
+            matrix=raw,
         )
         keep = np.isin(symbolic.ids, filtered.ids)
+        if raw is not None:
+            # each entry depends on its own two rows only, so the kept rows and
+            # columns are the matrix of the kept series
+            raw = replace(raw, ids=list(filtered.ids), entries=raw.entries[np.ix_(keep, keep)])
         original, scaled = (c.select(keep, filtered.provenance) for c in (original, scaled))
         symbolic = filtered
+    return dates, original, scaled, symbolic, rejects, raw
 
+
+def _write_preprocessed(cfg, dates, original, scaled, symbolic, rejects):
     def produce(tmp):
         _write_wide(os.path.join(tmp, "original.csv"), original, dates)
         _write_wide(os.path.join(tmp, "scaled.csv"), scaled, dates)
         _write_wide(os.path.join(tmp, "symbolic.csv"), symbolic, dates)
-        tables.write_rows(os.path.join(tmp, "metadata.csv"), METADATA,
-                          ([sid, *(a or "" for a in attrs)]
-                           for sid, attrs in zip(original.ids, original.attrs)))
+        tables.write_rows(os.path.join(tmp, "metadata.csv"), METADATA, _metadata_rows(original))
         tables.write_rows(os.path.join(tmp, "rejects.csv"), ["line_number", "raw_row", "reason"],
                           ([r.line_number, r.raw_row, r.reason] for r in rejects))
         tables.write_json(os.path.join(tmp, "provenance.json"), symbolic.provenance)
 
     _atomic_writes(cfg["out"], produce)
+
+
+def _metadata_rows(collection):
+    return ([sid, *(a or "" for a in attrs)] for sid, attrs in zip(collection.ids, collection.attrs))
+
+
+def cmd_preprocess(cfg):
+    _write_preprocessed(cfg, *_preprocess(cfg)[:5])
     return 0
 
 
-def _require(path, hint):
-    if not os.path.exists(path):
-        raise DataError(f"missing prerequisite artifact {path} (run `{hint}` first)")
-    return path
+def _distmat(cfg, collection, raw=None):
+    """The normalized distance matrix of ``collection``, from ``raw`` when it is given."""
+    if raw is None:
+        raw = distances.distance_matrix(
+            collection, cfg["metric"], omega=cfg["omega"], window=cfg["dtw_window"]
+        )
+    return distances.normalize_matrix(
+        raw, cfg["normalization"], value_range=cfg["scale_hi"] - cfg["scale_lo"]
+    )
+
+
+def _write_distmat(cfg, matrix):
+    _atomic_writes(cfg["out"], lambda tmp: distances.write_matrix_csv(
+        matrix, os.path.join(tmp, "distmat.csv")))
+
+
+def _matrix_as_read(cfg, matrix):
+    """``matrix`` as ``cluster`` reads it back from distmat.csv."""
+    path = os.path.join(cfg["out"], "distmat.csv")
+    return replace(matrix, entries=tables.as_written(matrix.entries, path, ["id"] + matrix.ids))
 
 
 def cmd_distmat(cfg):
-    out = cfg["out"]
-    metric = cfg["metric"]
-    if metric in ("mpbd", "levenshtein"):
+    if cfg["metric"] in SYMBOLIC_METRICS:
         collection = _read_wide(cfg, "symbolic.csv", int)
     else:
         collection = _read_wide(cfg, "scaled.csv")
-    matrix = distances.distance_matrix(
-        collection,
-        metric,
-        omega=cfg["omega"],
-        window=_dtw_window(cfg),
-    )
-    matrix = distances.normalize_matrix(
-        matrix, cfg["normalization"], value_range=cfg["scale_hi"] - cfg["scale_lo"]
-    )
-
-    def produce(tmp):
-        distances.write_matrix_csv(matrix, os.path.join(tmp, "distmat.csv"))
-
-    _atomic_writes(out, produce)
+    _write_distmat(cfg, _distmat(cfg, collection))
     return 0
+
+
+def _features(cfg, scaled):
+    if cfg["features_path"]:
+        return image_features.load_external_features(
+            cfg["features_path"], known_ids=set(scaled.ids)
+        )
+    return image_features.extract_features(
+        scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
+    )
+
+
+def _write_features(cfg, vectors):
+    _atomic_writes(cfg["out"], lambda tmp: image_features.write_features_csv(
+        vectors, os.path.join(tmp, "features.csv")))
+
+
+def _features_as_read(cfg, vectors):
+    """``vectors`` as ``cluster`` reads them back from features.csv."""
+    features = np.stack([vec.features for vec in vectors])
+    features = tables.as_written(features, os.path.join(cfg["out"], "features.csv"),
+                                 image_features.feature_header(features.shape[1]))
+    return [image_features.FeatureVector(vec.series_id, row, "features.csv")
+            for vec, row in zip(vectors, features)]
 
 
 def cmd_features(cfg):
-    out = cfg["out"]
-    scaled = _read_wide(cfg, "scaled.csv")
-    if cfg["features_path"]:
-        vectors = image_features.load_external_features(
-            cfg["features_path"], known_ids=set(scaled.ids)
-        )
-    else:
-        vectors = image_features.extract_features(
-            scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
-        )
-
-    def produce(tmp):
-        image_features.write_features_csv(vectors, os.path.join(tmp, "features.csv"))
-
-    _atomic_writes(out, produce)
+    _write_features(cfg, _features(cfg, _read_wide(cfg, "scaled.csv")))
     return 0
 
 
-def _clusterer(cfg):
-    """Load the algorithm's input artifact once; return (k -> assignment, dendrogram or None)."""
-    out, algorithm, seed = cfg["out"], cfg["algorithm"], cfg["seed"]
+ALGORITHMS = ("kmeans", "kmeans_features", "kmedoids", "hierarchical")
+
+
+def _algorithm(cfg):
+    if cfg["algorithm"] not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
+    return cfg["algorithm"]
+
+
+def _cluster_input(cfg):
+    """Load the artifact that the configured algorithm clusters."""
+    algorithm = _algorithm(cfg)
     if algorithm == "kmeans":
-        scaled = _read_wide(cfg, "scaled.csv")
-        return lambda k: clustering.kmeans(scaled.values, scaled.ids, k=k, seed=seed), None
+        return _read_wide(cfg, "scaled.csv")
     if algorithm == "kmeans_features":
-        path = _require(os.path.join(out, "features.csv"), "features")
-        vectors = image_features.load_external_features(path, extractor="features.csv")
-        return lambda k: image_features.cluster_features(vectors, k=k, seed=seed), None
-    if algorithm not in ("kmedoids", "hierarchical"):
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    matrix = distances.read_matrix_csv(_require(os.path.join(out, "distmat.csv"), "distmat"))
+        path = _require(os.path.join(cfg["out"], "features.csv"), "features")
+        return image_features.load_external_features(path, extractor="features.csv")
+    return distances.read_matrix_csv(_require(os.path.join(cfg["out"], "distmat.csv"), "distmat"))
+
+
+def _clusterer(cfg, data):
+    """(k -> assignment, dendrogram or None) over ``data``, the algorithm's input."""
+    algorithm, seed = _algorithm(cfg), cfg["seed"]
+    if algorithm == "kmeans":
+        return lambda k: clustering.kmeans(data.values, data.ids, k=k, seed=seed), None
+    if algorithm == "kmeans_features":
+        return lambda k: image_features.cluster_features(data, k=k, seed=seed), None
     if algorithm == "kmedoids":
-        return lambda k: clustering.kmedoids(matrix, k=k, seed=seed), None
+        return lambda k: clustering.kmedoids(data, k=k, seed=seed), None
     linkage = cfg["linkage"]
-    dendrogram = clustering.agglomerative(matrix, linkage=linkage)
+    dendrogram = clustering.agglomerative(data, linkage=linkage)
     return lambda k: clustering.cut_dendrogram(
         dendrogram, k, seed=seed, algorithm=f"hierarchical[{linkage}](k={k})"
     ), dendrogram
 
 
-def cmd_cluster(cfg):
-    cluster_fn, dendrogram = _clusterer(cfg)
-    assignment = cluster_fn(cfg["k"])
+def _write_assignment(cfg, assignment, dendrogram):
     extra = {"metric": cfg["metric"], "normalization": cfg["normalization"]}
 
     def produce(tmp):
@@ -320,6 +404,11 @@ def cmd_cluster(cfg):
             clustering.write_dendrogram_csv(dendrogram, os.path.join(tmp, "dendrogram.csv"))
 
     _atomic_writes(cfg["out"], produce)
+
+
+def cmd_cluster(cfg):
+    cluster_fn, dendrogram = _clusterer(cfg, _cluster_input(cfg))
+    _write_assignment(cfg, cluster_fn(cfg["k"]), dendrogram)
     return 0
 
 
@@ -335,7 +424,7 @@ def cmd_sweep(cfg):
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
     ids, X, levels = _evaluation_inputs(cfg)
-    cluster_fn, _ = _clusterer(cfg)
+    cluster_fn, _ = _clusterer(cfg, _cluster_input(cfg))
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
     rows = evaluation.sweep_k(X, levels, ids, ks, cluster_fn, omega=cfg["omega"])
     sidecar = {
@@ -354,14 +443,8 @@ def cmd_sweep(cfg):
     return 0
 
 
-def cmd_evaluate(cfg):
-    out = cfg["out"]
-    ids, X, levels = _evaluation_inputs(cfg)
-    assignment = clustering.read_assignment_csv(
-        _require(os.path.join(out, "assignment.csv"), "cluster")
-    )
-    if sorted(assignment.labels) != sorted(ids):
-        raise DataError("assignment ids do not match preprocessed collection")
+def _evaluate(cfg, ids, X, levels, assignment):
+    """Score ``assignment``; write evaluate.json."""
     report = evaluation.evaluate(X, levels, ids, assignment, omega=cfg["omega"])
     try:
         ch_paper = evaluation.ch_index(X, ids, assignment, variant="paper")
@@ -384,23 +467,23 @@ def cmd_evaluate(cfg):
         "normalization": cfg["normalization"],
         "notes": report.notes,
     }
+    _atomic_writes(cfg["out"], lambda tmp: tables.write_json(
+        os.path.join(tmp, "evaluate.json"), payload))
 
-    def produce(tmp):
-        tables.write_json(os.path.join(tmp, "evaluate.json"), payload)
 
-    _atomic_writes(out, produce)
+def cmd_evaluate(cfg):
+    ids, X, levels = _evaluation_inputs(cfg)
+    assignment = _read_assignment(cfg)
+    _check_assignment(assignment, ids)
+    _evaluate(cfg, ids, X, levels, assignment)
     return 0
 
 
-def cmd_profile(cfg):
-    out = cfg["out"]
-    original = _read_wide(cfg, "original.csv")
-    meta = _read_metadata(_require(os.path.join(out, "metadata.csv"), "preprocess"))
-    assignment = clustering.read_assignment_csv(
-        _require(os.path.join(out, "assignment.csv"), "cluster")
-    )
-    if sorted(assignment.labels) != sorted(original.ids):
-        raise DataError("assignment ids do not match preprocessed collection")
+def _profile(cfg, original, meta, assignment):
+    """Write profile.csv: each cluster's size, attributes and original values.
+
+    ``meta`` maps a series id to its (product, store, category), each "" when unknown.
+    """
     sales_mode = cfg["mode"] == "sales"
     row_of = {sid: i for i, sid in enumerate(original.ids)}
 
@@ -420,23 +503,43 @@ def cmd_profile(cfg):
     if sales_mode:
         columns += ["n_products", "n_stores"]
     columns += ["n_categories", "top_categories", "avg_value", "min_value", "max_value"]
+    _atomic_writes(cfg["out"], lambda tmp: tables.write_rows(
+        os.path.join(tmp, "profile.csv"), columns, rows))
 
-    def produce(tmp):
-        tables.write_rows(os.path.join(tmp, "profile.csv"), columns, rows)
 
-    _atomic_writes(out, produce)
+def cmd_profile(cfg):
+    original = _read_wide(cfg, "original.csv")
+    meta = _read_metadata(_require(os.path.join(cfg["out"], "metadata.csv"), "preprocess"))
+    assignment = _read_assignment(cfg)
+    _check_assignment(assignment, original.ids)
+    _profile(cfg, original, meta, assignment)
     return 0
 
 
 def cmd_pipeline(cfg):
-    cmd_preprocess(cfg)
-    if cfg["algorithm"] == "kmeans_features":
-        cmd_features(cfg)
-    elif cfg["algorithm"] != "kmeans":
-        cmd_distmat(cfg)
-    cmd_cluster(cfg)
-    cmd_evaluate(cfg)
-    cmd_profile(cfg)
+    """Run every stage in memory, writing the artifacts the stepwise commands write."""
+    dates, original, scaled, symbolic, rejects, raw = _preprocess(cfg)
+    _write_preprocessed(cfg, dates, original, scaled, symbolic, rejects)
+    scaled = _as_read(cfg, "scaled.csv", scaled, dates)
+    algorithm = cfg["algorithm"]
+    if algorithm == "kmeans_features":
+        data = _features(cfg, scaled)
+        _write_features(cfg, data)
+        data = _features_as_read(cfg, data)
+    elif algorithm == "kmeans":
+        data = scaled
+    else:
+        data = _distmat(cfg, symbolic if cfg["metric"] in SYMBOLIC_METRICS else scaled, raw)
+        _write_distmat(cfg, data)
+        data = _matrix_as_read(cfg, data)
+    del raw
+    cluster_fn, dendrogram = _clusterer(cfg, data)
+    assignment = cluster_fn(cfg["k"])
+    _write_assignment(cfg, assignment, dendrogram)
+    _evaluate(cfg, scaled.ids, scaled.values, symbolic.values, assignment)
+    meta = {sid: attrs for sid, *attrs in _metadata_rows(original)}
+    original = _as_read(cfg, "original.csv", original, dates)
+    _profile(cfg, original, meta, assignment)
     return 0
 
 

@@ -44,6 +44,8 @@ WORD = 64
 #: temporaries stay small enough for the CPU cache whatever the collection
 #: size.  int8 blocks take as many bytes (eight times the values).
 ROW_BLOCK = 1 << 15
+#: Rows per block when a matrix's upper triangle is mirrored onto its lower one.
+MIRROR_BLOCK = 64
 
 
 #: Largest step cost, omega included, of the int8 MPBD kernel.
@@ -352,6 +354,23 @@ class DistanceMatrix:
             raise DataError("negative distance entry")
 
 
+def _mirror(entries):
+    """Copy the upper triangle of the square ``entries`` onto its lower one, in place.
+
+    One block of MIRROR_BLOCK rows at a time: the diagonal block adds its
+    transpose, which is the block's only temporary, and the rows below it
+    take the transpose of the block's rows right of it, which they do not
+    overlap.  ``entries += entries.T`` gives the same values through a whole
+    (n, n) copy of the transpose.
+    """
+    n = len(entries)
+    for lo in range(0, n, MIRROR_BLOCK):
+        hi = min(lo + MIRROR_BLOCK, n)
+        block = entries[lo:hi, lo:hi]
+        block += block.T
+        entries[hi:, lo:hi] = entries[lo:hi, hi:].T
+
+
 def distance_matrix(
     collection,
     metric: str,
@@ -394,7 +413,7 @@ def distance_matrix(
     elif metric == "euclidean":
         for i in range(n - 1):
             entries[i, i + 1 :] = _euclidean_row(X[i], X[i + 1 :])
-    entries += entries.T
+    _mirror(entries)
 
     params = {"series_length": length}
     if metric == "mpbd":

@@ -110,6 +110,8 @@ def _draw(rows, cols, width, height, paths):
 def _pool(pixels, block):
     """Mean intensity per block x block tile of each (height, width) image, row-major."""
     m, height, width = pixels.shape
+    if block < 1:
+        raise DataError(f"pool block must be at least 1, got {block}")
     if width % block or height % block:
         raise DataError(f"block {block} does not divide {width}x{height}")
     tiles = pixels.reshape(m, height // block, block, width // block, block).sum(axis=(2, 4))
@@ -154,6 +156,11 @@ def extract_features(collection, width: int = 64, height: int = 64, block: int =
     return vectors
 
 
+def feature_header(m: int) -> list:
+    """Header of a feature table of ``m`` features."""
+    return ["series_id"] + [f"f{i + 1}" for i in range(m)]
+
+
 def write_features_csv(vectors, path):
     if not vectors:
         raise DataError("no feature vectors to write")
@@ -163,7 +170,7 @@ def write_features_csv(vectors, path):
             raise DataError(f"{vec.series_id}: inconsistent feature length")
     write_table(
         path,
-        ["series_id"] + [f"f{i + 1}" for i in range(m)],
+        feature_header(m),
         [vec.series_id for vec in vectors],
         [vec.features for vec in vectors],
     )

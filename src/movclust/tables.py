@@ -3,7 +3,8 @@
 Every artifact the CLI writes, and every one it reads back, goes through
 this module.  A table is a header row, then one row per id: the id, then
 its cells.  A table's sidecar holds what the cells do not say, in a JSON
-file of the same name.
+file of the same name.  ``as_written`` gives a matrix as ``read_table``
+would read it back, for a caller that keeps the matrix it wrote.
 """
 
 from __future__ import annotations
@@ -136,9 +137,69 @@ def read_table(path, dtype=float, header=None):
             ids.append(row[0])
     values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
     if values.dtype.kind == "f":
-        bad = np.argwhere(~np.isfinite(values))
-        if len(bad):
-            r, c = bad[0]
-            raise DataError(f"{path}, line {r + 2}: non-finite cell {values[r, c]} "
-                            f"in column {found[c + 1]!r}")
+        _check_finite(values, path, found)
     return found, ids, values
+
+
+def _check_finite(values, path, header):
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise DataError(f"{path}, line {r + 2}: non-finite cell {values[r, c]} "
+                        f"in column {header[c + 1]!r}")
+
+
+#: 10**k for k = 0..22, each exact in float64.
+_POW10 = 10.0 ** np.arange(23)
+#: Cells per block of ``as_written``, which bounds its temporaries.
+_ROUND_BLOCK = 1 << 16
+
+
+def as_written(values, path, header):
+    """The matrix ``read_table`` returns for ``values`` written by ``write_table`` to ``path``.
+
+    Integer matrices come back as they are.  Each float cell comes back as
+    ``float(NUMBER % v)``, and a non-finite cell is the data error that
+    ``read_table`` raises for it, naming ``path``, the line and the column
+    of ``header``.
+
+    A cell x with 1e-13 <= |x| < 1e22 is rounded in numpy: with
+    s = 8 - floor(log10|x|), p = |x| * 10**s (a division by 10**-s when
+    s < 0) is one correctly rounded operation on exact operands, at most
+    2**-23 from the exact product below 1e9, so when p is in [1e8, 1e9) and
+    not within 1e-6 of a half, m = rint(p) is the 9-digit decimal mantissa
+    of x.  m / 10**s (or m * 10**-s) is again one correctly rounded
+    operation, so it is the double nearest m * 10**-s, which is what
+    ``float`` of the text gives.  An exponent that log10 got wrong, near a
+    power of ten, puts p outside [1e8, 1e9).  Zeros come back as they are
+    ("0" and "-0" read back as the same zeros).  Every other cell is
+    formatted and parsed one at a time.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        return values
+    _check_finite(values, path, header)
+    x = values.reshape(-1)
+    out = np.empty_like(x)
+    for lo in range(0, len(x), _ROUND_BLOCK):
+        out[lo : lo + _ROUND_BLOCK] = _round_block(x[lo : lo + _ROUND_BLOCK])
+    return out.reshape(values.shape)
+
+
+def _round_block(x):
+    """``float(NUMBER % v)`` of each finite value of the 1-d array ``x``."""
+    a = np.abs(x)
+    fast = (a >= 1e-13) & (a < 1e22)
+    a = np.where(fast, a, 1.0)
+    s = 8 - np.floor(np.log10(a)).astype(np.int64)
+    up = s >= 0
+    scale = _POW10[np.abs(s)]
+    p = np.where(up, a * scale, a / scale)
+    m = np.rint(p)
+    fast &= (p >= 1e8) & (m < 1e9) & (np.abs(p - np.floor(p) - 0.5) >= 1e-6)
+    y = np.copysign(np.where(up, m / scale, m * scale), x)
+    zero = x == 0
+    y[zero] = x[zero]
+    for i in np.flatnonzero(~(fast | zero)).tolist():
+        y[i] = float(NUMBER % x[i])
+    return y

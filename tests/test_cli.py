@@ -4,9 +4,11 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from movclust import cli
+from movclust import cli, distances, image_features, tables
+from movclust.core_data import SeriesCollection
 from movclust.errors import ConfigError
 
 
@@ -103,6 +105,15 @@ class TestConfig:
         argv = [item for k, v in bounds.items() for item in ("-O", f"{k}={v}")]
         assert run("preprocess", "--input", "unused.csv", *argv) == 1
         assert f"error: bad value for '{key}': '2021-13-01'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["abc", "2.5"])
+    def test_dtw_window_must_be_empty_or_an_integer(self, price_cfg, window, capsys):
+        assert cli.build_config({}, {"dtw_window": ""})["dtw_window"] is None
+        assert cli.build_config({"dtw_window": "7"}, {})["dtw_window"] == 7
+        cfg, out = price_cfg
+        assert run("pipeline", "--config", str(cfg), "-O", f"dtw_window={window}") == 1
+        assert f"error: bad value for 'dtw_window': '{window}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -251,6 +262,14 @@ class TestStageCommands:
         rows = list(csv.DictReader((out / "assignment.csv").open()))
         assert {int(r["cluster"]) for r in rows} == set(range(1, 6))
 
+    @pytest.mark.parametrize("block", ["0", "-4"])
+    def test_pool_block_below_one_exits_2(self, price_cfg, block, capsys):
+        cfg, out = price_cfg
+        assert run("pipeline", "--config", str(cfg), "-O", "algorithm=kmeans_features",
+                   "-O", f"pool_block={block}") == 2
+        assert f"data error: pool block must be at least 1, got {block}" in capsys.readouterr().err
+        assert (out / "scaled.csv").exists() and not (out / "features.csv").exists()
+
     def test_kmeans_and_kmedoids_paths(self, price_cfg):
         cfg, out = price_cfg
         run("preprocess", "--config", str(cfg))
@@ -319,6 +338,17 @@ class TestStageCommands:
         assert all(r["ch"] and r["db"] and r["mpbi"] for r in rows)
 
 
+#: (mode, algorithm, metric) of the pipeline-equals-stepwise grid: every metric
+#: for the algorithms that cluster a distance matrix, and one for the others,
+#: whose artifacts only record its name.
+PIPELINE_GRID = [
+    (mode, algorithm, metric)
+    for mode in ("price", "sales")
+    for algorithm in ("hierarchical", "kmedoids", "kmeans", "kmeans_features")
+    for metric in (distances.METRICS if algorithm in ("hierarchical", "kmedoids") else ("mpbd",))
+]
+
+
 class TestPipeline:
     def test_pipeline_equals_stepwise(self, price_cfg, tmp_path):
         cfg, out = price_cfg
@@ -332,6 +362,98 @@ class TestPipeline:
         assert set(pipeline_files) == set(stepwise_files)
         for name in pipeline_files:
             assert pipeline_files[name] == stepwise_files[name], name
+
+    @pytest.mark.parametrize("outlier_filter", ["true", "false"])
+    @pytest.mark.parametrize("mode, algorithm, metric", PIPELINE_GRID)
+    def test_pipeline_equals_stepwise_over_grid(self, sample_dir, tmp_path, mode, algorithm,
+                                                metric, outlier_filter):
+        options = ["--input", str(sample_dir / f"{mode}_long.csv")]
+        for option in (f"mode={mode}", f"algorithm={algorithm}", f"metric={metric}",
+                       f"outlier_filter={outlier_filter}", "normalization=table1",
+                       f"outlier_metric={'levenshtein' if metric == 'levenshtein' else 'mpbd'}"):
+            options += ["-O", option]
+        assert run("pipeline", "--out", str(tmp_path / "pipeline"), *options) == 0
+        stage = {"kmeans": [], "kmeans_features": ["features"]}.get(algorithm, ["distmat"])
+        for command in ("preprocess", *stage, "cluster", "evaluate", "profile"):
+            assert run(command, "--out", str(tmp_path / "stepwise"), *options) == 0
+        pipeline_files = snapshot(tmp_path / "pipeline")
+        stepwise_files = snapshot(tmp_path / "stepwise")
+        assert set(pipeline_files) == set(stepwise_files)
+        for name in pipeline_files:
+            assert pipeline_files[name] == stepwise_files[name], name
+
+    def test_features_rasterize_scaled_values_as_written(self, tmp_path):
+        """A scaled value whose written text lands on another pixel row.
+
+        With scale bounds 0 and 1, series A's values are its scaled values.
+        0.49999999999 is written as 0.5, and on a 64-row grid rint(63 x 0.5)
+        is 32 (half to even) while rint(63 x 0.49999999999) is 31.
+        """
+        days = [f"2021-01-0{d}" for d in range(1, 5)]
+        series = {"A": [0, 1, 0.49999999999, 0.2], "B": [0, 1, 0.3, 0.7], "C": [1, 0, 0.6, 0.1]}
+        src = tmp_path / "in.csv"
+        src.write_text("series_id,date,value\n" + "".join(
+            f"{sid},{day},{value!r}\n" for sid, values in series.items()
+            for day, value in zip(days, values)), encoding="utf-8")
+        rows = [image_features.extract_features(
+            SeriesCollection(["A"], [[0, 1, value, 0.2]]))[0].features
+            for value in (0.49999999999, 0.5)]
+        assert not np.array_equal(*rows)
+        options = ["--input", str(src), "-O", "scale_lo=0", "-O", "scale_hi=1", "-O", "k=2",
+                   "-O", "outlier_filter=false", "-O", "algorithm=kmeans_features"]
+        assert run("pipeline", "--out", str(tmp_path / "pipeline"), *options) == 0
+        for command in ("preprocess", "features", "cluster", "evaluate", "profile"):
+            assert run(command, "--out", str(tmp_path / "stepwise"), *options) == 0
+        assert snapshot(tmp_path / "pipeline") == snapshot(tmp_path / "stepwise")
+        features = (tmp_path / "pipeline" / "features.csv").read_text().splitlines()[1]
+        assert features == ",".join(["A", *(tables.NUMBER % v for v in rows[1])])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_distmat_stops_the_pipeline_where_cluster_would(self, price_cfg, tmp_path,
+                                                                       capsys):
+        cfg, out = price_cfg
+        zero = ["-O", "omega=0", "-O", "normalization=table1"]  # mpbd / (omega x n) is 0 / 0
+        assert run("pipeline", "--config", str(cfg), *zero) == 2
+        pipeline_err = capsys.readouterr().err.replace(str(out), "<out>")
+        assert "distmat.csv, line 2: non-finite cell nan in column" in pipeline_err
+        stepwise = tmp_path / "stepwise"
+        for command, code in (("preprocess", 0), ("distmat", 0), ("cluster", 2)):
+            assert run(command, "--config", str(cfg), "--out", str(stepwise), *zero) == code
+        assert capsys.readouterr().err.replace(str(stepwise), "<out>") == pipeline_err
+        assert snapshot(out) == snapshot(stepwise)
+
+    def test_pipeline_computes_the_outlier_matrix_once(self, price_cfg, monkeypatch):
+        calls = []
+        matrix = distances.distance_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return matrix(*args, **kwargs)
+
+        monkeypatch.setattr(distances, "distance_matrix", counted)
+        cfg, _ = price_cfg
+        assert run("pipeline", "--config", str(cfg)) == 0
+        assert calls == ["mpbd"]
+        calls.clear()
+        assert run("pipeline", "--config", str(cfg), "-O", "metric=levenshtein") == 0
+        assert calls == ["mpbd", "levenshtein"]
+
+    @pytest.mark.parametrize("normalization", ["matrix_max", "table1", "none"])
+    @pytest.mark.parametrize("metric, omega", [("mpbd", "2"), ("mpbd", "0.3"),
+                                               ("levenshtein", "2")])
+    def test_kept_rows_of_the_outlier_matrix_are_the_distmat(self, sample_dir, metric, omega,
+                                                              normalization):
+        cfg = cli.build_config({}, {
+            "input": str(sample_dir / "price_long.csv"), "metric": metric,
+            "outlier_metric": metric, "omega": omega, "normalization": normalization,
+            "outlier_percentile": "80",
+        })
+        _, _, _, symbolic, _, raw = cli._preprocess(cfg)
+        assert raw.ids == symbolic.ids and len(symbolic) < 59  # 59 series reach the filter
+        reused, recomputed = cli._distmat(cfg, symbolic, raw), cli._distmat(cfg, symbolic)
+        assert (reused.ids, reused.metric, reused.normalization, reused.params) == (
+            recomputed.ids, recomputed.metric, recomputed.normalization, recomputed.params)
+        assert reused.entries.tobytes() == recomputed.entries.tobytes()
 
     def test_threads_do_not_change_results(self, price_cfg, tmp_path):
         cfg, out = price_cfg

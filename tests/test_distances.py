@@ -1,11 +1,13 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from movclust import distances as di
+from movclust.core_data import SeriesCollection
 from movclust.errors import DataError
 
 from conftest import collection, sym, ts
@@ -296,14 +298,35 @@ class TestDistanceMatrix:
         col = collection([sym(f"S{i:02d}", rng.integers(1, 6, size=12)) for i in range(19)])
         byte_images = set()
         # BIT_BLOCK 1 and 56 give Levenshtein blocks of 1 and 7 pairs, of one row each
-        for pair_block, row_block, bit_block in (
-            (1, 11, 1), (7, 50, 56), (128, 1 << 15, 1 << 18), (1000, 1 << 20, 1 << 22),
+        for pair_block, row_block, bit_block, mirror_block in (
+            (1, 11, 1, 1), (7, 50, 56, 7), (128, 1 << 15, 1 << 18, 64),
+            (1000, 1 << 20, 1 << 22, 1000),
         ):
             monkeypatch.setattr(di, "PAIR_BLOCK", pair_block)
             monkeypatch.setattr(di, "ROW_BLOCK", row_block)
             monkeypatch.setattr(di, "BIT_BLOCK", bit_block)
+            monkeypatch.setattr(di, "MIRROR_BLOCK", mirror_block)
             byte_images.add(di.distance_matrix(col, metric, **kwargs).entries.tobytes())
         assert len(byte_images) == 1
+
+    def test_mirror_takes_no_full_temporary(self):
+        """One mpbd matrix at n=400 peaks below 1.5 matrices of memory.
+
+        Mirroring with ``entries += entries.T`` copied the whole transpose
+        first, a second (n, n) matrix.
+        """
+        n = 400
+        levels = np.random.default_rng(8).integers(1, 6, size=(n, 30))
+        col = SeriesCollection([f"S{i:03d}" for i in range(n)], levels)
+        tracemalloc.start()
+        try:
+            matrix = di.distance_matrix(col, "mpbd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+        assert np.triu(matrix.entries).tobytes() == di.mpbd_upper(levels).tobytes()
+        assert matrix.entries.tobytes() == matrix.entries.T.copy().tobytes()
 
     def test_levenshtein_requires_symbolic(self):
         col = collection([ts("A", [0.1, 0.2]), ts("B", [0.3, 0.4])])

@@ -85,6 +85,11 @@ class TestPoolFeatures:
         with pytest.raises(DataError):
             imf.pool_features(self.make_grid(np.zeros((10, 10))), block=4)
 
+    @pytest.mark.parametrize("block", [0, -4])
+    def test_block_below_one(self, block):
+        with pytest.raises(DataError, match=f"pool block must be at least 1, got {block}"):
+            imf.pool_features(self.make_grid(np.zeros((8, 8))), block=block)
+
 
 class TestExternalFeatures:
     def test_load(self, tmp_path):

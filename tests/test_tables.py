@@ -8,6 +8,7 @@ json, so the artifact format has one owner.
 import ast
 import datetime as dt
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from movclust.clustering import read_assignment_csv
 from movclust.distances import DistanceMatrix, read_matrix_csv, write_matrix_csv
 from movclust.errors import DataError
 from movclust.image_features import FeatureVector, load_external_features, write_features_csv
-from movclust.tables import NUMBER, read_sidecar, read_table, write_rows, write_table
+from movclust import tables as tb
+from movclust.tables import NUMBER, as_written, read_sidecar, read_table, write_rows, write_table
 
 from conftest import collection, sym, ts
 from scalar_reference import (
@@ -289,6 +291,92 @@ def test_read_sidecar_rejects_missing_and_unparseable_sidecars(tmp_path):
     (tmp_path / "t.json").unlink()
     with pytest.raises(DataError, match=re.escape(f"{path}: missing sidecar")):
         read_sidecar(path)
+
+
+# ---------------------------------------------------------------------------
+# as_written: a matrix as read_table reads it back, without the text
+
+
+def written(values):
+    """``float(NUMBER % v)`` of each value: what read_table parses back."""
+    return [float(NUMBER % v) for v in np.ravel(values).tolist()]
+
+
+def as_written_row(values):
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    return as_written(values, "t.csv", ["id"] + ["c"] * values.shape[1])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_as_written_is_float_of_the_written_text(values):
+    assert hexes(as_written_row(values)) == hexes(written(values))
+
+
+def ulps(values):
+    """Each value and its neighbours one ulp either side."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+def near_ties(rng, count):
+    """The doubles nearest (m + 1/2) / 10**s, halfway between two 9-digit decimals."""
+    ties = []
+    for m, s in zip(rng.integers(10**8, 10**9, count).tolist(), rng.integers(-13, 22, count).tolist()):
+        ties.append(float(Fraction(2 * m + 1, 2) / Fraction(10) ** s))
+    return ties
+
+
+def test_as_written_edge_cases():
+    rng = np.random.default_rng(3)
+    edges = ulps([
+        0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-13, 1e22, 1e300, 1.7e308,
+        *(10.0 ** np.arange(-20, 26)), 999999999.5, 99999999.95, 0.49999999999, 0.1, 1 / 3,
+        *near_ties(rng, 2000),
+    ])
+    values = np.concatenate([edges, -edges, [1.7976931348623157e308, -1.7976931348623157e308]])
+    assert hexes(as_written_row(values)) == hexes(written(values))
+    assert hexes(as_written_row([-0.0, 0.0])) == hexes([-0.0, 0.0])
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_as_written_falls_back_when_the_exponent_is_off(monkeypatch, shift):
+    """A decimal exponent off by one puts the mantissa outside [1e8, 1e9): the cell is
+    then formatted and parsed, never rounded at the wrong digit.  log10 is not exact
+    near powers of ten, and this holds for any such error."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    values = ulps(np.random.default_rng(5).uniform(0.1, 1, 50) * 10.0 ** np.arange(-10, 40, 1))
+    assert hexes(as_written_row(values)) == hexes(written(values))
+
+
+def test_as_written_blocks_and_shapes(monkeypatch):
+    monkeypatch.setattr(tb, "_ROUND_BLOCK", 7)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((13, 11)) * 10.0 ** rng.integers(-16, 24, (13, 11))
+    values[::3, ::2] = 0.0
+    got = as_written(values, "t.csv", ["id"] + ["c"] * 11)
+    assert got.shape == values.shape and hexes(got) == hexes(written(values))
+    assert as_written(np.empty((0, 4)), "t.csv", ["id"] + ["c"] * 4).shape == (0, 4)
+
+
+def test_as_written_keeps_integer_levels():
+    levels = np.array([[1, 5], [3, 2]])
+    got = as_written(levels, "t.csv", ["id", "a", "b"])
+    assert got.dtype == levels.dtype and got.tolist() == levels.tolist()
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_as_written_raises_the_read_table_error_for_a_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    header = ["id", "a", "b"]
+    values = np.array([[1.0, 2.0], [3.0, cell]])
+    write_table(path, header, ["r1", "r2"], values)
+    with pytest.raises(DataError) as read_error:
+        read_table(path)
+    with pytest.raises(DataError) as error:
+        as_written(values, path, header)
+    assert str(error.value) == str(read_error.value)
 
 
 # ---------------------------------------------------------------------------
