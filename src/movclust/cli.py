@@ -153,14 +153,10 @@ def _atomic_writes(out_dir, producer):
 # wide CSV helpers for intermediate artifacts
 
 
-def _wide_header(dates):
-    return ["series_id"] + [d.isoformat() for d in dates]
-
-
 def _write_wide(path, collection, dates):
     tables.write_table(
         path,
-        _wide_header(dates),
+        ["series_id"] + [d.isoformat() for d in dates],
         collection.ids,
         collection.values,
         cell="%d" if collection.values.dtype.kind == "i" else tables.NUMBER,
@@ -174,10 +170,10 @@ def _read_wide(cfg, name, dtype=float):
     return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
 
 
-def _as_read(cfg, name, collection, dates):
+def _as_written(cfg, name, collection):
     """``collection`` with its values as ``_read_wide`` reads them back from ``name``."""
-    path = os.path.join(cfg["out"], name)
-    return replace(collection, values=tables.as_written(collection.values, path, _wide_header(dates)))
+    return replace(collection,
+                   values=tables.as_written(collection.values, os.path.join(cfg["out"], name)))
 
 
 METADATA = ["series_id", "product", "store", "category"]
@@ -187,6 +183,12 @@ def _read_metadata(path):
     """series id -> its (product, store, category), each "" when unknown."""
     _, ids, attrs = tables.read_table(path, object, header=METADATA)
     return dict(zip(ids, attrs.tolist()))
+
+
+def _metadata_rows(collection):
+    """Each series' metadata.csv row: its id, then its attributes, each "" when unknown."""
+    return ([sid, *(a or "" for a in attrs)]
+            for sid, attrs in zip(collection.ids, collection.attrs))
 
 
 def _require(path, hint):
@@ -201,27 +203,18 @@ def _read_assignment(cfg):
     )
 
 
-def _check_assignment(assignment, ids):
-    if sorted(assignment.labels) != sorted(ids):
-        raise DataError("assignment ids do not match preprocessed collection")
-
-
 # ---------------------------------------------------------------------------
-# stages: each computes in memory and writes its artifacts through _atomic_writes.
-# The commands load a stage's input artifacts; ``pipeline`` passes them on, each
-# float matrix rounded as the next stage would read it back.
+# commands.  Each stage command takes its inputs from the caller when given
+# and otherwise loads them from the artifacts in ``out``; it writes its own
+# artifacts and returns what it computed.  ``pipeline`` hands each float
+# matrix on as the next stage would read it back.
 
 #: Metrics that ``distmat`` computes over the symbolic levels, not the scaled values.
 SYMBOLIC_METRICS = ("mpbd", "levenshtein")
 
 
-def _preprocess(cfg):
-    """Load, align and preprocess the input.
-
-    Returns (dates, original, scaled, symbolic, rejects, raw).  ``raw`` is
-    the outlier filter's distance matrix over the series it kept when the
-    filter ran with ``distmat``'s metric over the same levels, else None.
-    """
+def cmd_preprocess(cfg):
+    """Load, align and preprocess the input; return (original, scaled, symbolic)."""
     if not cfg["input"]:
         raise ConfigError("config key 'input' is required")
     schema = {
@@ -253,31 +246,18 @@ def _preprocess(cfg):
     original = core_data.fill_collection(collection, fill)
     scaled = core_data.scale_collection(original, cfg["scale_lo"], cfg["scale_hi"])
     symbolic = core_data.discretize_collection(scaled, _thresholds(cfg))
-    raw = None
     if cfg["outlier_filter"] and len(symbolic) >= 2:
-        metric = cfg["outlier_metric"]
-        if metric == cfg["metric"] and metric in SYMBOLIC_METRICS:
-            raw = distances.distance_matrix(symbolic, metric, omega=cfg["omega"],
-                                            window=cfg["dtw_window"])
         filtered = core_data.filter_outliers(
             symbolic,
-            metric=metric,
+            metric=cfg["outlier_metric"],
             percentile=cfg["outlier_percentile"],
             omega=cfg["omega"],
             window=cfg["dtw_window"],
-            matrix=raw,
         )
         keep = np.isin(symbolic.ids, filtered.ids)
-        if raw is not None:
-            # each entry depends on its own two rows only, so the kept rows and
-            # columns are the matrix of the kept series
-            raw = replace(raw, ids=list(filtered.ids), entries=raw.entries[np.ix_(keep, keep)])
         original, scaled = (c.select(keep, filtered.provenance) for c in (original, scaled))
         symbolic = filtered
-    return dates, original, scaled, symbolic, rejects, raw
 
-
-def _write_preprocessed(cfg, dates, original, scaled, symbolic, rejects):
     def produce(tmp):
         _write_wide(os.path.join(tmp, "original.csv"), original, dates)
         _write_wide(os.path.join(tmp, "scaled.csv"), scaled, dates)
@@ -288,75 +268,48 @@ def _write_preprocessed(cfg, dates, original, scaled, symbolic, rejects):
         tables.write_json(os.path.join(tmp, "provenance.json"), symbolic.provenance)
 
     _atomic_writes(cfg["out"], produce)
+    return original, scaled, symbolic
 
 
-def _metadata_rows(collection):
-    return ([sid, *(a or "" for a in attrs)] for sid, attrs in zip(collection.ids, collection.attrs))
-
-
-def cmd_preprocess(cfg):
-    _write_preprocessed(cfg, *_preprocess(cfg)[:5])
-    return 0
-
-
-def _distmat(cfg, collection, raw=None):
-    """The normalized distance matrix of ``collection``, from ``raw`` when it is given."""
-    if raw is None:
-        raw = distances.distance_matrix(
-            collection, cfg["metric"], omega=cfg["omega"], window=cfg["dtw_window"]
-        )
-    return distances.normalize_matrix(
-        raw, cfg["normalization"], value_range=cfg["scale_hi"] - cfg["scale_lo"]
+def cmd_distmat(cfg, collection=None):
+    """Write distmat.csv, the normalized distance matrix of ``collection``; return it."""
+    if collection is None:
+        if cfg["metric"] in SYMBOLIC_METRICS:
+            collection = _read_wide(cfg, "symbolic.csv", int)
+        else:
+            collection = _read_wide(cfg, "scaled.csv")
+    matrix = distances.distance_matrix(
+        collection, cfg["metric"], omega=cfg["omega"], window=cfg["dtw_window"]
+    )
+    matrix = distances.normalize_matrix(
+        matrix, cfg["normalization"], value_range=cfg["scale_hi"] - cfg["scale_lo"]
     )
 
+    def produce(tmp):
+        distances.write_matrix_csv(matrix, os.path.join(tmp, "distmat.csv"))
 
-def _write_distmat(cfg, matrix):
-    _atomic_writes(cfg["out"], lambda tmp: distances.write_matrix_csv(
-        matrix, os.path.join(tmp, "distmat.csv")))
-
-
-def _matrix_as_read(cfg, matrix):
-    """``matrix`` as ``cluster`` reads it back from distmat.csv."""
-    path = os.path.join(cfg["out"], "distmat.csv")
-    return replace(matrix, entries=tables.as_written(matrix.entries, path, ["id"] + matrix.ids))
+    _atomic_writes(cfg["out"], produce)
+    return matrix
 
 
-def cmd_distmat(cfg):
-    if cfg["metric"] in SYMBOLIC_METRICS:
-        collection = _read_wide(cfg, "symbolic.csv", int)
-    else:
-        collection = _read_wide(cfg, "scaled.csv")
-    _write_distmat(cfg, _distmat(cfg, collection))
-    return 0
-
-
-def _features(cfg, scaled):
+def cmd_features(cfg, scaled=None):
+    """Write features.csv, the feature vectors of ``scaled``; return them."""
+    if scaled is None:
+        scaled = _read_wide(cfg, "scaled.csv")
     if cfg["features_path"]:
-        return image_features.load_external_features(
+        vectors = image_features.load_external_features(
             cfg["features_path"], known_ids=set(scaled.ids)
         )
-    return image_features.extract_features(
-        scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
-    )
+    else:
+        vectors = image_features.extract_features(
+            scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
+        )
 
+    def produce(tmp):
+        image_features.write_features_csv(vectors, os.path.join(tmp, "features.csv"))
 
-def _write_features(cfg, vectors):
-    _atomic_writes(cfg["out"], lambda tmp: image_features.write_features_csv(
-        vectors, os.path.join(tmp, "features.csv")))
-
-
-def _features_as_read(cfg, vectors):
-    """``vectors`` as ``cluster`` reads them back from features.csv."""
-    features = np.stack([vec.features for vec in vectors])
-    features = tables.as_written(features, os.path.join(cfg["out"], "features.csv"),
-                                 image_features.feature_header(features.shape[1]))
-    return [image_features.FeatureVector(vec.series_id, row, "features.csv")
-            for vec, row in zip(vectors, features)]
-
-
-def cmd_features(cfg):
-    _write_features(cfg, _features(cfg, _read_wide(cfg, "scaled.csv")))
-    return 0
+    _atomic_writes(cfg["out"], produce)
+    return vectors
 
 
 ALGORITHMS = ("kmeans", "kmeans_features", "kmedoids", "hierarchical")
@@ -395,7 +348,10 @@ def _clusterer(cfg, data):
     ), dendrogram
 
 
-def _write_assignment(cfg, assignment, dendrogram):
+def cmd_cluster(cfg, data=None):
+    """Cluster ``data``, the algorithm's input; write assignment.csv and return the assignment."""
+    cluster_fn, dendrogram = _clusterer(cfg, _cluster_input(cfg) if data is None else data)
+    assignment = cluster_fn(cfg["k"])
     extra = {"metric": cfg["metric"], "normalization": cfg["normalization"]}
 
     def produce(tmp):
@@ -404,12 +360,7 @@ def _write_assignment(cfg, assignment, dendrogram):
             clustering.write_dendrogram_csv(dendrogram, os.path.join(tmp, "dendrogram.csv"))
 
     _atomic_writes(cfg["out"], produce)
-
-
-def cmd_cluster(cfg):
-    cluster_fn, dendrogram = _clusterer(cfg, _cluster_input(cfg))
-    _write_assignment(cfg, cluster_fn(cfg["k"]), dendrogram)
-    return 0
+    return assignment
 
 
 def _evaluation_inputs(cfg):
@@ -417,16 +368,22 @@ def _evaluation_inputs(cfg):
     symbolic = _read_wide(cfg, "symbolic.csv", int)
     if scaled.ids != symbolic.ids:
         raise DataError("scaled.csv and symbolic.csv disagree on series ids")
-    return scaled.ids, scaled.values, symbolic.values
+    return scaled, symbolic
+
+
+def _check_assignment(assignment, ids):
+    if sorted(assignment.labels) != sorted(ids):
+        raise DataError("assignment ids do not match preprocessed collection")
 
 
 def cmd_sweep(cfg):
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
-    ids, X, levels = _evaluation_inputs(cfg)
+    scaled, symbolic = _evaluation_inputs(cfg)
     cluster_fn, _ = _clusterer(cfg, _cluster_input(cfg))
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
-    rows = evaluation.sweep_k(X, levels, ids, ks, cluster_fn, omega=cfg["omega"])
+    rows = evaluation.sweep_k(scaled.values, symbolic.values, scaled.ids, ks, cluster_fn,
+                              omega=cfg["omega"])
     sidecar = {
         "algorithm": cfg["algorithm"],
         "linkage": cfg["linkage"],
@@ -440,12 +397,17 @@ def cmd_sweep(cfg):
         evaluation.write_sweep_csv(rows, os.path.join(tmp, "sweep.csv"), sidecar)
 
     _atomic_writes(cfg["out"], produce)
-    return 0
 
 
-def _evaluate(cfg, ids, X, levels, assignment):
-    """Score ``assignment``; write evaluate.json."""
-    report = evaluation.evaluate(X, levels, ids, assignment, omega=cfg["omega"])
+def cmd_evaluate(cfg, scaled=None, symbolic=None, assignment=None):
+    """Write evaluate.json, the scores of ``assignment`` over ``scaled`` and ``symbolic``."""
+    if scaled is None:
+        scaled, symbolic = _evaluation_inputs(cfg)
+    if assignment is None:
+        assignment = _read_assignment(cfg)
+    _check_assignment(assignment, scaled.ids)
+    ids, X = scaled.ids, scaled.values
+    report = evaluation.evaluate(X, symbolic.values, ids, assignment, omega=cfg["omega"])
     try:
         ch_paper = evaluation.ch_index(X, ids, assignment, variant="paper")
     except DegenerateGeometryError as exc:
@@ -467,23 +429,27 @@ def _evaluate(cfg, ids, X, levels, assignment):
         "normalization": cfg["normalization"],
         "notes": report.notes,
     }
-    _atomic_writes(cfg["out"], lambda tmp: tables.write_json(
-        os.path.join(tmp, "evaluate.json"), payload))
+
+    def produce(tmp):
+        tables.write_json(os.path.join(tmp, "evaluate.json"), payload)
+
+    _atomic_writes(cfg["out"], produce)
 
 
-def cmd_evaluate(cfg):
-    ids, X, levels = _evaluation_inputs(cfg)
-    assignment = _read_assignment(cfg)
-    _check_assignment(assignment, ids)
-    _evaluate(cfg, ids, X, levels, assignment)
-    return 0
+def cmd_profile(cfg, original=None, assignment=None):
+    """Write profile.csv: each cluster's size, attributes and ``original`` values.
 
-
-def _profile(cfg, original, meta, assignment):
-    """Write profile.csv: each cluster's size, attributes and original values.
-
-    ``meta`` maps a series id to its (product, store, category), each "" when unknown.
+    ``original`` carries each series' attributes when given; otherwise it
+    is read from original.csv and the attributes from metadata.csv.
     """
+    if original is None:
+        original = _read_wide(cfg, "original.csv")
+        meta = _read_metadata(_require(os.path.join(cfg["out"], "metadata.csv"), "preprocess"))
+    else:
+        meta = {sid: attrs for sid, *attrs in _metadata_rows(original)}
+    if assignment is None:
+        assignment = _read_assignment(cfg)
+    _check_assignment(assignment, original.ids)
     sales_mode = cfg["mode"] == "sales"
     row_of = {sid: i for i, sid in enumerate(original.ids)}
 
@@ -503,44 +469,46 @@ def _profile(cfg, original, meta, assignment):
     if sales_mode:
         columns += ["n_products", "n_stores"]
     columns += ["n_categories", "top_categories", "avg_value", "min_value", "max_value"]
-    _atomic_writes(cfg["out"], lambda tmp: tables.write_rows(
-        os.path.join(tmp, "profile.csv"), columns, rows))
+
+    def produce(tmp):
+        tables.write_rows(os.path.join(tmp, "profile.csv"), columns, rows)
+
+    _atomic_writes(cfg["out"], produce)
 
 
-def cmd_profile(cfg):
-    original = _read_wide(cfg, "original.csv")
-    meta = _read_metadata(_require(os.path.join(cfg["out"], "metadata.csv"), "preprocess"))
-    assignment = _read_assignment(cfg)
-    _check_assignment(assignment, original.ids)
-    _profile(cfg, original, meta, assignment)
-    return 0
+def _features_as_written(cfg, vectors):
+    """``vectors`` as ``cluster`` reads them back from features.csv."""
+    features = tables.as_written(np.stack([vec.features for vec in vectors]),
+                                 os.path.join(cfg["out"], "features.csv"))
+    return [image_features.FeatureVector(vec.series_id, row, "features.csv")
+            for vec, row in zip(vectors, features)]
+
+
+def _matrix_as_written(cfg, matrix):
+    """``matrix`` as ``cluster`` reads it back from distmat.csv."""
+    return replace(matrix, entries=tables.as_written(
+        matrix.entries, os.path.join(cfg["out"], "distmat.csv")))
 
 
 def cmd_pipeline(cfg):
-    """Run every stage in memory, writing the artifacts the stepwise commands write."""
-    dates, original, scaled, symbolic, rejects, raw = _preprocess(cfg)
-    _write_preprocessed(cfg, dates, original, scaled, symbolic, rejects)
-    scaled = _as_read(cfg, "scaled.csv", scaled, dates)
-    algorithm = cfg["algorithm"]
-    if algorithm == "kmeans_features":
-        data = _features(cfg, scaled)
-        _write_features(cfg, data)
-        data = _features_as_read(cfg, data)
-    elif algorithm == "kmeans":
+    """Run every stage in memory, writing the artifacts the stepwise commands write.
+
+    No artifact is read back: each float matrix goes on to the next stage
+    through ``tables.as_written``, as that stage would read it.  original.csv
+    is first read by ``profile``, so a non-finite cell in it fails there.
+    """
+    original, scaled, symbolic = cmd_preprocess(cfg)
+    scaled = _as_written(cfg, "scaled.csv", scaled)
+    if cfg["algorithm"] == "kmeans_features":
+        data = _features_as_written(cfg, cmd_features(cfg, scaled))
+    elif cfg["algorithm"] == "kmeans":
         data = scaled
     else:
-        data = _distmat(cfg, symbolic if cfg["metric"] in SYMBOLIC_METRICS else scaled, raw)
-        _write_distmat(cfg, data)
-        data = _matrix_as_read(cfg, data)
-    del raw
-    cluster_fn, dendrogram = _clusterer(cfg, data)
-    assignment = cluster_fn(cfg["k"])
-    _write_assignment(cfg, assignment, dendrogram)
-    _evaluate(cfg, scaled.ids, scaled.values, symbolic.values, assignment)
-    meta = {sid: attrs for sid, *attrs in _metadata_rows(original)}
-    original = _as_read(cfg, "original.csv", original, dates)
-    _profile(cfg, original, meta, assignment)
-    return 0
+        data = _matrix_as_written(
+            cfg, cmd_distmat(cfg, symbolic if cfg["metric"] in SYMBOLIC_METRICS else scaled))
+    assignment = cmd_cluster(cfg, data)
+    cmd_evaluate(cfg, scaled, symbolic, assignment)
+    cmd_profile(cfg, _as_written(cfg, "original.csv", original), assignment)
 
 
 COMMANDS = {
@@ -599,7 +567,8 @@ def run(argv) -> int:
     if args.strict:
         overrides["strict"] = "true"
     cfg = build_config(file_values, overrides)
-    return COMMANDS[args.command](cfg)
+    COMMANDS[args.command](cfg)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -551,14 +551,11 @@ def filter_outliers(
     percentile: float = 95.0,
     omega: float = 2.0,
     window: int | None = None,
-    matrix=None,
 ) -> SeriesCollection:
     """Remove series whose nearest-neighbor distance is above the percentile.
 
     Works on numeric or symbolic collections; the metric must be compatible
-    with the representation (levenshtein needs symbols).  ``matrix``, when
-    given, is ``distances.distance_matrix`` of the collection with these
-    arguments, which the caller already holds.
+    with the representation (levenshtein needs symbols).
     """
     from . import distances  # local import, distances has no core_data dependency
 
@@ -566,10 +563,7 @@ def filter_outliers(
         raise DataError(f"percentile out of (0, 100]: {percentile}")
     if len(collection) < 2:
         raise DataError("outlier filtering needs at least 2 series")
-    if matrix is None:
-        matrix = distances.distance_matrix(collection, metric, omega=omega, window=window)
-    elif matrix.ids != collection.ids:
-        raise DataError("outlier filter matrix ids do not match the collection")
+    matrix = distances.distance_matrix(collection, metric, omega=omega, window=window)
     entries = matrix.entries.copy()
     np.fill_diagonal(entries, np.inf)
     nn = entries.min(axis=1)

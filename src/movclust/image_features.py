@@ -156,11 +156,6 @@ def extract_features(collection, width: int = 64, height: int = 64, block: int =
     return vectors
 
 
-def feature_header(m: int) -> list:
-    """Header of a feature table of ``m`` features."""
-    return ["series_id"] + [f"f{i + 1}" for i in range(m)]
-
-
 def write_features_csv(vectors, path):
     if not vectors:
         raise DataError("no feature vectors to write")
@@ -170,7 +165,7 @@ def write_features_csv(vectors, path):
             raise DataError(f"{vec.series_id}: inconsistent feature length")
     write_table(
         path,
-        feature_header(m),
+        ["series_id"] + [f"f{i + 1}" for i in range(m)],
         [vec.series_id for vec in vectors],
         [vec.features for vec in vectors],
     )

@@ -3,8 +3,9 @@
 Every artifact the CLI writes, and every one it reads back, goes through
 this module.  A table is a header row, then one row per id: the id, then
 its cells.  A table's sidecar holds what the cells do not say, in a JSON
-file of the same name.  ``as_written`` gives a matrix as ``read_table``
-would read it back, for a caller that keeps the matrix it wrote.
+file of the same name.  ``as_written`` gives a float matrix as
+``read_table`` would read it back, for a caller that keeps the matrix it
+wrote.
 """
 
 from __future__ import annotations
@@ -155,13 +156,13 @@ _POW10 = 10.0 ** np.arange(23)
 _ROUND_BLOCK = 1 << 16
 
 
-def as_written(values, path, header):
-    """The matrix ``read_table`` returns for ``values`` written by ``write_table`` to ``path``.
+def as_written(values, path):
+    """The matrix ``read_table`` returns for the floats ``values`` that ``write_table`` wrote.
 
-    Integer matrices come back as they are.  Each float cell comes back as
-    ``float(NUMBER % v)``, and a non-finite cell is the data error that
-    ``read_table`` raises for it, naming ``path``, the line and the column
-    of ``header``.
+    Each cell comes back as ``float(NUMBER % v)``.  A non-finite cell is
+    the data error that ``read_table`` raises for it, naming ``path``, the
+    line and the column: the table at ``path``, which holds ``values``, is
+    read only to raise it.
 
     A cell x with 1e-13 <= |x| < 1e22 is rounded in numpy: with
     s = 8 - floor(log10|x|), p = |x| * 10**s (a division by 10**-s when
@@ -173,12 +174,12 @@ def as_written(values, path, header):
     ``float`` of the text gives.  An exponent that log10 got wrong, near a
     power of ten, puts p outside [1e8, 1e9).  Zeros come back as they are
     ("0" and "-0" read back as the same zeros).  Every other cell is
-    formatted and parsed one at a time.
+    formatted and parsed one at a time.  Formatting every cell instead
+    takes more than ten times as long.
     """
-    values = np.asarray(values)
-    if values.dtype.kind != "f":
-        return values
-    _check_finite(values, path, header)
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        read_table(path)
     x = values.reshape(-1)
     out = np.empty_like(x)
     for lo in range(0, len(x), _ROUND_BLOCK):

@@ -422,38 +422,25 @@ class TestPipeline:
         assert capsys.readouterr().err.replace(str(stepwise), "<out>") == pipeline_err
         assert snapshot(out) == snapshot(stepwise)
 
-    def test_pipeline_computes_the_outlier_matrix_once(self, price_cfg, monkeypatch):
-        calls = []
-        matrix = distances.distance_matrix
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return matrix(*args, **kwargs)
-
-        monkeypatch.setattr(distances, "distance_matrix", counted)
-        cfg, _ = price_cfg
-        assert run("pipeline", "--config", str(cfg)) == 0
-        assert calls == ["mpbd"]
-        calls.clear()
-        assert run("pipeline", "--config", str(cfg), "-O", "metric=levenshtein") == 0
-        assert calls == ["mpbd", "levenshtein"]
-
-    @pytest.mark.parametrize("normalization", ["matrix_max", "table1", "none"])
-    @pytest.mark.parametrize("metric, omega", [("mpbd", "2"), ("mpbd", "0.3"),
-                                               ("levenshtein", "2")])
-    def test_kept_rows_of_the_outlier_matrix_are_the_distmat(self, sample_dir, metric, omega,
-                                                              normalization):
-        cfg = cli.build_config({}, {
-            "input": str(sample_dir / "price_long.csv"), "metric": metric,
-            "outlier_metric": metric, "omega": omega, "normalization": normalization,
-            "outlier_percentile": "80",
-        })
-        _, _, _, symbolic, _, raw = cli._preprocess(cfg)
-        assert raw.ids == symbolic.ids and len(symbolic) < 59  # 59 series reach the filter
-        reused, recomputed = cli._distmat(cfg, symbolic, raw), cli._distmat(cfg, symbolic)
-        assert (reused.ids, reused.metric, reused.normalization, reused.params) == (
-            recomputed.ids, recomputed.metric, recomputed.normalization, recomputed.params)
-        assert reused.entries.tobytes() == recomputed.entries.tobytes()
+    def test_subset_feature_file_stops_the_pipeline_where_evaluate_would(self, price_cfg,
+                                                                         tmp_path, capsys):
+        cfg, out = price_cfg
+        assert run("preprocess", "--config", str(cfg), "--out", str(tmp_path / "ids")) == 0
+        scaled = (tmp_path / "ids" / "scaled.csv").read_text().splitlines()[1:]
+        ids = [line.split(",")[0] for line in scaled]
+        features = tmp_path / "external.csv"
+        features.write_text("series_id,f1,f2\n" + "".join(
+            f"{sid},{i % 5 / 3!r},{i % 7}\n" for i, sid in enumerate(ids[:-1])), encoding="utf-8")
+        options = ["--config", str(cfg), "-O", "algorithm=kmeans_features", "-O", "k=3",
+                   "-O", f"features_path={features}"]
+        assert run("pipeline", *options) == 2
+        pipeline_err = capsys.readouterr().err
+        assert pipeline_err == "data error: assignment ids do not match preprocessed collection\n"
+        stepwise = tmp_path / "stepwise"
+        for command, code in (("preprocess", 0), ("features", 0), ("cluster", 0), ("evaluate", 2)):
+            assert run(command, *options, "--out", str(stepwise)) == code
+        assert capsys.readouterr().err == pipeline_err
+        assert snapshot(out) == snapshot(stepwise)
 
     def test_threads_do_not_change_results(self, price_cfg, tmp_path):
         cfg, out = price_cfg

@@ -317,19 +317,6 @@ class TestFilterOutliers:
         with pytest.raises(DataError):
             cd.filter_outliers(collection([sym("A", [1, 2])]))
 
-    def test_given_matrix_is_used_and_must_match_the_collection(self):
-        from movclust import distances
-
-        base = [2, 2, 3, 3, 2, 2]
-        series = [sym(f"S{i:02d}", [v + (i % 2 == 0) for v in base]) for i in range(10)]
-        col = collection(series + [sym("OUT", [5, 1, 5, 1, 5, 1])])
-        matrix = distances.distance_matrix(col, "mpbd")
-        given = cd.filter_outliers(col, percentile=90, matrix=matrix)
-        computed = cd.filter_outliers(col, percentile=90)
-        assert (given.ids, given.provenance) == (computed.ids, computed.provenance)
-        with pytest.raises(DataError, match="matrix ids do not match"):
-            cd.filter_outliers(collection(series), percentile=90, matrix=matrix)
-
 
 class TestCollectionInvariants:
     def test_duplicate_ids_rejected(self):
