@@ -192,13 +192,10 @@ def load_long_csv(path, schema: dict | None = None):
     or an empty id are routed to the rejects list; duplicate
     (series_id, store, date) keys and a header that names a mapped column
     more than once are hard errors.  Blank lines are skipped and not
-    numbered.
+    numbered.  A plain file (see ``_load_columnar``) is read column by
+    column in numpy; any other file row by row, with the same result.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    rejects: list[RejectedRow] = []
-    key_index: dict[tuple, int] = {}  # (series_id, store, category) -> index, first seen first
-    ordinals: dict[str, int | None] = {}
-    series, days, values, lines = array("q"), array("q"), array("d"), array("q")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -219,47 +216,119 @@ def load_long_csv(path, schema: dict | None = None):
                 raise DataError(
                     f"{path}: mapped column {schema[role]!r} (for {role}) not in header"
                 )
-        id_col, date_col, value_col = (columns[schema[r]] for r in ("series_id", "date", "value"))
-        category_col = columns.get(schema["category"])
-        store_col = columns.get(schema["store"])
-        width = len(header)
-        lineno = 1
-        for row in reader:
-            if not row:
-                continue
-            lineno += 1
-            if len(row) != width:
-                rejects.append(RejectedRow(lineno, ",".join(row), "column count mismatch"))
-                continue
-            text = row[date_col]
-            try:
-                day = ordinals[text]
-            except KeyError:
-                day = ordinals[text] = _ordinal(text)
-            if day is None:
-                rejects.append(RejectedRow(lineno, ",".join(row), "unparseable date"))
-                continue
-            try:
-                value = float(row[value_col])
-            except ValueError:
-                rejects.append(RejectedRow(lineno, ",".join(row), "unparseable value"))
-                continue
-            if not math.isfinite(value):
-                rejects.append(RejectedRow(lineno, ",".join(row), "non-finite value"))
-                continue
-            series_id = row[id_col].strip()
-            if not series_id:
-                rejects.append(RejectedRow(lineno, ",".join(row), "empty series_id"))
-                continue
-            store = row[store_col].strip() or None if store_col is not None else None
-            category = row[category_col].strip() or None if category_col is not None else None
-            series.append(key_index.setdefault((series_id, store, category), len(key_index)))
-            days.append(day)
-            values.append(value)
-            lines.append(lineno)
-    observations = _observations(list(key_index), series, days, values)
+        roles = (len(header), *(columns[schema[r]] for r in ("series_id", "date", "value")),
+                 columns.get(schema["store"]), columns.get(schema["category"]))
+        loaded = _load_columnar(path, *roles)
+        observations, lines, rejects = (*loaded, []) if loaded else _load_rows(reader, *roles)
     _check_duplicate_keys(observations, lines)
     return observations, rejects
+
+
+def _load_columnar(path, width, id_col, date_col, value_col, store_col, category_col):
+    """(observations, line numbers) of a plain long CSV, parsed by numpy, else None.
+
+    A plain file is ASCII without a quote, carriage return, NUL (which
+    numpy's fixed-width strings drop) or 0x1c-0x1f byte (which numpy's
+    float parser strips and ``float`` does not); it ends in a newline and
+    has body rows, each of exactly ``width`` fields.  Any row the row loop
+    would reject also gives None, so that loop alone decides every reject.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    keys = [col for col in (id_col, store_col, category_col) if col is not None]
+    if (not data.isascii() or any(byte in data for byte in b'"\r\0\x1c\x1d\x1e\x1f')
+            or not data.endswith(b"\n") or value_col in (date_col, *keys)):
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+    rows = len(ends) - 1
+    # the header has width - 1 commas; a body line with fewer (width >= 2 here, so a blank
+    # or whitespace-only line too) leaves another with more, on which loadtxt raises
+    if rows < 1 or len(commas) != (rows + 1) * (width - 1):
+        return None
+    inner = commas.reshape(rows + 1, width - 1)[1:].T  # each body line's j-th comma
+    sizes = [int((right - left).max()) - 1  # each column's widest field
+             for left, right in zip([ends[:-1], *inner], [*inner, ends[1:]])]
+    if max(sizes) > csv.field_size_limit():
+        return None
+    # each text column at its exact width: loadtxt truncates a longer field silently
+    dtype = [(f"f{j}", "f8" if j == value_col else f"S{max(size, 1)}")
+             for j, size in enumerate(sizes)]
+    try:
+        table = np.loadtxt(path, dtype, delimiter=",", comments=None, quotechar=None,
+                           encoding="ascii", skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+    value = np.ascontiguousarray(table[f"f{value_col}"])
+    dates = table[f"f{date_col}"].tolist()
+    ordinals = {date: _ordinal(date.decode()) for date in dict.fromkeys(dates)}
+    if not np.isfinite(value).all() or None in ordinals.values():
+        return None
+    # a run of rows with equal raw key fields is one key: decode each run's first row only
+    starts = np.zeros(rows, bool)
+    starts[0] = True
+    for col in keys:
+        field = table[f"f{col}"]
+        starts[1:] |= field[1:] != field[:-1]
+    starts = np.flatnonzero(starts)
+
+    def at_starts(col):
+        if col is None:
+            return [None] * len(starts)
+        return [text.decode().strip() or None for text in table[f"f{col}"][starts].tolist()]
+
+    ids = at_starts(id_col)
+    if None in ids:
+        return None
+    key_index: dict[tuple, int] = {}
+    codes = [key_index.setdefault(key, len(key_index))
+             for key in zip(ids, at_starts(store_col), at_starts(category_col))]
+    series = np.repeat(np.array(codes, np.int64), np.diff(starts, append=rows))
+    day = np.fromiter(map(ordinals.__getitem__, dates), np.int64, rows)
+    return Observations(list(key_index), series, day, value), np.arange(2, rows + 2)
+
+
+def _load_rows(reader, width, id_col, date_col, value_col, store_col, category_col):
+    """(observations, line numbers, rejects) of the body rows left in a csv ``reader``."""
+    rejects: list[RejectedRow] = []
+    key_index: dict[tuple, int] = {}  # (series_id, store, category) -> index, first seen first
+    ordinals: dict[str, int | None] = {}
+    series, days, values, lines = array("q"), array("q"), array("d"), array("q")
+    lineno = 1
+    for row in reader:
+        if not row:
+            continue
+        lineno += 1
+        if len(row) != width:
+            rejects.append(RejectedRow(lineno, ",".join(row), "column count mismatch"))
+            continue
+        text = row[date_col]
+        try:
+            day = ordinals[text]
+        except KeyError:
+            day = ordinals[text] = _ordinal(text)
+        if day is None:
+            rejects.append(RejectedRow(lineno, ",".join(row), "unparseable date"))
+            continue
+        try:
+            value = float(row[value_col])
+        except ValueError:
+            rejects.append(RejectedRow(lineno, ",".join(row), "unparseable value"))
+            continue
+        if not math.isfinite(value):
+            rejects.append(RejectedRow(lineno, ",".join(row), "non-finite value"))
+            continue
+        series_id = row[id_col].strip()
+        if not series_id:
+            rejects.append(RejectedRow(lineno, ",".join(row), "empty series_id"))
+            continue
+        store = row[store_col].strip() or None if store_col is not None else None
+        category = row[category_col].strip() or None if category_col is not None else None
+        series.append(key_index.setdefault((series_id, store, category), len(key_index)))
+        days.append(day)
+        values.append(value)
+        lines.append(lineno)
+    return _observations(list(key_index), series, days, values), lines, rejects
 
 
 def _check_duplicate_keys(observations: Observations, lines: array):
@@ -429,9 +498,15 @@ def _fill(values, missing, ids, strategy: str) -> np.ndarray:
     _raise_first(ids, (~present.any(axis=1), "cannot fill an all-missing series"))
     if strategy == "mean":
         filled = values.copy()
-        # each row's present values gathered in order, so numpy sums them as for one series
-        for i in np.flatnonzero(missing.any(axis=1)):
-            filled[i, missing[i]] = values[i, present[i]].mean()
+        gapped = np.flatnonzero(missing.any(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is raised below
+            # each row's present values gathered in order, so numpy sums them as for one series
+            means = [values[i, present[i]].mean() for i in gapped]
+        overflow = np.zeros(len(values), bool)
+        overflow[gapped] = ~np.isfinite(means)
+        _raise_first(ids, (overflow, "mean fill value overflows to a non-finite number"))
+        for i, mean in zip(gapped, means):
+            filled[i, missing[i]] = mean
         return filled
     idx = np.where(present, np.arange(values.shape[1]), -1)
     idx = np.maximum.accumulate(idx, axis=1)
@@ -446,7 +521,10 @@ def _scale(values, ids, lo: float, hi: float) -> np.ndarray:
     _raise_first(ids, (np.isnan(values).any(axis=1), "scaling requires a complete series"))
     vmin = values.min(axis=1, keepdims=True)
     vmax = values.max(axis=1, keepdims=True)
-    span = np.where(vmax == vmin, 1.0, vmax - vmin)  # a constant row is pinned to lo below
+    with np.errstate(over="ignore"):  # an overflowing range is raised below
+        span = vmax - vmin
+    _raise_first(ids, (~np.isfinite(span[:, 0]), "value range overflows to a non-finite number"))
+    span[vmax == vmin] = 1.0  # a constant row is pinned to lo below
     scaled = np.clip(lo + (hi - lo) * (values - vmin) / span, lo, hi)
     # pin the extremes exactly; the affine map can be one ulp off
     scaled[values == vmax] = hi

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -623,3 +624,26 @@ def test_all_sparse_input_exits_2(tmp_path, algorithm, capsys):
     assert (out / "metadata.csv").read_text() == "series_id,product,store,category\n"
     provenance = json.loads((out / "provenance.json").read_text())
     assert provenance[1]["dropped_ids"] == ["A", "B"]
+
+
+@pytest.mark.parametrize("mode, rows, message", [
+    # series A's mean of 1.5e308, 1.6e308 and 1e308 fills 2021-01-03 with inf
+    ("sales", {"A": ["1.5e308", "1.6e308", None, "1e308"]},
+     "data error: A: mean fill value overflows to a non-finite number"),
+    # 1.7e308 - -1.7e308 overflows, which scaled the 1 to scale_lo
+    ("price", {"A": ["1.7e308", "-1.7e308", "1", "1"]},
+     "data error: A: value range overflows to a non-finite number"),
+], ids=["mean_fill", "scale_range"])
+def test_overflowing_series_exits_2_before_writing(tmp_path, capsys, mode, rows, message):
+    rows = {**rows, "B": ["1", "2", "3", "4"], "C": ["4", "3", "2", "1"]}
+    src = tmp_path / "in.csv"
+    src.write_text("series_id,date,value\n" + "".join(
+        f"{sid},2021-01-0{d + 1},{v}\n" for sid, values in rows.items()
+        for d, v in enumerate(values) if v is not None), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("pipeline", "--input", str(src), "--out", str(out), "-O", f"mode={mode}",
+                   "-O", "k=2", "-O", "outlier_filter=false") == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)

@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
 import io
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +227,16 @@ class TestFill:
         out = cd.fill_mean(ts("A", [None, None, 5.0]))
         assert out.values.tolist() == [5, 5, 5]
 
+    def test_mean_overflow_is_error(self):
+        values = np.array([[1.0, np.nan, 3.0], [1.5e308, np.nan, 1.6e308], [1e308, 1e308, 1e308]])
+        col = collection([ts(sid, row) for sid, row in zip("ABC", values)])
+        col.missing = np.isnan(values)
+        with pytest.raises(DataError, match="^B: mean fill value overflows"):
+            cd.fill_collection(col, "mean")
+        # forward fill copies finite values; a complete row of huge values is not filled
+        assert np.isfinite(cd.fill_collection(col, "forward").values).all()
+        assert cd.fill_mean(ts("C", values[2])).values.tolist() == values[2].tolist()
+
     def test_all_missing_is_error(self):
         for fill in (cd.fill_forward, cd.fill_mean):
             with pytest.raises(DataError):
@@ -268,6 +280,13 @@ class TestMinmaxScale:
     def test_bad_bounds(self):
         with pytest.raises(DataError):
             cd.minmax_scale(ts("A", [1.0, 2.0]), lo=1.0, hi=0.5)
+
+    def test_overflowing_range_is_error(self):
+        col = collection([ts("A", [1.0, 2.0, 3.0]), ts("B", [1.7e308, -1.7e308, 1.0])])
+        with pytest.raises(DataError, match="^B: value range overflows"):
+            cd.scale_collection(col)
+        out = cd.minmax_scale(ts("C", [1.7e308, 0.0, 0.85e308]))  # the widest finite range
+        assert out.values.tolist() == [1.0, 0.1, 0.55]
 
 
 class TestDiscretize:
@@ -545,6 +564,151 @@ class TestRaggedLongRows:
         obs, rejects = cd.load_long_csv(path)
         assert observation_rows(obs) == [("A", dt.date(2021, 1, 2), 2.0, "Snacks", "S1")]
         assert _reject_rows(rejects) == [(2, "A,2021-01-01,1", "column count mismatch")]
+
+
+# ---------------------------------------------------------------------------
+# load_long_csv's columnar path against its row loop
+
+SAMPLE_DATA = Path(__file__).resolve().parents[1] / "sample_data"
+
+PLAIN_CELLS = {
+    "series_id": ["A", " A", "A ", "\tB", "b", "A::S1", "x y", "Long_Item_Identifier_0042"],
+    "date": [day(t).isoformat() for t in range(6)] + [f" {day(2).isoformat()}",
+                                                      day(4).strftime("%Y%m%d")],
+    "category": ["Snacks", " Snacks", "Dairy", "", "  "],
+    "store": ["S1", " S1", "S2 ", "S2", "", "  "],
+    "note": ["x", "", " n "],
+}
+PLAIN_VALUES = st.sampled_from(["1e5", "-0", "+3", ".5", "5.", " 9 ", "\t7", "0", "1e308"]) | (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+#: Roles that may read another role's column: (role, the role whose column it reads).
+SHARED_ROLES = [("store", "series_id"), ("category", "store"), ("category", "series_id"),
+                ("store", "date")]
+
+
+@st.composite
+def plain_long_csv(draw):
+    """(text, schema) of a long CSV that the columnar path reads: remapped
+    and shared columns, padded keys, interleaved or grouped series, varied
+    value texts and at times a duplicate key."""
+    kinds = ["series_id", "date", "value"]
+    kinds += [k for k in ("category", "store", "note") if draw(st.booleans())]
+    kinds = draw(st.permutations(kinds))
+    renamed = draw(st.booleans())
+    header = [f"col{j}" if renamed else kind for j, kind in enumerate(kinds)]
+    schema = {role: header[kinds.index(role)] for role in cd.DEFAULT_SCHEMA if role in kinds}
+    for role, other in draw(st.lists(st.sampled_from(SHARED_ROLES), max_size=1)):
+        if other in schema:
+            schema[role] = schema[other]
+    col = {role: header.index(name) for role, name in schema.items()}
+
+    def key(row):
+        store = row[col["store"]].strip() or None if "store" in col else None
+        return row[col["series_id"]].strip(), store, _date_key(row[col["date"]])
+
+    cell = {kind: st.sampled_from(PLAIN_CELLS[kind]) for kind in PLAIN_CELLS}
+    row = st.tuples(*(PLAIN_VALUES if k == "value" else cell[k] for k in kinds)).map(list)
+    rows = draw(st.lists(row, min_size=1, max_size=25, unique_by=key))
+    if draw(st.booleans()):  # group each series' rows into runs
+        rows.sort(key=lambda r: [r[col[k]] for k in ("series_id", "store", "category") if k in col])
+    rows = _with_duplicate(draw, rows, kinds.index("value"))
+    text = "".join(",".join(r) + "\n" for r in [header, *rows])
+    return text, (schema if renamed or len(set(schema.values())) < len(schema) else None)
+
+
+def _loaded(path, schema=None):
+    """load_long_csv's observations, column by column, and rejects; or its error."""
+    out = _outcome(cd.load_long_csv, path, schema)
+    if isinstance(out[0], type):
+        return out
+    obs, rejects = out
+    return (obs.keys, obs.series.dtype, obs.series.tolist(), obs.day.dtype, obs.day.tolist(),
+            obs.value.dtype, [v.hex() for v in obs.value.tolist()], _reject_rows(rejects))
+
+
+def _row_loop_only():
+    return mock.patch.object(cd, "_load_columnar", return_value=None)
+
+
+def _columnar_only():
+    return mock.patch.object(cd, "_load_rows", side_effect=AssertionError("row loop used"))
+
+
+class TestColumnarLongCsv:
+    @DIFFERENTIAL
+    @given(plain_long_csv())
+    def test_matches_row_loop_and_reference(self, tmp_path_factory, case):
+        text, schema = case
+        path = tmp_path_factory.mktemp("plain") / "in.csv"
+        path.write_bytes(text.encode("ascii"))
+        with _columnar_only():
+            fast = _loaded(path, schema)
+        with _row_loop_only():
+            assert fast == _loaded(path, schema)
+        ref = _outcome(scalar_reference.load_long_csv_ref, path, schema)
+        if isinstance(ref[0], type):
+            assert fast == ref  # the same error, to the duplicate's line
+            return
+        with _columnar_only():
+            obs, rejects = cd.load_long_csv(path, schema)
+        assert _observed_rows(obs) == _observed_rows(ref[0]) and rejects == ref[1] == []
+
+    HEADER = "series_id,date,value,store\n"
+
+    @pytest.mark.parametrize("body", [
+        "Ä,2021-01-01,1,S1\n",
+        '"A,x",2021-01-01,1,S1\n',
+        "A,2021-01-01,1,S1\r\nA,2021-01-02,2,S1\r\n",
+        "A\0,2021-01-01,1,S1\nA,2021-01-02,2,S1\n",
+        "A,2021-01-01,1,S1\n\nA,2021-01-02,2,S1\n",
+        "A,2021-01-01,1,S1\n \nA,2021-01-02,2,S1\n",
+        "A,2021-01-01,1,S1,x\nA,2021-01-02,2,S1\n",
+        "A,2021-01-01,1,S1,x\nA,2021-01-02,2\n",  # as many commas as two good rows
+        "A,2021-01-01,1,S1\nA,2021-01-02,2,S1",
+        "",
+        "A,2021-01-01,1_0,S1\n",
+        "A,2021-01-01,1,S1\nA,2021-01-02,inf,S1\n",
+        "A,2021-13-01,1,S1\nA,2021-01-02,2,S1\n",
+        " ,2021-01-01,1,S1\nA,2021-01-02,2,S1\n",
+        "A,2021-01-01,\x1f5,S1\n",  # numpy's float parser strips 0x1f, float() does not
+    ], ids=["non_ascii_id", "quoted_field", "crlf", "nul_in_id", "blank_line",
+            "whitespace_line", "ragged_row", "ragged_pair", "no_final_newline", "header_only", "underscore",
+            "inf", "bad_date", "empty_id", "unit_separator"])
+    def test_fallback(self, tmp_path, body):
+        path = tmp_path / "in.csv"
+        path.write_bytes((self.HEADER + body).encode("utf-8"))
+        with mock.patch.object(cd, "_load_rows", wraps=cd._load_rows) as rows:
+            got = _loaded(path)
+        assert rows.call_count == 1
+        with _row_loop_only():
+            assert got == _loaded(path)
+
+    def test_field_over_the_csv_limit_falls_back(self, tmp_path):
+        path = write(tmp_path / "in.csv", self.HEADER + "A" * (csv.field_size_limit() + 1)
+                     + ",2021-01-01,1,S1\n")
+        with mock.patch.object(cd, "_load_rows", wraps=cd._load_rows) as rows:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                cd.load_long_csv(path)
+        assert rows.call_count == 1
+
+    def test_interleaved_stores_and_duplicate_line(self, tmp_path):
+        path = write(tmp_path / "in.csv", self.HEADER + "A,2021-01-01,1,S1\nA,2021-01-01,2,S2\n"
+                     " A ,2021-01-02,3,S1\nA,2021-01-02,4, S2\n")
+        with _columnar_only():
+            obs, rejects = cd.load_long_csv(path)
+        assert obs.keys == [("A", "S1", None), ("A", "S2", None)] and not rejects
+        assert obs.series.tolist() == [0, 1, 0, 1]
+        write(path, path.read_text() + "A,2021-01-02,5,S1\n")
+        with _columnar_only(), pytest.raises(DuplicateObservationError, match="^line 6: "):
+            cd.load_long_csv(path)
+
+    @pytest.mark.parametrize("name", ["price_long.csv", "sales_long.csv"])
+    def test_samples_take_the_columnar_path(self, sample_dir, name):
+        for path in (SAMPLE_DATA / name, sample_dir / name):
+            with _row_loop_only():
+                expected = _loaded(path)
+            with _columnar_only():
+                assert _loaded(path) == expected
 
 
 # ---------------------------------------------------------------------------
