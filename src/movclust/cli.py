@@ -1,15 +1,23 @@
 """Command-line pipeline: raw CSV -> assignments, sweeps, reports, profiles.
 
 Subcommands: preprocess, distmat, features, cluster, sweep, evaluate,
-profile, pipeline.  Each stage command loads its input artifacts, runs the
-stage and writes its own; ``pipeline`` runs the stages in memory and writes
-the same artifacts, byte for byte, without reading any of them back.
+profile, pipeline.  Each stage command has one input path: ``Run.read``
+returns an artifact of the run, and ``Run.write`` writes the stage's own
+artifacts into a temporary directory and then moves them into ``out``.  A
+run keeps every artifact it writes, so ``pipeline``, which runs the stages
+over one run, reads none of its own files back and writes the same
+artifacts, byte for byte, as the stage commands run one after another.
 Configuration is a flat ``key = value`` file with ``#`` comments; CLI flags
-and ``-O key=value`` overrides win over the file.  All randomness flows
-from the single configured seed.
+and ``-O key=value`` overrides win over the file.  A value outside a key's
+fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
+``outlier_metric``, ``normalization``, ``algorithm``, ``linkage``) and scale
+bounds other than ``0 <= scale_lo < scale_hi <= 1`` are configuration errors,
+raised before any input is read.  All randomness flows from the single
+configured seed.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 degenerate
-computation escalated by --strict.
+Exit codes: 0 success, 1 usage/config error, 2 data error (among them a CSV
+line the csv module cannot read, such as a field over its size limit),
+3 degenerate computation escalated by --strict.
 """
 
 from __future__ import annotations
@@ -40,11 +48,30 @@ def _window(raw: str) -> int | None:
     return int(raw) if raw else None
 
 
+def _one_of(*choices):
+    """Parser of a key whose value must be one of ``choices``."""
+
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return raw
+
+    return parse
+
+
+#: Each algorithm -> the artifact it clusters (see ``ARTIFACTS``).
+CLUSTERS = {
+    "kmeans": "scaled.csv",
+    "kmeans_features": "features.csv",
+    "kmedoids": "distmat.csv",
+    "hierarchical": "distmat.csv",
+}
+
 # key -> (parser, default)
 CONFIG_SPEC = {
     "input": (str, ""),
-    "input_format": (str, "long"),  # long | wide
-    "mode": (str, "price"),  # price | sales
+    "input_format": (_one_of("long", "wide"), "long"),
+    "mode": (_one_of("price", "sales"), "price"),
     "series_id_col": (str, "series_id"),
     "date_col": (str, "date"),
     "value_col": (str, "value"),
@@ -53,19 +80,19 @@ CONFIG_SPEC = {
     "date_start": (str, ""),
     "date_end": (str, ""),
     "sparse_threshold": (float, 0.8),
-    "fill": (str, "auto"),  # auto | forward | mean
+    "fill": (_one_of("auto", "forward", "mean"), "auto"),
     "scale_lo": (float, 0.1),
     "scale_hi": (float, 1.0),
     "thresholds": (str, "0.29,0.47,0.65,0.83"),
     "outlier_filter": (_boolean, True),
-    "outlier_metric": (str, "mpbd"),
+    "outlier_metric": (_one_of(*distances.METRICS), "mpbd"),
     "outlier_percentile": (float, 95.0),
-    "metric": (str, "mpbd"),
+    "metric": (_one_of(*distances.METRICS), "mpbd"),
     "omega": (float, 2.0),
     "dtw_window": (_window, None),  # empty = unconstrained
-    "normalization": (str, "matrix_max"),
-    "algorithm": (str, "hierarchical"),  # kmeans | kmeans_features | kmedoids | hierarchical
-    "linkage": (str, "ward"),
+    "normalization": (_one_of("matrix_max", "table1", "none"), "matrix_max"),
+    "algorithm": (_one_of(*CLUSTERS), "hierarchical"),
+    "linkage": (_one_of(*clustering.LINKAGES), "ward"),
     "k": (int, 15),
     "k_min": (int, 2),
     "k_max": (int, 20),
@@ -120,6 +147,9 @@ def build_config(file_values: dict, overrides: dict) -> dict:
         raise ConfigError("date_start and date_end must be given together")
     if not (math.isfinite(cfg["omega"]) and cfg["omega"] >= 0):
         raise ConfigError(f"bad value for 'omega': {cfg['omega']!r} (must be finite and >= 0)")
+    if not 0 <= cfg["scale_lo"] < cfg["scale_hi"] <= 1:
+        raise ConfigError(f"bad scale bounds: scale_lo={cfg['scale_lo']!r}, "
+                          f"scale_hi={cfg['scale_hi']!r} (need 0 <= scale_lo < scale_hi <= 1)")
     return cfg
 
 
@@ -140,17 +170,8 @@ def _date(cfg, key):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
 
 
-def _atomic_writes(out_dir, producer):
-    """Run producer(tmp_dir), then move every produced file into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".tmp-") as tmp:
-        producer(tmp)
-        for name in sorted(os.listdir(tmp)):
-            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
-
-
 # ---------------------------------------------------------------------------
-# wide CSV helpers for intermediate artifacts
+# the artifacts of a run
 
 
 def _write_wide(path, collection, dates):
@@ -163,17 +184,10 @@ def _write_wide(path, collection, dates):
     )
 
 
-def _read_wide(cfg, name, dtype=float):
-    """Read the wide artifact ``name`` of preprocess into one matrix of ``dtype`` cells."""
-    path = _require(os.path.join(cfg["out"], name), "preprocess")
+def _read_wide(cfg, path, dtype):
+    """Read the wide artifact of preprocess at ``path`` into one matrix of ``dtype`` cells."""
     _, ids, values = tables.read_table(path, dtype)
     return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
-
-
-def _as_written(cfg, name, collection):
-    """``collection`` with its values as ``_read_wide`` reads them back from ``name``."""
-    return replace(collection,
-                   values=tables.as_written(collection.values, os.path.join(cfg["out"], name)))
 
 
 METADATA = ["series_id", "product", "store", "category"]
@@ -185,36 +199,89 @@ def _read_metadata(path):
     return dict(zip(ids, attrs.tolist()))
 
 
-def _metadata_rows(collection):
-    """Each series' metadata.csv row: its id, then its attributes, each "" when unknown."""
-    return ([sid, *(a or "" for a in attrs)]
-            for sid, attrs in zip(collection.ids, collection.attrs))
+#: Each artifact that a later stage reads -> (the command that writes it, its
+#: reader of (cfg, path)).  The readers look the library functions up when
+#: called, so a wrapper put on a module attribute is the one that runs.
+ARTIFACTS = {
+    "original.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, float)),
+    "scaled.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, float)),
+    "symbolic.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, int)),
+    "metadata.csv": ("preprocess", lambda cfg, path: _read_metadata(path)),
+    "distmat.csv": ("distmat", lambda cfg, path: distances.read_matrix_csv(path)),
+    "features.csv": ("features", lambda cfg, path: image_features.load_external_features(
+        path, extractor="features.csv")),
+    "assignment.csv": ("cluster", lambda cfg, path: clustering.read_assignment_csv(path)),
+}
 
 
-def _require(path, hint):
-    if not os.path.exists(path):
-        raise DataError(f"missing prerequisite artifact {path} (run `{hint}` first)")
-    return path
+def _as_read(value, path):
+    """``value``, which a stage wrote to ``path``, as the artifact's reader returns it.
+
+    Each float matrix comes back through ``tables.as_written``, so a
+    non-finite cell is the error that reading the file raises.
+    """
+    if isinstance(value, distances.DistanceMatrix):
+        return replace(value, entries=tables.as_written(value.entries, path))
+    if isinstance(value, core_data.SeriesCollection) and value.values.dtype.kind == "f":
+        return replace(value, values=tables.as_written(value.values, path))
+    if isinstance(value, list):  # feature vectors
+        rows = tables.as_written(np.stack([vec.features for vec in value]), path)
+        return [image_features.FeatureVector(vec.series_id, row, "features.csv")
+                for vec, row in zip(value, rows)]
+    return value
 
 
-def _read_assignment(cfg):
-    return clustering.read_assignment_csv(
-        _require(os.path.join(cfg["out"], "assignment.csv"), "cluster")
-    )
+class Run:
+    """The artifacts of one run, in the directory ``cfg["out"]``.
+
+    A run keeps each artifact of ``ARTIFACTS`` that it writes, so a later
+    stage of the same run reads that value and not the file.  A kept value
+    goes through ``_as_read`` when first read: a non-finite cell fails in
+    the stage that reads it, as it would when reading the file.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._written = {}  # name -> value as written, not yet read
+        self._kept = {}  # name -> value as read
+
+    def read(self, name):
+        """The artifact ``name`` as its reader in ``ARTIFACTS`` returns it."""
+        path = os.path.join(self.cfg["out"], name)
+        if name in self._written:
+            self._kept[name] = _as_read(self._written.pop(name), path)
+        if name in self._kept:
+            return self._kept[name]
+        command, reader = ARTIFACTS[name]
+        if not os.path.exists(path):
+            raise DataError(f"missing prerequisite artifact {path} (run `{command}` first)")
+        return reader(self.cfg, path)
+
+    def write(self, *files):
+        """Write each (name, value, write) by ``write(value, path)``, then move them into out."""
+        out = self.cfg["out"]
+        os.makedirs(out, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=out, prefix=".tmp-") as tmp:
+            for name, value, write in files:
+                write(value, os.path.join(tmp, name))
+            for name in sorted(os.listdir(tmp)):
+                os.replace(os.path.join(tmp, name), os.path.join(out, name))
+        for name, value, _ in files:
+            if name in ARTIFACTS:
+                self._written[name] = value
 
 
 # ---------------------------------------------------------------------------
-# commands.  Each stage command takes its inputs from the caller when given
-# and otherwise loads them from the artifacts in ``out``; it writes its own
-# artifacts and returns what it computed.  ``pipeline`` hands each float
-# matrix on as the next stage would read it back.
+# commands.  Each stage command reads its inputs from ``run`` and writes its
+# own artifacts to it.
 
 #: Metrics that ``distmat`` computes over the symbolic levels, not the scaled values.
 SYMBOLIC_METRICS = ("mpbd", "levenshtein")
 
 
-def cmd_preprocess(cfg):
-    """Load, align and preprocess the input; return (original, scaled, symbolic)."""
+def cmd_preprocess(run):
+    """Load, align and preprocess the input; write the series, metadata, rejects and provenance."""
+    cfg = run.cfg
     if not cfg["input"]:
         raise ConfigError("config key 'input' is required")
     schema = {
@@ -229,10 +296,8 @@ def cmd_preprocess(cfg):
         date_range = (_date(cfg, "date_start"), _date(cfg, "date_end"))
     if cfg["input_format"] == "long":
         observations, rejects = core_data.load_long_csv(cfg["input"], schema)
-    elif cfg["input_format"] == "wide":
-        observations, rejects = core_data.load_wide_csv(cfg["input"])
     else:
-        raise ConfigError(f"unknown input_format {cfg['input_format']!r}")
+        observations, rejects = core_data.load_wide_csv(cfg["input"])
 
     collection = core_data.assemble_series(observations, date_range, mode=cfg["mode"])
     assemble_params = collection.provenance[0]["params"]
@@ -258,44 +323,42 @@ def cmd_preprocess(cfg):
         original, scaled = (c.select(keep, filtered.provenance) for c in (original, scaled))
         symbolic = filtered
 
-    def produce(tmp):
-        _write_wide(os.path.join(tmp, "original.csv"), original, dates)
-        _write_wide(os.path.join(tmp, "scaled.csv"), scaled, dates)
-        _write_wide(os.path.join(tmp, "symbolic.csv"), symbolic, dates)
-        tables.write_rows(os.path.join(tmp, "metadata.csv"), METADATA, _metadata_rows(original))
-        tables.write_rows(os.path.join(tmp, "rejects.csv"), ["line_number", "raw_row", "reason"],
-                          ([r.line_number, r.raw_row, r.reason] for r in rejects))
-        tables.write_json(os.path.join(tmp, "provenance.json"), symbolic.provenance)
+    def wide(collection, path):
+        _write_wide(path, collection, dates)
 
-    _atomic_writes(cfg["out"], produce)
-    return original, scaled, symbolic
+    run.write(
+        ("original.csv", original, wide),
+        ("scaled.csv", scaled, wide),
+        ("symbolic.csv", symbolic, wide),
+        ("metadata.csv",
+         {sid: [a or "" for a in attrs] for sid, attrs in zip(original.ids, original.attrs)},
+         lambda meta, path: tables.write_rows(path, METADATA,
+                                              ([sid, *attrs] for sid, attrs in meta.items()))),
+        ("rejects.csv", rejects,
+         lambda rejects, path: tables.write_rows(path, ["line_number", "raw_row", "reason"], (
+             [r.line_number, r.raw_row, r.reason] for r in rejects))),
+        ("provenance.json", symbolic.provenance,
+         lambda provenance, path: tables.write_json(path, provenance)),
+    )
 
 
-def cmd_distmat(cfg, collection=None):
-    """Write distmat.csv, the normalized distance matrix of ``collection``; return it."""
-    if collection is None:
-        if cfg["metric"] in SYMBOLIC_METRICS:
-            collection = _read_wide(cfg, "symbolic.csv", int)
-        else:
-            collection = _read_wide(cfg, "scaled.csv")
+def cmd_distmat(run):
+    """Write distmat.csv, the normalized distance matrix of the symbolic or scaled series."""
+    cfg = run.cfg
+    collection = run.read("symbolic.csv" if cfg["metric"] in SYMBOLIC_METRICS else "scaled.csv")
     matrix = distances.distance_matrix(
         collection, cfg["metric"], omega=cfg["omega"], window=cfg["dtw_window"]
     )
     matrix = distances.normalize_matrix(
         matrix, cfg["normalization"], value_range=cfg["scale_hi"] - cfg["scale_lo"]
     )
-
-    def produce(tmp):
-        distances.write_matrix_csv(matrix, os.path.join(tmp, "distmat.csv"))
-
-    _atomic_writes(cfg["out"], produce)
-    return matrix
+    run.write(("distmat.csv", matrix, distances.write_matrix_csv))
 
 
-def cmd_features(cfg, scaled=None):
-    """Write features.csv, the feature vectors of ``scaled``; return them."""
-    if scaled is None:
-        scaled = _read_wide(cfg, "scaled.csv")
+def cmd_features(run):
+    """Write features.csv, the feature vectors of the scaled series or of ``features_path``."""
+    cfg = run.cfg
+    scaled = run.read("scaled.csv")
     if cfg["features_path"]:
         vectors = image_features.load_external_features(
             cfg["features_path"], known_ids=set(scaled.ids)
@@ -304,37 +367,12 @@ def cmd_features(cfg, scaled=None):
         vectors = image_features.extract_features(
             scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
         )
-
-    def produce(tmp):
-        image_features.write_features_csv(vectors, os.path.join(tmp, "features.csv"))
-
-    _atomic_writes(cfg["out"], produce)
-    return vectors
-
-
-ALGORITHMS = ("kmeans", "kmeans_features", "kmedoids", "hierarchical")
-
-
-def _algorithm(cfg):
-    if cfg["algorithm"] not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
-    return cfg["algorithm"]
-
-
-def _cluster_input(cfg):
-    """Load the artifact that the configured algorithm clusters."""
-    algorithm = _algorithm(cfg)
-    if algorithm == "kmeans":
-        return _read_wide(cfg, "scaled.csv")
-    if algorithm == "kmeans_features":
-        path = _require(os.path.join(cfg["out"], "features.csv"), "features")
-        return image_features.load_external_features(path, extractor="features.csv")
-    return distances.read_matrix_csv(_require(os.path.join(cfg["out"], "distmat.csv"), "distmat"))
+    run.write(("features.csv", vectors, image_features.write_features_csv))
 
 
 def _clusterer(cfg, data):
     """(k -> assignment, dendrogram or None) over ``data``, the algorithm's input."""
-    algorithm, seed = _algorithm(cfg), cfg["seed"]
+    algorithm, seed = cfg["algorithm"], cfg["seed"]
     if algorithm == "kmeans":
         return lambda k: clustering.kmeans(data.values, data.ids, k=k, seed=seed), None
     if algorithm == "kmeans_features":
@@ -348,24 +386,21 @@ def _clusterer(cfg, data):
     ), dendrogram
 
 
-def cmd_cluster(cfg, data=None):
-    """Cluster ``data``, the algorithm's input; write assignment.csv and return the assignment."""
-    cluster_fn, dendrogram = _clusterer(cfg, _cluster_input(cfg) if data is None else data)
+def cmd_cluster(run):
+    """Cluster the algorithm's input; write assignment.csv, and dendrogram.csv when there is one."""
+    cfg = run.cfg
+    cluster_fn, dendrogram = _clusterer(cfg, run.read(CLUSTERS[cfg["algorithm"]]))
     assignment = cluster_fn(cfg["k"])
     extra = {"metric": cfg["metric"], "normalization": cfg["normalization"]}
-
-    def produce(tmp):
-        clustering.write_assignment_csv(assignment, os.path.join(tmp, "assignment.csv"), extra)
-        if dendrogram is not None:
-            clustering.write_dendrogram_csv(dendrogram, os.path.join(tmp, "dendrogram.csv"))
-
-    _atomic_writes(cfg["out"], produce)
-    return assignment
+    files = [("assignment.csv", assignment,
+              lambda assignment, path: clustering.write_assignment_csv(assignment, path, extra))]
+    if dendrogram is not None:
+        files.append(("dendrogram.csv", dendrogram, clustering.write_dendrogram_csv))
+    run.write(*files)
 
 
-def _evaluation_inputs(cfg):
-    scaled = _read_wide(cfg, "scaled.csv")
-    symbolic = _read_wide(cfg, "symbolic.csv", int)
+def _evaluation_inputs(run):
+    scaled, symbolic = run.read("scaled.csv"), run.read("symbolic.csv")
     if scaled.ids != symbolic.ids:
         raise DataError("scaled.csv and symbolic.csv disagree on series ids")
     return scaled, symbolic
@@ -376,11 +411,12 @@ def _check_assignment(assignment, ids):
         raise DataError("assignment ids do not match preprocessed collection")
 
 
-def cmd_sweep(cfg):
+def cmd_sweep(run):
+    cfg = run.cfg
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
-    scaled, symbolic = _evaluation_inputs(cfg)
-    cluster_fn, _ = _clusterer(cfg, _cluster_input(cfg))
+    scaled, symbolic = _evaluation_inputs(run)
+    cluster_fn, _ = _clusterer(cfg, run.read(CLUSTERS[cfg["algorithm"]]))
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
     rows = evaluation.sweep_k(scaled.values, symbolic.values, scaled.ids, ks, cluster_fn,
                               omega=cfg["omega"])
@@ -392,19 +428,15 @@ def cmd_sweep(cfg):
         "seed": cfg["seed"],
         "ch_variant": "standard",
     }
-
-    def produce(tmp):
-        evaluation.write_sweep_csv(rows, os.path.join(tmp, "sweep.csv"), sidecar)
-
-    _atomic_writes(cfg["out"], produce)
+    run.write(("sweep.csv", rows,
+               lambda rows, path: evaluation.write_sweep_csv(rows, path, sidecar)))
 
 
-def cmd_evaluate(cfg, scaled=None, symbolic=None, assignment=None):
-    """Write evaluate.json, the scores of ``assignment`` over ``scaled`` and ``symbolic``."""
-    if scaled is None:
-        scaled, symbolic = _evaluation_inputs(cfg)
-    if assignment is None:
-        assignment = _read_assignment(cfg)
+def cmd_evaluate(run):
+    """Write evaluate.json, the scores of the assignment over the scaled and symbolic series."""
+    cfg = run.cfg
+    scaled, symbolic = _evaluation_inputs(run)
+    assignment = run.read("assignment.csv")
     _check_assignment(assignment, scaled.ids)
     ids, X = scaled.ids, scaled.values
     report = evaluation.evaluate(X, symbolic.values, ids, assignment, omega=cfg["omega"])
@@ -429,28 +461,15 @@ def cmd_evaluate(cfg, scaled=None, symbolic=None, assignment=None):
         "normalization": cfg["normalization"],
         "notes": report.notes,
     }
-
-    def produce(tmp):
-        tables.write_json(os.path.join(tmp, "evaluate.json"), payload)
-
-    _atomic_writes(cfg["out"], produce)
+    run.write(("evaluate.json", payload, lambda payload, path: tables.write_json(path, payload)))
 
 
-def cmd_profile(cfg, original=None, assignment=None):
-    """Write profile.csv: each cluster's size, attributes and ``original`` values.
-
-    ``original`` carries each series' attributes when given; otherwise it
-    is read from original.csv and the attributes from metadata.csv.
-    """
-    if original is None:
-        original = _read_wide(cfg, "original.csv")
-        meta = _read_metadata(_require(os.path.join(cfg["out"], "metadata.csv"), "preprocess"))
-    else:
-        meta = {sid: attrs for sid, *attrs in _metadata_rows(original)}
-    if assignment is None:
-        assignment = _read_assignment(cfg)
+def cmd_profile(run):
+    """Write profile.csv: each cluster's size, attributes and original values."""
+    original, meta = run.read("original.csv"), run.read("metadata.csv")
+    assignment = run.read("assignment.csv")
     _check_assignment(assignment, original.ids)
-    sales_mode = cfg["mode"] == "sales"
+    sales_mode = run.cfg["mode"] == "sales"
     row_of = {sid: i for i, sid in enumerate(original.ids)}
 
     rows = []
@@ -469,46 +488,19 @@ def cmd_profile(cfg, original=None, assignment=None):
     if sales_mode:
         columns += ["n_products", "n_stores"]
     columns += ["n_categories", "top_categories", "avg_value", "min_value", "max_value"]
-
-    def produce(tmp):
-        tables.write_rows(os.path.join(tmp, "profile.csv"), columns, rows)
-
-    _atomic_writes(cfg["out"], produce)
+    run.write(("profile.csv", rows, lambda rows, path: tables.write_rows(path, columns, rows)))
 
 
-def _features_as_written(cfg, vectors):
-    """``vectors`` as ``cluster`` reads them back from features.csv."""
-    features = tables.as_written(np.stack([vec.features for vec in vectors]),
-                                 os.path.join(cfg["out"], "features.csv"))
-    return [image_features.FeatureVector(vec.series_id, row, "features.csv")
-            for vec, row in zip(vectors, features)]
+def cmd_pipeline(run):
+    """Run preprocess, the command that writes the algorithm's input, cluster, evaluate, profile.
 
-
-def _matrix_as_written(cfg, matrix):
-    """``matrix`` as ``cluster`` reads it back from distmat.csv."""
-    return replace(matrix, entries=tables.as_written(
-        matrix.entries, os.path.join(cfg["out"], "distmat.csv")))
-
-
-def cmd_pipeline(cfg):
-    """Run every stage in memory, writing the artifacts the stepwise commands write.
-
-    No artifact is read back: each float matrix goes on to the next stage
-    through ``tables.as_written``, as that stage would read it.  original.csv
-    is first read by ``profile``, so a non-finite cell in it fails there.
+    The stages share ``run``, so each reads what an earlier one wrote from
+    memory.  Each is called through ``COMMANDS``, which a timing harness may
+    rebind.  ``kmeans`` clusters scaled.csv, which preprocess writes.
     """
-    original, scaled, symbolic = cmd_preprocess(cfg)
-    scaled = _as_written(cfg, "scaled.csv", scaled)
-    if cfg["algorithm"] == "kmeans_features":
-        data = _features_as_written(cfg, cmd_features(cfg, scaled))
-    elif cfg["algorithm"] == "kmeans":
-        data = scaled
-    else:
-        data = _matrix_as_written(
-            cfg, cmd_distmat(cfg, symbolic if cfg["metric"] in SYMBOLIC_METRICS else scaled))
-    assignment = cmd_cluster(cfg, data)
-    cmd_evaluate(cfg, scaled, symbolic, assignment)
-    cmd_profile(cfg, _as_written(cfg, "original.csv", original), assignment)
+    producer = ARTIFACTS[CLUSTERS[run.cfg["algorithm"]]][0]
+    for command in dict.fromkeys(("preprocess", producer, "cluster", "evaluate", "profile")):
+        COMMANDS[command](run)
 
 
 COMMANDS = {
@@ -567,7 +559,7 @@ def run(argv) -> int:
     if args.strict:
         overrides["strict"] = "true"
     cfg = build_config(file_values, overrides)
-    COMMANDS[args.command](cfg)
+    COMMANDS[args.command](Run(cfg))
     return 0
 
 

@@ -25,6 +25,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import DataError, DuplicateObservationError
+from .tables import checked_rows
 
 SYMBOLS = "ABCDE"
 
@@ -201,7 +202,7 @@ def load_long_csv(path, schema: dict | None = None):
     except OSError as exc:
         raise DataError(f"cannot open input file: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = checked_rows(csv.reader(fh), path)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, header row required")
@@ -289,7 +290,7 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
 
 
 def _load_rows(reader, width, id_col, date_col, value_col, store_col, category_col):
-    """(observations, line numbers, rejects) of the body rows left in a csv ``reader``."""
+    """(observations, line numbers, rejects) of the body rows left in ``reader``."""
     rejects: list[RejectedRow] = []
     key_index: dict[tuple, int] = {}  # (series_id, store, category) -> index, first seen first
     ordinals: dict[str, int | None] = {}
@@ -364,7 +365,7 @@ def load_wide_csv(path):
     except OSError as exc:
         raise DataError(f"cannot open input file: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = checked_rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:

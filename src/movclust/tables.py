@@ -105,14 +105,26 @@ def write_table(path, header, ids, rows, cell: str = NUMBER, sidecar: dict | Non
         write_json(_sidecar_path(path), sidecar)
 
 
+def checked_rows(reader, path):
+    """The rows of the csv ``reader`` over the file ``path``.
+
+    A row the csv module cannot read, such as one with a field over its
+    size limit, is a data error that names the file and line.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def read_table(path, dtype=float, header=None):
     """Read a table back: its header row, the first cell of every other row, and the rest.
 
     The rest comes back as one (rows, header cells - 1) matrix of ``dtype``.
     An unreadable or empty file, a header other than ``header`` (when
-    given), a row whose cell count differs from the header's, a cell that
-    does not parse as ``dtype`` and a non-finite float are data errors that
-    name the file and line.
+    given), a line the csv module cannot read, a row whose cell count
+    differs from the header's, a cell that does not parse as ``dtype`` and a
+    non-finite float are data errors that name the file and line.
     """
     try:
         fh = open(str(path), newline="", encoding="utf-8")
@@ -120,7 +132,7 @@ def read_table(path, dtype=float, header=None):
         raise DataError(f"cannot open {path}: {exc.strerror}") from None
     ids, rows = [], []
     with fh:
-        reader = csv.reader(fh)
+        reader = checked_rows(csv.reader(fh), path)
         found = next(reader, [])
         if not found:
             raise DataError(f"{path}: empty file, header row required")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from movclust import cli, clustering, core_data, evaluation
+from movclust import clustering, core_data, evaluation
 from movclust.clustering import ClusterAssignment, Dendrogram
 from movclust.core_data import (
     DEFAULT_SCHEMA,
@@ -893,7 +893,9 @@ def read_wide_ref(cfg, name, dtype=float):
     A row whose cell count differs from the header's, or a cell that does
     not parse as ``dtype``, is a data error naming the file and line.
     """
-    path = cli._require(os.path.join(cfg["out"], name), "preprocess")
+    path = os.path.join(cfg["out"], name)
+    if not os.path.exists(path):  # the old ``cli._require``
+        raise DataError(f"missing prerequisite artifact {path} (run `preprocess` first)")
     ids, rows = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

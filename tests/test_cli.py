@@ -1,3 +1,4 @@
+import builtins
 import csv
 import hashlib
 import json
@@ -116,6 +117,30 @@ class TestConfig:
         assert f"error: bad value for 'dtw_window': '{window}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["mode", "input_format", "fill", "metric", "outlier_metric",
+                                     "normalization", "algorithm", "linkage"])
+    def test_value_outside_a_keys_choices_exits_1_before_reading_input(self, price_cfg, key,
+                                                                        capsys):
+        with pytest.raises(ConfigError, match=rf"bad value for '{key}': 'foo' \(expected one of"):
+            cli.build_config({key: "foo"}, {})
+        cfg, out = price_cfg
+        assert run("pipeline", "--config", str(cfg), "-O", f"{key}=foo") == 1
+        assert f"error: bad value for '{key}': 'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [("-1", "1"), ("0", "1.5"), ("0.5", "0.5"), ("0.6", "0.2"),
+                                        ("-1.7e308", "1.7e308"), ("nan", "1")])
+    def test_scale_bounds_outside_the_unit_interval_exit_1(self, price_cfg, lo, hi, capsys):
+        with pytest.raises(ConfigError, match="need 0 <= scale_lo < scale_hi <= 1"):
+            cli.build_config({"scale_lo": lo}, {"scale_hi": hi})
+        cfg, out = price_cfg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("pipeline", "--config", str(cfg),
+                       "-O", f"scale_lo={lo}", "-O", f"scale_hi={hi}") == 1
+        assert "error: bad scale bounds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\n\nseed = 5  # trailing\n")
@@ -200,6 +225,19 @@ class TestPreprocess:
         assert [(r["line_number"], r["raw_row"], r["reason"]) for r in rows] == [
             ("4", row, "column count mismatch"),
         ]
+
+    @pytest.mark.parametrize("input_format, text, lineno", [
+        ("long", "series_id,date,value\n{big},2021-01-01,1\n", 2),
+        ("long", "series_id,date,{big}\nA,2021-01-01,1\n", 1),
+        ("wide", "series_id,2021-01-01\n{big},1\n", 2),
+    ], ids=["long-row", "long-header", "wide-row"])
+    def test_field_over_the_csv_limit_exits_2(self, tmp_path, input_format, text, lineno, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text(text.format(big="A" * (csv.field_size_limit() + 1)), encoding="utf-8")
+        assert run("preprocess", "--input", str(src), "--out", str(tmp_path / "out"),
+                   "-O", f"input_format={input_format}") == 2
+        assert (f"data error: {src}, line {lineno}: field larger than field limit"
+                in capsys.readouterr().err)
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.csv"),
@@ -443,6 +481,35 @@ class TestPipeline:
         assert capsys.readouterr().err == pipeline_err
         assert snapshot(out) == snapshot(stepwise)
 
+    @pytest.mark.parametrize("algorithm, external", [
+        ("hierarchical", False), ("kmedoids", False), ("kmeans", False),
+        ("kmeans_features", False), ("kmeans_features", True),
+    ], ids=["hierarchical", "kmedoids", "kmeans", "kmeans_features", "features_path"])
+    def test_pipeline_opens_no_file_it_wrote(self, price_cfg, tmp_path, monkeypatch, algorithm,
+                                            external):
+        cfg, out = price_cfg
+        options = ["--config", str(cfg), "-O", f"algorithm={algorithm}", "-O", "k=3"]
+        if external:
+            assert run("preprocess", *options, "--out", str(tmp_path / "ids")) == 0
+            scaled = (tmp_path / "ids" / "scaled.csv").read_text().splitlines()[1:]
+            features = tmp_path / "external.csv"
+            features.write_text("series_id,f1,f2\n" + "".join(
+                f"{line.split(',')[0]},{i % 5 / 3!r},{i % 7}\n" for i, line in enumerate(scaled)),
+                encoding="utf-8")
+            options += ["-O", f"features_path={features}"]
+        opened, real_open = [], builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                opened.append(os.path.abspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        assert run("pipeline", *options) == 0
+        monkeypatch.undo()
+        assert str(cfg) in opened  # the config file, so reads are recorded
+        assert [path for path in opened if path.startswith(str(out) + os.sep)] == []
+
     def test_threads_do_not_change_results(self, price_cfg, tmp_path):
         cfg, out = price_cfg
         assert run("pipeline", "--config", str(cfg), "--threads", "1") == 0
@@ -570,8 +637,10 @@ class TestBadArtifacts:
         ("metadata.csv", 1, lambda cells: cells[:3], "profile",
          "header ['series_id', 'product', 'store'] is not "
          "['series_id', 'product', 'store', 'category']"),
+        ("metadata.csv", 2, lambda cells: [*cells[:3], "c" * (csv.field_size_limit() + 1)],
+         "profile", f"field larger than field limit ({csv.field_size_limit()})"),
     ], ids=["distmat-cell", "distmat-ragged", "assignment-ragged", "assignment-label",
-            "metadata-header"])
+            "metadata-header", "metadata-oversized-cell"])
     def test_bad_artifact_exits_2(self, clustered, name, lineno, edit, command, message, capsys):
         cfg, out = clustered
         width = len((out / name).read_text().splitlines()[0].split(","))

@@ -687,7 +687,7 @@ class TestColumnarLongCsv:
         path = write(tmp_path / "in.csv", self.HEADER + "A" * (csv.field_size_limit() + 1)
                      + ",2021-01-01,1,S1\n")
         with mock.patch.object(cd, "_load_rows", wraps=cd._load_rows) as rows:
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(DataError, match="line 2: field larger than field limit"):
                 cd.load_long_csv(path)
         assert rows.call_count == 1
 

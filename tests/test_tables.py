@@ -183,10 +183,11 @@ def write_cells(path, header, ids, rows, sidecar=None):
 def test_read_wide_matches_old_reader(tmp_path_factory, cells, dtype, data):
     ids, rows, m = data.draw(cell_tables(cells))
     out = tmp_path_factory.mktemp("w")
-    write_cells(out / "scaled.csv", ["series_id"] + [f"2021-01-{d:02d}" for d in range(1, m + 1)],
+    name = {float: "scaled.csv", int: "symbolic.csv"}[dtype]
+    write_cells(out / name, ["series_id"] + [f"2021-01-{d:02d}" for d in range(1, m + 1)],
                 ids, rows)
     cfg = {"out": str(out), "mode": "price"}
-    old, new = read_wide_ref(cfg, "scaled.csv", dtype), cli._read_wide(cfg, "scaled.csv", dtype)
+    old, new = read_wide_ref(cfg, name, dtype), cli.Run(cfg).read(name)
     assert new.ids == old.ids == ids
     assert new.values.dtype == old.values.dtype
     assert new.values.shape == old.values.shape
