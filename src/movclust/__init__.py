@@ -3,17 +3,14 @@
 from .core_data import (
     Observations,
     SeriesCollection,
-    SymbolicSeries,
-    TimeSeries,
     assemble_series,
-    discretize,
+    discretize_collection,
     drop_sparse,
-    fill_forward,
-    fill_mean,
+    fill_collection,
     filter_outliers,
     load_long_csv,
     load_wide_csv,
-    minmax_scale,
+    scale_collection,
 )
 from .clustering import (
     ClusterAssignment,
@@ -34,14 +31,7 @@ from .distances import (
     normalized_levenshtein,
 )
 from .evaluation import bcss, ch_index, db_index, evaluate, mpbi, sweep_k, wcss
-from .image_features import (
-    FeatureVector,
-    ImageGrid,
-    cluster_features,
-    load_external_features,
-    pool_features,
-    rasterize,
-)
+from .image_features import cluster_features, extract_features, load_external_features
 
 __version__ = "0.1.0"
 

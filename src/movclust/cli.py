@@ -10,10 +10,12 @@ artifacts, byte for byte, as the stage commands run one after another.
 Configuration is a flat ``key = value`` file with ``#`` comments; CLI flags
 and ``-O key=value`` overrides win over the file.  A value outside a key's
 fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
-``outlier_metric``, ``normalization``, ``algorithm``, ``linkage``) and scale
-bounds other than ``0 <= scale_lo < scale_hi <= 1`` are configuration errors,
-raised before any input is read.  All randomness flows from the single
-configured seed.
+``outlier_metric``, ``normalization``, ``algorithm``, ``linkage``), a number
+outside its key's bounds (``omega``, ``k``, the image sides and
+``pool_block``, ``outlier_percentile``, ``sparse_threshold``, the four
+non-decreasing ``thresholds``) and scale bounds other than
+``0 <= scale_lo < scale_hi <= 1`` are configuration errors, raised before
+any input is read.  All randomness flows from the single configured seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (among them a CSV
 line the csv module cannot read, such as a field over its size limit),
@@ -46,6 +48,13 @@ def _boolean(raw: str) -> bool:
 
 def _window(raw: str) -> int | None:
     return int(raw) if raw else None
+
+
+def _thresholds(raw: str) -> tuple:
+    parts = tuple(float(v) for v in raw.split(","))
+    if len(parts) != 4 or not all(a <= b for a, b in zip(parts, parts[1:])):
+        raise ValueError("expected 4 comma-separated numbers in non-decreasing order")
+    return parts
 
 
 def _one_of(*choices):
@@ -83,7 +92,7 @@ CONFIG_SPEC = {
     "fill": (_one_of("auto", "forward", "mean"), "auto"),
     "scale_lo": (float, 0.1),
     "scale_hi": (float, 1.0),
-    "thresholds": (str, "0.29,0.47,0.65,0.83"),
+    "thresholds": (_thresholds, core_data.DEFAULT_THRESHOLDS),
     "outlier_filter": (_boolean, True),
     "outlier_metric": (_one_of(*distances.METRICS), "mpbd"),
     "outlier_percentile": (float, 95.0),
@@ -145,22 +154,23 @@ def build_config(file_values: dict, overrides: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
     if bool(cfg["date_start"]) != bool(cfg["date_end"]):
         raise ConfigError("date_start and date_end must be given together")
-    if not (math.isfinite(cfg["omega"]) and cfg["omega"] >= 0):
-        raise ConfigError(f"bad value for 'omega': {cfg['omega']!r} (must be finite and >= 0)")
+    block = cfg["pool_block"]
+    for key, ok, rule in (
+        ("omega", math.isfinite(cfg["omega"]) and cfg["omega"] >= 0, "must be finite and >= 0"),
+        ("k", cfg["k"] >= 1, "must be >= 1"),
+        ("image_width", cfg["image_width"] >= 2, "must be >= 2"),
+        ("image_height", cfg["image_height"] >= 2, "must be >= 2"),
+        ("pool_block", block >= 1 and not cfg["image_width"] % block
+         and not cfg["image_height"] % block, "must be >= 1 and divide both image sides"),
+        ("outlier_percentile", 0 < cfg["outlier_percentile"] <= 100, "must be in (0, 100]"),
+        ("sparse_threshold", 0 <= cfg["sparse_threshold"] <= 1, "must be in [0, 1]"),
+    ):
+        if not ok:
+            raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({rule})")
     if not 0 <= cfg["scale_lo"] < cfg["scale_hi"] <= 1:
         raise ConfigError(f"bad scale bounds: scale_lo={cfg['scale_lo']!r}, "
                           f"scale_hi={cfg['scale_hi']!r} (need 0 <= scale_lo < scale_hi <= 1)")
     return cfg
-
-
-def _thresholds(cfg):
-    try:
-        parts = tuple(float(v) for v in cfg["thresholds"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad thresholds: {cfg['thresholds']!r}") from exc
-    if len(parts) != 4:
-        raise ConfigError("thresholds must be 4 comma-separated numbers")
-    return parts
 
 
 def _date(cfg, key):
@@ -208,8 +218,7 @@ ARTIFACTS = {
     "symbolic.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, int)),
     "metadata.csv": ("preprocess", lambda cfg, path: _read_metadata(path)),
     "distmat.csv": ("distmat", lambda cfg, path: distances.read_matrix_csv(path)),
-    "features.csv": ("features", lambda cfg, path: image_features.load_external_features(
-        path, extractor="features.csv")),
+    "features.csv": ("features", lambda cfg, path: image_features.load_external_features(path)),
     "assignment.csv": ("cluster", lambda cfg, path: clustering.read_assignment_csv(path)),
 }
 
@@ -224,10 +233,6 @@ def _as_read(value, path):
         return replace(value, entries=tables.as_written(value.entries, path))
     if isinstance(value, core_data.SeriesCollection) and value.values.dtype.kind == "f":
         return replace(value, values=tables.as_written(value.values, path))
-    if isinstance(value, list):  # feature vectors
-        rows = tables.as_written(np.stack([vec.features for vec in value]), path)
-        return [image_features.FeatureVector(vec.series_id, row, "features.csv")
-                for vec, row in zip(value, rows)]
     return value
 
 
@@ -310,7 +315,7 @@ def cmd_preprocess(run):
         fill = "forward" if cfg["mode"] == "price" else "mean"
     original = core_data.fill_collection(collection, fill)
     scaled = core_data.scale_collection(original, cfg["scale_lo"], cfg["scale_hi"])
-    symbolic = core_data.discretize_collection(scaled, _thresholds(cfg))
+    symbolic = core_data.discretize_collection(scaled, cfg["thresholds"])
     if cfg["outlier_filter"] and len(symbolic) >= 2:
         filtered = core_data.filter_outliers(
             symbolic,
@@ -360,14 +365,14 @@ def cmd_features(run):
     cfg = run.cfg
     scaled = run.read("scaled.csv")
     if cfg["features_path"]:
-        vectors = image_features.load_external_features(
+        features = image_features.load_external_features(
             cfg["features_path"], known_ids=set(scaled.ids)
         )
     else:
-        vectors = image_features.extract_features(
+        features = image_features.extract_features(
             scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
         )
-    run.write(("features.csv", vectors, image_features.write_features_csv))
+    run.write(("features.csv", features, image_features.write_features_csv))
 
 
 def _clusterer(cfg, data):

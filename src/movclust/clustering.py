@@ -48,7 +48,8 @@ class Dendrogram:
     """Agglomerative merge history: exactly n-1 merges over n leaves."""
 
     leaves: list[str]
-    merges: list = field(default_factory=list)  # (left_members, right_members, height, size)
+    #: (left id, right id, height, size) per merge; a cluster's id is its smallest member
+    merges: list = field(default_factory=list)
 
     def heights(self) -> list[float]:
         return [m[2] for m in self.merges]
@@ -221,7 +222,6 @@ def agglomerative(matrix, linkage: str = "ward") -> Dendrogram:
     D = matrix.entries[np.ix_(order, order)]
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n, dtype=int)
-    members = [(sid,) for sid in ids]
     active = np.ones(n, dtype=bool)
     merges = []
 
@@ -250,8 +250,7 @@ def agglomerative(matrix, linkage: str = "ward") -> Dendrogram:
         D[i, m] = D[m, i] = new
         D[j, :] = D[:, j] = np.inf
 
-        merges.append((members[i], members[j], float(dij), int(si + sj)))
-        members[i] = tuple(sorted(members[i] + members[j]))
+        merges.append((ids[i], ids[j], float(dij), int(si + sj)))
         sizes[i] = si + sj
 
     return Dendrogram(leaves=ids, merges=merges)
@@ -272,7 +271,7 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int, seed: int = 0,
         return x
 
     for left, right, _, _ in dendrogram.merges[: n - k]:
-        ra, rb = find(left[0]), find(right[0])
+        ra, rb = find(left), find(right)
         parent[max(ra, rb)] = min(ra, rb)
 
     groups_by_root: dict[str, list[str]] = {}
@@ -314,5 +313,5 @@ def read_assignment_csv(path) -> ClusterAssignment:
 
 def write_dendrogram_csv(dendrogram: Dendrogram, path):
     write_rows(path, ["step", "left", "right", "height", "size"],
-               ([step, left[0], right[0], NUMBER % height, size]
+               ([step, left, right, NUMBER % height, size]
                 for step, (left, right, height, size) in enumerate(dendrogram.merges, start=1)))

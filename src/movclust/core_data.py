@@ -1,16 +1,15 @@
 """Ingestion, alignment, preprocessing and symbol discretization.
 
-The pipeline order is fixed: assemble -> drop_sparse -> fill (forward for
-price mode, mean for sales mode) -> minmax_scale -> discretize ->
-filter_outliers.  Every step is a pure transformation; collections are
-never mutated in place and each step appends a provenance record.
+The pipeline order is fixed: assemble_series -> drop_sparse ->
+fill_collection (forward for price mode, mean for sales mode) ->
+scale_collection -> discretize_collection -> filter_outliers.  Every step
+is a pure transformation; collections are never mutated in place and each
+step appends a provenance record.
 
 A ``SeriesCollection`` is columnar: its series are the rows of one (n x L)
 matrix, float64 values or, once discretized, int64 levels 1..5, with one
 missing mask and one (product, store, category) tuple per row.  Each step
-transforms the whole matrix at once.  The one-series functions
-(``fill_forward``, ``fill_mean``, ``minmax_scale``, ``discretize``) run the
-same matrix code on a one-row matrix.
+transforms the whole matrix at once; one series is a one-row collection.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ import numpy as np
 
 from .errors import DataError, DuplicateObservationError
 from .tables import checked_rows
-
-SYMBOLS = "ABCDE"
 
 #: Upper bounds of the A..D symbol bands on the [0.1, 1] scale.
 DEFAULT_THRESHOLDS = (0.29, 0.47, 0.65, 0.83)
@@ -64,47 +61,6 @@ class RejectedRow:
     line_number: int
     raw_row: str
     reason: str
-
-
-@dataclass
-class TimeSeries:
-    """One entity's value history on the shared uniform daily index."""
-
-    series_id: str
-    values: np.ndarray
-    missing_mask: np.ndarray
-    category: str | None = None
-    store: str | None = None
-    product: str | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.missing_mask = np.asarray(self.missing_mask, dtype=bool)
-        if self.values.shape != self.missing_mask.shape:
-            raise DataError(f"{self.series_id}: values/mask length mismatch")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass
-class SymbolicSeries:
-    """A TimeSeries discretized into integer levels 1..5 (A..E)."""
-
-    series_id: str
-    levels: np.ndarray
-    category: str | None = None
-    store: str | None = None
-    product: str | None = None
-
-    def __post_init__(self):
-        self.levels = np.asarray(self.levels, dtype=int)
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def symbols(self) -> str:
-        return "".join(SYMBOLS[v - 1] for v in self.levels)
 
 
 @dataclass
@@ -491,10 +447,27 @@ def _raise_first(ids, *checks):
         raise DataError(f"{ids[row]}: {message}")
 
 
-def _fill(values, missing, ids, strategy: str) -> np.ndarray:
-    """Rows of ``values`` with the cells marked in ``missing`` filled."""
+def drop_sparse(collection: SeriesCollection, max_missing_fraction: float = 0.8) -> SeriesCollection:
+    """Drop series with strictly more than the allowed fraction missing."""
+    if not 0.0 <= max_missing_fraction <= 1.0:
+        raise DataError(f"max_missing_fraction out of [0,1]: {max_missing_fraction}")
+    missing = collection.missing
+    keep = np.count_nonzero(missing, axis=1) / missing.shape[1] <= max_missing_fraction
+    return collection.select(keep, collection.with_step(
+        "drop_sparse", {"max_missing_fraction": max_missing_fraction},
+        compress(collection.ids, ~keep),
+    ))
+
+
+def fill_collection(collection: SeriesCollection, strategy: str) -> SeriesCollection:
+    """Fill each row's missing cells.
+
+    ``forward`` takes the most recent present value, and a leading gap the
+    first present one; ``mean`` takes the mean of the row's present values.
+    """
     if strategy not in ("forward", "mean"):
         raise DataError(f"unknown fill strategy {strategy!r}")
+    values, missing, ids = collection.values, collection.missing, collection.ids
     present = ~missing
     _raise_first(ids, (~present.any(axis=1), "cannot fill an all-missing series"))
     if strategy == "mean":
@@ -508,17 +481,20 @@ def _fill(values, missing, ids, strategy: str) -> np.ndarray:
         _raise_first(ids, (overflow, "mean fill value overflows to a non-finite number"))
         for i, mean in zip(gapped, means):
             filled[i, missing[i]] = mean
-        return filled
-    idx = np.where(present, np.arange(values.shape[1]), -1)
-    idx = np.maximum.accumulate(idx, axis=1)
-    idx = np.where(idx < 0, np.argmax(present, axis=1)[:, None], idx)
-    return np.take_along_axis(values, idx, axis=1)
+    else:
+        idx = np.where(present, np.arange(values.shape[1]), -1)
+        idx = np.maximum.accumulate(idx, axis=1)
+        idx = np.where(idx < 0, np.argmax(present, axis=1)[:, None], idx)
+        filled = np.take_along_axis(values, idx, axis=1)
+    return replace(collection, values=filled,
+                   provenance=collection.with_step("fill", {"strategy": strategy}))
 
 
-def _scale(values, ids, lo: float, hi: float) -> np.ndarray:
-    """Each row of ``values`` min-max scaled into [lo, hi]; a constant row maps to lo."""
+def scale_collection(collection: SeriesCollection, lo: float = 0.1, hi: float = 1.0) -> SeriesCollection:
+    """Min-max scale each complete row into [lo, hi]; a constant row maps to lo."""
     if lo >= hi:
         raise DataError(f"scale bounds require lo < hi, got {lo} >= {hi}")
+    values, ids = collection.values, collection.ids
     _raise_first(ids, (np.isnan(values).any(axis=1), "scaling requires a complete series"))
     vmin = values.min(axis=1, keepdims=True)
     vmax = values.max(axis=1, keepdims=True)
@@ -530,98 +506,30 @@ def _scale(values, ids, lo: float, hi: float) -> np.ndarray:
     # pin the extremes exactly; the affine map can be one ulp off
     scaled[values == vmax] = hi
     scaled[values == vmin] = lo
-    return scaled
-
-
-def _levels(values, ids, thresholds) -> np.ndarray:
-    """Integer levels 1..5 of each scaled row of ``values``."""
-    if values.dtype.kind != "f":
-        raise TypeError("series is already discretized")
-    _raise_first(
-        ids,
-        (np.isnan(values).any(axis=1), "discretize requires a complete series"),
-        (((values < 0) | (values > 1)).any(axis=1),
-         "values outside [0, 1]; run minmax_scale first"),
-    )
-    if len(thresholds) != 4 or list(thresholds) != sorted(thresholds):
-        raise DataError(f"need 4 increasing thresholds, got {thresholds}")
-    return 1 + np.searchsorted(np.asarray(thresholds), values, side="right")
-
-
-def drop_sparse(collection: SeriesCollection, max_missing_fraction: float = 0.8) -> SeriesCollection:
-    """Drop series with strictly more than the allowed fraction missing."""
-    if not 0.0 <= max_missing_fraction <= 1.0:
-        raise DataError(f"max_missing_fraction out of [0,1]: {max_missing_fraction}")
-    missing = collection.missing
-    keep = np.count_nonzero(missing, axis=1) / missing.shape[1] <= max_missing_fraction
-    return collection.select(keep, collection.with_step(
-        "drop_sparse", {"max_missing_fraction": max_missing_fraction},
-        compress(collection.ids, ~keep),
-    ))
-
-
-def _one_row(kernel, series, *args) -> TimeSeries:
-    """``series`` with its values replaced by ``kernel`` run on it as a one-row matrix."""
-    values = kernel(series.values[None], *args)[0]
-    return replace(series, values=values, missing_mask=series.missing_mask.copy())
-
-
-def fill_forward(series: TimeSeries) -> TimeSeries:
-    """Fill missing positions with the most recent present value.
-
-    Leading gaps are backfilled from the first present value so the result
-    is always complete.
-    """
-    return _one_row(_fill, series, series.missing_mask[None], [series.series_id], "forward")
-
-
-def fill_mean(series: TimeSeries) -> TimeSeries:
-    """Fill missing positions with the mean of the series' present values."""
-    return _one_row(_fill, series, series.missing_mask[None], [series.series_id], "mean")
-
-
-def fill_collection(collection: SeriesCollection, strategy: str) -> SeriesCollection:
-    return replace(
-        collection,
-        values=_fill(collection.values, collection.missing, collection.ids, strategy),
-        provenance=collection.with_step("fill", {"strategy": strategy}),
-    )
-
-
-def minmax_scale(series: TimeSeries, lo: float = 0.1, hi: float = 1.0) -> TimeSeries:
-    """Min-max scale one complete series into [lo, hi].
-
-    A constant series maps every position to lo.
-    """
-    return _one_row(_scale, series, [series.series_id], lo, hi)
-
-
-def scale_collection(collection: SeriesCollection, lo: float = 0.1, hi: float = 1.0) -> SeriesCollection:
-    return replace(
-        collection,
-        values=_scale(collection.values, collection.ids, lo, hi),
-        provenance=collection.with_step("minmax_scale", {"lo": lo, "hi": hi}),
-    )
-
-
-def discretize(series: TimeSeries, thresholds=DEFAULT_THRESHOLDS) -> SymbolicSeries:
-    """Map scaled values onto integer levels 1..5 (A..E).
-
-    Band edges are half-open on the right: x < t1 -> 1, t1 <= x < t2 -> 2, ...
-    Passing an already-symbolic series is a type error, not a silent re-map.
-    """
-    if isinstance(series, SymbolicSeries):
-        raise TypeError("series is already discretized")
-    levels = _levels(series.values[None], [series.series_id], thresholds)[0]
-    return SymbolicSeries(series.series_id, levels, series.category, series.store, series.product)
+    return replace(collection, values=scaled,
+                   provenance=collection.with_step("minmax_scale", {"lo": lo, "hi": hi}))
 
 
 def discretize_collection(collection: SeriesCollection, thresholds=DEFAULT_THRESHOLDS) -> SeriesCollection:
-    return replace(
-        collection,
-        values=_levels(collection.values, collection.ids, thresholds),
-        provenance=collection.with_step("discretize", {"thresholds": list(thresholds)}),
+    """Map each scaled row onto integer levels 1..5 (A..E).
+
+    Band edges are half-open on the right: x < t1 -> 1, t1 <= x < t2 -> 2,
+    ...  A collection of levels is a type error, not a silent re-map.
+    """
+    values = collection.values
+    if values.dtype.kind != "f":
+        raise TypeError("series is already discretized")
+    _raise_first(
+        collection.ids,
+        (np.isnan(values).any(axis=1), "discretize requires a complete series"),
+        (((values < 0) | (values > 1)).any(axis=1),
+         "values outside [0, 1]; run scale_collection first"),
     )
+    if len(thresholds) != 4 or list(thresholds) != sorted(thresholds):
+        raise DataError(f"need 4 increasing thresholds, got {thresholds}")
+    levels = 1 + np.searchsorted(np.asarray(thresholds), values, side="right")
+    return replace(collection, values=levels,
+                   provenance=collection.with_step("discretize", {"thresholds": list(thresholds)}))
 
 
 def filter_outliers(

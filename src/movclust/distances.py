@@ -477,7 +477,14 @@ def write_matrix_csv(matrix: DistanceMatrix, path):
 
 
 def read_matrix_csv(path) -> DistanceMatrix:
-    header, _, entries = read_table(path)
+    """Read a matrix that ``write_matrix_csv`` wrote; each row's id must be its column's."""
+    header, ids, entries = read_table(path)
+    for lineno, (row_id, column_id) in enumerate(zip(ids, header[1:]), start=2):
+        if row_id != column_id:
+            raise DataError(f"{path}, line {lineno}: row id {row_id!r} is not the header's "
+                            f"{column_id!r}")
+    if len(ids) != len(header) - 1:
+        raise DataError(f"{path}: {len(ids)} rows for the header's {len(header) - 1} ids")
     sidecar = read_sidecar(path, "metric", "normalization")
     return DistanceMatrix(
         ids=header[1:],

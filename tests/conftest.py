@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
-from movclust.core_data import Observations, SeriesCollection, SymbolicSeries, TimeSeries
+from movclust.core_data import Observations, SeriesCollection
 
 #: Settings of the differential tests of a fast kernel against its scalar
 #: reference.  Hypothesis's explain phase re-runs a failing example once per
@@ -13,33 +13,31 @@ DIFFERENTIAL = settings(max_examples=300, deadline=None,
                         phases=[p for p in Phase if p is not Phase.explain])
 
 
-def ts(series_id, values, missing=None, **kwargs):
-    """Build a TimeSeries; None entries in values mark missing positions."""
+def ts(series_id, values, missing=None, category=None, store=None, product=None):
+    """A one-row SeriesCollection; None entries in values mark missing positions."""
     if missing is None:
         missing = [v is None for v in values]
         values = [np.nan if v is None else v for v in values]
-    return TimeSeries(
-        series_id=series_id,
-        values=np.asarray(values, dtype=float),
-        missing_mask=np.asarray(missing, dtype=bool),
-        **kwargs,
-    )
+    return SeriesCollection([series_id], np.asarray(values, dtype=float)[None],
+                            np.asarray(missing, dtype=bool)[None], [(product, store, category)])
 
 
-def sym(series_id, levels, **kwargs):
-    return SymbolicSeries(series_id=series_id, levels=np.asarray(levels, dtype=int), **kwargs)
+def sym(series_id, levels, category=None, store=None, product=None):
+    """A one-row SeriesCollection of integer levels."""
+    return SeriesCollection([series_id], np.asarray(levels, dtype=int)[None],
+                            attrs=[(product, store, category)])
 
 
 def collection(series, mode="price"):
-    """A SeriesCollection whose rows are the given TimeSeries, or SymbolicSeries levels."""
+    """The one-row collections ``series`` stacked into one SeriesCollection."""
     series = list(series)
-    rows = [getattr(s, "values", getattr(s, "levels", None)) for s in series]
+    if not series:
+        return SeriesCollection([], np.empty((0, 0)), mode=mode)
     return SeriesCollection(
-        ids=[s.series_id for s in series],
-        values=np.stack(rows) if rows else np.empty((0, 0)),
-        missing=np.stack([getattr(s, "missing_mask", np.zeros(len(s), dtype=bool)) for s in series])
-        if series else None,
-        attrs=[(s.product, s.store, s.category) for s in series],
+        ids=[sid for s in series for sid in s.ids],
+        values=np.concatenate([s.values for s in series]),
+        missing=np.concatenate([s.missing for s in series]),
+        attrs=[attrs for s in series for attrs in s.attrs],
         mode=mode,
     )
 

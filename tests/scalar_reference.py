@@ -6,7 +6,12 @@ loaders and series assembly, the series-by-series preprocessing steps, and
 the segment-by-segment rasterizer, written the plain way.
 ``movclust.distances``, ``movclust.clustering``, ``movclust.core_data`` and
 ``movclust.image_features`` must reproduce every value they return bit for
-bit.
+bit.  The series loops carry each series in a test-local record
+(``TimeSeries``, ``SymbolicSeries``), and ``records`` splits a package
+``SeriesCollection`` into them; the rasterizer draws one series into a
+pixel array, and the pooling averages the tiles of one such array.  The
+agglomerative loop records each merge's member tuples, whose first members
+are the ids that ``Dendrogram.merges`` holds.
 
 More are earlier forms of the package code, kept as they were: the
 anti-diagonal edit-distance DP that ran Levenshtein before the bit-parallel
@@ -32,16 +37,47 @@ import numpy as np
 
 from movclust import clustering, core_data, evaluation
 from movclust.clustering import ClusterAssignment, Dendrogram
-from movclust.core_data import (
-    DEFAULT_SCHEMA,
-    DEFAULT_THRESHOLDS,
-    RejectedRow,
-    SymbolicSeries,
-    TimeSeries,
-)
+from movclust.core_data import DEFAULT_SCHEMA, DEFAULT_THRESHOLDS, RejectedRow
 from movclust.distances import DistanceMatrix
 from movclust.errors import DataError, DegenerateGeometryError, DuplicateObservationError
-from movclust.image_features import FeatureVector, ImageGrid
+
+
+@dataclass
+class TimeSeries:
+    """One series' values on the shared daily index, as the series loops carry it."""
+
+    series_id: str
+    values: np.ndarray
+    missing_mask: np.ndarray
+    category: str | None = None
+    store: str | None = None
+    product: str | None = None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+@dataclass
+class SymbolicSeries:
+    """A TimeSeries discretized into integer levels 1..5 (A..E)."""
+
+    series_id: str
+    levels: np.ndarray
+    category: str | None = None
+    store: str | None = None
+    product: str | None = None
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+
+def records(collection) -> list:
+    """The rows of a numeric ``SeriesCollection``, one TimeSeries each."""
+    return [
+        TimeSeries(sid, values, missing, category, store, product)
+        for sid, values, missing, (product, store, category)
+        in zip(collection.ids, collection.values, collection.missing, collection.attrs)
+    ]
 
 
 def levenshtein_ref(p, q):
@@ -496,7 +532,7 @@ def discretize_ref(series: TimeSeries, thresholds=DEFAULT_THRESHOLDS) -> Symboli
     if np.isnan(values).any():
         raise DataError(f"{series.series_id}: discretize requires a complete series")
     if (values < 0).any() or (values > 1).any():
-        raise DataError(f"{series.series_id}: values outside [0, 1]; run minmax_scale first")
+        raise DataError(f"{series.series_id}: values outside [0, 1]; run scale_collection first")
     if len(thresholds) != 4 or list(thresholds) != sorted(thresholds):
         raise DataError(f"need 4 increasing thresholds, got {thresholds}")
     levels = 1 + np.searchsorted(np.asarray(thresholds), values, side="right")
@@ -570,15 +606,15 @@ def _bresenham(r0, c0, r1, c1):
             r += sr
 
 
-def rasterize_ref(series, width: int = 64, height: int = 64) -> ImageGrid:
-    """Draw the series polyline into a binary width x height grid.
+def rasterize_ref(values, width: int = 64, height: int = 64) -> np.ndarray:
+    """Draw the polyline of one series' values into a binary (height, width) grid.
 
     Time maps onto columns [0, width-1]; value 0 maps to the bottom row and
     value 1 to the top row.  No anti-aliasing: pixels are 0 or 1.
     """
     if width < 2 or height < 2:
         raise DataError(f"grid must be at least 2x2, got {width}x{height}")
-    values = np.asarray(getattr(series, "values", series), dtype=float)
+    values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise DataError("rasterize requires a complete series")
     if (values < 0).any() or (values > 1).any():
@@ -592,20 +628,17 @@ def rasterize_ref(series, width: int = 64, height: int = 64) -> ImageGrid:
     for t in range(n - 1):
         for r, c in _bresenham(rows[t], cols[t], rows[t + 1], cols[t + 1]):
             pixels[r, c] = 1.0
-    return ImageGrid(width=width, height=height, pixels=pixels)
+    return pixels
 
 
-def pool_features_ref(image: ImageGrid, block: int = 4, series_id: str = "") -> FeatureVector:
-    """Average intensity per non-overlapping block x block tile, row-major."""
-    if image.width % block or image.height % block:
-        raise DataError(f"block {block} does not divide {image.width}x{image.height}")
-    h, w = image.height // block, image.width // block
-    tiles = image.pixels.reshape(h, block, w, block).mean(axis=(1, 3))
-    return FeatureVector(
-        series_id=series_id,
-        features=tiles.reshape(-1),
-        extractor=f"raster{image.width}x{image.height}/pool{block}",
-    )
+def pool_features_ref(pixels, block: int = 4) -> np.ndarray:
+    """Average intensity per non-overlapping block x block tile of one image, row-major."""
+    height, width = pixels.shape
+    if width % block or height % block:
+        raise DataError(f"block {block} does not divide {width}x{height}")
+    h, w = height // block, width // block
+    tiles = pixels.reshape(h, block, w, block).mean(axis=(1, 3))
+    return tiles.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -756,17 +789,17 @@ def write_matrix_csv_ref(matrix, path):
             writer.writerow([sid] + [format(v, ".9g") for v in row])
 
 
-def write_features_csv_ref(vectors, path):
-    if not vectors:
+def write_features_csv_ref(ids, vectors, path):
+    if not len(vectors):
         raise DataError("no feature vectors to write")
-    m = len(vectors[0].features)
+    m = len(vectors[0])
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
         writer = _writer(fh)
         writer.writerow(["series_id"] + [f"f{i + 1}" for i in range(m)])
-        for vec in vectors:
-            if len(vec.features) != m:
-                raise DataError(f"{vec.series_id}: inconsistent feature length")
-            writer.writerow([vec.series_id] + [format(v, ".9g") for v in vec.features])
+        for sid, features in zip(ids, vectors):
+            if len(features) != m:
+                raise DataError(f"{sid}: inconsistent feature length")
+            writer.writerow([sid] + [format(v, ".9g") for v in features])
 
 
 # ---------------------------------------------------------------------------
@@ -974,12 +1007,12 @@ def read_assignment_csv_ref(path) -> ClusterAssignment:
     )
 
 
-def load_external_features_ref(path, known_ids=None, extractor: str = "external"):
-    """Load feature vectors from CSV (header series_id,f1,...,fm).
+def load_external_features_ref(path, known_ids=None):
+    """Load feature vectors from CSV (header series_id,f1,...,fm) as (ids, vectors).
 
     Ragged rows, non-numeric cells, and ids outside ``known_ids`` are errors.
     """
-    vectors = []
+    ids, vectors = [], []
     unknown = []
     try:
         fh = open(str(path), newline="", encoding="utf-8")
@@ -1004,7 +1037,8 @@ def load_external_features_ref(path, known_ids=None, extractor: str = "external"
                 raise DataError(f"line {lineno}: non-numeric cell: {exc}") from exc
             if known_ids is not None and sid not in known_ids:
                 unknown.append(sid)
-            vectors.append(FeatureVector(series_id=sid, features=features, extractor=extractor))
+            ids.append(sid)
+            vectors.append(features)
     if unknown:
         raise DataError(f"unknown series ids in feature file: {sorted(unknown)}")
-    return vectors
+    return ids, vectors

@@ -15,13 +15,9 @@ import pytest
 
 from movclust import cli, clustering as cl, distances as di, evaluation as ev
 from movclust import image_features as imf
-from movclust.core_data import (
-    SeriesCollection,
-    SymbolicSeries,
-    TimeSeries,
-    discretize,
-)
+from movclust.core_data import SeriesCollection, discretize_collection
 
+from conftest import collection, ts
 from test_clustering import best_two_partition, matrix_from, partition_of
 from test_evaluation import db_oracle, mpbi_oracle, wcss_oracle
 
@@ -32,15 +28,6 @@ def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def sym(series_id, levels):
-    return SymbolicSeries(series_id=series_id, levels=np.asarray(levels, dtype=int))
-
-
-def ts(series_id, values):
-    values = np.asarray(values, dtype=float)
-    return TimeSeries(series_id, values, np.zeros(len(values), dtype=bool))
 
 
 def pair_matrix(p, q, metric="mpbd"):
@@ -96,7 +83,8 @@ def test_criterion_3_table1_scenario3_mpbd():
 
 def test_criterion_4_discretization_boundaries():
     inputs = [0.1, 0.2899, 0.29, 0.47, 0.65, 0.83, 1.0]
-    got = discretize(ts("x", inputs)).symbols()
+    levels = discretize_collection(ts("x", inputs)).values[0]
+    got = "".join("ABCDE"[v - 1] for v in levels)
     report(4, got == "AABCDEE", f"{inputs} -> {got}")
 
 
@@ -269,26 +257,28 @@ def test_criterion_9_cluster_count_and_sweep(sample_dir, tmp_path):
 
 def test_criterion_10_image_branch():
     # golden rasters, byte-exact
-    const_grid = imf.rasterize(ts("const", [0.1] * 24))
-    ramp_grid = imf.rasterize(ts("ramp", np.linspace(0.1, 1.0, 24)))
+    def pixels(series):  # the 64x64 image: the feature vector with block 1
+        return imf.extract_features(series, block=1).values[0].reshape(64, 64)
 
-    def pgm_bytes(grid):
-        lines = ["P2", f"{grid.width} {grid.height}", "1"]
-        for row in grid.pixels.astype(int):
+    def pgm_bytes(image):
+        lines = ["P2", "64 64", "1"]
+        for row in image.astype(int):
             lines.append(" ".join(str(v) for v in row))
         return ("\n".join(lines) + "\n").encode()
 
     golden_ok = (
-        pgm_bytes(const_grid) == (GOLDEN / "constant_series.pgm").read_bytes()
-        and pgm_bytes(ramp_grid) == (GOLDEN / "ramp_series.pgm").read_bytes()
+        pgm_bytes(pixels(ts("const", [0.1] * 24)))
+        == (GOLDEN / "constant_series.pgm").read_bytes()
+        and pgm_bytes(pixels(ts("ramp", np.linspace(0.1, 1.0, 24))))
+        == (GOLDEN / "ramp_series.pgm").read_bytes()
     )
     # pooled-feature mass preservation within 1e-12
     rng = np.random.default_rng(3)
     mass_ok = True
     for _ in range(20):
-        grid = imf.rasterize(ts("r", np.clip(rng.uniform(0.1, 1.0, size=40), 0.1, 1.0)))
-        vec = imf.pool_features(grid, block=4)
-        mass_ok &= abs(vec.features.mean() - grid.pixels.mean()) < 1e-12
+        series = ts("r", np.clip(rng.uniform(0.1, 1.0, size=40), 0.1, 1.0))
+        features = imf.extract_features(series, block=4).values[0]
+        mass_ok &= abs(features.mean() - pixels(series).mean()) < 1e-12
     # flat vs oscillating separation on a 20-series sample
     t = np.arange(60)
     series = [ts(f"flat{i:02d}", np.full(60, 0.1 + 0.02 * i)) for i in range(10)]
@@ -299,14 +289,11 @@ def test_criterion_10_image_branch():
         )
         for i in range(10)
     ]
-    vectors = [
-        imf.pool_features(imf.rasterize(s), series_id=s.series_id) for s in series
-    ]
-    out = imf.cluster_features(vectors, k=2, seed=0)
+    out = imf.cluster_features(imf.extract_features(collection(series)), k=2, seed=0)
     groups = {frozenset(out.members(c)) for c in range(1, 3)}
     split_ok = groups == {
-        frozenset(s.series_id for s in series[:10]),
-        frozenset(s.series_id for s in series[10:]),
+        frozenset(s.ids[0] for s in series[:10]),
+        frozenset(s.ids[0] for s in series[10:]),
     }
     report(
         10,

@@ -141,6 +141,31 @@ class TestConfig:
         assert "error: bad scale bounds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", "0"), ("image_width", "1"), ("image_height", "1"),
+        ("pool_block", "0"), ("pool_block", "-4"), ("pool_block", "3"),
+        ("outlier_percentile", "0"), ("outlier_percentile", "100.5"),
+        ("sparse_threshold", "-0.1"), ("sparse_threshold", "1.5"),
+        ("thresholds", "0.47,0.29,0.65,0.83"), ("thresholds", "0.29,0.47,nan,0.83"),
+    ])
+    def test_number_outside_its_bounds_exits_1_before_reading_input(self, price_cfg, key, value,
+                                                                     capsys):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            cli.build_config({key: value}, {})
+        cfg, out = price_cfg
+        assert run("pipeline", "--config", str(cfg), "-O", "algorithm=kmeans_features",
+                   "-O", f"{key}={value}") == 1
+        assert f"error: bad value for '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thresholds_parse_into_four_numbers(self):
+        assert cli.build_config({}, {})["thresholds"] == (0.29, 0.47, 0.65, 0.83)
+        assert cli.build_config({"thresholds": "0.2, 0.2,0.5,0.9"}, {})["thresholds"] == (
+            0.2, 0.2, 0.5, 0.9)
+        for raw in ("0.1,0.2,0.3", "0.1,0.2,0.3,0.4,0.5", "a,b,c,d"):
+            with pytest.raises(ConfigError, match="thresholds"):
+                cli.build_config({"thresholds": raw}, {})
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\n\nseed = 5  # trailing\n")
@@ -301,13 +326,29 @@ class TestStageCommands:
         rows = list(csv.DictReader((out / "assignment.csv").open()))
         assert {int(r["cluster"]) for r in rows} == set(range(1, 6))
 
-    @pytest.mark.parametrize("block", ["0", "-4"])
-    def test_pool_block_below_one_exits_2(self, price_cfg, block, capsys):
+    def test_repeated_id_in_feature_file_exits_2(self, price_cfg, tmp_path, capsys):
         cfg, out = price_cfg
-        assert run("pipeline", "--config", str(cfg), "-O", "algorithm=kmeans_features",
-                   "-O", f"pool_block={block}") == 2
-        assert f"data error: pool block must be at least 1, got {block}" in capsys.readouterr().err
-        assert (out / "scaled.csv").exists() and not (out / "features.csv").exists()
+        assert run("preprocess", "--config", str(cfg)) == 0
+        ids = [line.split(",")[0] for line in (out / "scaled.csv").read_text().splitlines()[1:]]
+        features = tmp_path / "external.csv"
+        features.write_text("series_id,f1\n" + "".join(
+            f"{sid},{i}\n" for i, sid in enumerate([*ids, ids[1]])), encoding="utf-8")
+        assert run("features", "--config", str(cfg), "-O", f"features_path={features}") == 2
+        assert (f"data error: {features}, line {len(ids) + 2}: duplicate series_id {ids[1]!r}"
+                in capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
+
+    def test_no_series_left_exits_2_before_writing_features(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("series_id,date,value\nA,2021-01-01,1\nB,2021-01-10,2\n", encoding="utf-8")
+        options = ["--input", str(src), "-O", "algorithm=kmeans_features"]
+        assert run("pipeline", "--out", str(tmp_path / "pipeline"), *options) == 2
+        assert capsys.readouterr().err == "data error: no feature vectors to write\n"
+        assert run("preprocess", "--out", str(tmp_path / "stepwise"), *options) == 0
+        assert run("features", "--out", str(tmp_path / "stepwise"), *options) == 2
+        assert capsys.readouterr().err == "data error: no feature vectors to write\n"
+        for out in ("pipeline", "stepwise"):
+            assert not (tmp_path / out / "features.csv").exists()
 
     def test_kmeans_and_kmedoids_paths(self, price_cfg):
         cfg, out = price_cfg
@@ -435,7 +476,7 @@ class TestPipeline:
             f"{sid},{day},{value!r}\n" for sid, values in series.items()
             for day, value in zip(days, values)), encoding="utf-8")
         rows = [image_features.extract_features(
-            SeriesCollection(["A"], [[0, 1, value, 0.2]]))[0].features
+            SeriesCollection(["A"], [[0, 1, value, 0.2]])).values[0]
             for value in (0.49999999999, 0.5)]
         assert not np.array_equal(*rows)
         options = ["--input", str(src), "-O", "scale_lo=0", "-O", "scale_hi=1", "-O", "k=2",
@@ -658,6 +699,27 @@ class TestBadArtifacts:
         (out / sidecar).write_text("{}\n", encoding="utf-8")
         assert run(command, "--config", str(cfg)) == 2
         assert f"data error: {out / sidecar}: missing key {key!r}" in capsys.readouterr().err
+
+    def test_swapped_distmat_row_ids_exit_2(self, clustered, capsys):
+        cfg, out = clustered
+        path = out / "distmat.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first, second = (line.split(",", 1) for line in lines[2:4])
+        lines[2], lines[3] = ",".join([second[0], first[1]]), ",".join([first[0], second[1]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("cluster", "--config", str(cfg)) == 2
+        assert (f"data error: {path}, line 3: row id {second[0]!r} is not the header's "
+                f"{first[0]!r}") in capsys.readouterr().err
+
+    def test_distmat_without_its_last_row_exits_2(self, clustered, capsys):
+        cfg, out = clustered
+        path = out / "distmat.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        assert run("sweep", "--config", str(cfg)) == 2
+        n = len(lines) - 1
+        assert (f"data error: {path}: {n - 1} rows for the header's {n} ids"
+                in capsys.readouterr().err)
 
     def test_header_only_assignment_exits_2(self, clustered, capsys):
         cfg, out = clustered

@@ -206,26 +206,26 @@ class TestDropSparse:
         assert out.provenance[-1]["dropped_ids"] == ["A"]
 
 
+def fill_row(series, strategy):
+    """The one row of ``cd.fill_collection`` over the one-row collection ``series``."""
+    return cd.fill_collection(series, strategy).values[0].tolist()
+
+
 class TestFill:
     def test_forward_basic(self):
-        out = cd.fill_forward(ts("A", [5.0, None, None, 7.0]))
-        assert out.values.tolist() == [5, 5, 5, 7]
+        assert fill_row(ts("A", [5.0, None, None, 7.0]), "forward") == [5, 5, 5, 7]
 
     def test_forward_head_backfill(self):
-        out = cd.fill_forward(ts("A", [None, 3.0, None]))
-        assert out.values.tolist() == [3, 3, 3]
+        assert fill_row(ts("A", [None, 3.0, None]), "forward") == [3, 3, 3]
 
     def test_forward_identity_on_complete(self):
-        out = cd.fill_forward(ts("A", [4.0, 4.0, 4.0]))
-        assert out.values.tolist() == [4, 4, 4]
+        assert fill_row(ts("A", [4.0, 4.0, 4.0]), "forward") == [4, 4, 4]
 
     def test_mean_basic(self):
-        out = cd.fill_mean(ts("A", [2.0, None, 4.0]))
-        assert out.values.tolist() == [2, 3, 4]
+        assert fill_row(ts("A", [2.0, None, 4.0]), "mean") == [2, 3, 4]
 
     def test_mean_single_present(self):
-        out = cd.fill_mean(ts("A", [None, None, 5.0]))
-        assert out.values.tolist() == [5, 5, 5]
+        assert fill_row(ts("A", [None, None, 5.0]), "mean") == [5, 5, 5]
 
     def test_mean_overflow_is_error(self):
         values = np.array([[1.0, np.nan, 3.0], [1.5e308, np.nan, 1.6e308], [1e308, 1e308, 1e308]])
@@ -235,12 +235,12 @@ class TestFill:
             cd.fill_collection(col, "mean")
         # forward fill copies finite values; a complete row of huge values is not filled
         assert np.isfinite(cd.fill_collection(col, "forward").values).all()
-        assert cd.fill_mean(ts("C", values[2])).values.tolist() == values[2].tolist()
+        assert fill_row(ts("C", values[2]), "mean") == values[2].tolist()
 
     def test_all_missing_is_error(self):
-        for fill in (cd.fill_forward, cd.fill_mean):
+        for strategy in ("forward", "mean"):
             with pytest.raises(DataError):
-                fill(ts("A", [None, None]))
+                cd.fill_collection(ts("A", [None, None]), strategy)
 
     @given(
         st.lists(
@@ -249,70 +249,71 @@ class TestFill:
     )
     def test_fill_never_modifies_present(self, values):
         series = ts("A", values)
-        present = ~series.missing_mask
-        for fill in (cd.fill_forward, cd.fill_mean):
-            out = fill(series)
+        present = ~series.missing
+        for strategy in ("forward", "mean"):
+            out = cd.fill_collection(series, strategy)
             assert np.array_equal(out.values[present], series.values[present])
             assert not np.isnan(out.values).any()
 
 
+def scaled_row(values, lo=0.1, hi=1.0):
+    return cd.scale_collection(ts("A", values), lo, hi).values[0]
+
+
 class TestMinmaxScale:
     def test_endpoints_and_midpoint(self):
-        out = cd.minmax_scale(ts("A", [10.0, 55.0, 100.0]))
-        assert np.allclose(out.values, [0.1, 0.55, 1.0])
+        assert np.allclose(scaled_row([10.0, 55.0, 100.0]), [0.1, 0.55, 1.0])
 
     def test_constant_maps_to_lo(self):
-        out = cd.minmax_scale(ts("A", [7.0, 7.0, 7.0]))
-        assert out.values.tolist() == [0.1, 0.1, 0.1]
+        assert scaled_row([7.0, 7.0, 7.0]).tolist() == [0.1, 0.1, 0.1]
 
     def test_two_points(self):
-        out = cd.minmax_scale(ts("A", [0.0, 1.0]))
-        assert np.allclose(out.values, [0.1, 1.0])
+        assert np.allclose(scaled_row([0.0, 1.0]), [0.1, 1.0])
 
     def test_exact_bounds_after_scaling(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            values = rng.uniform(-50, 50, size=17)
-            out = cd.minmax_scale(ts("A", values))
-            assert out.values.min() == 0.1
-            assert out.values.max() == 1.0
+            out = scaled_row(rng.uniform(-50, 50, size=17))
+            assert out.min() == 0.1
+            assert out.max() == 1.0
 
     def test_bad_bounds(self):
         with pytest.raises(DataError):
-            cd.minmax_scale(ts("A", [1.0, 2.0]), lo=1.0, hi=0.5)
+            scaled_row([1.0, 2.0], lo=1.0, hi=0.5)
 
     def test_overflowing_range_is_error(self):
         col = collection([ts("A", [1.0, 2.0, 3.0]), ts("B", [1.7e308, -1.7e308, 1.0])])
         with pytest.raises(DataError, match="^B: value range overflows"):
             cd.scale_collection(col)
-        out = cd.minmax_scale(ts("C", [1.7e308, 0.0, 0.85e308]))  # the widest finite range
-        assert out.values.tolist() == [1.0, 0.1, 0.55]
+        # the widest finite range
+        assert scaled_row([1.7e308, 0.0, 0.85e308]).tolist() == [1.0, 0.1, 0.55]
+
+
+def level_row(values, thresholds=cd.DEFAULT_THRESHOLDS):
+    return cd.discretize_collection(ts("A", values), thresholds).values[0].tolist()
 
 
 class TestDiscretize:
     def test_band_boundaries(self):
-        out = cd.discretize(ts("A", [0.1, 0.29, 0.47, 0.65, 0.83]))
-        assert out.levels.tolist() == [1, 2, 3, 4, 5]
-        assert out.symbols() == "ABCDE"
+        assert level_row([0.1, 0.29, 0.47, 0.65, 0.83]) == [1, 2, 3, 4, 5]
 
     def test_strict_upper_bound_on_a(self):
-        assert cd.discretize(ts("A", [0.2899, 0.2899])).levels.tolist() == [1, 1]
+        assert level_row([0.2899, 0.2899]) == [1, 1]
 
     def test_top_of_range(self):
-        assert cd.discretize(ts("A", [1.0, 1.0])).levels.tolist() == [5, 5]
+        assert level_row([1.0, 1.0]) == [5, 5]
 
     def test_out_of_range_is_error(self):
-        with pytest.raises(DataError, match="minmax_scale"):
-            cd.discretize(ts("A", [1.5, 0.2]))
+        with pytest.raises(DataError, match="run scale_collection first"):
+            level_row([1.5, 0.2])
 
     def test_double_discretize_is_type_error(self):
-        out = cd.discretize(ts("A", [0.1, 0.5]))
+        out = cd.discretize_collection(ts("A", [0.1, 0.5]))
         with pytest.raises(TypeError):
-            cd.discretize(out)
+            cd.discretize_collection(out)
 
     def test_custom_thresholds(self):
-        out = cd.discretize(ts("A", [0.1, 0.6]), thresholds=(0.2, 0.4, 0.5, 0.9))
-        assert out.levels.tolist() == [1, 4]
+        assert level_row([0.1, 0.6], thresholds=(0.2, 0.4, 0.5, 0.9)) == [1, 4]
 
 
 class TestFilterOutliers:
@@ -717,7 +718,7 @@ class TestColumnarLongCsv:
 
 @st.composite
 def gapped_series(draw):
-    """TimeSeries rows of one length with random gaps, constant and all-missing rows."""
+    """One-row collections of one length with random gaps, constant and all-missing rows."""
     n = draw(st.integers(1, 8))
     length = draw(st.sampled_from([1, 2, 8, 9, 129]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -751,14 +752,24 @@ def _stage(collection):
     ]
 
 
-def _series_outcome(fn, *args):
+def _row_outcome(step, series):
+    """The one row that ``step`` makes of the one-row collection ``series``, or its error."""
     try:
-        out = fn(*args)
+        out = step(series)
     except DataError as exc:
         return type(exc), str(exc)
-    if isinstance(out, cd.SymbolicSeries):
-        return out.levels.dtype, out.levels.tobytes()
-    return out.values.tobytes(), out.missing_mask.tobytes()
+    return out.values.dtype, out.values[0].tobytes(), out.missing[0].tobytes()
+
+
+def _ref_outcome(step_ref, record):
+    """What the series loop's ``step_ref`` makes of ``record``, in ``_row_outcome``'s terms."""
+    try:
+        out = step_ref(record)
+    except DataError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, scalar_reference.SymbolicSeries):  # levels carry the input's mask
+        return out.levels.dtype, out.levels.tobytes(), record.missing_mask.tobytes()
+    return out.values.dtype, out.values.tobytes(), out.missing_mask.tobytes()
 
 
 SCALES = [(0.1, 1.0), (0.0, 1.0), (0.25, 0.75)]
@@ -769,21 +780,25 @@ class TestPreprocessingMatchesSeriesLoop:
     @given(gapped_series(), st.sampled_from(SCALES))
     def test_one_series_functions(self, series, bounds):
         ref = scalar_reference
+        scale = lambda c: cd.scale_collection(c, *bounds)
+        scale_ref = lambda s: ref.minmax_scale_ref(s, *bounds)
         for s in series:
-            for step, step_ref in ((cd.minmax_scale, ref.minmax_scale_ref),
-                                   (cd.discretize, ref.discretize_ref)):
-                assert _series_outcome(step, s) == _series_outcome(step_ref, s)  # NaN in gaps
-            for fill, fill_ref in ((cd.fill_forward, ref.fill_forward_ref),
-                                   (cd.fill_mean, ref.fill_mean_ref)):
-                outcome = _series_outcome(fill, s)
-                assert outcome == _series_outcome(fill_ref, s)
+            [record] = ref.records(s)
+            for step, step_ref in ((cd.scale_collection, ref.minmax_scale_ref),
+                                   (cd.discretize_collection, ref.discretize_ref)):
+                assert _row_outcome(step, s) == _ref_outcome(step_ref, record)  # NaN in gaps
+            for strategy, fill_ref in (("forward", ref.fill_forward_ref),
+                                       ("mean", ref.fill_mean_ref)):
+                outcome = _row_outcome(lambda c: cd.fill_collection(c, strategy), s)
+                assert outcome == _ref_outcome(fill_ref, record)
                 if isinstance(outcome[0], type):
                     continue
-                filled = fill_ref(s)
-                assert _series_outcome(cd.minmax_scale, filled, *bounds) == _series_outcome(
-                    ref.minmax_scale_ref, filled, *bounds)
-                scaled = ref.minmax_scale_ref(filled, *bounds)
-                assert _series_outcome(cd.discretize, scaled) == _series_outcome(
+                filled = fill_ref(record)
+                filled_row = ts(s.ids[0], filled.values, filled.missing_mask)
+                assert _row_outcome(scale, filled_row) == _ref_outcome(scale_ref, filled)
+                scaled = scale_ref(filled)
+                scaled_row = ts(s.ids[0], scaled.values, scaled.missing_mask)
+                assert _row_outcome(cd.discretize_collection, scaled_row) == _ref_outcome(
                     ref.discretize_ref, scaled)
 
     @DIFFERENTIAL
@@ -791,7 +806,7 @@ class TestPreprocessingMatchesSeriesLoop:
            st.sampled_from(["forward", "mean"]), st.sampled_from(SCALES), st.data())
     def test_collection_steps(self, series, max_missing, strategy, bounds, data):
         ref = scalar_reference
-        length = len(series[0])
+        length = series[0].values.shape[1]
         metric = data.draw(st.sampled_from(["mpbd"] + ["levenshtein", "dtw"] * (length <= 9)))
         omega = data.draw(st.sampled_from([2.0, 0.3]))
         percentile = data.draw(st.sampled_from([50.0, 90.0, 95.0, 100.0]))
@@ -806,7 +821,8 @@ class TestPreprocessingMatchesSeriesLoop:
             (lambda c: cd.filter_outliers(c, metric, percentile, omega),
              lambda c: ref.filter_outliers_ref(c, metric, percentile, omega)),
         ]
-        new, old = collection(series), ref.SeriesList(series)
+        new = collection(series)
+        old = ref.SeriesList(ref.records(new))
         for number, (step, step_ref) in enumerate(steps):
             new, old = _outcome(step, new), _outcome(step_ref, old)
             if number < 3:

@@ -2,103 +2,98 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from movclust import image_features as imf
+from movclust import core_data as cd, image_features as imf
+from movclust.core_data import SeriesCollection
 from movclust.errors import DataError
 
 from conftest import DIFFERENTIAL, collection, ts
 from scalar_reference import pool_features_ref, rasterize_ref
 
 
+def raster(values, width=64, height=64):
+    """The (height, width) image of one series: its feature vector with block 1."""
+    features = imf.extract_features(ts("A", values), width, height, block=1)
+    return features.values[0].reshape(height, width)
+
+
+def pool(pixels, block=4):
+    """The tile means of one (height, width) image."""
+    return imf._pool(np.asarray(pixels, dtype=float)[None], block)[0]
+
+
 class TestRasterize:
     def test_constant_series_single_bottom_row(self):
-        grid = imf.rasterize(ts("A", [0.1] * 20))
+        pixels = raster([0.1] * 20)
         row = 63 - round(0.1 * 63)
-        assert grid.pixels[row].sum() == 64
-        assert grid.pixels.sum() == 64  # nothing outside that row
+        assert pixels[row].sum() == 64
+        assert pixels.sum() == 64  # nothing outside that row
         assert row > 32  # bottom half
 
     def test_ramp_is_monotone_staircase(self):
-        values = np.linspace(0.1, 1.0, 30)
-        grid = imf.rasterize(ts("A", values))
-        assert grid.pixels[63 - round(0.1 * 63), 0] == 1  # bottom-left start
-        assert grid.pixels[0, 63] == 1  # top-right end
-        top_row = [np.flatnonzero(grid.pixels[:, c]).min() for c in range(64)]
+        pixels = raster(np.linspace(0.1, 1.0, 30))
+        assert pixels[63 - round(0.1 * 63), 0] == 1  # bottom-left start
+        assert pixels[0, 63] == 1  # top-right end
+        top_row = [np.flatnonzero(pixels[:, c]).min() for c in range(64)]
         assert all(a >= b for a, b in zip(top_row, top_row[1:]))  # never descends
 
     def test_binary_intensities(self):
         rng = np.random.default_rng(30)
-        grid = imf.rasterize(ts("A", rng.uniform(0.1, 1.0, size=40)))
-        assert set(np.unique(grid.pixels)) <= {0.0, 1.0}
+        pixels = raster(rng.uniform(0.1, 1.0, size=40))
+        assert set(np.unique(pixels)) <= {0.0, 1.0}
 
     def test_deterministic(self):
         values = np.linspace(0.1, 0.9, 25) ** 2 + 0.1
-        a = imf.rasterize(ts("A", values))
-        b = imf.rasterize(ts("A", values))
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+        assert raster(values).tobytes() == raster(values).tobytes()
 
     def test_size_validation(self):
         with pytest.raises(DataError):
-            imf.rasterize(ts("A", [0.1, 0.5]), width=1)
+            raster([0.1, 0.5], width=1)
 
     def test_requires_scaled_values(self):
         with pytest.raises(DataError):
-            imf.rasterize(ts("A", [0.1, 1.5]))
+            raster([0.1, 1.5])
 
     def test_scale_consistency(self):
         # a series and its per-series min-max rescaling hit the same rows
-        from movclust.core_data import minmax_scale
-
         values = np.array([0.1, 0.4, 0.7, 1.0, 0.2])
-        series = ts("A", values)
-        rescaled = minmax_scale(ts("A", values * 1.0))
-        a = imf.rasterize(series)
-        b = imf.rasterize(rescaled)
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+        rescaled = cd.scale_collection(ts("A", values * 1.0)).values[0]
+        assert raster(values).tobytes() == raster(rescaled).tobytes()
 
 
 class TestPoolFeatures:
-    def make_grid(self, pixels):
-        pixels = np.asarray(pixels, dtype=float)
-        return imf.ImageGrid(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
-
     def test_all_zero(self):
-        vec = imf.pool_features(self.make_grid(np.zeros((8, 8))), block=4)
-        assert vec.features.tolist() == [0, 0, 0, 0]
+        assert pool(np.zeros((8, 8))).tolist() == [0, 0, 0, 0]
 
     def test_all_one(self):
-        vec = imf.pool_features(self.make_grid(np.ones((8, 8))), block=4)
-        assert vec.features.tolist() == [1, 1, 1, 1]
+        assert pool(np.ones((8, 8))).tolist() == [1, 1, 1, 1]
 
     def test_single_lit_quadrant(self):
         pixels = np.zeros((8, 8))
         pixels[:4, :4] = 1.0
-        vec = imf.pool_features(self.make_grid(pixels), block=4)
-        assert vec.features.tolist() == [1, 0, 0, 0]
+        assert pool(pixels).tolist() == [1, 0, 0, 0]
 
     def test_mass_preservation(self):
         rng = np.random.default_rng(31)
         pixels = (rng.random((64, 64)) < 0.3).astype(float)
-        vec = imf.pool_features(self.make_grid(pixels), block=4)
-        assert abs(vec.features.mean() - pixels.mean()) < 1e-12
+        assert abs(pool(pixels).mean() - pixels.mean()) < 1e-12
 
     def test_non_divisible_block(self):
         with pytest.raises(DataError):
-            imf.pool_features(self.make_grid(np.zeros((10, 10))), block=4)
+            pool(np.zeros((10, 10)))
 
     @pytest.mark.parametrize("block", [0, -4])
     def test_block_below_one(self, block):
         with pytest.raises(DataError, match=f"pool block must be at least 1, got {block}"):
-            imf.pool_features(self.make_grid(np.zeros((8, 8))), block=block)
+            imf.extract_features(ts("A", [0.1, 0.5]), 8, 8, block)
 
 
 class TestExternalFeatures:
     def test_load(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("series_id,f1,f2,f3\nA,1,2,3\nB,4,5,6\n")
-        vectors = imf.load_external_features(path, known_ids={"A", "B"})
-        assert [v.series_id for v in vectors] == ["A", "B"]
-        assert vectors[0].features.tolist() == [1, 2, 3]
-        assert vectors[0].extractor == "external"
+        features = imf.load_external_features(path, known_ids={"A", "B"})
+        assert features.ids == ["A", "B"]
+        assert features.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -118,15 +113,19 @@ class TestExternalFeatures:
         with pytest.raises(DataError, match="non-numeric"):
             imf.load_external_features(path)
 
-    def test_roundtrip(self, tmp_path):
-        vectors = [
-            imf.FeatureVector("A", [0.5, 0.25], "ext"),
-            imf.FeatureVector("B", [1.0, 0.0], "ext"),
-        ]
+    def test_repeated_id_names_file_line_and_id(self, tmp_path):
         path = tmp_path / "features.csv"
-        imf.write_features_csv(vectors, path)
+        path.write_text("series_id,f1\nA,1\nB,2\nA,3\n")
+        with pytest.raises(DataError, match=f"^{path}, line 4: duplicate series_id 'A'$"):
+            imf.load_external_features(path, known_ids={"A", "B"})
+
+    def test_roundtrip(self, tmp_path):
+        features = SeriesCollection(["A", "B"], [[0.5, 0.25], [1.0, 0.0]])
+        path = tmp_path / "features.csv"
+        imf.write_features_csv(features, path)
         back = imf.load_external_features(path)
-        assert [v.features.tolist() for v in back] == [[0.5, 0.25], [1.0, 0.0]]
+        assert back.ids == ["A", "B"]
+        assert back.values.tolist() == [[0.5, 0.25], [1.0, 0.0]]
 
 
 class TestClusterFeatures:
@@ -138,14 +137,10 @@ class TestClusterFeatures:
         for i in range(n_each):
             wave = 0.55 + 0.45 * np.sign(np.sin(t * (1.0 + 0.05 * i)))
             series.append(ts(f"wave{i}", np.clip(wave, 0.1, 1.0)))
-        return series
+        return imf.extract_features(collection(series))
 
     def test_two_groups_of_identical_images(self):
-        series = self.flat_and_wavy(3)
-        vectors = [
-            imf.pool_features(imf.rasterize(s), series_id=s.series_id) for s in series
-        ]
-        out = imf.cluster_features(vectors, k=2, seed=0)
+        out = imf.cluster_features(self.flat_and_wavy(3), k=2, seed=0)
         groups = {
             frozenset(out.members(c)) for c in range(1, 3)
         }
@@ -155,45 +150,20 @@ class TestClusterFeatures:
         }
 
     def test_identical_seed_identical_labels(self):
-        series = self.flat_and_wavy(4)
-        vectors = [
-            imf.pool_features(imf.rasterize(s), series_id=s.series_id) for s in series
-        ]
-        a = imf.cluster_features(vectors, k=2, seed=7)
-        b = imf.cluster_features(vectors, k=2, seed=7)
+        features = self.flat_and_wavy(4)
+        a = imf.cluster_features(features, k=2, seed=7)
+        b = imf.cluster_features(features, k=2, seed=7)
         assert a.labels == b.labels
 
     def test_algorithm_records_extractor(self):
-        series = self.flat_and_wavy(2)
-        vectors = [
-            imf.pool_features(imf.rasterize(s), series_id=s.series_id) for s in series
-        ]
-        out = imf.cluster_features(vectors, k=2, seed=0)
-        assert "pool" in out.algorithm
-
-    def test_mixed_extractors_rejected(self):
-        vectors = [
-            imf.FeatureVector("A", [1.0], "x"),
-            imf.FeatureVector("B", [2.0], "y"),
-        ]
-        with pytest.raises(DataError):
-            imf.cluster_features(vectors, k=2, seed=0)
+        # the label names features.csv, the artifact every feature collection is clustered from
+        out = imf.cluster_features(self.flat_and_wavy(2), k=2, seed=0)
+        assert out.algorithm == "kmeans+features[features.csv](k=2)"
 
 
-class TestPgm:
-    def test_dump(self, tmp_path):
-        pixels = np.zeros((2, 3))
-        pixels[0, 1] = 1.0
-        grid = imf.ImageGrid(width=3, height=2, pixels=pixels)
-        path = tmp_path / "grid.pgm"
-        imf.write_pgm(grid, path)
-        assert path.read_text() == "P2\n3 2\n1\n0 1 0\n0 0 0\n"
-
-
-def _same_vectors(got, expected):
-    assert [(v.series_id, v.extractor, v.features.tobytes()) for v in got] == [
-        (v.series_id, v.extractor, v.features.tobytes()) for v in expected
-    ]
+def _same_features(got, ids, expected):
+    assert got.ids == ids
+    assert got.values.tobytes() == np.stack(expected).tobytes()
 
 
 class TestRasterMatchesSegmentLoop:
@@ -214,12 +184,13 @@ class TestRasterMatchesSegmentLoop:
             ts(f"s{i}", data.draw(shapes[data.draw(st.sampled_from(sorted(shapes)))]))
             for i in range(data.draw(st.integers(1, 4), label="series"))
         ]
-        expected = [rasterize_ref(s, width, height) for s in series]
-        for s, grid in zip(series, expected):
-            assert imf.rasterize(s, width, height).pixels.tobytes() == grid.pixels.tobytes()
-        _same_vectors(
+        expected = [rasterize_ref(s.values[0], width, height) for s in series]
+        for s, pixels in zip(series, expected):
+            assert raster(s.values[0], width, height).tobytes() == pixels.tobytes()
+        _same_features(
             imf.extract_features(collection(series), width, height, block),
-            [pool_features_ref(g, block, series_id=s.series_id) for s, g in zip(series, expected)],
+            [s.ids[0] for s in series],
+            [pool_features_ref(pixels, block) for pixels in expected],
         )
 
     def test_several_blocks_of_series(self):
@@ -228,14 +199,14 @@ class TestRasterMatchesSegmentLoop:
             ts(f"s{i:03d}", rng.uniform(0.0, 1.0, size=50))
             for i in range(2 * imf._BLOCK_SERIES + 7)
         ]
-        _same_vectors(
+        _same_features(
             imf.extract_features(collection(series)),
-            [pool_features_ref(rasterize_ref(s), series_id=s.series_id) for s in series],
+            [s.ids[0] for s in series],
+            [pool_features_ref(rasterize_ref(s.values[0])) for s in series],
         )
 
     def test_pool_of_grey_pixels(self):
         rng = np.random.default_rng(6)
-        grid = imf.ImageGrid(width=8, height=12, pixels=rng.random((12, 8)))
+        pixels = rng.random((12, 8))
         for block in (1, 2, 4):
-            _same_vectors([imf.pool_features(grid, block, "g")],
-                          [pool_features_ref(grid, block, "g")])
+            assert pool(pixels, block).tobytes() == pool_features_ref(pixels, block).tobytes()

@@ -20,7 +20,8 @@ from movclust import cli
 from movclust.clustering import read_assignment_csv
 from movclust.distances import DistanceMatrix, read_matrix_csv, write_matrix_csv
 from movclust.errors import DataError
-from movclust.image_features import FeatureVector, load_external_features, write_features_csv
+from movclust.core_data import SeriesCollection
+from movclust.image_features import load_external_features, write_features_csv
 from movclust import tables as tb
 from movclust.tables import NUMBER, as_written, read_sidecar, read_table, write_rows, write_table
 
@@ -77,17 +78,15 @@ def test_matrix_csv(tmp_path_factory, table):
 @given(tables(min_rows=1))
 def test_features_csv(tmp_path_factory, table):
     ids, values = table
-    vectors = [FeatureVector(i, row, "test") for i, row in zip(ids, values)]
-    assert same_bytes(tmp_path_factory.mktemp("f"), lambda p: write_features_csv(vectors, p),
-                      lambda p: write_features_csv_ref(vectors, p))
+    features = SeriesCollection(ids, values)
+    assert same_bytes(tmp_path_factory.mktemp("f"), lambda p: write_features_csv(features, p),
+                      lambda p: write_features_csv_ref(ids, values, p))
 
 
-def test_features_csv_rejects_no_vectors_and_ragged_ones(tmp_path):
+def test_features_csv_rejects_no_vectors(tmp_path):
     with pytest.raises(DataError, match="no feature vectors"):
-        write_features_csv([], tmp_path / "f.csv")
-    ragged = [FeatureVector("a", np.zeros(2), "test"), FeatureVector("b", np.zeros(3), "test")]
-    with pytest.raises(DataError, match="b: inconsistent feature length"):
-        write_features_csv(ragged, tmp_path / "f.csv")
+        write_features_csv(SeriesCollection([], np.empty((0, 3))), tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def dates(m):
@@ -245,11 +244,10 @@ def test_load_features_matches_old_reader(tmp_path_factory, table):
     ids, rows, m = table
     path = tmp_path_factory.mktemp("f") / "features.csv"
     write_cells(path, ["series_id"] + [f"f{j + 1}" for j in range(m)], ids, rows)
-    old = load_external_features_ref(path, known_ids=set(ids))
+    old_ids, old_vectors = load_external_features_ref(path, known_ids=set(ids))
     new = load_external_features(path, known_ids=set(ids))
-    assert [v.series_id for v in new] == [v.series_id for v in old] == ids
-    assert [hexes(v.features) for v in new] == [hexes(v.features) for v in old]
-    assert [v.extractor for v in new] == [v.extractor for v in old]
+    assert new.ids == old_ids == ids
+    assert [hexes(row) for row in new.values] == [hexes(v) for v in old_vectors]
 
 
 @pytest.mark.parametrize("cell, error", [
