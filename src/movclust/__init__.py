@@ -20,17 +20,8 @@ from .clustering import (
     kmeans,
     kmedoids,
 )
-from .distances import (
-    DistanceMatrix,
-    distance_matrix,
-    dtw,
-    euclidean,
-    levenshtein,
-    mpbd,
-    normalize_matrix,
-    normalized_levenshtein,
-)
-from .evaluation import bcss, ch_index, db_index, evaluate, mpbi, sweep_k, wcss
+from .distances import DistanceMatrix, distance_matrix, normalize_matrix
+from .evaluation import evaluate, mpbi, sweep_k
 from .image_features import cluster_features, extract_features, load_external_features
 
 __version__ = "0.1.0"

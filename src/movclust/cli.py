@@ -11,9 +11,10 @@ Configuration is a flat ``key = value`` file with ``#`` comments; CLI flags
 and ``-O key=value`` overrides win over the file.  A value outside a key's
 fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
 ``outlier_metric``, ``normalization``, ``algorithm``, ``linkage``), a number
-outside its key's bounds (``omega``, ``k``, the image sides and
-``pool_block``, ``outlier_percentile``, ``sparse_threshold``, the four
-non-decreasing ``thresholds``) and scale bounds other than
+outside its key's bounds (``omega``, ``k`` (at least 2, or 1 for
+``hierarchical``), ``dtw_window``, the image sides and ``pool_block``,
+``outlier_percentile``, ``sparse_threshold``, the four non-decreasing
+``thresholds``) and scale bounds other than
 ``0 <= scale_lo < scale_hi <= 1`` are configuration errors, raised before
 any input is read.  All randomness flows from the single configured seed.
 
@@ -154,10 +155,12 @@ def build_config(file_values: dict, overrides: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
     if bool(cfg["date_start"]) != bool(cfg["date_end"]):
         raise ConfigError("date_start and date_end must be given together")
-    block = cfg["pool_block"]
+    block, window = cfg["pool_block"], cfg["dtw_window"]
+    least_k = 1 if cfg["algorithm"] == "hierarchical" else 2
     for key, ok, rule in (
         ("omega", math.isfinite(cfg["omega"]) and cfg["omega"] >= 0, "must be finite and >= 0"),
-        ("k", cfg["k"] >= 1, "must be >= 1"),
+        ("k", cfg["k"] >= least_k, f"must be >= {least_k} for algorithm {cfg['algorithm']}"),
+        ("dtw_window", window is None or window >= 0, "must be empty or >= 0"),
         ("image_width", cfg["image_width"] >= 2, "must be >= 2"),
         ("image_height", cfg["image_height"] >= 2, "must be >= 2"),
         ("pool_block", block >= 1 and not cfg["image_width"] % block
@@ -194,10 +197,10 @@ def _write_wide(path, collection, dates):
     )
 
 
-def _read_wide(cfg, path, dtype):
+def _read_wide(path, dtype):
     """Read the wide artifact of preprocess at ``path`` into one matrix of ``dtype`` cells."""
     _, ids, values = tables.read_table(path, dtype)
-    return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
+    return core_data.SeriesCollection(ids, values)
 
 
 METADATA = ["series_id", "product", "store", "category"]
@@ -210,16 +213,16 @@ def _read_metadata(path):
 
 
 #: Each artifact that a later stage reads -> (the command that writes it, its
-#: reader of (cfg, path)).  The readers look the library functions up when
+#: reader of the path).  The readers look the library functions up when
 #: called, so a wrapper put on a module attribute is the one that runs.
 ARTIFACTS = {
-    "original.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, float)),
-    "scaled.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, float)),
-    "symbolic.csv": ("preprocess", lambda cfg, path: _read_wide(cfg, path, int)),
-    "metadata.csv": ("preprocess", lambda cfg, path: _read_metadata(path)),
-    "distmat.csv": ("distmat", lambda cfg, path: distances.read_matrix_csv(path)),
-    "features.csv": ("features", lambda cfg, path: image_features.load_external_features(path)),
-    "assignment.csv": ("cluster", lambda cfg, path: clustering.read_assignment_csv(path)),
+    "original.csv": ("preprocess", lambda path: _read_wide(path, float)),
+    "scaled.csv": ("preprocess", lambda path: _read_wide(path, float)),
+    "symbolic.csv": ("preprocess", lambda path: _read_wide(path, int)),
+    "metadata.csv": ("preprocess", _read_metadata),
+    "distmat.csv": ("distmat", lambda path: distances.read_matrix_csv(path)),
+    "features.csv": ("features", lambda path: image_features.load_external_features(path)),
+    "assignment.csv": ("cluster", lambda path: clustering.read_assignment_csv(path)),
 }
 
 
@@ -260,7 +263,7 @@ class Run:
         command, reader = ARTIFACTS[name]
         if not os.path.exists(path):
             raise DataError(f"missing prerequisite artifact {path} (run `{command}` first)")
-        return reader(self.cfg, path)
+        return reader(path)
 
     def write(self, *files):
         """Write each (name, value, write) by ``write(value, path)``, then move them into out."""
@@ -443,13 +446,8 @@ def cmd_evaluate(run):
     scaled, symbolic = _evaluation_inputs(run)
     assignment = run.read("assignment.csv")
     _check_assignment(assignment, scaled.ids)
-    ids, X = scaled.ids, scaled.values
-    report = evaluation.evaluate(X, symbolic.values, ids, assignment, omega=cfg["omega"])
-    try:
-        ch_paper = evaluation.ch_index(X, ids, assignment, variant="paper")
-    except DegenerateGeometryError as exc:
-        ch_paper = None
-        report.notes = {**(report.notes or {}), "ch_paper": str(exc)}
+    report = evaluation.evaluate(scaled.values, symbolic.values, scaled.ids, assignment,
+                                 omega=cfg["omega"])
     if cfg["strict"] and report.notes:
         raise DegenerateGeometryError(
             "; ".join(f"{k}: {v}" for k, v in sorted(report.notes.items()))
@@ -457,7 +455,7 @@ def cmd_evaluate(run):
     payload = {
         "k": report.k,
         "ch_standard": report.ch,
-        "ch_paper": ch_paper,
+        "ch_paper": report.ch_paper,
         "db": report.db,
         "mpbi": report.mpbi,
         "algorithm": assignment.algorithm,

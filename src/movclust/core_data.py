@@ -77,7 +77,6 @@ class SeriesCollection:
     values: np.ndarray
     missing: np.ndarray | None = None
     attrs: list | None = None
-    mode: str = "price"
     provenance: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -105,7 +104,7 @@ class SeriesCollection:
         """The rows where the boolean mask ``keep`` is set, under ``provenance``."""
         return SeriesCollection(
             list(compress(self.ids, keep)), self.values[keep], self.missing[keep],
-            list(compress(self.attrs, keep)), self.mode, provenance,
+            list(compress(self.attrs, keep)), provenance,
         )
 
 
@@ -426,7 +425,6 @@ def assemble_series(observations, date_range=None, mode: str = "price") -> Serie
         values=values,
         missing=missing,
         attrs=[observations.keys[key] for key in row_key[first_row].tolist()],
-        mode=mode,
         provenance=provenance,
     )
 

@@ -3,21 +3,22 @@
 Four metrics: euclidean, levenshtein, dtw, and the movement-pattern
 distance (mpbd) that compares per-step deltas instead of values.
 
-Every metric runs as a batched numpy kernel, and the public pair functions
-are its one-pair case.  DTW runs a dynamic program that sweeps the cost
-grid by anti-diagonals: each step updates one diagonal for a whole block of
-pairs in a few numpy ops, and only the last two diagonals are kept.
-Levenshtein runs the bit-parallel recurrence of Myers (1999, J. ACM 46(3))
-in the multi-word form of Hyyrö (2003): one text item advances a whole
-column of the edit-distance table, 64 rows per uint64 word, for a block of
-pairs at once, and the distances come out as exact integers.  MPBD and
-euclidean broadcast one series against all later ones.  DTW and euclidean
-entries go through the same floating-point operations, in the same order,
-as the one-pair recurrence.  MPBD runs in int8 when every step cost is an
-exact integer of at most 127 (integral deltas and omega, see
-``delta_rows``) and in float64 otherwise; the integer sums are exact, and
-so is the float64 sum of the same costs.  So every matrix is bit-identical
-to computing each pair on its own.
+``distance_matrix`` is the one entry point, and every metric runs there as
+a batched numpy kernel over the equal-length rows of one collection.  DTW
+runs a dynamic program that sweeps the cost grid by anti-diagonals: each
+step updates one diagonal for a whole block of pairs in a few numpy ops,
+and only the last two diagonals are kept.  Levenshtein runs the
+bit-parallel recurrence of Myers (1999, J. ACM 46(3)) in the multi-word
+form of Hyyrö (2003): one text item advances a whole column of the
+edit-distance table, 64 rows per uint64 word, for a block of pairs at
+once, and the distances come out as exact integers.  MPBD and euclidean
+broadcast one series against all later ones.  DTW and euclidean entries go
+through the same floating-point operations, in the same order, as the
+recurrence of one pair.  MPBD runs in int8 when every step cost is an exact
+integer of at most 127 (integral deltas and omega, see ``delta_rows``) and
+in float64 otherwise; the integer sums are exact, and so is the float64 sum
+of the same costs.  So every entry is bit-identical to computing its pair
+on its own.
 """
 
 from __future__ import annotations
@@ -126,39 +127,33 @@ def mpbd_upper(X, omega: float = 2.0) -> np.ndarray:
     return entries
 
 
-def _euclidean_row(p, Q) -> np.ndarray:
-    """Euclidean distance from ``p`` to each row of ``Q``."""
-    return np.sqrt(((Q - p) ** 2).sum(axis=1))
-
-
 def _dp_last_cell(P, Q, window) -> np.ndarray:
-    """Final cell D[n, m] of the DTW table for each pair.
+    """Final cell D[n, n] of the DTW table for each pair.
 
-    ``P`` (n, B) and ``Q`` (m, B) hold one pair per column.  Cell (i, j)
-    lies on anti-diagonal d = i + j and reads only diagonals d-1 and d-2, so
-    the grid is swept one diagonal at a time, each stored by row index i:
+    ``P`` and ``Q`` (n, B) hold one pair per column.  Cell (i, j) lies on
+    anti-diagonal d = i + j and reads only diagonals d-1 and d-2, so the
+    grid is swept one diagonal at a time, each stored by row index i:
     D = (p_i - q_j)^2 + min(up, left, diag) from D[0, 0] = 0 and an infinite
     border.  A Sakoe-Chiba ``window`` keeps only the cells with
     |i - j| <= window.
     """
     n, B = P.shape
-    m = Q.shape[0]
-    Qr = Q[::-1]  # q_j is row m - j, so a diagonal reads an ascending slice
-    w = n + m if window is None else window
+    Qr = Q[::-1]  # q_j is row n - j, so a diagonal reads an ascending slice
+    w = 2 * n if window is None else window
     inf = np.inf
 
     two = np.full((n + 2, B), inf)  # diagonal d - 2
     one = np.full((n + 2, B), inf)  # diagonal d - 1
     cur = np.full((n + 2, B), inf)
     two[0] = 0.0
-    for d in range(2, n + m + 1):
-        lo = max(1, d - m, (d - w + 1) // 2)
+    for d in range(2, 2 * n + 1):
+        lo = max(1, d - n, (d - w + 1) // 2)
         hi = min(n, d - 1, (d + w) // 2)
         # The next two diagonals read this one only within [lo - 1, hi + 1].
         cur[lo - 1] = cur[hi + 1] = inf
         if lo <= hi:
             out = cur[lo : hi + 1]
-            p, q = P[lo - 1 : hi], Qr[m - d + lo : m - d + hi + 1]
+            p, q = P[lo - 1 : hi], Qr[n - d + lo : n - d + hi + 1]
             np.minimum(one[lo - 1 : hi], one[lo : hi + 1], out=out)
             np.minimum(out, two[lo - 1 : hi], out=out)
             out += (p - q) ** 2
@@ -169,8 +164,8 @@ def _dp_last_cell(P, Q, window) -> np.ndarray:
 def _myers(P, A, rows, text) -> np.ndarray:
     """Edit distance from row ``rows[b]`` of ``P`` to column b of ``text``, for each b.
 
-    ``P`` (k, m) and ``text`` (l, B) hold item codes below ``A``, with m and
-    l >= 1.  Bit i of word w of a (words, B) uint64 vector stands for row
+    ``P`` (k, m) and ``text`` (m, B) hold item codes below ``A``, with
+    m >= 1.  Bit i of word w of a (words, B) uint64 vector stands for row
     64 w + i + 1 of pair b's table: Pv / Mv mark the rows where the current
     column steps +1 / -1 from the row above, and Peq[a] the pattern items
     equal to a.  One text item updates every word, low to high, carrying
@@ -237,96 +232,32 @@ def _myers(P, A, rows, text) -> np.ndarray:
     return m + up.astype(np.int64) - down.astype(np.int64)
 
 
-def _edit_distance(P, Q, rows, cols) -> np.ndarray:
-    """Edit distance from row ``rows[b]`` of ``P`` to row ``cols[b]`` of ``Q``, for each b.
+def _edit_distance(codes, rows, cols) -> np.ndarray:
+    """Edit distance from row ``rows[b]`` to row ``cols[b]`` of ``codes``, for each b.
 
-    ``P`` (n, m) and ``Q`` (n', l) hold item codes from 0, items that
-    compare equal sharing one code; ``rows`` is nondecreasing.  Pairs run
+    ``codes`` (n, m) holds item codes from 0, items that compare equal
+    sharing one code, with m >= 1; ``rows`` is nondecreasing.  Pairs run
     through ``_myers`` in blocks of at most BIT_BLOCK bytes per bit vector,
     and of as many pattern rows as BIT_BLOCK bytes of bitmasks hold, so
     memory stays bounded for any collection size and alphabet.  The text
     codes of a block are kept in the smallest unsigned type that holds them.
     """
-    m, l = P.shape[1], Q.shape[1]
-    out = np.full(len(rows), m + l)
-    if m == 0 or l == 0:  # the other sequence is all inserts
-        return out
-    A = int(max(P.max(), Q.max())) + 1
+    m = codes.shape[1]
+    out = np.empty(len(rows), np.int64)
+    A = int(codes.max()) + 1
     words = -(-m // WORD)
     pairs = max(1, BIT_BLOCK // (8 * words))
     span = max(1, BIT_BLOCK // (8 * words * A))
-    text = np.ascontiguousarray(Q.T, dtype=np.min_scalar_type(A - 1))
+    text = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(A - 1))
     start = 0
     while start < len(rows):
         lo = rows[start]
         stop = min(start + pairs, int(np.searchsorted(rows, lo + span)))
         block = slice(start, stop)
         hi = rows[stop - 1] + 1
-        out[block] = _myers(P[lo:hi], A, rows[block] - lo, text[:, cols[block]])
+        out[block] = _myers(codes[lo:hi], A, rows[block] - lo, text[:, cols[block]])
         start = stop
     return out
-
-
-def _check_dtw(n, m, window):
-    if n == 0 or m == 0:
-        raise DataError("dtw: empty sequence")
-    if window is not None and window < abs(n - m):
-        raise DataError(f"dtw window {window} smaller than length difference {abs(n - m)}")
-
-
-def euclidean(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DataError(f"euclidean: length mismatch {len(p)} vs {len(q)}")
-    return float(_euclidean_row(p, q[None])[0])
-
-
-def levenshtein(p, q) -> int:
-    """Edit distance with unit insert/delete/substitute costs.
-
-    Accepts strings or sequences of any hashable items, such as levels.
-    """
-    codes = {}  # items that compare equal share one integer code
-    P, Q = (
-        np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=np.intp)[None]
-        for seq in (p, q)
-    )
-    pair = np.zeros(1, np.intp)
-    return int(_edit_distance(P, Q, pair, pair)[0])
-
-
-def normalized_levenshtein(p, q) -> float:
-    p, q = list(p), list(q)
-    longest = max(len(p), len(q))
-    if longest == 0:
-        return 0.0
-    return levenshtein(p, q) / longest
-
-
-def dtw(p, q, window: int | None = None) -> float:
-    """Dynamic time warping with squared local cost and a final square root.
-
-    ``window`` is a Sakoe-Chiba half-width; None means unconstrained.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_dtw(len(p), len(q), window)
-    return float(np.sqrt(_dp_last_cell(p[:, None], q[:, None], window)[0]))
-
-
-def mpbd(p, q, omega: float = 2.0) -> float:
-    """Movement-pattern distance over aligned delta sequences.
-
-    Per step: 0 when deltas are equal; |a-b| when both move in the same
-    direction; omega*|a-b| when the signs differ (a flat step against a
-    move counts as a sign difference, sign(0) = 0).
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise DataError(f"mpbd: length mismatch {len(p)} vs {len(q)}")
-    return float(mpbd_upper(np.stack([p, q]), omega)[0, 1])
 
 
 @dataclass
@@ -344,14 +275,6 @@ class DistanceMatrix:
         n = len(self.ids)
         if self.entries.shape != (n, n):
             raise DataError(f"matrix shape {self.entries.shape} does not match {n} ids")
-
-    def validate(self):
-        if not np.allclose(self.entries, self.entries.T):
-            raise DataError("matrix not symmetric")
-        if np.diagonal(self.entries).any():
-            raise DataError("matrix diagonal not zero")
-        if (self.entries < 0).any():
-            raise DataError("negative distance entry")
 
 
 def _mirror(entries):
@@ -381,7 +304,12 @@ def distance_matrix(
 
     Takes the collection's matrix as it is: float values or integer levels.
     Each upper-triangle entry is computed once and mirrored, so the matrix
-    is exactly symmetric.
+    is exactly symmetric.  DTW sums squared local costs and takes the
+    square root; ``window`` is its Sakoe-Chiba half-width, None for
+    unconstrained.  Levenshtein has unit costs and needs integer levels.
+    MPBD costs a step 0 where the deltas are equal, |a - b| where they move
+    the same way and omega x |a - b| where their signs differ (sign(0) = 0,
+    so a flat step against a move is weighted).
     """
     if metric not in METRICS:
         raise DataError(f"unknown metric {metric!r}")
@@ -399,12 +327,15 @@ def distance_matrix(
     n, length = X.shape
 
     entries = mpbd_upper(X, omega) if metric == "mpbd" else np.zeros((n, n))
-    if metric == "levenshtein":
+    if metric == "levenshtein" and length:  # rows of no items are all at distance 0
         codes = np.unique(X, return_inverse=True)[1].reshape(n, length)
         rows, cols = np.triu_indices(n, 1)
-        entries[rows, cols] = _edit_distance(codes, codes, rows, cols)
+        entries[rows, cols] = _edit_distance(codes, rows, cols)
     elif metric == "dtw":
-        _check_dtw(length, length, window)
+        if length == 0:
+            raise DataError("dtw: empty sequence")
+        if window is not None and window < 0:
+            raise DataError(f"dtw window {window} must be >= 0")
         XT = np.ascontiguousarray(X.T)
         rows, cols = np.triu_indices(n, 1)
         for start in range(0, len(rows), PAIR_BLOCK):
@@ -412,7 +343,7 @@ def distance_matrix(
             entries[r, c] = np.sqrt(_dp_last_cell(XT[:, r], XT[:, c], window))
     elif metric == "euclidean":
         for i in range(n - 1):
-            entries[i, i + 1 :] = _euclidean_row(X[i], X[i + 1 :])
+            entries[i, i + 1 :] = np.sqrt(((X[i + 1 :] - X[i]) ** 2).sum(axis=1))
     _mirror(entries)
 
     params = {"series_length": length}

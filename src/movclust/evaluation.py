@@ -1,9 +1,10 @@
 """Cluster validity indices and k-sweeps.
 
-ch_index and bcss each come in two variants: ``paper`` is the inverted,
-lower-is-better form (unweighted BCSS, CH = WCSS/BCSS); ``standard`` /
-``weighted`` is the conventional higher-is-better form used for sweeps by
-default.
+``evaluate`` is the one scoring pass: it reports Calinski-Harabasz in two
+forms, Davies-Bouldin and the movement-pattern index.  CH's ``standard``
+form is the conventional higher-is-better one, (BCSS_w / (k-1)) / (WCSS /
+(n-k)) with the size-weighted BCSS; its ``paper`` form is the inverted,
+lower-is-better WCSS / BCSS with the unweighted BCSS.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .tables import NUMBER, write_rows
 class ValidityReport:
     k: int
     ch: float | None
-    ch_variant: str
+    ch_paper: float | None
     db: float | None
     mpbi: float
     notes: dict | None = None
@@ -47,82 +48,14 @@ def _groups(ids, assignment):
     return groups
 
 
-def _cluster_means(X, ids, assignment):
-    """Each cluster's member rows of ``X`` and its mean vector."""
-    groups = _groups(ids, assignment)
-    return groups, [X[members].mean(axis=0) for members in groups]
+def _running_sum(values) -> float:
+    """``values`` added one at a time, left to right, like a scalar loop."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _wcss(X, groups, mus) -> float:
-    total = 0.0
-    for members, mu in zip(groups, mus):
-        total += float(((X[members] - mu) ** 2).sum())
-    return total
-
-
-def _bcss(X, groups, mus, variant) -> float:
-    grand = X.mean(axis=0)
-    total = 0.0
-    for members, mu in zip(groups, mus):
-        term = float(((mu - grand) ** 2).sum())
-        if variant == "weighted":
-            term *= len(members)
-        total += term
-    return total
-
-
-def wcss(vectors, ids, assignment) -> float:
-    """Within-cluster sum of squared deviations from cluster means."""
-    X = np.asarray(vectors, dtype=float)
-    return _wcss(X, *_cluster_means(X, ids, assignment))
-
-
-def bcss(vectors, ids, assignment, variant: str = "paper") -> float:
-    """Between-cluster sum of squares, unweighted (paper) or size-weighted."""
-    if variant not in ("paper", "weighted"):
-        raise DataError(f"unknown bcss variant {variant!r}")
-    X = np.asarray(vectors, dtype=float)
-    return _bcss(X, *_cluster_means(X, ids, assignment), variant)
-
-
-def _check_ch_k(k, n):
-    if not 2 <= k < n:
-        raise DataError(f"ch_index requires 2 <= k < n, got k={k}, n={n}")
-
-
-def _ch(X, groups, mus, variant) -> float:
-    n, k = X.shape[0], len(groups)
-    w = _wcss(X, groups, mus)
-    if variant == "standard":
-        b = _bcss(X, groups, mus, "weighted")
-        if w == 0.0:
-            raise DegenerateGeometryError("ch_index: zero within-cluster scatter")
-        return (b / (k - 1)) / (w / (n - k))
-    if variant == "paper":
-        b = _bcss(X, groups, mus, "paper")
-        if b == 0.0:
-            raise DegenerateGeometryError("ch_index: zero between-cluster scatter")
-        return w / b
-    raise DataError(f"unknown ch variant {variant!r}")
-
-
-def ch_index(vectors, ids, assignment, variant: str = "standard") -> float:
-    """Calinski-Harabasz score.
-
-    standard: (BCSS_w / (k-1)) / (WCSS / (n-k)), higher is better.
-    paper:    WCSS / BCSS_unweighted, lower is better.
-    """
-    X = np.asarray(vectors, dtype=float)
-    _check_ch_k(assignment.k, X.shape[0])
-    return _ch(X, *_cluster_means(X, ids, assignment), variant)
-
-
-def _db(X, groups, mus) -> float:
-    k = len(groups)
-    mus = np.stack(mus)
-    S = np.asarray(
-        [np.sqrt(((X[m] - mu) ** 2).sum() / len(m)) for m, mu in zip(groups, mus)]
-    )
+def _db(mus, spreads) -> float:
+    """Davies-Bouldin index of clusters with centroids ``mus`` and RMS ``spreads``."""
+    k = len(mus)
     # centroid distances; each row's sum runs over a contiguous row, as for one pair
     M = np.stack([np.sqrt(((mu - mus) ** 2).sum(axis=1)) for mu in mus])
     np.fill_diagonal(M, np.inf)  # a cluster's own ratio, 2 S / inf = 0, never wins a max
@@ -132,22 +65,8 @@ def _db(X, groups, mus) -> float:
         raise DegenerateGeometryError(
             f"db_index: coincident centroids for clusters {i + 1} and {j + 1}"
         )
-    worst = ((S[:, None] + S[None]) / M).max(axis=1)
-    return float(np.cumsum(worst)[-1]) / k
-
-
-def db_index(vectors, ids, assignment) -> float:
-    """Davies-Bouldin index: mean over clusters of the worst R_ij ratio."""
-    X = np.asarray(vectors, dtype=float)
-    k = assignment.k
-    if not 2 <= k <= X.shape[0]:
-        raise DataError(f"db_index requires 2 <= k <= n, got k={k}")
-    return _db(X, *_cluster_means(X, ids, assignment))
-
-
-def _pair_sum(pairs) -> float:
-    """One cluster's pairwise distances, added one at a time in (a, b) order like a scalar loop."""
-    return float(np.cumsum(pairs)[-1]) if len(pairs) else 0.0
+    worst = ((spreads[:, None] + spreads[None]) / M).max(axis=1)
+    return _running_sum(worst) / k
 
 
 def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
@@ -166,37 +85,50 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
             within = mpbd_upper(levels[members], omega)
         else:
             within = raw_mpbd[np.ix_(members, members)]
-        total += _pair_sum(within[np.triu_indices(len(members), 1)]) / len(members)
+        # one cluster's pairs, added in (a, b) order
+        total += _running_sum(within[np.triu_indices(len(members), 1)]) / len(members)
     return total / assignment.k
 
 
 def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
-             ch_variant: str = "standard", raw_mpbd=None) -> ValidityReport:
-    """Compute all three indices; degenerate geometry is noted, not fatal.
+             raw_mpbd=None) -> ValidityReport:
+    """Score ``assignment`` with every index; degenerate geometry is noted, not fatal.
 
-    The clusters and their means are worked out once for CH and DB.
-    ``raw_mpbd`` is passed on to ``mpbi``, which is called by its public
-    name so that a wrapper around it sees every call.
+    The clusters, their means and each one's sum of squared deviations are
+    worked out once: the sums give WCSS for both CH forms and the spreads
+    of DB.  ``raw_mpbd`` is passed on to ``mpbi``, which is called by its
+    public name so that a wrapper around it sees every call.
     """
     X = np.asarray(vectors, dtype=float)
-    _check_ch_k(assignment.k, X.shape[0])  # it implies db_index's 2 <= k <= n
-    groups, mus = _cluster_means(X, ids, assignment)
+    n, k = X.shape[0], assignment.k
+    if not 2 <= k < n:
+        raise DataError(f"ch_index requires 2 <= k < n, got k={k}, n={n}")
+    groups = _groups(ids, assignment)
+    sizes = np.array([len(members) for members in groups])
+    mus = np.stack([X[members].mean(axis=0) for members in groups])
+    within = np.array([((X[members] - mu) ** 2).sum() for members, mu in zip(groups, mus)])
+    grand = X.mean(axis=0)
+    between = np.array([((mu - grand) ** 2).sum() for mu in mus])
+    wcss, bcss = _running_sum(within), _running_sum(between)
+    ch = ch_paper = db = None
     notes = {}
+    if wcss == 0.0:
+        notes["ch"] = "ch_index: zero within-cluster scatter"
+    else:
+        ch = (_running_sum(between * sizes) / (k - 1)) / (wcss / (n - k))
+    if bcss == 0.0:
+        notes["ch_paper"] = "ch_index: zero between-cluster scatter"
+    else:
+        ch_paper = wcss / bcss
     try:
-        ch = _ch(X, groups, mus, ch_variant)
+        db = _db(mus, np.sqrt(within / sizes))
     except DegenerateGeometryError as exc:
-        ch, notes["ch"] = None, str(exc)
-    try:
-        db = _db(X, groups, mus)
-    except DegenerateGeometryError as exc:
-        db, notes["db"] = None, str(exc)
+        notes["db"] = str(exc)
     index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd)
-    return ValidityReport(k=assignment.k, ch=ch, ch_variant=ch_variant, db=db,
-                          mpbi=index, notes=notes or None)
+    return ValidityReport(k, ch, ch_paper, db, index, notes or None)
 
 
-def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0,
-            ch_variant: str = "standard") -> list[SweepRow]:
+def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0) -> list[SweepRow]:
     """Run cluster_fn(k) for each k and score it; per-k failures become notes.
 
     Every k's MPBI reads one raw MPBD matrix over ``levels``, computed once.
@@ -212,12 +144,13 @@ def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0,
     for k in ks:
         try:
             assignment = cluster_fn(k)
-            report = evaluate(vectors, levels, ids, assignment, omega=omega,
-                              ch_variant=ch_variant, raw_mpbd=raw_mpbd)
+            report = evaluate(vectors, levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd)
         except (DataError, DegenerateGeometryError) as exc:
             rows.append(SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
             continue
-        note = ";".join(f"{key}:{msg}" for key, msg in sorted((report.notes or {}).items()))
+        # sweep.csv has no ch_paper column, so its note names only ch and db
+        note = ";".join(f"{key}:{msg}" for key, msg in sorted((report.notes or {}).items())
+                        if key != "ch_paper")
         rows.append(SweepRow(k=k, ch=report.ch, db=report.db, mpbi=report.mpbi, note=note))
     return rows
 

@@ -123,8 +123,9 @@ def write_features_csv(features, path):
 def load_external_features(path, known_ids=None):
     """Load feature vectors from CSV (header series_id,f1,...,fm) as a collection.
 
-    Ragged rows, non-numeric or non-finite cells, a repeated id and ids
-    outside ``known_ids`` are errors.
+    Ragged rows, non-numeric or non-finite cells and a repeated id are
+    errors; so are, when ``known_ids`` is given, an id outside it and one of
+    it that the file lacks.
     """
     header, ids, features = read_table(path)
     if len(header) < 2:
@@ -138,6 +139,9 @@ def load_external_features(path, known_ids=None):
         unknown = sorted(seen - set(known_ids))
         if unknown:
             raise DataError(f"unknown series ids in feature file: {unknown}")
+        missing = sorted(set(known_ids) - seen)
+        if missing:
+            raise DataError(f"series ids missing from feature file: {missing}")
     return SeriesCollection(ids, features)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from movclust.core_data import Observations, SeriesCollection
+from movclust.distances import distance_matrix
 
 #: Settings of the differential tests of a fast kernel against its scalar
 #: reference.  Hypothesis's explain phase re-runs a failing example once per
@@ -28,18 +29,26 @@ def sym(series_id, levels, category=None, store=None, product=None):
                             attrs=[(product, store, category)])
 
 
-def collection(series, mode="price"):
+def collection(series):
     """The one-row collections ``series`` stacked into one SeriesCollection."""
     series = list(series)
     if not series:
-        return SeriesCollection([], np.empty((0, 0)), mode=mode)
+        return SeriesCollection([], np.empty((0, 0)))
     return SeriesCollection(
         ids=[sid for s in series for sid in s.ids],
         values=np.concatenate([s.values for s in series]),
         missing=np.concatenate([s.missing for s in series]),
         attrs=[attrs for s in series for attrs in s.attrs],
-        mode=mode,
     )
+
+
+def pair_distance(metric, p, q, **kwargs):
+    """The distance of rows ``p`` and ``q`` in the matrix of their two-row collection.
+
+    Integer rows stay integer levels, as levenshtein needs.
+    """
+    rows = SeriesCollection(["p", "q"], np.array([p, q]))
+    return float(distance_matrix(rows, metric, **kwargs).entries[0, 1])
 
 
 def day(offset):

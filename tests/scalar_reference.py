@@ -1,9 +1,10 @@
 """Scalar references for the batched kernels.
 
 These are cell-by-cell loops of the Wagner-Fischer and DTW recurrences, a
-per-pair MPBD, a pair-by-pair agglomerative merge loop, the row-by-row CSV
-loaders and series assembly, the series-by-series preprocessing steps, and
-the segment-by-segment rasterizer, written the plain way.
+per-pair MPBD and euclidean distance, a pair-by-pair agglomerative merge
+loop, the row-by-row CSV loaders and series assembly, the series-by-series
+preprocessing steps, and the segment-by-segment rasterizer, written the
+plain way.
 ``movclust.distances``, ``movclust.clustering``, ``movclust.core_data`` and
 ``movclust.image_features`` must reproduce every value they return bit for
 bit.  The series loops carry each series in a test-local record
@@ -170,6 +171,12 @@ def dtw_ref(p, q, window=None):
             cur[j] = c + min(prev[j], cur[j - 1], prev[j - 1])
         prev = cur
     return float(np.sqrt(prev[m]))
+
+
+def euclidean_ref(p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return float(np.sqrt(((q - p) ** 2).sum()))
 
 
 def mpbd_ref(p, q, omega=2.0):
@@ -716,34 +723,36 @@ def db_index_ref(vectors, ids, assignment):
     return total / k
 
 
-def evaluate_ref(vectors, levels, ids, assignment, omega=2.0, ch_variant="standard"):
+def evaluate_ref(vectors, levels, ids, assignment, omega=2.0):
     notes = {}
-    try:
-        ch = ch_index_ref(vectors, ids, assignment, ch_variant)
-    except DegenerateGeometryError as exc:
-        ch, notes["ch"] = None, str(exc)
-    try:
-        db = db_index_ref(vectors, ids, assignment)
-    except DegenerateGeometryError as exc:
-        db, notes["db"] = None, str(exc)
+
+    def noted(key, index, *args):
+        try:
+            return index(vectors, ids, assignment, *args)
+        except DegenerateGeometryError as exc:
+            notes[key] = str(exc)
+            return None
+
+    ch = noted("ch", ch_index_ref, "standard")
+    ch_paper = noted("ch_paper", ch_index_ref, "paper")
+    db = noted("db", db_index_ref)
     index = mpbi_rows_ref(levels, ids, assignment, omega=omega)
-    return evaluation.ValidityReport(k=assignment.k, ch=ch, ch_variant=ch_variant, db=db,
-                                     mpbi=index, notes=notes or None)
+    return evaluation.ValidityReport(assignment.k, ch, ch_paper, db, index, notes or None)
 
 
-def sweep_k_ref(vectors, levels, ids, ks, cluster_fn, omega=2.0, ch_variant="standard"):
+def sweep_k_ref(vectors, levels, ids, ks, cluster_fn, omega=2.0):
     """k-sweep whose every k computes its own MPBI pairs."""
     ks = sorted(set(int(k) for k in ks))
     rows = []
     for k in ks:
         try:
             assignment = cluster_fn(k)
-            report = evaluate_ref(vectors, levels, ids, assignment, omega=omega,
-                                  ch_variant=ch_variant)
+            report = evaluate_ref(vectors, levels, ids, assignment, omega=omega)
         except (DataError, DegenerateGeometryError) as exc:
             rows.append(evaluation.SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
             continue
-        note = ";".join(f"{key}:{msg}" for key, msg in sorted((report.notes or {}).items()))
+        note = ";".join(f"{key}:{msg}" for key, msg in sorted((report.notes or {}).items())
+                        if key != "ch_paper")
         rows.append(evaluation.SweepRow(k=k, ch=report.ch, db=report.db, mpbi=report.mpbi,
                                         note=note))
     return rows
@@ -944,7 +953,7 @@ def read_wide_ref(cfg, name, dtype=float):
                 raise DataError(f"{path}, line {lineno}: {exc}") from None
             ids.append(row[0])
     values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
-    return core_data.SeriesCollection(ids, values, mode=cfg["mode"])
+    return core_data.SeriesCollection(ids, values)
 
 
 def read_metadata_ref(path):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -17,9 +18,9 @@ from movclust import cli, clustering as cl, distances as di, evaluation as ev
 from movclust import image_features as imf
 from movclust.core_data import SeriesCollection, discretize_collection
 
-from conftest import collection, ts
+from conftest import collection, pair_distance, ts
 from test_clustering import best_two_partition, matrix_from, partition_of
-from test_evaluation import db_oracle, mpbi_oracle, wcss_oracle
+from test_evaluation import bcss_oracle, db_oracle, mpbi_oracle, wcss_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,7 +43,7 @@ def test_criterion_1_table1_scenario1():
     raw = pair_matrix(p, q)
     table1 = di.normalize_matrix(raw, "table1")
     mpbd_norm = table1.entries[0, 1]
-    lev_norm = di.normalized_levenshtein(p, q)
+    lev_norm = di.normalize_matrix(pair_matrix(p, q, "levenshtein"), "table1").entries[0, 1]
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -57,7 +58,7 @@ def test_criterion_2_table1_scenario2():
     q = [4, 4, 4, 2, 2, 2, 4, 4, 4, 4]
     raw = pair_matrix(p, q)
     table1 = di.normalize_matrix(raw, "table1")
-    lev_norm = di.normalized_levenshtein(p, q)
+    lev_norm = di.normalize_matrix(pair_matrix(p, q, "levenshtein"), "table1").entries[0, 1]
     report(
         2,
         raw.entries[0, 1] == 2.0
@@ -92,33 +93,28 @@ def test_criterion_5_metric_axiom_property_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     cases = 1000
-    metrics = {
-        "euclidean": di.euclidean,
-        "levenshtein": lambda a, b: float(di.levenshtein(a.astype(int), b.astype(int))),
-        "dtw": di.dtw,
-        "mpbd": di.mpbd,
-    }
     for _ in range(cases):
-        p = rng.integers(1, 6, size=10).astype(float)
-        q = rng.integers(1, 6, size=10).astype(float)
-        for fn in metrics.values():
-            d = fn(p, q)
+        p = rng.integers(1, 6, size=10)
+        q = rng.integers(1, 6, size=10)
+        for metric in di.METRICS:
+            d = pair_distance(metric, p, q)
             assert d >= 0
-            assert d == fn(q, p)
-            assert fn(p, p) == 0
+            assert d == pair_distance(metric, q, p)
+            assert pair_distance(metric, p, p) == 0
         # mpbd shift invariance and zero law
-        c = float(rng.integers(-3, 4))
-        assert di.mpbd(p + c, q) == pytest.approx(di.mpbd(p, q), rel=1e-9)
-        assert (di.mpbd(p, q) == 0.0) == bool(np.all(p - q == (p - q)[0]))
+        c = int(rng.integers(-3, 4))
+        mpbd = pair_distance("mpbd", p, q)
+        assert pair_distance("mpbd", p + c, q) == pytest.approx(mpbd, rel=1e-9)
+        assert (mpbd == 0.0) == bool(np.all(p - q == (p - q)[0]))
     for _ in range(cases):
-        a = rng.integers(1, 4, size=rng.integers(1, 6))
-        b = rng.integers(1, 4, size=rng.integers(1, 6))
-        m = rng.integers(1, 4, size=rng.integers(1, 6))
-        assert di.levenshtein(a, b) <= di.levenshtein(a, m) + di.levenshtein(m, b)
+        a, b, m = rng.integers(1, 4, size=(3, rng.integers(1, 6)))
+        lev = functools.partial(pair_distance, "levenshtein")
+        assert lev(a, b) <= lev(a, m) + lev(m, b)
     # documented counterexample: mpbd violates the triangle inequality
     eps = 0.01
-    direct = di.mpbd([2.0, 1.0], [1.0, 2.0])
-    via = di.mpbd([2.0, 1.0], [1.0 + eps, 1.0]) + di.mpbd([1.0 + eps, 1.0], [1.0, 2.0])
+    p, q, m = [2.0, 1.0], [1.0, 2.0], [1.0 + eps, 1.0]
+    direct = pair_distance("mpbd", p, q)
+    via = pair_distance("mpbd", p, m) + pair_distance("mpbd", m, q)
     assert direct == 4.0 and via < direct
     elapsed = time.perf_counter() - start
     report(5, elapsed < 30.0, f"{cases} random cases per property, {elapsed:.1f}s")
@@ -161,15 +157,14 @@ def test_criterion_6_oracle_equivalence():
     assignment = cl.ClusterAssignment(
         labels=dict(zip(ids, labels)), k=3, algorithm="fixed"
     )
-    w = ev.wcss(X, ids, assignment)
-    assert w == pytest.approx(wcss_oracle(X, labels), rel=1e-9)
-    assert ev.db_index(X, ids, assignment) == pytest.approx(
-        db_oracle(X, labels), rel=1e-9
-    )
     levels = [rng.integers(1, 6, size=8) for _ in range(10)]
-    assert ev.mpbi(levels, ids, assignment) == pytest.approx(
-        mpbi_oracle(levels, labels), rel=1e-9
-    )
+    scores = ev.evaluate(X, levels, ids, assignment)
+    w = wcss_oracle(X, labels)
+    b = bcss_oracle(X, labels, weighted=True)
+    assert scores.ch == pytest.approx((b / 2) / (w / 7), rel=1e-9)
+    assert scores.ch_paper == pytest.approx(w / bcss_oracle(X, labels, weighted=False), rel=1e-9)
+    assert scores.db == pytest.approx(db_oracle(X, labels), rel=1e-9)
+    assert scores.mpbi == pytest.approx(mpbi_oracle(levels, labels), rel=1e-9)
     report(6, True, "kmeans/kmedoids exhaustive, linkage hand traces, index oracles")
 
 

@@ -5,13 +5,11 @@ import movclust
 #: Changed only on purpose, when a public name is added or removed.
 PUBLIC = [
     "ClusterAssignment", "Dendrogram", "DistanceMatrix", "Observations", "SeriesCollection",
-    "agglomerative", "assemble_series", "bcss", "ch_index", "cluster_features", "clustering",
-    "core_data", "cut_dendrogram", "db_index", "discretize_collection", "distance_matrix",
-    "distances", "drop_sparse", "dtw", "errors", "euclidean", "evaluate", "evaluation",
-    "extract_features", "fill_collection", "filter_outliers", "image_features", "kmeans",
-    "kmedoids", "levenshtein", "load_external_features", "load_long_csv", "load_wide_csv",
-    "mpbd", "mpbi", "normalize_matrix", "normalized_levenshtein", "scale_collection", "sweep_k",
-    "tables", "wcss",
+    "agglomerative", "assemble_series", "cluster_features", "clustering", "core_data",
+    "cut_dendrogram", "discretize_collection", "distance_matrix", "distances", "drop_sparse",
+    "errors", "evaluate", "evaluation", "extract_features", "fill_collection", "filter_outliers",
+    "image_features", "kmeans", "kmedoids", "load_external_features", "load_long_csv",
+    "load_wide_csv", "mpbi", "normalize_matrix", "scale_collection", "sweep_k", "tables",
 ]
 
 

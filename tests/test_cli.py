@@ -143,7 +143,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("k", "0"), ("image_width", "1"), ("image_height", "1"),
-        ("pool_block", "0"), ("pool_block", "-4"), ("pool_block", "3"),
+        ("pool_block", "0"), ("pool_block", "-4"), ("pool_block", "3"), ("dtw_window", "-1"),
         ("outlier_percentile", "0"), ("outlier_percentile", "100.5"),
         ("sparse_threshold", "-0.1"), ("sparse_threshold", "1.5"),
         ("thresholds", "0.47,0.29,0.65,0.83"), ("thresholds", "0.29,0.47,nan,0.83"),
@@ -156,6 +156,17 @@ class TestConfig:
         assert run("pipeline", "--config", str(cfg), "-O", "algorithm=kmeans_features",
                    "-O", f"{key}={value}") == 1
         assert f"error: bad value for '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["kmeans", "kmedoids", "kmeans_features"])
+    def test_k_below_two_exits_1_before_reading_input(self, price_cfg, algorithm, capsys):
+        with pytest.raises(ConfigError, match=f"'k': 1 \\(must be >= 2 for algorithm {algorithm}"):
+            cli.build_config({"algorithm": algorithm}, {"k": "1"})
+        assert cli.build_config({"algorithm": "hierarchical"}, {"k": "1"})["k"] == 1
+        cfg, out = price_cfg
+        assert run("pipeline", "--config", str(cfg), "-O", f"algorithm={algorithm}",
+                   "-O", "k=1") == 1
+        assert "error: bad value for 'k': 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_thresholds_parse_into_four_numbers(self):
@@ -515,9 +526,11 @@ class TestPipeline:
                    "-O", f"features_path={features}"]
         assert run("pipeline", *options) == 2
         pipeline_err = capsys.readouterr().err
-        assert pipeline_err == "data error: assignment ids do not match preprocessed collection\n"
+        assert pipeline_err == (
+            f"data error: series ids missing from feature file: {[ids[-1]]}\n")
+        assert not (out / "features.csv").exists()
         stepwise = tmp_path / "stepwise"
-        for command, code in (("preprocess", 0), ("features", 0), ("cluster", 0), ("evaluate", 2)):
+        for command, code in (("preprocess", 0), ("features", 2)):
             assert run(command, *options, "--out", str(stepwise)) == code
         assert capsys.readouterr().err == pipeline_err
         assert snapshot(out) == snapshot(stepwise)

@@ -485,7 +485,7 @@ def _reject_rows(rejects):
 
 
 def _summary(collection):
-    """Mode, provenance and every row's bytes and attributes, of either representation."""
+    """Provenance, which names the mode, and each row's bytes and attributes, of either form."""
     if isinstance(collection, cd.SeriesCollection):
         rows = [(sid, values.tobytes(), missing.tobytes(), *attrs) for sid, values, missing, attrs
                 in zip(collection.ids, collection.values, collection.missing, collection.attrs)]
@@ -494,7 +494,7 @@ def _summary(collection):
                  s.category) for s in collection.series]
     else:
         return collection  # the error
-    return collection.mode, collection.provenance, rows
+    return collection.provenance, rows
 
 
 def _assert_same_assembly(old_obs, new_obs, date_range):

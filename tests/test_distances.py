@@ -10,10 +10,10 @@ from movclust import distances as di
 from movclust.core_data import SeriesCollection
 from movclust.errors import DataError
 
-from conftest import collection, sym, ts
+from conftest import collection, pair_distance, sym, ts
 from scalar_reference import (
-    delta_rows_float, dtw_ref, levenshtein_dp_ref, levenshtein_matrix_dp_ref, levenshtein_ref,
-    matrix_ref, mpbd_ref, mpbd_row_float, mpbd_upper_float,
+    delta_rows_float, dtw_ref, euclidean_ref, levenshtein_dp_ref, levenshtein_matrix_dp_ref,
+    levenshtein_ref, matrix_ref, mpbd_ref, mpbd_row_float, mpbd_upper_float,
 )
 
 
@@ -77,15 +77,34 @@ def mpbd_oracle(p, q, omega=2.0):
 # ---------------------------------------------------------------------------
 
 
+def coded(*seqs):
+    """``seqs`` as rows of integer levels, items that compare equal sharing one level."""
+    codes = {}
+    return [np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=int)
+            for seq in seqs]
+
+
+def equal_length(items, min_size=0, max_size=9):
+    """Two lists of ``items`` of one drawn length."""
+    return st.integers(min_size, max_size).flatmap(lambda n: st.tuples(
+        st.lists(items, min_size=n, max_size=n), st.lists(items, min_size=n, max_size=n)))
+
+
+def table1(metric, p, q):
+    """The table1-normalized distance of rows ``p`` and ``q``."""
+    raw = di.distance_matrix(SeriesCollection(["p", "q"], np.array([p, q])), metric)
+    return di.normalize_matrix(raw, "table1").entries[0, 1]
+
+
 class TestEuclidean:
     def test_identity(self):
-        assert di.euclidean([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert pair_distance("euclidean", [1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_3_4_5(self):
-        assert di.euclidean([0, 0], [3, 4]) == 5.0
+        assert pair_distance("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
 
     def test_hand_value(self):
-        got = di.euclidean([0.1, 0.1, 0.1], [1, 1, 1])
+        got = pair_distance("euclidean", [0.1, 0.1, 0.1], [1.0, 1.0, 1.0])
         assert got == pytest.approx(0.9 * math.sqrt(3), rel=1e-12)
 
     def test_matches_naive_summation(self):
@@ -94,118 +113,110 @@ class TestEuclidean:
             p = rng.normal(size=13)
             q = rng.normal(size=13)
             naive = math.sqrt(sum((b - a) ** 2 for a, b in zip(p, q)))
-            assert di.euclidean(p, q) == pytest.approx(naive, rel=1e-9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            di.euclidean([1.0], [1.0, 2.0])
+            assert pair_distance("euclidean", p, q) == pytest.approx(naive, rel=1e-9)
 
 
 class TestLevenshtein:
     def test_identical(self):
-        assert di.levenshtein("ABBA", "ABBA") == 0
+        assert pair_distance("levenshtein", [1, 2, 2, 1], [1, 2, 2, 1]) == 0
 
     def test_abbb_cdbb(self):
-        assert di.levenshtein("ABBB", "CDBB") == 2
+        assert pair_distance("levenshtein", [1, 2, 2, 2], [3, 4, 2, 2]) == 2
 
     def test_base_case_empty(self):
-        assert di.levenshtein("A", "") == 1
-        assert di.levenshtein("", "ABC") == 3
+        """Rows of no items are at distance 0."""
+        empty = np.empty(0, dtype=int)
+        assert pair_distance("levenshtein", empty, empty) == 0
 
     def test_integer_levels(self):
-        assert di.levenshtein([1, 2, 2], [1, 3, 2]) == 1
+        assert pair_distance("levenshtein", [1, 2, 2], [1, 3, 2]) == 1
 
-    @given(
-        st.text(alphabet="ABCDE", max_size=6), st.text(alphabet="ABCDE", max_size=6)
-    )
-    def test_matches_exhaustive_recursion(self, p, q):
-        assert di.levenshtein(p, q) == levenshtein_oracle(p, q)
+    @given(equal_length(st.integers(1, 5), max_size=6))
+    def test_matches_exhaustive_recursion(self, pq):
+        p, q = pq
+        assert pair_distance("levenshtein", *coded(p, q)) == levenshtein_oracle(p, q)
 
-    @given(
-        st.text(alphabet="ABC", max_size=5),
-        st.text(alphabet="ABC", max_size=5),
-        st.text(alphabet="ABC", max_size=5),
-    )
-    def test_triangle_inequality(self, a, b, c):
-        assert di.levenshtein(a, c) <= di.levenshtein(a, b) + di.levenshtein(b, c)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n), min_size=3, max_size=3)))
+    def test_triangle_inequality(self, abc):
+        a, b, c = coded(*abc)
+        d = functools.partial(pair_distance, "levenshtein")
+        assert d(a, c) <= d(a, b) + d(b, c)
 
     def test_normalized_scenarios(self):
         a = [2] * 10
         b = [2] * 3 + [4] * 3 + [2] * 4
-        assert di.normalized_levenshtein(a, b) == pytest.approx(0.30)
-        assert di.normalized_levenshtein([1] * 10, [2] * 10) == 1.0
-        assert di.normalized_levenshtein(a, a) == 0.0
-
-    def test_normalized_reads_each_input_once(self):
-        assert di.normalized_levenshtein(iter("AB"), iter("AC")) == 0.5
-        assert di.normalized_levenshtein((c for c in "ABBA"), iter("")) == 1.0
-        assert di.normalized_levenshtein(iter([1, 2, 2]), iter([1, 3, 2])) == pytest.approx(1 / 3)
+        assert table1("levenshtein", a, b) == pytest.approx(0.30)
+        assert table1("levenshtein", [1] * 10, [2] * 10) == 1.0
+        assert table1("levenshtein", a, a) == 0.0
 
 
 class TestDtw:
     def test_identity(self):
-        assert di.dtw([1, 2, 3], [1, 2, 3]) == 0.0
+        assert pair_distance("dtw", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_time_shift_absorbed(self):
-        assert di.dtw([1, 2, 3], [1, 1, 2, 3]) == 0.0
+        assert pair_distance("dtw", [1.0, 2.0, 3.0, 3.0], [1.0, 1.0, 2.0, 3.0]) == 0.0
 
     def test_forced_diagonal(self):
-        assert di.dtw([0, 0], [1, 1], window=0) == pytest.approx(math.sqrt(2))
+        got = pair_distance("dtw", [0.0, 0.0], [1.0, 1.0], window=0)
+        assert got == pytest.approx(math.sqrt(2))
 
     def test_empty_sequence(self):
         with pytest.raises(DataError, match="empty"):
-            di.dtw([], [1.0])
+            pair_distance("dtw", np.empty(0), np.empty(0))
 
     def test_window_too_small(self):
-        with pytest.raises(DataError):
-            di.dtw([1, 2, 3, 4], [1], window=1)
+        with pytest.raises(DataError, match="^dtw window -1 must be >= 0$"):
+            pair_distance("dtw", [1.0, 2.0], [2.0, 1.0], window=-1)
 
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            p = rng.integers(0, 4, size=rng.integers(2, 6)).astype(float)
-            q = rng.integers(0, 4, size=rng.integers(2, 6)).astype(float)
-            assert di.dtw(p, q) == pytest.approx(dtw_oracle(p, q), abs=1e-12)
+            n = rng.integers(2, 6)
+            p = rng.integers(0, 4, size=n).astype(float)
+            q = rng.integers(0, 4, size=n).astype(float)
+            assert pair_distance("dtw", p, q) == pytest.approx(dtw_oracle(p, q), abs=1e-12)
 
     def test_window_matches_full_when_wide(self):
         rng = np.random.default_rng(2)
         p = rng.normal(size=8)
         q = rng.normal(size=8)
-        assert di.dtw(p, q, window=8) == pytest.approx(di.dtw(p, q))
+        assert pair_distance("dtw", p, q, window=8) == pytest.approx(pair_distance("dtw", p, q))
 
     def test_at_most_euclidean_on_equal_lengths(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             p = rng.normal(size=12)
             q = rng.normal(size=12)
-            assert di.dtw(p, q) <= di.euclidean(p, q) + 1e-12
+            assert pair_distance("dtw", p, q) <= pair_distance("euclidean", p, q) + 1e-12
 
 
 class TestMpbd:
     def test_shifted_copy_is_zero(self):
         p = [2, 3, 3, 2, 4]
         q = [v + 2 for v in p]
-        assert di.mpbd(p, q) == 0.0
+        assert pair_distance("mpbd", p, q) == 0.0
 
     def test_scenario2_raw_value(self):
         p = [2, 2, 2, 1, 1, 1, 2, 2, 2, 2]
         q = [4, 4, 4, 2, 2, 2, 4, 4, 4, 4]
-        assert di.mpbd(p, q) == 2.0
+        assert pair_distance("mpbd", p, q) == 2.0
 
     def test_opposite_unit_step_cost(self):
         # d_p = +1 vs d_q = -1 with omega 2 costs 4
-        assert di.mpbd([2, 1], [1, 2], omega=2.0) == 4.0
+        assert pair_distance("mpbd", [2, 1], [1, 2], omega=2.0) == 4.0
 
     def test_flat_vs_move_is_weighted(self):
         # sign(0) differs from sign(1): weighted branch
-        assert di.mpbd([1, 1], [2, 1], omega=2.0) == 2.0
+        assert pair_distance("mpbd", [1, 1], [2, 1], omega=2.0) == 2.0
 
     def test_matches_rule_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = rng.integers(1, 6, size=9).astype(float)
             q = rng.integers(1, 6, size=9).astype(float)
-            assert di.mpbd(p, q) == pytest.approx(mpbd_oracle(p, q), abs=1e-12)
+            assert pair_distance("mpbd", p, q) == pytest.approx(mpbd_oracle(p, q), abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
@@ -213,14 +224,15 @@ class TestMpbd:
             p = rng.normal(size=7)
             q = rng.normal(size=7)
             c = float(rng.normal()) * 10
-            assert di.mpbd(p + c, q) == pytest.approx(di.mpbd(p, q), rel=1e-9)
+            assert pair_distance("mpbd", p + c, q) == pytest.approx(
+                pair_distance("mpbd", p, q), rel=1e-9)
 
     def test_zero_law(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             p = rng.integers(1, 6, size=8).astype(float)
             q = rng.integers(1, 6, size=8).astype(float)
-            zero = di.mpbd(p, q) == 0.0
+            zero = pair_distance("mpbd", p, q) == 0.0
             constant_gap = len(set(np.round(p - q, 12))) == 1
             assert zero == constant_gap
 
@@ -229,38 +241,28 @@ class TestMpbd:
         p = [2.0, 1.0]          # delta +1
         q = [1.0, 2.0]          # delta -1
         m = [1.0 + eps, 1.0]    # delta +eps
-        direct = di.mpbd(p, q)
-        via = di.mpbd(p, m) + di.mpbd(m, q)
+        direct = pair_distance("mpbd", p, q)
+        via = pair_distance("mpbd", p, m) + pair_distance("mpbd", m, q)
         assert direct == 4.0
         assert via == pytest.approx((1 - eps) + 2 * (1 + eps))
         assert direct > via  # not a metric
 
     def test_errors(self):
-        with pytest.raises(DataError):
-            di.mpbd([1, 2], [1, 2, 3])
-        with pytest.raises(DataError):
-            di.mpbd([1], [2])
+        with pytest.raises(DataError, match="length >= 2"):
+            pair_distance("mpbd", [1.0], [2.0])
+        with pytest.raises(DataError, match="^p: incomplete series in distance matrix$"):
+            pair_distance("mpbd", [1.0, np.nan], [1.0, 2.0])
 
 
 @settings(max_examples=200)
-@given(
-    st.lists(st.integers(1, 5), min_size=2, max_size=10),
-    st.lists(st.integers(1, 5), min_size=2, max_size=10),
-)
-def test_metric_axioms_all_metrics(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    for name, fn in [
-        ("euclidean", di.euclidean),
-        ("levenshtein", di.levenshtein),
-        ("dtw", di.dtw),
-        ("mpbd", di.mpbd),
-    ]:
-        if name in ("euclidean", "mpbd") and len(p) != len(q):
-            continue
-        assert fn(p, q) >= 0
-        assert fn(p, q) == fn(q, p)
-        assert fn(p, p) == 0
+@given(equal_length(st.integers(1, 5), min_size=2, max_size=10))
+def test_metric_axioms_all_metrics(pq):
+    p, q = pq
+    for metric in di.METRICS:
+        d = functools.partial(pair_distance, metric)
+        assert d(p, q) >= 0
+        assert d(p, q) == d(q, p)
+        assert d(p, p) == 0
 
 
 class TestDistanceMatrix:
@@ -272,19 +274,15 @@ class TestDistanceMatrix:
     def test_entries_match_scalar_metric(self):
         col = collection([sym("A", [1, 2, 3]), sym("B", [3, 2, 1]), sym("C", [1, 1, 5])])
         for metric, fn in [
-            ("mpbd", di.mpbd),
-            ("euclidean", di.euclidean),
-            ("levenshtein", lambda a, b: float(di.levenshtein(a, b))),
-            ("dtw", di.dtw),
+            ("mpbd", mpbd_ref),
+            ("euclidean", euclidean_ref),
+            ("levenshtein", lambda a, b: float(levenshtein_ref(a, b))),
+            ("dtw", dtw_ref),
         ]:
-            matrix = di.distance_matrix(col, metric)
-            matrix.validate()
-            seqs = col.values
-            for i in range(3):
-                for j in range(3):
-                    assert matrix.entries[i, j] == pytest.approx(
-                        fn(seqs[i], seqs[j]), abs=1e-12
-                    )
+            entries = di.distance_matrix(col, metric).entries
+            assert (entries == entries.T).all() and not np.diagonal(entries).any()
+            assert (entries >= 0).all()
+            assert entries == pytest.approx(matrix_ref(col.values, fn), abs=1e-12)
 
     @pytest.mark.parametrize("metric, kwargs", [
         pytest.param("mpbd", {}, id="mpbd"),
@@ -425,47 +423,31 @@ values = st.one_of(
     st.integers(0, 4).map(float),
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
-series = st.lists(values, min_size=1, max_size=9)
 
 
-def window_for(kind, n, m):
-    return {"none": None, "zero": 0, "diff": abs(n - m),
-            "diff+1": abs(n - m) + 1, "wide": n + m + 3}[kind]
+def window_for(kind, n):
+    return {"none": None, "zero": 0, "one": 1, "wide": 2 * n + 3}[kind]
 
 
 class TestBatchedMatchesScalar:
     @settings(max_examples=300)
-    @given(series, series, st.sampled_from(["none", "zero", "diff", "diff+1", "wide"]))
-    def test_dtw_pair(self, p, q, kind):
-        window = window_for(kind, len(p), len(q))
-        if window is not None and window < abs(len(p) - len(q)):
-            with pytest.raises(DataError, match="window"):
-                di.dtw(p, q, window=window)
-        else:
-            assert same_bits(di.dtw(p, q, window=window), dtw_ref(p, q, window=window))
+    @given(equal_length(values, min_size=1), st.sampled_from(["none", "zero", "one", "wide"]))
+    def test_dtw_pair(self, pq, kind):
+        p, q = pq
+        window = window_for(kind, len(p))
+        assert same_bits(pair_distance("dtw", p, q, window=window), dtw_ref(p, q, window=window))
 
     @settings(max_examples=300)
-    @given(
-        st.one_of(
-            st.tuples(st.text(alphabet="ABCDE", max_size=9), st.text(alphabet="ABCDE", max_size=9)),
-            st.tuples(st.lists(st.integers(1, 5), max_size=9), st.lists(st.integers(1, 5), max_size=9)),
-        )
-    )
+    @given(st.one_of(equal_length(st.sampled_from("ABCDE")), equal_length(st.integers(1, 5))))
     def test_levenshtein_pair(self, pq):
         p, q = pq
-        got = di.levenshtein(p, q)
-        assert type(got) is int
-        assert got == levenshtein_ref(p, q)
+        assert pair_distance("levenshtein", *coded(p, q)) == levenshtein_ref(p, q)
 
     @settings(max_examples=300)
-    @given(
-        st.integers(2, 12).flatmap(lambda n: st.tuples(
-            st.lists(values, min_size=n, max_size=n), st.lists(values, min_size=n, max_size=n))),
-        st.sampled_from([2.0, 3.0, 0.5]),
-    )
+    @given(equal_length(values, min_size=2, max_size=12), st.sampled_from([2.0, 3.0, 0.5]))
     def test_mpbd_pair(self, pq, omega):
         p, q = pq
-        assert same_bits(di.mpbd(p, q, omega=omega), mpbd_ref(p, q, omega=omega))
+        assert same_bits(pair_distance("mpbd", p, q, omega=omega), mpbd_ref(p, q, omega=omega))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -480,14 +462,14 @@ class TestBatchedMatchesScalar:
         reals = rng.random((n, length))
         symbolic = collection([sym(f"S{i}", row) for i, row in enumerate(levels)])
         numeric = collection([ts(f"T{i}", row) for i, row in enumerate(reals)])
-        window = window_for(kind, length, length)
+        window = window_for(kind, length)
         cases = [
             ("mpbd", symbolic, levels, {"omega": 3.0}, lambda a, b: mpbd_ref(a, b, omega=3.0)),
             ("mpbd", numeric, reals, {}, mpbd_ref),
             ("levenshtein", symbolic, levels, {}, lambda a, b: float(levenshtein_ref(a, b))),
             ("dtw", numeric, reals, {"window": window}, lambda a, b: dtw_ref(a, b, window)),
             ("dtw", symbolic, levels, {"window": window}, lambda a, b: dtw_ref(a, b, window)),
-            ("euclidean", numeric, reals, {}, di.euclidean),
+            ("euclidean", numeric, reals, {}, euclidean_ref),
         ]
         for metric, col, seqs, kwargs, pair in cases:
             got = di.distance_matrix(col, metric, **kwargs).entries
@@ -541,8 +523,8 @@ def item_sequence(draw, items, length):
 @st.composite
 def sequence_pairs(draw):
     kind = draw(st.sampled_from(sorted(ITEMS)))
-    lengths = st.one_of(st.sampled_from([0] + WORD_EDGES), st.integers(0, 200))
-    p, q = (draw(item_sequence(ITEMS[kind], draw(lengths))) for _ in range(2))
+    length = draw(st.one_of(st.sampled_from([0] + WORD_EDGES), st.integers(0, 200)))
+    p, q = (draw(item_sequence(ITEMS[kind], length)) for _ in range(2))
     if kind == "text" and draw(st.booleans()):
         return "".join(p), "".join(q)
     return p, q
@@ -550,9 +532,7 @@ def sequence_pairs(draw):
 
 def dp_distance(p, q):
     """The edit distance of the anti-diagonal DP, on shared integer codes."""
-    codes = {}
-    P, Q = (np.array([codes.setdefault(item, len(codes)) for item in seq], dtype=float)
-            for seq in (p, q))
+    P, Q = (row.astype(float) for row in coded(p, q))
     return levenshtein_dp_ref(P[:, None], Q[:, None])[0]
 
 
@@ -561,18 +541,27 @@ class TestBitParallelLevenshtein:
     @given(sequence_pairs())
     def test_pair_matches_dp_and_loop(self, pq):
         p, q = pq
-        got = di.levenshtein(p, q)
-        assert type(got) is int
+        got = pair_distance("levenshtein", *coded(p, q))
         assert got == dp_distance(p, q) == levenshtein_ref(p, q)
-        assert di.levenshtein(q, p) == got
+        assert pair_distance("levenshtein", *coded(q, p)) == got
 
     @pytest.mark.parametrize("p, q, expected", [
-        ("", "", 0), ([], [], 0), ("", [], 0), ("abc", "", 3), ([], [1, 2], 2),
+        ("", "", 0), ([], [], 0), ("", [], 0), ("abc", "abd", 1), ([1, 2], [2, 1], 2),
         ([1.0, 2.0, 3.0], [1, 2, 3], 0), ([1.5, 2], [1, 2.0], 1), ([True, 0], [1, 0.0], 0),
-        ("a" * 64, "a" * 65, 1), ("a" * 129, "b" * 64, 129), ("ab" * 100, "ba" * 100, 2),
+        ("a" * 63 + "b", "b" + "a" * 63, 2), ("a" * 129, "b" * 129, 129),
+        ("ab" * 100, "ba" * 100, 2),
     ])
     def test_pair_cases(self, p, q, expected):
-        assert di.levenshtein(p, q) == expected == levenshtein_ref(p, q)
+        """Rows of items, each coded as a level shared by the items equal to it."""
+        assert pair_distance("levenshtein", *coded(p, q)) == expected == levenshtein_ref(p, q)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129])
+    def test_word_boundary_rows(self, length):
+        """Rows of one, two and three 64-bit words, edited at both ends and across words."""
+        p = np.arange(length) % 5 + 1
+        for q, expected in ((np.roll(p, 1), levenshtein_ref(p, np.roll(p, 1))),
+                            (p + 5, length), (p, 0)):
+            assert pair_distance("levenshtein", p, q) == expected == dp_distance(p, q)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -644,7 +633,7 @@ def check_matches_float_kernel(X, omega):
     assert same_bits(di.distance_matrix(col, "mpbd", omega=omega).entries, upper + upper.T)
     Df, Sf = delta_rows_float(X[:2])
     pair = mpbd_row_float(Df[0], Sf[0], Df[1:], Sf[1:], omega)[0]
-    assert float.hex(di.mpbd(X[0], X[1], omega=omega)) == float.hex(pair)
+    assert float.hex(pair_distance("mpbd", X[0], X[1], omega=omega)) == float.hex(pair)
 
 
 class TestIntegerKernel:
@@ -682,7 +671,7 @@ class TestIntegerKernel:
     def test_flat_rows_with_large_omega(self, omega):
         X = np.full((4, 9), 3.0)
         assert not di.mpbd_upper(X, omega).any()
-        assert di.mpbd(X[0], X[1], omega=omega) == 0.0
+        assert pair_distance("mpbd", X[0], X[1], omega=omega) == 0.0
         X[2, 4] = 5.0
         assert same_bits(di.mpbd_upper(X, omega), mpbd_upper_float(X, omega))
 

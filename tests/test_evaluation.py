@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from movclust import evaluation as ev
 from movclust.clustering import ClusterAssignment, agglomerative, cut_dendrogram, kmeans, kmedoids
-from movclust.distances import distance_matrix, mpbd, mpbd_upper
+from movclust.distances import distance_matrix, mpbd_upper
 from movclust.errors import DataError, DegenerateGeometryError
 
 from conftest import collection, ts
 from scalar_reference import (
-    bcss_ref, ch_index_ref, db_index_ref, mpbi_ref, mpbi_rows_ref, sweep_k_ref, wcss_ref,
+    ch_index_ref, db_index_ref, mpbd_ref, mpbi_ref, mpbi_rows_ref, sweep_k_ref,
 )
 
 
@@ -20,6 +20,19 @@ def assign(labels, ids=None):
     return ClusterAssignment(
         labels=dict(zip(ids, labels)), k=max(labels), algorithm="test"
     ), ids
+
+
+def report(X, labels):
+    """``evaluate`` of ``labels`` over the vectors ``X``, with flat levels for MPBI."""
+    a, ids = assign(labels)
+    X = np.asarray(X, dtype=float)
+    return ev.evaluate(X, np.ones((len(X), 2)), ids, a)
+
+
+def random_labels(rng, n, k):
+    """n labels that use each of 1..k at least once."""
+    return [int(c) for c in rng.permutation(
+        np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
 
 
 # naive reference implementations, double loops straight from the formulas
@@ -32,6 +45,16 @@ def wcss_oracle(X, labels):
         mu = np.mean(members, axis=0)
         for x in members:
             total += ((x - mu) ** 2).sum()
+    return total
+
+
+def bcss_oracle(X, labels, weighted):
+    grand = np.mean(X, axis=0)
+    total = 0.0
+    for c in set(labels):
+        members = [x for x, l in zip(X, labels) if l == c]
+        gap = ((np.mean(members, axis=0) - grand) ** 2).sum()
+        total += len(members) * gap if weighted else gap
     return total
 
 
@@ -59,162 +82,150 @@ def mpbi_oracle(levels, labels, omega=2.0):
     for c in clusters:
         members = [s for s, l in zip(levels, labels) if l == c]
         pair_sum = sum(
-            mpbd(a, b, omega=omega) for a, b in itertools.combinations(members, 2)
+            mpbd_ref(a, b, omega=omega) for a, b in itertools.combinations(members, 2)
         )
         total += pair_sum / len(members)
     return total / len(clusters)
 
 
 class TestWcss:
+    """WCSS, read through the paper's CH form WCSS / BCSS."""
+
     def test_singletons_zero(self):
-        a, ids = assign([1, 2, 3])
-        assert ev.wcss(np.array([[0.0], [5.0], [9.0]]), ids, a) == 0.0
+        # two singletons and a pair of equal points
+        r = report([[0.0], [5.0], [9.0], [9.0]], [1, 2, 3, 3])
+        assert r.ch_paper == 0.0
+        assert r.ch is None and r.notes["ch"] == "ch_index: zero within-cluster scatter"
 
     def test_hand_value(self):
-        a, ids = assign([1, 1])
-        assert ev.wcss(np.array([[0.0], [2.0]]), ids, a) == 2.0
+        # WCSS = 2, means 1 and 10 around the grand mean 4: BCSS = 9 + 36
+        assert report([[0.0], [2.0], [10.0]], [1, 1, 2]).ch_paper == 2.0 / 45.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(20)
         X = rng.normal(size=(9, 3))
         labels = [1, 2, 3, 1, 2, 3, 1, 2, 1]
-        a, ids = assign(labels)
-        assert ev.wcss(X, ids, a) == pytest.approx(wcss_oracle(X, labels), rel=1e-12)
+        expected = wcss_oracle(X, labels) / bcss_oracle(X, labels, weighted=False)
+        assert report(X, labels).ch_paper == pytest.approx(expected, rel=1e-12)
 
 
 class TestBcss:
-    def test_k1_zero(self):
-        a, ids = assign([1, 1])
-        assert ev.bcss(np.array([[0.0], [2.0]]), ids, a) == 0.0
+    """BCSS, unweighted in CH's paper form and size-weighted in its standard form."""
 
     def test_paper_variant(self):
-        a, ids = assign([1, 2])
-        assert ev.bcss(np.array([[0.0], [2.0]]), ids, a, "paper") == 2.0
+        # WCSS = 2, means 0 and 3 around the grand mean 1: BCSS = 1 + 4
+        assert report([[-1.0], [1.0], [3.0]], [1, 1, 2]).ch_paper == pytest.approx(2.0 / 5.0)
 
     def test_weighted_variant_equal_sizes(self):
-        a, ids = assign([1, 2])
-        assert ev.bcss(np.array([[0.0], [2.0]]), ids, a, "weighted") == 2.0
+        # WCSS = 4, means 0 and 4 around 2: BCSS_w = 2 x (4 + 4), CH = (16 / 1) / (4 / 2)
+        r = report([[-1.0], [1.0], [3.0], [5.0]], [1, 1, 2, 2])
+        assert r.ch == 8.0
+        assert r.ch_paper == 0.5
 
     def test_weighted_differs_with_sizes(self):
-        X = np.array([[0.0], [0.0], [3.0]])
-        a, ids = assign([1, 1, 2])
-        paper = ev.bcss(X, ids, a, "paper")
-        weighted = ev.bcss(X, ids, a, "weighted")
-        assert weighted == pytest.approx(2 * 1.0 + 1 * 4.0)
-        assert paper == pytest.approx(1.0 + 4.0)
+        # BCSS_w = 2 x 1 + 1 x 4 = 6 and BCSS = 1 + 4 = 5, over WCSS = 2
+        r = report([[-1.0], [1.0], [3.0]], [1, 1, 2])
+        assert r.ch == pytest.approx((6.0 / 1) / (2.0 / 1))
+        assert r.ch_paper == pytest.approx(2.0 / 5.0)
 
 
 class TestChIndex:
     def six_points(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0], [20.0], [21.0]])
-        a, ids = assign([1, 1, 2, 2, 3, 3])
-        return X, ids, a
+        return X, [1, 1, 2, 2, 3, 3]
 
     def test_standard_hand_value(self):
-        X, ids, a = self.six_points()
         # WCSS = 1.5, BCSS_w = 400, CH = (400/2)/(1.5/3) = 400
-        assert ev.ch_index(X, ids, a, "standard") == pytest.approx(400.0)
+        assert report(*self.six_points()).ch == pytest.approx(400.0)
 
     def test_paper_variant_is_small_for_good_clusters(self):
-        X, ids, a = self.six_points()
-        paper = ev.ch_index(X, ids, a, "paper")
+        paper = report(*self.six_points()).ch_paper
         assert paper == pytest.approx(1.5 / 200.0)
         assert paper < 1
 
     def test_reciprocal_ranking_at_fixed_k_equal_sizes(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(8, 2))
-        ids = [f"s{i}" for i in range(8)]
-        a1, _ = assign([1, 1, 2, 2, 1, 1, 2, 2], ids)
-        a2, _ = assign([1, 2, 1, 2, 1, 2, 1, 2], ids)
-        std = [ev.ch_index(X, ids, a, "standard") for a in (a1, a2)]
-        pap = [ev.ch_index(X, ids, a, "paper") for a in (a1, a2)]
-        assert (std[0] > std[1]) == (pap[0] < pap[1])
+        r1, r2 = (report(X, labels) for labels in ([1, 1, 2, 2, 1, 1, 2, 2],
+                                                   [1, 2, 1, 2, 1, 2, 1, 2]))
+        assert (r1.ch > r2.ch) == (r1.ch_paper < r2.ch_paper)
 
     def test_degenerate_reported(self):
-        X = np.array([[0.0], [0.0], [1.0], [1.0]])
-        a, ids = assign([1, 1, 2, 2])
-        with pytest.raises(DegenerateGeometryError):
-            ev.ch_index(X, ids, a, "standard")  # zero WCSS
+        r = report([[0.0], [0.0], [1.0], [1.0]], [1, 1, 2, 2])  # zero WCSS
+        assert r.ch is None and r.notes == {"ch": "ch_index: zero within-cluster scatter"}
+        r = report([[0.0], [2.0], [0.0], [2.0]], [1, 1, 2, 2])  # zero BCSS
+        assert r.ch == 0.0 and r.ch_paper is None
+        assert r.notes["ch_paper"] == "ch_index: zero between-cluster scatter"
 
     def test_k_bounds(self):
-        X = np.zeros((3, 1))
-        a, ids = assign([1, 2, 3])
-        with pytest.raises(DataError):
-            ev.ch_index(X, ids, a)  # k = n
+        with pytest.raises(DataError, match=r"^ch_index requires 2 <= k < n, got k=3, n=3$"):
+            report(np.zeros((3, 1)), [1, 2, 3])  # k = n
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 30), st.integers(1, 300), st.integers(2, 8), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_bit_identical_to_recomputed_sums(self, n, dim, k, coarse, seed):
         rng = np.random.default_rng(seed)
-        k = min(k, n)
-        labels = [int(c) for c in rng.permutation(
-            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        labels = random_labels(rng, n, min(k, n))
         # coarse: few distinct values, so zero scatter occurs
         X = (rng.integers(0, 2, size=(n, dim)) * rng.normal(size=dim) if coarse
              else rng.normal(size=(n, dim)))
         a, ids = assign(labels)
-        assert float.hex(ev.wcss(X, ids, a)) == float.hex(wcss_ref(X, ids, a))
-        for variant in ("paper", "weighted"):
-            assert float.hex(ev.bcss(X, ids, a, variant)) == float.hex(bcss_ref(X, ids, a, variant))
-        for variant in ("standard", "paper"):
+        try:
+            r = report(X, labels)
+        except DataError as exc:  # k = n
+            with pytest.raises(DataError, match=f"^{exc}$"):
+                ch_index_ref(X, ids, a)
+            return
+        for got, key, variant in ((r.ch, "ch", "standard"), (r.ch_paper, "ch_paper", "paper")):
             try:
                 expected = float.hex(ch_index_ref(X, ids, a, variant))
-            except (DataError, DegenerateGeometryError) as exc:
-                with pytest.raises(type(exc), match=f"^{exc}$"):
-                    ev.ch_index(X, ids, a, variant)
+            except DegenerateGeometryError as exc:
+                assert got is None and r.notes[key] == str(exc)
             else:
-                assert float.hex(ev.ch_index(X, ids, a, variant)) == expected
+                assert float.hex(got) == expected
 
 
 class TestDbIndex:
     def test_two_singletons(self):
-        a, ids = assign([1, 2])
-        assert ev.db_index(np.array([[0.0], [5.0]]), ids, a) == 0.0
+        # and a pair of equal points: every spread is zero
+        assert report([[0.0], [5.0], [9.0], [9.0]], [1, 2, 3, 3]).db == 0.0
 
     def test_hand_value(self):
-        X = np.array([[0.0], [2.0], [10.0], [12.0]])
-        a, ids = assign([1, 1, 2, 2])
         # S = 1 each, M = 10 -> DB = 0.2
-        assert ev.db_index(X, ids, a) == pytest.approx(0.2)
+        assert report([[0.0], [2.0], [10.0], [12.0]], [1, 1, 2, 2]).db == pytest.approx(0.2)
 
     def test_decreases_with_separation(self):
-        a, ids = assign([1, 1, 2, 2])
-        near = ev.db_index(np.array([[0.0], [2.0], [5.0], [7.0]]), ids, a)
-        far = ev.db_index(np.array([[0.0], [2.0], [50.0], [52.0]]), ids, a)
+        near = report([[0.0], [2.0], [5.0], [7.0]], [1, 1, 2, 2]).db
+        far = report([[0.0], [2.0], [50.0], [52.0]], [1, 1, 2, 2]).db
         assert far < near
 
     def test_coincident_centroids_degenerate(self):
-        X = np.array([[0.0], [2.0], [0.0], [2.0]])
-        a, ids = assign([1, 1, 2, 2])
-        with pytest.raises(DegenerateGeometryError):
-            ev.db_index(X, ids, a)
+        r = report([[0.0], [2.0], [0.0], [2.0]], [1, 1, 2, 2])
+        assert r.db is None
+        assert r.notes["db"] == "db_index: coincident centroids for clusters 1 and 2"
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 30), st.integers(1, 400), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @given(st.integers(3, 30), st.integers(1, 400), st.integers(2, 8), st.integers(0, 2**32 - 1))
     def test_bit_identical_to_pair_loop(self, n, dim, k, seed):
         rng = np.random.default_rng(seed)
-        k = min(k, n)
-        labels = [int(c) for c in rng.permutation(
-            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        labels = random_labels(rng, n, min(k, n - 1))
         # few distinct values, so centroids can coincide
         X = rng.integers(0, 2, size=(n, dim)) * rng.normal(size=dim)
         a, ids = assign(labels)
+        r = report(X, labels)
         try:
             expected = float.hex(db_index_ref(X, ids, a))
         except DegenerateGeometryError as exc:
-            with pytest.raises(DegenerateGeometryError, match=f"^{exc}$"):
-                ev.db_index(X, ids, a)
+            assert r.db is None and r.notes["db"] == str(exc)
         else:
-            assert float.hex(ev.db_index(X, ids, a)) == expected
+            assert float.hex(r.db) == expected
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(22)
         X = rng.normal(size=(10, 2))
         labels = [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]
-        a, ids = assign(labels)
-        assert ev.db_index(X, ids, a) == pytest.approx(db_oracle(X, labels), rel=1e-9)
+        assert report(X, labels).db == pytest.approx(db_oracle(X, labels), rel=1e-9)
 
 
 class TestMpbi:
@@ -288,19 +299,17 @@ class TestInvariances:
     def test_translation_invariance(self):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(8, 2))
-        a, ids = assign([1, 1, 2, 2, 1, 2, 1, 2])
-        shift = X + np.array([100.0, -40.0])
-        assert ev.ch_index(shift, ids, a) == pytest.approx(ev.ch_index(X, ids, a))
-        assert ev.db_index(shift, ids, a) == pytest.approx(ev.db_index(X, ids, a))
+        labels = [1, 1, 2, 2, 1, 2, 1, 2]
+        moved, fixed = report(X + np.array([100.0, -40.0]), labels), report(X, labels)
+        for index in ("ch", "ch_paper", "db"):
+            assert getattr(moved, index) == pytest.approx(getattr(fixed, index))
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(26)
         X = rng.normal(size=(6, 2))
-        ids = [f"s{i}" for i in range(6)]
-        a1, _ = assign([1, 2, 3, 1, 2, 3], ids)
-        a2, _ = assign([2, 3, 1, 2, 3, 1], ids)
-        assert ev.ch_index(X, ids, a1) == pytest.approx(ev.ch_index(X, ids, a2))
-        assert ev.db_index(X, ids, a1) == pytest.approx(ev.db_index(X, ids, a2))
+        r1, r2 = report(X, [1, 2, 3, 1, 2, 3]), report(X, [2, 3, 1, 2, 3, 1])
+        for index in ("ch", "ch_paper", "db"):
+            assert getattr(r1, index) == pytest.approx(getattr(r2, index))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -316,28 +325,27 @@ def _outcome(fn, *args, **kwargs):
 class TestEvaluateComputesClustersOnce:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 30), st.integers(1, 40), st.integers(2, 5), st.integers(1, 8),
-           st.booleans(), st.sampled_from(["standard", "paper"]), st.sampled_from([0.3, 2.0]),
-           st.integers(0, 2**32 - 1))
-    def test_matches_separate_public_calls(self, n, dim, length, k, coarse, variant, omega,
-                                           seed):
+           st.booleans(), st.sampled_from([0.3, 2.0]), st.integers(0, 2**32 - 1))
+    def test_matches_separate_public_calls(self, n, dim, length, k, coarse, omega, seed):
+        """``evaluate`` equals, bit for bit, each index worked out on its own."""
         rng = np.random.default_rng(seed)
-        k = min(k, n)
-        labels = [int(c) for c in rng.permutation(
-            np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
+        labels = random_labels(rng, n, min(k, n))
         # coarse: few distinct values, so zero scatter and coincident centroids occur
         X = (rng.integers(0, 2, size=(n, dim)) * rng.normal(size=dim) if coarse
              else rng.normal(size=(n, dim)))
         levels = rng.integers(1, 6, size=(n, length))
         a, ids = assign(labels)
-        separate = (_outcome(ev.ch_index, X, ids, a, variant), _outcome(ev.db_index, X, ids, a),
-                    _outcome(ev.mpbi, levels, ids, a, omega=omega))
+        separate = (_outcome(ch_index_ref, X, ids, a, "standard"),
+                    _outcome(ch_index_ref, X, ids, a, "paper"),
+                    _outcome(db_index_ref, X, ids, a),
+                    _outcome(mpbi_ref, levels, labels, omega=omega))
         try:
-            report = ev.evaluate(X, levels, ids, a, omega=omega, ch_variant=variant)
-        except DataError as exc:  # k = n: ch_index's range check
+            r = ev.evaluate(X, levels, ids, a, omega=omega)
+        except DataError as exc:  # k = n: the range check of CH
             assert separate[0] == (type(exc), str(exc))
             return
         together = tuple(None if v is None else float.hex(v)
-                         for v in (report.ch, report.db, report.mpbi))
+                         for v in (r.ch, r.ch_paper, r.db, r.mpbi))
         assert together == separate
 
 

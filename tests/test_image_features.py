@@ -107,6 +107,12 @@ class TestExternalFeatures:
         with pytest.raises(DataError, match="Z"):
             imf.load_external_features(path, known_ids={"A"})
 
+    def test_known_ids_missing_from_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("series_id,f1\nB,1\n")
+        with pytest.raises(DataError, match=r"^series ids missing from feature file: \['A', 'C'\]$"):
+            imf.load_external_features(path, known_ids={"C", "B", "A"})
+
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("series_id,f1\nA,oops\n")
