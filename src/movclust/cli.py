@@ -14,9 +14,9 @@ fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
 outside its key's bounds (``omega``, ``k`` (at least 2, or 1 for
 ``hierarchical``), ``dtw_window``, the image sides and ``pool_block``,
 ``outlier_percentile``, ``sparse_threshold``, the four non-decreasing
-``thresholds``) and scale bounds other than
-``0 <= scale_lo < scale_hi <= 1`` are configuration errors, raised before
-any input is read.  All randomness flows from the single configured seed.
+``thresholds``), scale bounds other than ``0 <= scale_lo < scale_hi <= 1``
+and a ``date_start`` after ``date_end`` are configuration errors, raised
+before any input is read.  All randomness flows from the single configured seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (among them a CSV
 line the csv module cannot read, such as a field over its size limit),
@@ -188,13 +188,8 @@ def _date(cfg, key):
 
 
 def _write_wide(path, collection, dates):
-    tables.write_table(
-        path,
-        ["series_id"] + [d.isoformat() for d in dates],
-        collection.ids,
-        collection.values,
-        cell="%d" if collection.values.dtype.kind == "i" else tables.NUMBER,
-    )
+    tables.write_table(path, ["series_id"] + [d.isoformat() for d in dates], collection.ids,
+                       collection.values)
 
 
 def _read_wide(path, dtype):
@@ -302,6 +297,8 @@ def cmd_preprocess(run):
     date_range = None
     if cfg["date_start"] and cfg["date_end"]:
         date_range = (_date(cfg, "date_start"), _date(cfg, "date_end"))
+        if date_range[0] > date_range[1]:
+            raise ConfigError("empty date range: date_start={} > date_end={}".format(*date_range))
     if cfg["input_format"] == "long":
         observations, rejects = core_data.load_long_csv(cfg["input"], schema)
     else:
@@ -421,6 +418,8 @@ def _check_assignment(assignment, ids):
 
 def cmd_sweep(run):
     cfg = run.cfg
+    if cfg["k_min"] < 2:
+        raise ConfigError(f"bad value for 'k_min': {cfg['k_min']!r} (must be >= 2)")
     if cfg["k_min"] > cfg["k_max"]:
         raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
     scaled, symbolic = _evaluation_inputs(run)

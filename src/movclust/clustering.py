@@ -19,6 +19,10 @@ from .tables import NUMBER, read_sidecar, read_table, write_rows
 LINKAGES = ("ward", "average", "complete", "single")
 #: Header of an assignment table.
 ASSIGNMENT = ["series_id", "cluster"]
+#: Lloyd iterations at most, and the WCSS improvement below which k-means stops early.
+KMEANS_MAX_ITER, KMEANS_TOL = 300, 1e-6
+#: Assignment / medoid-update rounds of k-medoids at most.
+KMEDOIDS_MAX_ITER = 100
 
 
 @dataclass
@@ -93,8 +97,7 @@ def _sq_dists(X, centers, out) -> np.ndarray:
     return out
 
 
-def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
-           tol: float = 1e-6) -> ClusterAssignment:
+def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0) -> ClusterAssignment:
     """Lloyd iterations with deterministic seeded farthest-point init.
 
     Empty clusters are repaired by reseeding with the point farthest from
@@ -116,7 +119,7 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
     prev_wcss = np.inf
     labels = None
     d2 = np.empty((n, k))
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         _sq_dists(X, centers, d2)
         new_labels = d2.argmin(axis=1)
         # repair empty clusters with the worst-fitting point from a non-singleton cluster
@@ -141,7 +144,7 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
         improvement = prev_wcss - wcss
         labels = new_labels
         prev_wcss = wcss
-        if converged or improvement < tol:
+        if converged or improvement < KMEANS_TOL:
             break
 
     groups = [[ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)]
@@ -152,7 +155,7 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 300,
 # k-medoids
 
 
-def kmedoids(matrix, k: int, seed: int = 0, max_iter: int = 100) -> ClusterAssignment:
+def kmedoids(matrix, k: int, seed: int = 0) -> ClusterAssignment:
     """Alternating assignment / medoid update on a precomputed DistanceMatrix."""
     D = matrix.entries
     ids = list(matrix.ids)
@@ -165,7 +168,7 @@ def kmedoids(matrix, k: int, seed: int = 0, max_iter: int = 100) -> ClusterAssig
     medoids = _farthest_point_indices(first, k, lambda i: D[i].copy())
 
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEDOIDS_MAX_ITER):
         cols = D[:, medoids]
         new_labels = cols.argmin(axis=1)
         for c in range(k):

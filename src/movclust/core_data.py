@@ -8,8 +8,10 @@ step appends a provenance record.
 
 A ``SeriesCollection`` is columnar: its series are the rows of one (n x L)
 matrix, float64 values or, once discretized, int64 levels 1..5, with one
-missing mask and one (product, store, category) tuple per row.  Each step
-transforms the whole matrix at once; one series is a one-row collection.
+(product, store, category) tuple per row.  A NaN cell is a day with no
+observation: every loader rejects a non-finite value, so no other cell is
+NaN.  Each step transforms the whole matrix at once; one series is a
+one-row collection.
 """
 
 from __future__ import annotations
@@ -68,14 +70,12 @@ class SeriesCollection:
     """Equal-length series as the rows of one matrix, plus preprocessing history.
 
     ``values`` is (n x L) with one row per id: float64 values, or int64
-    levels once discretized.  ``missing`` marks the cells that held no
-    observation (default none); filling keeps it.  ``attrs`` holds one
-    (product, store, category) tuple per row (default all None).
+    levels once discretized.  A NaN value is a missing cell.  ``attrs``
+    holds one (product, store, category) tuple per row (default all None).
     """
 
     ids: list
     values: np.ndarray
-    missing: np.ndarray | None = None
     attrs: list | None = None
     provenance: list = field(default_factory=list)
 
@@ -84,11 +84,9 @@ class SeriesCollection:
         values = np.asarray(self.values)
         self.values = values.astype(np.int64 if values.dtype.kind in "iu" else float, copy=False)
         shape = self.values.shape
-        self.missing = np.zeros(shape, bool) if self.missing is None else np.asarray(self.missing, bool)
         self.attrs = [(None, None, None)] * len(self.ids) if self.attrs is None else self.attrs
-        if len(shape) != 2 or shape[0] != len(self.ids) or self.missing.shape != shape:
-            raise DataError(f"{len(self.ids)} series need (n x L) values and mask, "
-                            f"got {shape} and {self.missing.shape}")
+        if len(shape) != 2 or shape[0] != len(self.ids):
+            raise DataError(f"{len(self.ids)} series need (n x L) values, got {shape}")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate series_id in collection")
 
@@ -103,8 +101,8 @@ class SeriesCollection:
     def select(self, keep, provenance: list) -> SeriesCollection:
         """The rows where the boolean mask ``keep`` is set, under ``provenance``."""
         return SeriesCollection(
-            list(compress(self.ids, keep)), self.values[keep], self.missing[keep],
-            list(compress(self.attrs, keep)), provenance,
+            list(compress(self.ids, keep)), self.values[keep], list(compress(self.attrs, keep)),
+            provenance,
         )
 
 
@@ -408,9 +406,7 @@ def assemble_series(observations, date_range=None, mode: str = "price") -> Serie
             f"on {start + dt.timedelta(days=int(cells[repeat] % n))}"
         )
     values = np.full((len(used), n), np.nan)
-    missing = np.ones((len(used), n), dtype=bool)
     values.reshape(-1)[cells] = observations.value[inside]
-    missing.reshape(-1)[cells] = False
 
     provenance = [
         {
@@ -423,7 +419,6 @@ def assemble_series(observations, date_range=None, mode: str = "price") -> Serie
     return SeriesCollection(
         ids=[sorted_names[name] for name in used.tolist()],
         values=values,
-        missing=missing,
         attrs=[observations.keys[key] for key in row_key[first_row].tolist()],
         provenance=provenance,
     )
@@ -449,7 +444,7 @@ def drop_sparse(collection: SeriesCollection, max_missing_fraction: float = 0.8)
     """Drop series with strictly more than the allowed fraction missing."""
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise DataError(f"max_missing_fraction out of [0,1]: {max_missing_fraction}")
-    missing = collection.missing
+    missing = np.isnan(collection.values)
     keep = np.count_nonzero(missing, axis=1) / missing.shape[1] <= max_missing_fraction
     return collection.select(keep, collection.with_step(
         "drop_sparse", {"max_missing_fraction": max_missing_fraction},
@@ -458,14 +453,15 @@ def drop_sparse(collection: SeriesCollection, max_missing_fraction: float = 0.8)
 
 
 def fill_collection(collection: SeriesCollection, strategy: str) -> SeriesCollection:
-    """Fill each row's missing cells.
+    """Fill each row's missing (NaN) cells.
 
     ``forward`` takes the most recent present value, and a leading gap the
     first present one; ``mean`` takes the mean of the row's present values.
     """
     if strategy not in ("forward", "mean"):
         raise DataError(f"unknown fill strategy {strategy!r}")
-    values, missing, ids = collection.values, collection.missing, collection.ids
+    values, ids = collection.values, collection.ids
+    missing = np.isnan(values)
     present = ~missing
     _raise_first(ids, (~present.any(axis=1), "cannot fill an all-missing series"))
     if strategy == "mean":

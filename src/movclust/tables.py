@@ -83,14 +83,15 @@ def write_rows(path, header, rows, sidecar: dict | None = None):
         write_json(_sidecar_path(path), sidecar)
 
 
-def write_table(path, header, ids, rows, cell: str = NUMBER, sidecar: dict | None = None):
-    """Write a header row, then one line per id: the id, then its row's values.
+def write_table(path, header, ids, rows: np.ndarray, sidecar: dict | None = None):
+    """Write a header row, then one line per id: the id, then its row of ``rows``.
 
     Only the header and the id cells go through the csv module's quoting.
     Each row's values are formatted by one ``%`` operation on the row's
-    tuple with ``cell`` per value: ``"%.9g" % v`` is the string
-    ``format(float(v), ".9g")``, and ``"%d" % v`` is ``str(v)`` for an int.
+    tuple, with one format per value that the matrix's dtype picks: ``"%d"``
+    (``str(v)``) for an integer matrix, else ``NUMBER``.
     """
+    cell = "%d" if rows.dtype.kind in "iu" else NUMBER
     start = io.StringIO()  # the id cell and its comma, as csv.writer writes them
     id_writer = _writer(start)
     with open(str(path), "w", newline="", encoding="utf-8") as fh:

@@ -14,13 +14,10 @@ DIFFERENTIAL = settings(max_examples=300, deadline=None,
                         phases=[p for p in Phase if p is not Phase.explain])
 
 
-def ts(series_id, values, missing=None, category=None, store=None, product=None):
-    """A one-row SeriesCollection; None entries in values mark missing positions."""
-    if missing is None:
-        missing = [v is None for v in values]
-        values = [np.nan if v is None else v for v in values]
+def ts(series_id, values, category=None, store=None, product=None):
+    """A one-row SeriesCollection; a None or NaN entry in values marks a missing position."""
     return SeriesCollection([series_id], np.asarray(values, dtype=float)[None],
-                            np.asarray(missing, dtype=bool)[None], [(product, store, category)])
+                            [(product, store, category)])
 
 
 def sym(series_id, levels, category=None, store=None, product=None):
@@ -37,7 +34,6 @@ def collection(series):
     return SeriesCollection(
         ids=[sid for s in series for sid in s.ids],
         values=np.concatenate([s.values for s in series]),
-        missing=np.concatenate([s.missing for s in series]),
         attrs=[attrs for s in series for attrs in s.attrs],
     )
 

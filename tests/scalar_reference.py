@@ -73,11 +73,11 @@ class SymbolicSeries:
 
 
 def records(collection) -> list:
-    """The rows of a numeric ``SeriesCollection``, one TimeSeries each."""
+    """The rows of a numeric ``SeriesCollection``, one TimeSeries each; NaN cells are missing."""
     return [
-        TimeSeries(sid, values, missing, category, store, product)
-        for sid, values, missing, (product, store, category)
-        in zip(collection.ids, collection.values, collection.missing, collection.attrs)
+        TimeSeries(sid, values, np.isnan(values), category, store, product)
+        for sid, values, (product, store, category)
+        in zip(collection.ids, collection.values, collection.attrs)
     ]
 
 

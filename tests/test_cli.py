@@ -14,6 +14,10 @@ from movclust.core_data import SeriesCollection
 from movclust.errors import ConfigError
 
 
+#: The bundled samples, which ``python -m movclust.sample`` writes.
+SAMPLE_DATA = Path(__file__).resolve().parents[1] / "sample_data"
+
+
 def run(*argv):
     return cli.main(list(argv))
 
@@ -29,6 +33,14 @@ def snapshot(directory):
         for name in sorted(os.listdir(directory))
         if not name.startswith(".")
     }
+
+
+def tree_digest(files):
+    """One sha256 over a snapshot: each name, then the sha256 of its bytes, in name order."""
+    digest = hashlib.sha256()
+    for name, data in sorted(files.items()):
+        digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return digest.hexdigest()
 
 
 @pytest.fixture()
@@ -107,6 +119,14 @@ class TestConfig:
         argv = [item for k, v in bounds.items() for item in ("-O", f"{k}={v}")]
         assert run("preprocess", "--input", "unused.csv", *argv) == 1
         assert f"error: bad value for '{key}': '2021-13-01'" in capsys.readouterr().err
+
+    def test_reversed_date_range_exits_1_before_reading_input(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("preprocess", "--input", str(tmp_path / "absent.csv"), "--out", str(out),
+                   "-O", "date_start=2021-03-01", "-O", "date_end=2021-02-01") == 1
+        assert capsys.readouterr().err == (
+            "error: empty date range: date_start=2021-03-01 > date_end=2021-02-01\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("window", ["abc", "2.5"])
     def test_dtw_window_must_be_empty_or_an_integer(self, price_cfg, window, capsys):
@@ -409,6 +429,16 @@ class TestStageCommands:
         assert "error: empty sweep range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k_min, k_max", [("-5", "-1"), ("0", "3"), ("1", "3")])
+    def test_sweep_k_min_below_two_exits_1_before_reading_artifacts(self, price_cfg, k_min,
+                                                                    k_max, capsys):
+        cfg, out = price_cfg
+        assert run("sweep", "--config", str(cfg), "-O", f"k_min={k_min}", "-O",
+                   f"k_max={k_max}") == 1
+        assert capsys.readouterr().err == (
+            f"error: bad value for 'k_min': {k_min} (must be >= 2)\n")
+        assert not out.exists()
+
     def test_sweep_of_one_day_notes_every_k(self, price_cfg):
         cfg, out = price_cfg
         one_day = ["-O", "date_start=2021-01-10", "-O", "date_end=2021-01-10",
@@ -438,6 +468,50 @@ PIPELINE_GRID = [
     for algorithm in ("hierarchical", "kmedoids", "kmeans", "kmeans_features")
     for metric in (distances.METRICS if algorithm in ("hierarchical", "kmedoids") else ("mpbd",))
 ]
+#: ``tree_digest`` of the pipeline artifacts of each grid case, keyed by
+#: (mode, algorithm, metric, outlier_filter), on the regenerated samples.
+GRID_DIGESTS = {
+    ("price", "hierarchical", "euclidean", "true"): "fc4fd39a32512709f754c81ee474164a8322c0880abc3a2ec0d60ce92b5cfc8f",
+    ("price", "hierarchical", "levenshtein", "true"): "014404a1bda9eed4ddc645f3f9bcc3dfac5d55d518860b258285ff03bf128eb8",
+    ("price", "hierarchical", "dtw", "true"): "86afbbca972b0d8bad951839de534fb359c64467f6d84ff25c019750a6c1a4fc",
+    ("price", "hierarchical", "mpbd", "true"): "9f5c252cd381f20c72ea0e30be6611d840a7aabd68b98d97332ebbb8140db69b",
+    ("price", "kmedoids", "euclidean", "true"): "fd7f1fa33604ec487c8fdfbcc0b803301749b0065d62ff634fb772f6f42dec8d",
+    ("price", "kmedoids", "levenshtein", "true"): "05b483114c883fbe6b59bb0fb501f890e71691de0cf402c224764f49cd25c93e",
+    ("price", "kmedoids", "dtw", "true"): "a8ae03dda6f77f3ccf7a88e4d090068cb0f825088582cf9689396e22f7c71717",
+    ("price", "kmedoids", "mpbd", "true"): "03b122cdb3efcf19a7b63a95114db2d316587d1314e1295fe430554aef36b415",
+    ("price", "kmeans", "mpbd", "true"): "ea4fac0771a390878bd39dbd840148fe589000d1fe685fe1edd1524439527812",
+    ("price", "kmeans_features", "mpbd", "true"): "ece63eecceed1d02acf84fa7be4f49ba149ffd86f9e12a44962b18c4a27e56e6",
+    ("sales", "hierarchical", "euclidean", "true"): "f7852da1b1f2fddcc8b338cc318b479f657ad7df160ea49a97b9a24a52af771d",
+    ("sales", "hierarchical", "levenshtein", "true"): "22ede482b7a8f15c5c2ee6282b1697fecdc1ede8fb457bdfb8e9eb2aca0f1947",
+    ("sales", "hierarchical", "dtw", "true"): "8addb9cbecdb12f1cbe80faa5b121597967fee2e262ce87e68c1134b7205b5cc",
+    ("sales", "hierarchical", "mpbd", "true"): "22e66517156392ee2a3a3011f7581556ba84339b15173572ee9d41bc78742af8",
+    ("sales", "kmedoids", "euclidean", "true"): "663d8b910ca923a81e1de6d88b18aeab5b7f613dd061d1403e456a8d25d98258",
+    ("sales", "kmedoids", "levenshtein", "true"): "b3435464623fc6f74347851a2bc7ebfeae6c06883bd7d5cd8202dec56aa279b7",
+    ("sales", "kmedoids", "dtw", "true"): "7f43dbb1552f69c63fa04feec2f8ba709e4320e882ec696b54144aef85430cf8",
+    ("sales", "kmedoids", "mpbd", "true"): "d11eca08ffd9568f69eae9f3a71177774ce2b581d64b33ee066cc9b0fd6a7c42",
+    ("sales", "kmeans", "mpbd", "true"): "5caf839f231f240d5bb63f8239c69a37144e11f51f03dd217abae96ba1a06eee",
+    ("sales", "kmeans_features", "mpbd", "true"): "07da1fe6f707702dc3cbcf5f9732d2eeddcb81364a02b9f8b0ba7caa6fd56bf2",
+    ("price", "hierarchical", "euclidean", "false"): "bc2f5fff2d9b35ec31bb09be98f77ea31a29feee638ede8d5516b93c04271057",
+    ("price", "hierarchical", "levenshtein", "false"): "3848170fd9ced9bf239a3b638050c3891d04cd7302b605bf49eb4e608141b7ff",
+    ("price", "hierarchical", "dtw", "false"): "304684cf258b083e1bd6873aa82adb5fdc514ace9ab631e7299073583aabfea7",
+    ("price", "hierarchical", "mpbd", "false"): "35c8c0369334c6a504ba21cb7b92f286a76b7d2c64a0cca5c4a947e3b1bd958b",
+    ("price", "kmedoids", "euclidean", "false"): "017cce4f34e00b69e3817d1e667e242fa4dcba5a153ec23e3507c5469e9367d8",
+    ("price", "kmedoids", "levenshtein", "false"): "a7e3670dcc2e1137830ed964dcdaa855fd4ea9a42cee684e95b3796184b6d818",
+    ("price", "kmedoids", "dtw", "false"): "6a7974f95a69b90d4d636330aa46f53e7af749ea006cce4a9b9efcab571b5f6a",
+    ("price", "kmedoids", "mpbd", "false"): "33a2d72bee54a0bdce7eed29585054a23139aae38e59206262b15ecbdcd749f4",
+    ("price", "kmeans", "mpbd", "false"): "f6f937dffbfc668e11f4e70a211676dbc1a4fba51f278f806a54ea453a58acac",
+    ("price", "kmeans_features", "mpbd", "false"): "8d228094a5603890064b89604659df0a71e9324e4700adc814c6f87bd83e33d0",
+    ("sales", "hierarchical", "euclidean", "false"): "8d55f3cb43b5e46c5b2a90ad0bc5029705a4ea9e4e80c275b9fa21a098baac9d",
+    ("sales", "hierarchical", "levenshtein", "false"): "0492fe3926491d35b9a0d60ec96d33a226628ba2343225efd67a48a997e2fe3f",
+    ("sales", "hierarchical", "dtw", "false"): "ed4fb31c40a9713cae4005d8a656928aa59cc720385cf6729f836437f670ab1f",
+    ("sales", "hierarchical", "mpbd", "false"): "9a3ea54738d681cb19ca2a2a7f5e8d841795adf8f876f1faea030c584ad414f6",
+    ("sales", "kmedoids", "euclidean", "false"): "f85854af313a9d0dca4bd86b2e985bac736a3c86ee04a01cb929c412f1fcc7a1",
+    ("sales", "kmedoids", "levenshtein", "false"): "7f7188350a4f0e37daf9ec67acce4ba99a161be5843aaa513b856dc4f0349642",
+    ("sales", "kmedoids", "dtw", "false"): "cd1a569be357c04a9649b0011b7fec1d6a81f328af348f9ab05a545cbab3d4f1",
+    ("sales", "kmedoids", "mpbd", "false"): "64667fa0de42f535a5fbe2587cd426bea813e761fa3e8e43b395b9d420c9baa2",
+    ("sales", "kmeans", "mpbd", "false"): "055351bbf8fec2115c90a1b3b8021f04bc14d09de1589d232f5285b2c9a3f85a",
+    ("sales", "kmeans_features", "mpbd", "false"): "c69b29f471d334271160431c469193deb7497245d42ffe8da36fe633bdec359d",
+}
 
 
 class TestPipeline:
@@ -472,6 +546,7 @@ class TestPipeline:
         assert set(pipeline_files) == set(stepwise_files)
         for name in pipeline_files:
             assert pipeline_files[name] == stepwise_files[name], name
+        assert tree_digest(pipeline_files) == GRID_DIGESTS[mode, algorithm, metric, outlier_filter]
 
     def test_features_rasterize_scaled_values_as_written(self, tmp_path):
         """A scaled value whose written text lands on another pixel row.
@@ -637,6 +712,42 @@ def test_price_pipeline_and_sweep_golden_digests(tmp_path):
         overrides = [arg for option in options for arg in ("-O", option)]
         assert run("sweep", "--out", str(out), *overrides) == 0
         assert hashlib.sha256(read(out / "sweep.csv")).hexdigest() == digest, options
+
+
+#: sha256 of sweep.csv on the bundled sample_data/price_long.csv, keyed by
+#: (pipeline options, further sweep options): the other linkages over the
+#: default Ward run, and matrix_max distances of euclidean and of DTW over a
+#: Levenshtein filter.
+SWEEP_DIGESTS = {
+    ((), ("linkage=single",)):
+        "4362e311b689131e2def6b58a05ac2d4f1134a46a5cedfff9ea48ddb8eb6722e",
+    ((), ("linkage=complete",)):
+        "cd3ebf15651a84f630c3bb15ed5cbeada87f1258e9fac0e86074864d960212ad",
+    ((), ("linkage=average",)):
+        "1558277d9b002b70e21637193cd168f6b571fd59fd15b4e62dd4ca4aae022a85",
+    (("metric=euclidean", "normalization=matrix_max"), ()):
+        "905fa255f6bbf8d672683ae6c2ff8057c177008eba2a35803c7678d144da08ca",
+    (("algorithm=kmedoids", "metric=dtw", "outlier_metric=levenshtein"), ()):
+        "3f3b652bec735bc39370a25e87ec1905f21c13b4ed0e4f5c001567a7e47f55b4",
+}
+
+
+@pytest.mark.parametrize("pipeline, sweep", SWEEP_DIGESTS,
+                         ids=lambda options: ",".join(options) or "default")
+def test_price_sweep_golden_digests(tmp_path, pipeline, sweep):
+    price = SAMPLE_DATA / "price_long.csv"
+    out = tmp_path / "out"
+    overrides = [arg for option in pipeline for arg in ("-O", option)]
+    assert run("pipeline", "--input", str(price), "--out", str(out), *overrides) == 0
+    assert run("sweep", "--out", str(out), *overrides,
+               *[arg for option in sweep for arg in ("-O", option)]) == 0
+    assert hashlib.sha256(read(out / "sweep.csv")).hexdigest() == SWEEP_DIGESTS[pipeline, sweep]
+
+
+@pytest.mark.parametrize("name", ["price_long.csv", "sales_long.csv"])
+def test_bundled_samples_are_what_the_generator_writes(sample_dir, name):
+    """The golden digests read sample_data/, the grid reads the regenerated copies."""
+    assert read(SAMPLE_DATA / name) == read(sample_dir / name)
 
 
 class TestBadArtifacts:

@@ -158,12 +158,12 @@ class TestAssembleSeries:
         col = cd.assemble_series(obs)
         assert len(col) == 2
         assert col.values.shape == (2, 3)
-        assert not col.missing.any()
+        assert not np.isnan(col.values).any()
 
     def test_missing_mask(self):
         obs = observations([("A", day(0), 1.0), ("A", day(2), 2.0)])
         col = cd.assemble_series(obs)
-        assert col.missing[0].tolist() == [False, True, False]
+        assert np.isnan(col.values[0]).tolist() == [False, True, False]
 
     def test_sales_mode_store_pairs(self):
         obs = observations([
@@ -230,7 +230,6 @@ class TestFill:
     def test_mean_overflow_is_error(self):
         values = np.array([[1.0, np.nan, 3.0], [1.5e308, np.nan, 1.6e308], [1e308, 1e308, 1e308]])
         col = collection([ts(sid, row) for sid, row in zip("ABC", values)])
-        col.missing = np.isnan(values)
         with pytest.raises(DataError, match="^B: mean fill value overflows"):
             cd.fill_collection(col, "mean")
         # forward fill copies finite values; a complete row of huge values is not filled
@@ -242,6 +241,13 @@ class TestFill:
             with pytest.raises(DataError):
                 cd.fill_collection(ts("A", [None, None]), strategy)
 
+    def test_nan_cell_is_missing(self):
+        col = cd.SeriesCollection(["A"], [[1.0, np.nan, 3.0]])
+        assert cd.drop_sparse(col, 0.3).ids == []  # 1 of 3 cells missing
+        filled = cd.fill_collection(col, "forward")
+        assert filled.values.tolist() == [[1.0, 1.0, 3.0]]
+        assert cd.scale_collection(filled).values.tolist() == [[0.1, 0.1, 1.0]]
+
     @given(
         st.lists(
             st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=2, max_size=30
@@ -249,7 +255,7 @@ class TestFill:
     )
     def test_fill_never_modifies_present(self, values):
         series = ts("A", values)
-        present = ~series.missing
+        present = ~np.isnan(series.values)
         for strategy in ("forward", "mean"):
             out = cd.fill_collection(series, strategy)
             assert np.array_equal(out.values[present], series.values[present])
@@ -344,8 +350,6 @@ class TestCollectionInvariants:
             collection([sym("A", [1, 2]), sym("A", [1, 2])])
 
     def test_mixed_lengths_rejected(self):
-        with pytest.raises(DataError):
-            cd.SeriesCollection(["A", "B"], np.zeros((2, 2)), missing=np.zeros((2, 3)))
         with pytest.raises(DataError):
             cd.SeriesCollection(["A", "B", "C"], np.zeros((2, 2)))
 
@@ -487,8 +491,8 @@ def _reject_rows(rejects):
 def _summary(collection):
     """Provenance, which names the mode, and each row's bytes and attributes, of either form."""
     if isinstance(collection, cd.SeriesCollection):
-        rows = [(sid, values.tobytes(), missing.tobytes(), *attrs) for sid, values, missing, attrs
-                in zip(collection.ids, collection.values, collection.missing, collection.attrs)]
+        rows = [(sid, values.tobytes(), np.isnan(values).tobytes(), *attrs) for sid, values, attrs
+                in zip(collection.ids, collection.values, collection.attrs)]
     elif isinstance(collection, scalar_reference.SeriesList):
         rows = [(s.series_id, s.values.tobytes(), s.missing_mask.tobytes(), s.product, s.store,
                  s.category) for s in collection.series]
@@ -733,21 +737,21 @@ def gapped_series(draw):
         missing[draw(st.integers(0, n - 1))] = True  # all-missing row
     values[missing] = np.nan
     attrs = st.sampled_from([None, "x", "y"])
-    return [ts(f"s{i}", values[i], missing[i], category=draw(attrs), store=draw(attrs),
+    return [ts(f"s{i}", values[i], category=draw(attrs), store=draw(attrs),
                product=f"p{i % 3}") for i in range(n)]
 
 
 def _stage(collection):
-    """Provenance, then every row's id, value bytes, mask bytes and attributes."""
+    """Provenance, then every row's id, value bytes and attributes."""
     if isinstance(collection, cd.SeriesCollection):
         return collection.provenance, [
-            (sid, values.tobytes(), missing.tobytes(), *attrs) for sid, values, missing, attrs
-            in zip(collection.ids, collection.values, collection.missing, collection.attrs)
+            (sid, values.tobytes(), *attrs)
+            for sid, values, attrs in zip(collection.ids, collection.values, collection.attrs)
         ]
     if not isinstance(collection, scalar_reference.SeriesList):
         return collection  # the error
     return collection.provenance, [
-        (s.series_id, s.values.tobytes(), s.missing_mask.tobytes(), s.product, s.store, s.category)
+        (s.series_id, s.values.tobytes(), s.product, s.store, s.category)
         for s in collection.series
     ]
 
@@ -758,7 +762,7 @@ def _row_outcome(step, series):
         out = step(series)
     except DataError as exc:
         return type(exc), str(exc)
-    return out.values.dtype, out.values[0].tobytes(), out.missing[0].tobytes()
+    return out.values.dtype, out.values[0].tobytes()
 
 
 def _ref_outcome(step_ref, record):
@@ -767,9 +771,8 @@ def _ref_outcome(step_ref, record):
         out = step_ref(record)
     except DataError as exc:
         return type(exc), str(exc)
-    if isinstance(out, scalar_reference.SymbolicSeries):  # levels carry the input's mask
-        return out.levels.dtype, out.levels.tobytes(), record.missing_mask.tobytes()
-    return out.values.dtype, out.values.tobytes(), out.missing_mask.tobytes()
+    values = out.levels if isinstance(out, scalar_reference.SymbolicSeries) else out.values
+    return values.dtype, values.tobytes()
 
 
 SCALES = [(0.1, 1.0), (0.0, 1.0), (0.25, 0.75)]
@@ -794,10 +797,10 @@ class TestPreprocessingMatchesSeriesLoop:
                 if isinstance(outcome[0], type):
                     continue
                 filled = fill_ref(record)
-                filled_row = ts(s.ids[0], filled.values, filled.missing_mask)
+                filled_row = ts(s.ids[0], filled.values)
                 assert _row_outcome(scale, filled_row) == _ref_outcome(scale_ref, filled)
                 scaled = scale_ref(filled)
-                scaled_row = ts(s.ids[0], scaled.values, scaled.missing_mask)
+                scaled_row = ts(s.ids[0], scaled.values)
                 assert _row_outcome(cd.discretize_collection, scaled_row) == _ref_outcome(
                     ref.discretize_ref, scaled)
 
@@ -825,6 +828,9 @@ class TestPreprocessingMatchesSeriesLoop:
         old = ref.SeriesList(ref.records(new))
         for number, (step, step_ref) in enumerate(steps):
             new, old = _outcome(step, new), _outcome(step_ref, old)
+            if number == 0 and not isinstance(old, tuple):  # before the fill
+                assert np.isnan(new.values).tolist() == [s.missing_mask.tolist()
+                                                         for s in old.series]
             if number < 3:
                 assert _stage(new) == _stage(old), number
             elif isinstance(old, tuple):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import movclust
 from movclust import cli
@@ -97,8 +97,7 @@ def dates(m):
 @given(tables())
 def test_wide_numeric_csv(tmp_path_factory, table):
     ids, values = table
-    series = collection(ts(i, row, missing=np.zeros(len(row), dtype=bool))
-                        for i, row in zip(ids, values))
+    series = collection(ts(i, row) for i, row in zip(ids, values))
     days = dates(values.shape[1])
     assert same_bytes(tmp_path_factory.mktemp("w"), lambda p: cli._write_wide(p, series, days),
                       lambda p: write_wide_ref(p, series, days))
@@ -129,10 +128,12 @@ def test_float_table_round_trip(tmp_path_factory, table):
 
 @settings(max_examples=100, deadline=None)
 @given(tables(elements=st.integers(-(2**63), 2**63 - 1), dtype=np.int64))
+@example((["r"], np.array([[1234567890]])))  # "%.9g" would write 1.23456789e+09
 def test_int_table_round_trip(tmp_path_factory, table):
+    """An integer matrix is written with "%d", so read_table(path, int) reads it back."""
     ids, values = table
     path = tmp_path_factory.mktemp("t") / "t.csv"
-    write_table(path, ["id"] + ["c"] * values.shape[1], ids, values, cell="%d")
+    write_table(path, ["id"] + ["c"] * values.shape[1], ids, values)
     _, got_ids, got = read_table(path, int)
     assert (got_ids, got.dtype, got.shape) == (ids, values.dtype, values.shape)
     assert got.tolist() == values.tolist()
