@@ -14,9 +14,17 @@ fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
 outside its key's bounds (``omega``, ``k`` (at least 2, or 1 for
 ``hierarchical``), ``dtw_window``, the image sides and ``pool_block``,
 ``outlier_percentile``, ``sparse_threshold``, the four non-decreasing
-``thresholds``), scale bounds other than ``0 <= scale_lo < scale_hi <= 1``
-and a ``date_start`` after ``date_end`` are configuration errors, raised
-before any input is read.  All randomness flows from the single configured seed.
+``thresholds``), scale bounds other than ``0 <= scale_lo < scale_hi <= 1``,
+a date bound that is not an ISO date, a ``date_start`` after ``date_end``
+and a sweep range other than ``2 <= k_min <= k_max`` are configuration
+errors, raised by ``build_config`` for every command before any input is
+read.  All randomness flows from the single configured seed.
+
+Every table read back goes through ``tables.read_table``, so an id that
+an earlier row holds is a data error naming the file and line.  ``cluster``
+and ``sweep`` refuse a ``distmat.csv`` whose sidecar records another
+metric, normalization, ``omega`` (mpbd) or ``dtw_window`` (dtw) than the
+config's, and ``profile`` refuses a ``metadata.csv`` that lacks a series.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (among them a CSV
 line the csv module cannot read, such as a field over its size limit),
@@ -49,6 +57,10 @@ def _boolean(raw: str) -> bool:
 
 def _window(raw: str) -> int | None:
     return int(raw) if raw else None
+
+
+def _iso_date(raw: str) -> dt.date | None:
+    return dt.date.fromisoformat(raw) if raw else None
 
 
 def _thresholds(raw: str) -> tuple:
@@ -87,8 +99,8 @@ CONFIG_SPEC = {
     "value_col": (str, "value"),
     "category_col": (str, "category"),
     "store_col": (str, "store"),
-    "date_start": (str, ""),
-    "date_end": (str, ""),
+    "date_start": (_iso_date, None),  # empty = the input's first day
+    "date_end": (_iso_date, None),  # empty = the input's last day
     "sparse_threshold": (float, 0.8),
     "fill": (_one_of("auto", "forward", "mean"), "auto"),
     "scale_lo": (float, 0.1),
@@ -153,13 +165,17 @@ def build_config(file_values: dict, overrides: dict) -> dict:
     for key in merged:
         if key not in CONFIG_SPEC:
             raise ConfigError(f"unknown config key {key!r}")
-    if bool(cfg["date_start"]) != bool(cfg["date_end"]):
+    start, end = cfg["date_start"], cfg["date_end"]
+    if bool(start) != bool(end):
         raise ConfigError("date_start and date_end must be given together")
+    if start and start > end:
+        raise ConfigError(f"empty date range: date_start={start} > date_end={end}")
     block, window = cfg["pool_block"], cfg["dtw_window"]
     least_k = 1 if cfg["algorithm"] == "hierarchical" else 2
     for key, ok, rule in (
         ("omega", math.isfinite(cfg["omega"]) and cfg["omega"] >= 0, "must be finite and >= 0"),
         ("k", cfg["k"] >= least_k, f"must be >= {least_k} for algorithm {cfg['algorithm']}"),
+        ("k_min", cfg["k_min"] >= 2, "must be >= 2"),
         ("dtw_window", window is None or window >= 0, "must be empty or >= 0"),
         ("image_width", cfg["image_width"] >= 2, "must be >= 2"),
         ("image_height", cfg["image_height"] >= 2, "must be >= 2"),
@@ -170,17 +186,12 @@ def build_config(file_values: dict, overrides: dict) -> dict:
     ):
         if not ok:
             raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({rule})")
+    if cfg["k_min"] > cfg["k_max"]:
+        raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
     if not 0 <= cfg["scale_lo"] < cfg["scale_hi"] <= 1:
         raise ConfigError(f"bad scale bounds: scale_lo={cfg['scale_lo']!r}, "
                           f"scale_hi={cfg['scale_hi']!r} (need 0 <= scale_lo < scale_hi <= 1)")
     return cfg
-
-
-def _date(cfg, key):
-    try:
-        return dt.date.fromisoformat(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +305,7 @@ def cmd_preprocess(run):
         "category": cfg["category_col"],
         "store": cfg["store_col"],
     }
-    date_range = None
-    if cfg["date_start"] and cfg["date_end"]:
-        date_range = (_date(cfg, "date_start"), _date(cfg, "date_end"))
-        if date_range[0] > date_range[1]:
-            raise ConfigError("empty date range: date_start={} > date_end={}".format(*date_range))
+    date_range = (cfg["date_start"], cfg["date_end"]) if cfg["date_start"] else None
     if cfg["input_format"] == "long":
         observations, rejects = core_data.load_long_csv(cfg["input"], schema)
     else:
@@ -375,9 +382,27 @@ def cmd_features(run):
     run.write(("features.csv", features, image_features.write_features_csv))
 
 
+#: Each metric with a parameter -> (its config key, its key in ``DistanceMatrix.params``).
+METRIC_PARAMS = {"mpbd": ("omega", "omega"), "dtw": ("dtw_window", "window")}
+
+
+def _check_matrix(cfg, matrix):
+    """Refuse a distance matrix that ``distmat`` did not compute under ``cfg``."""
+    recorded = {"metric": matrix.metric, "normalization": matrix.normalization}
+    if matrix.metric in METRIC_PARAMS:
+        key, param = METRIC_PARAMS[matrix.metric]
+        recorded[key] = matrix.params.get(param)
+    for key, value in recorded.items():
+        if value != cfg[key]:
+            raise DataError(f"distmat.json has {key}={value!r} but the config has "
+                            f"{key}={cfg[key]!r} (run `distmat` first)")
+
+
 def _clusterer(cfg, data):
     """(k -> assignment, dendrogram or None) over ``data``, the algorithm's input."""
     algorithm, seed = cfg["algorithm"], cfg["seed"]
+    if CLUSTERS[algorithm] == "distmat.csv":
+        _check_matrix(cfg, data)
     if algorithm == "kmeans":
         return lambda k: clustering.kmeans(data.values, data.ids, k=k, seed=seed), None
     if algorithm == "kmeans_features":
@@ -416,12 +441,14 @@ def _check_assignment(assignment, ids):
         raise DataError("assignment ids do not match preprocessed collection")
 
 
+def _check_metadata(meta, ids):
+    missing = next((sid for sid in ids if sid not in meta), None)
+    if missing is not None:
+        raise DataError(f"metadata.csv has no row for series {missing!r}")
+
+
 def cmd_sweep(run):
     cfg = run.cfg
-    if cfg["k_min"] < 2:
-        raise ConfigError(f"bad value for 'k_min': {cfg['k_min']!r} (must be >= 2)")
-    if cfg["k_min"] > cfg["k_max"]:
-        raise ConfigError(f"empty sweep range: k_min={cfg['k_min']} > k_max={cfg['k_max']}")
     scaled, symbolic = _evaluation_inputs(run)
     cluster_fn, _ = _clusterer(cfg, run.read(CLUSTERS[cfg["algorithm"]]))
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
@@ -471,6 +498,7 @@ def cmd_profile(run):
     original, meta = run.read("original.csv"), run.read("metadata.csv")
     assignment = run.read("assignment.csv")
     _check_assignment(assignment, original.ids)
+    _check_metadata(meta, original.ids)
     sales_mode = run.cfg["mode"] == "sales"
     row_of = {sid: i for i, sid in enumerate(original.ids)}
 
@@ -478,7 +506,7 @@ def cmd_profile(run):
     for c in range(1, assignment.k + 1):
         members = assignment.members(c)
         values = original.values[[row_of[sid] for sid in members]].ravel()
-        products, stores, categories = zip(*(meta.get(sid, ("", "", "")) for sid in members))
+        products, stores, categories = zip(*(meta[sid] for sid in members))
         counts = Counter(name for name in categories if name)
         top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
         sales = [len(set(products) - {""}), len(set(stores) - {""})] if sales_mode else []

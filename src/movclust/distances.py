@@ -408,7 +408,10 @@ def write_matrix_csv(matrix: DistanceMatrix, path):
 
 
 def read_matrix_csv(path) -> DistanceMatrix:
-    """Read a matrix that ``write_matrix_csv`` wrote; each row's id must be its column's."""
+    """Read a matrix that ``write_matrix_csv`` wrote.
+
+    Each row's id must be its column's, and the sidecar's ``params`` a JSON object.
+    """
     header, ids, entries = read_table(path)
     for lineno, (row_id, column_id) in enumerate(zip(ids, header[1:]), start=2):
         if row_id != column_id:
@@ -417,10 +420,13 @@ def read_matrix_csv(path) -> DistanceMatrix:
     if len(ids) != len(header) - 1:
         raise DataError(f"{path}: {len(ids)} rows for the header's {len(header) - 1} ids")
     sidecar = read_sidecar(path, "metric", "normalization")
+    params = sidecar.get("params", {})
+    if not isinstance(params, dict):
+        raise DataError(f"{path}: sidecar params {params!r} is not a JSON object")
     return DistanceMatrix(
         ids=header[1:],
         entries=entries,
         metric=sidecar["metric"],
         normalization=sidecar["normalization"],
-        params=sidecar.get("params", {}),
+        params=params,
     )

@@ -124,22 +124,17 @@ def load_external_features(path, known_ids=None):
     """Load feature vectors from CSV (header series_id,f1,...,fm) as a collection.
 
     Ragged rows, non-numeric or non-finite cells and a repeated id are
-    errors; so are, when ``known_ids`` is given, an id outside it and one of
-    it that the file lacks.
+    errors, raised by ``read_table``; so are, when ``known_ids`` is given,
+    an id outside it and one of it that the file lacks.
     """
     header, ids, features = read_table(path)
     if len(header) < 2:
         raise DataError(f"{path}: feature file needs at least one feature column")
-    seen = set()
-    for lineno, sid in enumerate(ids, start=2):
-        if sid in seen:
-            raise DataError(f"{path}, line {lineno}: duplicate series_id {sid!r}")
-        seen.add(sid)
     if known_ids is not None:
-        unknown = sorted(seen - set(known_ids))
+        unknown = sorted(set(ids) - set(known_ids))
         if unknown:
             raise DataError(f"unknown series ids in feature file: {unknown}")
-        missing = sorted(set(known_ids) - seen)
+        missing = sorted(set(known_ids) - set(ids))
         if missing:
             raise DataError(f"series ids missing from feature file: {missing}")
     return SeriesCollection(ids, features)

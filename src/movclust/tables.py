@@ -124,14 +124,15 @@ def read_table(path, dtype=float, header=None):
     The rest comes back as one (rows, header cells - 1) matrix of ``dtype``.
     An unreadable or empty file, a header other than ``header`` (when
     given), a line the csv module cannot read, a row whose cell count
-    differs from the header's, a cell that does not parse as ``dtype`` and a
-    non-finite float are data errors that name the file and line.
+    differs from the header's, a first cell that an earlier row holds, a
+    cell that does not parse as ``dtype`` and a non-finite float are data
+    errors that name the file and line.
     """
     try:
         fh = open(str(path), newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from None
-    ids, rows = [], []
+    ids, rows, seen = [], [], set()
     with fh:
         reader = checked_rows(csv.reader(fh), path)
         found = next(reader, [])
@@ -144,6 +145,9 @@ def read_table(path, dtype=float, header=None):
             if len(row) != width:
                 raise DataError(f"{path}, line {lineno}: {len(row)} cells, "
                                 f"header has {width} (ragged row)")
+            if row[0] in seen:
+                raise DataError(f"{path}, line {lineno}: duplicate {found[0]} {row[0]!r}")
+            seen.add(row[0])
             try:
                 rows.append(np.array(row[1:], dtype=dtype))
             except (ValueError, OverflowError) as exc:

@@ -1,8 +1,11 @@
+import ast
 import builtins
 import csv
+import datetime as dt
 import hashlib
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -126,6 +129,27 @@ class TestConfig:
                    "-O", "date_start=2021-03-01", "-O", "date_end=2021-02-01") == 1
         assert capsys.readouterr().err == (
             "error: empty date range: date_start=2021-03-01 > date_end=2021-02-01\n")
+        assert not out.exists()
+
+    def test_date_bounds_parse_to_dates(self):
+        cfg = cli.build_config({}, {"date_start": "2021-01-05", "date_end": "2021-01-06"})
+        assert (cfg["date_start"], cfg["date_end"]) == (dt.date(2021, 1, 5), dt.date(2021, 1, 6))
+        cfg = cli.build_config({"date_start": "", "date_end": ""}, {})
+        assert (cfg["date_start"], cfg["date_end"]) == (None, None)
+
+    @pytest.mark.parametrize("command", ["cluster", "profile"])
+    @pytest.mark.parametrize("options, message", [
+        (["k_min=0"], "bad value for 'k_min': 0 (must be >= 2)"),
+        (["k_min=5", "k_max=3"], "empty sweep range: k_min=5 > k_max=3"),
+        (["date_start=2021-03-01", "date_end=2021-02-01"],
+         "empty date range: date_start=2021-03-01 > date_end=2021-02-01"),
+    ], ids=["k_min", "sweep_range", "date_range"])
+    def test_sweep_and_date_rules_exit_1_from_any_command(self, price_cfg, command, options,
+                                                          message, capsys):
+        cfg, out = price_cfg
+        argv = [item for option in options for item in ("-O", option)]
+        assert run(command, "--config", str(cfg), *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("window", ["abc", "2.5"])
@@ -386,9 +410,9 @@ class TestStageCommands:
         run("preprocess", "--config", str(cfg))
         assert run("cluster", "--config", str(cfg), "-O", "algorithm=kmeans",
                    "-O", "k=6") == 0
-        run("distmat", "--config", str(cfg), "-O", "metric=dtw",
-            "-O", "normalization=matrix_max")
-        assert run("cluster", "--config", str(cfg), "-O", "algorithm=kmedoids",
+        dtw = ["-O", "metric=dtw", "-O", "normalization=matrix_max"]
+        run("distmat", "--config", str(cfg), *dtw)
+        assert run("cluster", "--config", str(cfg), *dtw, "-O", "algorithm=kmedoids",
                    "-O", "k=6") == 0
         sidecar = json.loads((out / "assignment.json").read_text())
         assert sidecar["algorithm"].startswith("kmedoids")
@@ -698,7 +722,7 @@ PRICE_SWEEP_DIGESTS = {
     (): "76f71dc0904ff6fe3e9739d505c78431d60e46c26e004689901ac86a0d7faa9a",
     ("algorithm=kmedoids",): "95542ea41f13b16563e3791474a31992b16cc8051ded18c77be0b727f57bc93c",
     ("algorithm=kmeans",): "339dcebefb26289a6b6e20e21d00dc32e1e55216dd4fcd0f02ab0e2090649e09",
-    ("omega=0.3",): "b60d97cdb2a5815abefe37dc434c1108b572ade4d40477af996b196164b6e7b1",
+    ("omega=0.3",): None,  # distmat.json records omega 2: exit 2, no sweep.csv written
 }
 
 
@@ -710,6 +734,11 @@ def test_price_pipeline_and_sweep_golden_digests(tmp_path):
     assert digests == PRICE_DIGESTS
     for options, digest in PRICE_SWEEP_DIGESTS.items():
         overrides = [arg for option in options for arg in ("-O", option)]
+        if digest is None:
+            (out / "sweep.csv").unlink()
+            assert run("sweep", "--out", str(out), *overrides) == 2, options
+            assert not (out / "sweep.csv").exists()
+            continue
         assert run("sweep", "--out", str(out), *overrides) == 0
         assert hashlib.sha256(read(out / "sweep.csv")).hexdigest() == digest, options
 
@@ -851,6 +880,80 @@ class TestBadArtifacts:
         assert run("evaluate", "--config", str(cfg)) == 2
         assert "data error: assignment ids do not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, command", [
+        ("assignment.csv", ["evaluate"]),
+        ("assignment.csv", ["profile"]),
+        ("metadata.csv", ["profile"]),
+        ("distmat.csv", ["cluster"]),
+        ("distmat.csv", ["cluster", "-O", "algorithm=kmedoids"]),
+        ("scaled.csv", ["cluster", "-O", "algorithm=kmeans"]),
+    ], ids=["assignment-evaluate", "assignment-profile", "metadata", "distmat-hierarchical",
+            "distmat-kmedoids", "scaled"])
+    def test_repeated_id_exits_2(self, clustered, name, command, capsys):
+        """A second row for the first id: appended, or in distmat.csv the last row and column."""
+        cfg, out = clustered
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = lines[1].split(",")[0]
+        if name == "distmat.csv":
+            lineno = len(lines)
+            self.edit_cells(path, 1, lambda cells: [*cells[:-1], first])
+            self.edit_cells(path, lineno, lambda cells: [first, *cells[1:]])
+        else:
+            lineno = len(lines) + 1
+            path.write_text("\n".join([*lines, f"{first},{lines[-1].split(',', 1)[1]}"]) + "\n",
+                            encoding="utf-8")
+        before = snapshot(out)
+        assert run(*command, "--config", str(cfg)) == 2
+        column = "id" if name == "distmat.csv" else "series_id"
+        assert capsys.readouterr().err == (
+            f"data error: {path}, line {lineno}: duplicate {column} {first!r}\n")
+        assert snapshot(out) == before
+
+    def test_metadata_without_a_series_exits_2(self, clustered, capsys):
+        cfg, out = clustered
+        lines = (out / "metadata.csv").read_text(encoding="utf-8").splitlines()
+        missing = lines[3].split(",")[0]
+        (out / "metadata.csv").write_text("\n".join(lines[:3] + lines[4:]) + "\n",
+                                          encoding="utf-8")
+        assert run("profile", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: metadata.csv has no row for series {missing!r}\n")
+        assert not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    @pytest.mark.parametrize("distmat, options, message", [
+        ([], ["metric=euclidean"], "metric='mpbd' but the config has metric='euclidean'"),
+        ([], ["normalization=table1"],
+         "normalization='matrix_max' but the config has normalization='table1'"),
+        ([], ["omega=0.3"], "omega=2.0 but the config has omega=0.3"),
+        (["metric=dtw", "dtw_window=3"], ["metric=dtw"],
+         "dtw_window=3 but the config has dtw_window=None"),
+        (["metric=dtw"], ["metric=dtw", "dtw_window=0"],
+         "dtw_window=None but the config has dtw_window=0"),
+    ], ids=["metric", "normalization", "omega", "window", "no-window"])
+    def test_distmat_the_config_does_not_describe_exits_2(self, clustered, command, distmat,
+                                                          options, message, capsys):
+        cfg, out = clustered
+        assert run("distmat", "--config", str(cfg),
+                   *[item for option in distmat for item in ("-O", option)]) == 0
+        before = snapshot(out)
+        argv = [item for option in options for item in ("-O", option)]
+        assert run(command, "--config", str(cfg), *argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: distmat.json has {message} (run `distmat` first)\n")
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("params", ["[]", "null", "2"])
+    def test_distmat_params_not_an_object_exits_2(self, clustered, params, capsys):
+        cfg, out = clustered
+        (out / "distmat.json").write_text(f'{{"metric": "mpbd", "normalization": '
+                                          f'"matrix_max", "params": {params}}}\n')
+        assert run("cluster", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'distmat.csv'}: sidecar params {json.loads(params)!r} "
+            "is not a JSON object\n")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_cell_exits_2(self, preprocessed, tmp_path, cell, capsys):
         cfg, out = preprocessed
@@ -902,3 +1005,62 @@ def test_overflowing_series_exits_2_before_writing(tmp_path, capsys, mode, rows,
                    "-O", "k=2", "-O", "outlier_filter=false") == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+# ---------------------------------------------------------------------------
+# one owner per rule, and the documented outputs
+
+
+def qualname(scope):
+    """``__qualname__`` of the innermost of ``scope``, a list of nested def and class nodes."""
+    names = []
+    for node in scope[:-1]:
+        names += [node.name, "<locals>"] if isinstance(node, ast.FunctionDef) else [node.name]
+    return ".".join(names + [scope[-1].name]) if scope else "<module>"
+
+
+def config_error_raisers(tree):
+    """The ``qualname`` of the scope around each ``raise ConfigError`` in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                    found.append(qualname(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_config_parsers_raise_config_error():
+    """A config rule has one owner: the parsers of the config raise every ConfigError.
+
+    The one other raise is cmd_preprocess's ``input`` rule, which only that
+    command needs.
+    """
+    raisers = config_error_raisers(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+    parsers = {parse.__qualname__ for parse, _ in cli.CONFIG_SPEC.values()}
+    parsers |= {fn.__qualname__ for fn in (cli.parse_config_file, cli.build_config,
+                                           cli._Parser.error, cli.run)}
+    assert "build_config" in raisers and "_Parser.error" in raisers
+    assert [scope for scope in raisers if scope not in parsers] == ["cmd_preprocess"]
+
+
+def test_readme_lists_every_output(tmp_path):
+    """README's outputs paragraph names exactly the files that the commands write."""
+    readme = (SAMPLE_DATA.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Outputs land in", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(\w+\.(?:csv|json))`", paragraph))
+    price = ["--input", str(SAMPLE_DATA / "price_long.csv")]
+    for name, commands in (("ward", [["pipeline"], ["sweep"]]),
+                           ("features", [["pipeline", "-O", "algorithm=kmeans_features"]])):
+        for command in commands:
+            assert run(*command, *price, "--out", str(tmp_path / name)) == 0
+    written = {path.name for path in tmp_path.glob("*/*")}
+    assert documented == written
