@@ -15,16 +15,21 @@ outside its key's bounds (``omega``, ``k`` (at least 2, or 1 for
 ``hierarchical``), ``dtw_window``, the image sides and ``pool_block``,
 ``outlier_percentile``, ``sparse_threshold``, the four non-decreasing
 ``thresholds``), scale bounds other than ``0 <= scale_lo < scale_hi <= 1``,
-a date bound that is not an ISO date, a ``date_start`` after ``date_end``
-and a sweep range other than ``2 <= k_min <= k_max`` are configuration
-errors, raised by ``build_config`` for every command before any input is
-read.  All randomness flows from the single configured seed.
+a date bound that is not an ISO date, a ``date_start`` after ``date_end``,
+a sweep range other than ``2 <= k_min <= k_max`` and ``omega = 0`` under
+``table1`` normalization of ``mpbd`` (which divides by omega) are
+configuration errors, raised by ``build_config`` for every command before
+any input is read.  All randomness flows from the single configured seed.
 
 Every table read back goes through ``tables.read_table``, so an id that
-an earlier row holds is a data error naming the file and line.  ``cluster``
-and ``sweep`` refuse a ``distmat.csv`` whose sidecar records another
-metric, normalization, ``omega`` (mpbd) or ``dtw_window`` (dtw) than the
-config's, and ``profile`` refuses a ``metadata.csv`` that lacks a series.
+an earlier row holds is a data error naming the file and line.  ``Run.read``
+owns the rule that an artifact belongs to the run: every artifact a stage
+reads, other than ``metadata.csv``, must list exactly the series of
+``metadata.csv`` in its order (an assignment, whose writer sorts its ids,
+as a set), and a ``distmat.csv`` whose sidecar records another metric,
+normalization, ``omega`` (mpbd) or ``dtw_window`` (dtw) than the config's
+is refused.  An external ``features_path`` file must hold the same series,
+in any order; ``features`` writes them in ``metadata.csv``'s order.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (among them a CSV
 line the csv module cannot read, such as a field over its size limit),
@@ -191,6 +196,9 @@ def build_config(file_values: dict, overrides: dict) -> dict:
     if not 0 <= cfg["scale_lo"] < cfg["scale_hi"] <= 1:
         raise ConfigError(f"bad scale bounds: scale_lo={cfg['scale_lo']!r}, "
                           f"scale_hi={cfg['scale_hi']!r} (need 0 <= scale_lo < scale_hi <= 1)")
+    if cfg["metric"] == "mpbd" and cfg["normalization"] == "table1" and not cfg["omega"]:
+        raise ConfigError("omega=0.0 with normalization=table1 divides mpbd by zero "
+                          "(need omega > 0, or another normalization)")
     return cfg
 
 
@@ -245,6 +253,41 @@ def _as_read(value, path):
     return value
 
 
+def _check_series(path, ids, series, hint="", ordered=True):
+    """Refuse ``ids``, read from ``path``, unless they are ``series``, the ids of metadata.csv.
+
+    They must be ``series`` in its order, or when not ``ordered`` in any order.
+    """
+    if ids == series or not ordered and set(ids) == set(series):
+        return
+    held, known = set(ids), set(series)
+    lacking = [sid for sid in series if sid not in held]
+    extra = [sid for sid in ids if sid not in known]
+    detail = ", ".join(f"{len(sids)} {what}" + (f" (first {sids[0]!r})" if sids else "")
+                       for what, sids in (("lacking", lacking), ("extra", extra)))
+    if not lacking and not extra:
+        row = next(row for row, (a, b) in enumerate(zip(ids, series)) if a != b)
+        detail += (f", but series {row + 1} is {ids[row]!r} where metadata.csv has "
+                   f"{series[row]!r}")
+    raise DataError(f"{path} does not hold the series of metadata.csv: {detail}{hint}")
+
+
+#: Each metric with a parameter -> (its config key, its key in ``DistanceMatrix.params``).
+METRIC_PARAMS = {"mpbd": ("omega", "omega"), "dtw": ("dtw_window", "window")}
+
+
+def _check_matrix(cfg, matrix):
+    """Refuse a distance matrix that ``distmat`` did not compute under ``cfg``."""
+    recorded = {"metric": matrix.metric, "normalization": matrix.normalization}
+    if matrix.metric in METRIC_PARAMS:
+        key, param = METRIC_PARAMS[matrix.metric]
+        recorded[key] = matrix.params.get(param)
+    for key, value in recorded.items():
+        if value != cfg[key]:
+            raise DataError(f"distmat.json has {key}={value!r} but the config has "
+                            f"{key}={cfg[key]!r} (run `distmat` first)")
+
+
 class Run:
     """The artifacts of one run, in the directory ``cfg["out"]``.
 
@@ -260,16 +303,34 @@ class Run:
         self._kept = {}  # name -> value as read
 
     def read(self, name):
-        """The artifact ``name`` as its reader in ``ARTIFACTS`` returns it."""
+        """The artifact ``name`` as its reader in ``ARTIFACTS`` returns it.
+
+        This is where an artifact is found to belong to the run.  Each one
+        but metadata.csv must list the series of metadata.csv in its order;
+        an assignment, whose writer sorts its ids, in any order.  A
+        distmat.csv must also be the matrix that the config asks for.
+        """
+        if name in self._written or name not in self._kept:
+            self._kept[name] = self._load(name)
+        return self._kept[name]
+
+    def _load(self, name):
         path = os.path.join(self.cfg["out"], name)
-        if name in self._written:
-            self._kept[name] = _as_read(self._written.pop(name), path)
-        if name in self._kept:
-            return self._kept[name]
         command, reader = ARTIFACTS[name]
-        if not os.path.exists(path):
+        if name in self._written:
+            value = _as_read(self._written.pop(name), path)
+        elif os.path.exists(path):
+            value = reader(path)
+        else:
             raise DataError(f"missing prerequisite artifact {path} (run `{command}` first)")
-        return reader(path)
+        if name != "metadata.csv":
+            assignment = isinstance(value, clustering.ClusterAssignment)
+            _check_series(path, list(value.labels) if assignment else value.ids,
+                          list(self.read("metadata.csv")), f" (run `{command}` first)",
+                          ordered=not assignment)
+        if name == "distmat.csv":
+            _check_matrix(self.cfg, value)
+        return value
 
     def write(self, *files):
         """Write each (name, value, write) by ``write(value, path)``, then move them into out."""
@@ -370,39 +431,23 @@ def cmd_distmat(run):
 def cmd_features(run):
     """Write features.csv, the feature vectors of the scaled series or of ``features_path``."""
     cfg = run.cfg
-    scaled = run.read("scaled.csv")
     if cfg["features_path"]:
-        features = image_features.load_external_features(
-            cfg["features_path"], known_ids=set(scaled.ids)
-        )
+        series = list(run.read("metadata.csv"))
+        features = image_features.load_external_features(cfg["features_path"])
+        _check_series(cfg["features_path"], features.ids, series, ordered=False)
+        row_of = {sid: i for i, sid in enumerate(features.ids)}
+        features = core_data.SeriesCollection(
+            series, features.values[[row_of[sid] for sid in series]])
     else:
         features = image_features.extract_features(
-            scaled, cfg["image_width"], cfg["image_height"], cfg["pool_block"]
+            run.read("scaled.csv"), cfg["image_width"], cfg["image_height"], cfg["pool_block"]
         )
     run.write(("features.csv", features, image_features.write_features_csv))
-
-
-#: Each metric with a parameter -> (its config key, its key in ``DistanceMatrix.params``).
-METRIC_PARAMS = {"mpbd": ("omega", "omega"), "dtw": ("dtw_window", "window")}
-
-
-def _check_matrix(cfg, matrix):
-    """Refuse a distance matrix that ``distmat`` did not compute under ``cfg``."""
-    recorded = {"metric": matrix.metric, "normalization": matrix.normalization}
-    if matrix.metric in METRIC_PARAMS:
-        key, param = METRIC_PARAMS[matrix.metric]
-        recorded[key] = matrix.params.get(param)
-    for key, value in recorded.items():
-        if value != cfg[key]:
-            raise DataError(f"distmat.json has {key}={value!r} but the config has "
-                            f"{key}={cfg[key]!r} (run `distmat` first)")
 
 
 def _clusterer(cfg, data):
     """(k -> assignment, dendrogram or None) over ``data``, the algorithm's input."""
     algorithm, seed = cfg["algorithm"], cfg["seed"]
-    if CLUSTERS[algorithm] == "distmat.csv":
-        _check_matrix(cfg, data)
     if algorithm == "kmeans":
         return lambda k: clustering.kmeans(data.values, data.ids, k=k, seed=seed), None
     if algorithm == "kmeans_features":
@@ -429,27 +474,9 @@ def cmd_cluster(run):
     run.write(*files)
 
 
-def _evaluation_inputs(run):
-    scaled, symbolic = run.read("scaled.csv"), run.read("symbolic.csv")
-    if scaled.ids != symbolic.ids:
-        raise DataError("scaled.csv and symbolic.csv disagree on series ids")
-    return scaled, symbolic
-
-
-def _check_assignment(assignment, ids):
-    if sorted(assignment.labels) != sorted(ids):
-        raise DataError("assignment ids do not match preprocessed collection")
-
-
-def _check_metadata(meta, ids):
-    missing = next((sid for sid in ids if sid not in meta), None)
-    if missing is not None:
-        raise DataError(f"metadata.csv has no row for series {missing!r}")
-
-
 def cmd_sweep(run):
     cfg = run.cfg
-    scaled, symbolic = _evaluation_inputs(run)
+    scaled, symbolic = run.read("scaled.csv"), run.read("symbolic.csv")
     cluster_fn, _ = _clusterer(cfg, run.read(CLUSTERS[cfg["algorithm"]]))
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
     rows = evaluation.sweep_k(scaled.values, symbolic.values, scaled.ids, ks, cluster_fn,
@@ -469,9 +496,8 @@ def cmd_sweep(run):
 def cmd_evaluate(run):
     """Write evaluate.json, the scores of the assignment over the scaled and symbolic series."""
     cfg = run.cfg
-    scaled, symbolic = _evaluation_inputs(run)
+    scaled, symbolic = run.read("scaled.csv"), run.read("symbolic.csv")
     assignment = run.read("assignment.csv")
-    _check_assignment(assignment, scaled.ids)
     report = evaluation.evaluate(scaled.values, symbolic.values, scaled.ids, assignment,
                                  omega=cfg["omega"])
     if cfg["strict"] and report.notes:
@@ -497,8 +523,6 @@ def cmd_profile(run):
     """Write profile.csv: each cluster's size, attributes and original values."""
     original, meta = run.read("original.csv"), run.read("metadata.csv")
     assignment = run.read("assignment.csv")
-    _check_assignment(assignment, original.ids)
-    _check_metadata(meta, original.ids)
     sales_mode = run.cfg["mode"] == "sales"
     row_of = {sid: i for i, sid in enumerate(original.ids)}
 

@@ -44,7 +44,11 @@ class ClusterAssignment:
         return sorted(sid for sid, c in self.labels.items() if c == cluster)
 
     def label_array(self, ids) -> np.ndarray:
-        return np.asarray([self.labels[sid] for sid in ids], dtype=int)
+        """The label of each of ``ids``; an id without one is a data error naming it."""
+        try:
+            return np.asarray([self.labels[sid] for sid in ids], dtype=int)
+        except KeyError as exc:
+            raise DataError(f"assignment has no label for series {exc.args[0]!r}") from None
 
 
 @dataclass

@@ -377,7 +377,10 @@ def normalize_matrix(matrix: DistanceMatrix, mode: str, value_range: float = 0.9
         if not n:
             raise DataError("table1 normalization needs params['series_length']")
         if matrix.metric == "mpbd":
-            entries /= matrix.params.get("omega", 2.0) * n
+            omega = matrix.params.get("omega", 2.0)
+            if not omega > 0:
+                raise DataError(f"table1 normalization of mpbd needs omega > 0, got {omega!r}")
+            entries /= omega * n
         elif matrix.metric == "levenshtein":
             entries /= n
         elif matrix.metric == "euclidean":

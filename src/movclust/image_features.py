@@ -120,23 +120,15 @@ def write_features_csv(features, path):
                 features.ids, features.values)
 
 
-def load_external_features(path, known_ids=None):
+def load_external_features(path):
     """Load feature vectors from CSV (header series_id,f1,...,fm) as a collection.
 
     Ragged rows, non-numeric or non-finite cells and a repeated id are
-    errors, raised by ``read_table``; so are, when ``known_ids`` is given,
-    an id outside it and one of it that the file lacks.
+    errors, raised by ``read_table``.
     """
     header, ids, features = read_table(path)
     if len(header) < 2:
         raise DataError(f"{path}: feature file needs at least one feature column")
-    if known_ids is not None:
-        unknown = sorted(set(ids) - set(known_ids))
-        if unknown:
-            raise DataError(f"unknown series ids in feature file: {unknown}")
-        missing = sorted(set(known_ids) - set(ids))
-        if missing:
-            raise DataError(f"series ids missing from feature file: {missing}")
     return SeriesCollection(ids, features)
 
 

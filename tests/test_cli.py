@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,11 @@ def snapshot(directory):
         for name in sorted(os.listdir(directory))
         if not name.startswith(".")
     }
+
+
+def ids_of(path):
+    """The ids in the first column of a table (the sample's ids hold no comma)."""
+    return [line.split(",")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
 def tree_digest(files):
@@ -99,6 +105,18 @@ class TestConfig:
 
     def test_omega_zero_is_allowed(self):
         assert cli.build_config({}, {"omega": "0"})["omega"] == 0.0
+
+    def test_omega_zero_under_table1_mpbd_exits_1_before_reading_input(self, price_cfg, capsys):
+        cfg, out = price_cfg
+        assert run("distmat", "--config", str(cfg), "-O", "omega=0",
+                   "-O", "normalization=table1") == 1
+        assert capsys.readouterr().err == (
+            "error: omega=0.0 with normalization=table1 divides mpbd by zero "
+            "(need omega > 0, or another normalization)\n")
+        assert not out.exists()
+        for metric in ("euclidean", "levenshtein", "dtw"):
+            assert cli.build_config({}, {"omega": "0", "normalization": "table1",
+                                         "metric": metric})["omega"] == 0.0
 
     @pytest.mark.parametrize("key", ["outlier_filter", "strict"])
     def test_boolean_keys_are_strict(self, key):
@@ -393,6 +411,41 @@ class TestStageCommands:
                 in capsys.readouterr().err)
         assert not (out / "features.csv").exists()
 
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda ids: [*ids, "Z"], "0 lacking, 1 extra (first 'Z')"),
+        (lambda ids: ids[:1] + ids[3:], "2 lacking (first {1!r}), 0 extra"),
+    ], ids=["unknown", "missing"])
+    def test_feature_file_not_holding_the_runs_series_exits_2(self, price_cfg, tmp_path, edit,
+                                                                detail, capsys):
+        cfg, out = price_cfg
+        assert run("preprocess", "--config", str(cfg)) == 0
+        ids = ids_of(out / "metadata.csv")
+        features = tmp_path / "external.csv"
+        features.write_text("series_id,f1\n" + "".join(
+            f"{sid},{i}\n" for i, sid in enumerate(edit(ids))), encoding="utf-8")
+        before = snapshot(out)
+        assert run("features", "--config", str(cfg), "-O", f"features_path={features}") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {features} does not hold the series of metadata.csv: "
+            f"{detail.format(*ids)}\n")
+        assert snapshot(out) == before
+
+    def test_feature_file_in_another_order_is_written_in_metadata_order(self, price_cfg,
+                                                                        tmp_path):
+        cfg, out = price_cfg
+        assert run("preprocess", "--config", str(cfg)) == 0
+        ids = ids_of(out / "metadata.csv")
+        written = {}
+        for order in ("forward", "reversed"):
+            features = tmp_path / f"{order}.csv"
+            rows = [f"{sid},{i % 5 / 3!r},{i % 7}\n" for i, sid in enumerate(ids)]
+            features.write_text("series_id,f1,f2\n" + "".join(
+                rows if order == "forward" else rows[::-1]), encoding="utf-8")
+            assert run("features", "--config", str(cfg), "-O", f"features_path={features}") == 0
+            written[order] = (out / "features.csv").read_text()
+        assert written["reversed"] == written["forward"]
+        assert [line.split(",")[0] for line in written["forward"].splitlines()[1:]] == ids
+
     def test_no_series_left_exits_2_before_writing_features(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("series_id,date,value\nA,2021-01-01,1\nB,2021-01-10,2\n", encoding="utf-8")
@@ -598,17 +651,23 @@ class TestPipeline:
         features = (tmp_path / "pipeline" / "features.csv").read_text().splitlines()[1]
         assert features == ",".join(["A", *(tables.NUMBER % v for v in rows[1])])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_distmat_stops_the_pipeline_where_cluster_would(self, price_cfg, tmp_path,
-                                                                       capsys):
+                                                                       capsys, monkeypatch):
         cfg, out = price_cfg
-        zero = ["-O", "omega=0", "-O", "normalization=table1"]  # mpbd / (omega x n) is 0 / 0
-        assert run("pipeline", "--config", str(cfg), *zero) == 2
+        normalize = distances.normalize_matrix
+
+        def normalize_to_nan(*args, **kwargs):
+            matrix = normalize(*args, **kwargs)
+            matrix.entries[0, 1] = np.nan
+            return matrix
+
+        monkeypatch.setattr(distances, "normalize_matrix", normalize_to_nan)
+        assert run("pipeline", "--config", str(cfg)) == 2
         pipeline_err = capsys.readouterr().err.replace(str(out), "<out>")
         assert "distmat.csv, line 2: non-finite cell nan in column" in pipeline_err
         stepwise = tmp_path / "stepwise"
         for command, code in (("preprocess", 0), ("distmat", 0), ("cluster", 2)):
-            assert run(command, "--config", str(cfg), "--out", str(stepwise), *zero) == code
+            assert run(command, "--config", str(cfg), "--out", str(stepwise)) == code
         assert capsys.readouterr().err.replace(str(stepwise), "<out>") == pipeline_err
         assert snapshot(out) == snapshot(stepwise)
 
@@ -625,8 +684,8 @@ class TestPipeline:
                    "-O", f"features_path={features}"]
         assert run("pipeline", *options) == 2
         pipeline_err = capsys.readouterr().err
-        assert pipeline_err == (
-            f"data error: series ids missing from feature file: {[ids[-1]]}\n")
+        assert pipeline_err == (f"data error: {features} does not hold the series of "
+                                f"metadata.csv: 1 lacking (first {ids[-1]!r}), 0 extra\n")
         assert not (out / "features.csv").exists()
         stepwise = tmp_path / "stepwise"
         for command, code in (("preprocess", 0), ("features", 2)):
@@ -876,9 +935,12 @@ class TestBadArtifacts:
 
     def test_header_only_assignment_exits_2(self, clustered, capsys):
         cfg, out = clustered
+        ids = ids_of(out / "metadata.csv")
         (out / "assignment.csv").write_text("series_id,cluster\n", encoding="utf-8")
         assert run("evaluate", "--config", str(cfg)) == 2
-        assert "data error: assignment ids do not match" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'assignment.csv'} does not hold the series of metadata.csv: "
+            f"{len(ids)} lacking (first {ids[0]!r}), 0 extra (run `cluster` first)\n")
 
     @pytest.mark.parametrize("name, command", [
         ("assignment.csv", ["evaluate"]),
@@ -918,7 +980,8 @@ class TestBadArtifacts:
                                           encoding="utf-8")
         assert run("profile", "--config", str(cfg)) == 2
         assert capsys.readouterr().err == (
-            f"data error: metadata.csv has no row for series {missing!r}\n")
+            f"data error: {out / 'original.csv'} does not hold the series of metadata.csv: "
+            f"0 lacking, 1 extra (first {missing!r}) (run `preprocess` first)\n")
         assert not (out / "profile.csv").exists()
 
     @pytest.mark.parametrize("command", ["cluster", "sweep"])
@@ -965,6 +1028,140 @@ class TestBadArtifacts:
         assert (f"data error: {features}, line 3: non-finite cell {cell} in column 'f1'"
                 in capsys.readouterr().err)
         assert not (out / "features.csv").exists()
+
+
+#: Each artifact that a stage reads, but metadata.csv -> the commands (with
+#: options) that read it, under the default config.
+SWEEP_FEATURES = ["sweep", "-O", "algorithm=kmeans_features"]
+READERS = {
+    "original.csv": [["profile"]],
+    "scaled.csv": [["distmat", "-O", "metric=euclidean"], ["features"],
+                   ["cluster", "-O", "algorithm=kmeans"], ["sweep"], SWEEP_FEATURES,
+                   ["evaluate"]],
+    "symbolic.csv": [["distmat"], ["sweep"], SWEEP_FEATURES, ["evaluate"]],
+    "distmat.csv": [["cluster"], ["cluster", "-O", "algorithm=kmedoids"], ["sweep"]],
+    "features.csv": [["cluster", "-O", "algorithm=kmeans_features"], SWEEP_FEATURES],
+    "assignment.csv": [["evaluate"], ["profile"]],
+}
+
+READS = [(name, argv) for name, commands in READERS.items() for argv in commands]
+
+
+def rewrite(path, change):
+    """Give the table at ``path`` one series less (``lacking``) or more (``extra``).
+
+    ``lacking`` drops the first series' row; ``extra`` appends a copy of the
+    last row as series 'EXTRA'.  In distmat.csv the series' column goes or
+    comes with its row.
+    """
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    square = path.name == "distmat.csv"
+    if change == "lacking":
+        rows = [[cell for j, cell in enumerate(row) if not (square and j == 1)]
+                for i, row in enumerate(rows) if i != 1]
+    else:
+        if square:
+            rows = [row + [row[-1]] for row in rows]
+            rows[0][-1] = "EXTRA"
+        rows.append(["EXTRA", *rows[-1][1:]])
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestSeriesRule:
+    """Every artifact a stage reads, but metadata.csv, lists the series of metadata.csv."""
+
+    @pytest.fixture(scope="class")
+    def consistent(self, sample_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("consistent")
+        for command in ("preprocess", "distmat", "features", "cluster"):
+            assert run(command, "--input", str(sample_dir / "price_long.csv"),
+                       "--out", str(out)) == 0
+        return out
+
+    def test_readers_name_every_command_that_reads_an_artifact(self, consistent, tmp_path,
+                                                               monkeypatch):
+        assert set(READERS) == set(cli.ARTIFACTS) - {"metadata.csv"}
+        read = cli.Run.read
+        for argv in {tuple(argv) for _, argv in READS}:
+            out = shutil.copytree(consistent, tmp_path / "-".join(argv))
+            names = []
+            monkeypatch.setattr(cli.Run, "read",
+                                lambda run, name: names.append(name) or read(run, name))
+            assert run(*argv, "--out", str(out)) == 0
+            monkeypatch.undo()
+            assert set(names) - {"metadata.csv"} == {name for name, readers in READS
+                                                     if list(argv) == readers}, argv
+
+    @pytest.mark.parametrize("change", ["lacking", "extra"])
+    @pytest.mark.parametrize("name, argv", READS,
+                             ids=[":".join([name, argv[0], *argv[2::2]]) for name, argv in READS])
+    def test_artifact_without_the_runs_series_exits_2(self, consistent, tmp_path, name, argv,
+                                                      change, capsys):
+        out = shutil.copytree(consistent, tmp_path / "out")
+        series = ids_of(out / "metadata.csv")
+        rewrite(out / name, change)
+        before = snapshot(out)
+        assert run(*argv, "--out", str(out)) == 2
+        detail = (f"1 lacking (first {series[0]!r}), 0 extra" if change == "lacking"
+                  else "0 lacking, 1 extra (first 'EXTRA')")
+        assert capsys.readouterr().err == (
+            f"data error: {out / name} does not hold the series of metadata.csv: {detail} "
+            f"(run `{cli.ARTIFACTS[name][0]}` first)\n")
+        assert snapshot(out) == before
+
+    def test_series_in_another_order_exits_2(self, consistent, tmp_path, capsys):
+        out = shutil.copytree(consistent, tmp_path / "out")
+        first, second = ids_of(out / "metadata.csv")[:2]
+        lines = (out / "symbolic.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1:3] = lines[2:0:-1]
+        (out / "symbolic.csv").write_text("".join(lines), encoding="utf-8")
+        assert run("distmat", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {out / 'symbolic.csv'} does not hold the series of metadata.csv: "
+            f"0 lacking, 0 extra, but series 1 is {second!r} where metadata.csv has "
+            f"{first!r} (run `preprocess` first)\n")
+
+    def test_assignment_in_any_order_is_read(self, consistent, tmp_path):
+        out = shutil.copytree(consistent, tmp_path / "out")
+        assert run("evaluate", "--out", str(out)) == 0
+        report = read(out / "evaluate.json")
+        lines = (out / "assignment.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (out / "assignment.csv").write_text("".join(lines[:1] + lines[:0:-1]), encoding="utf-8")
+        assert run("evaluate", "--out", str(out)) == 0
+        assert read(out / "evaluate.json") == report
+
+    @pytest.mark.parametrize("first, second, producer, algorithm", [
+        ("50", "95", "distmat", "hierarchical"),
+        ("50", "95", "features", "kmeans_features"),
+        ("95", "50", "distmat", "hierarchical"),
+    ], ids=["distmat-of-fewer-series", "features-of-fewer-series", "distmat-of-more-series"])
+    def test_artifact_of_an_earlier_preprocess_stops_sweep_and_cluster(
+            self, sample_dir, tmp_path, first, second, producer, algorithm, capsys):
+        """preprocess, then distmat or features, then preprocess with another percentile.
+
+        The second preprocess keeps other series, so the distmat.csv or
+        features.csv of the first lacks some of them or holds extra ones.
+        """
+        out = tmp_path / "out"
+        base = ["--input", str(sample_dir / "price_long.csv"), "--out", str(out),
+                "-O", f"algorithm={algorithm}"]
+        for argv in (["preprocess", "-O", f"outlier_percentile={first}"], [producer],
+                     ["preprocess", "-O", f"outlier_percentile={second}"]):
+            assert run(*argv, *base) == 0
+        capsys.readouterr()
+        series, held = ids_of(out / "metadata.csv"), ids_of(out / cli.CLUSTERS[algorithm])
+        lacking = [sid for sid in series if sid not in held]
+        extra = [sid for sid in held if sid not in series]
+        assert bool(lacking) != bool(extra)
+        detail = (f"{len(lacking)} lacking (first {lacking[0]!r}), 0 extra" if lacking
+                  else f"0 lacking, {len(extra)} extra (first {extra[0]!r})")
+        before = snapshot(out)
+        for command in ("sweep", "cluster"):
+            assert run(command, *base) == 2
+            assert capsys.readouterr().err == (
+                f"data error: {out / cli.CLUSTERS[algorithm]} does not hold the series of "
+                f"metadata.csv: {detail} (run `{producer}` first)\n")
+            assert snapshot(out) == before
 
 
 @pytest.mark.parametrize("algorithm", ["hierarchical", "kmeans", "kmeans_features"])

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -386,6 +387,14 @@ class TestNormalizeMatrix:
         norm = di.normalize_matrix(raw, "matrix_max")
         with pytest.raises(DataError):
             di.normalize_matrix(norm, "matrix_max")
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_table1_mpbd_needs_a_positive_omega(self, omega):
+        raw = self.scenario_pair([1, 2, 3], [3, 2, 1])
+        raw.params["omega"] = omega
+        with pytest.raises(DataError, match=re.escape(
+                f"table1 normalization of mpbd needs omega > 0, got {omega!r}")):
+            di.normalize_matrix(raw, "table1")
 
     def test_table1_euclidean(self):
         col = collection([ts("A", [0.1, 0.1]), ts("B", [1.0, 1.0])])

@@ -282,6 +282,14 @@ class TestMpbi:
         assert float.hex(ev.mpbi(levels, ids, a, omega=omega)) == expected
         assert float.hex(ev.mpbi(levels, ids, a, omega=omega, raw_mpbd=raw)) == expected
 
+    def test_series_without_a_label_names_the_first(self):
+        levels = [[1, 2, 3], [3, 2, 1], [2, 2, 2], [1, 1, 1]]
+        a, _ = assign([1, 2, 1])
+        ids = ["s0", "x", "s1", "y"]
+        for score in (ev.mpbi, lambda *args: ev.evaluate(np.ones((4, 2)), *args)):
+            with pytest.raises(DataError, match=r"^assignment has no label for series 'x'$"):
+                score(levels, ids, a)
+
     def test_relabel_and_reorder_invariance(self):
         rng = np.random.default_rng(24)
         levels = [rng.integers(1, 6, size=6) for _ in range(6)]

@@ -91,7 +91,7 @@ class TestExternalFeatures:
     def test_load(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("series_id,f1,f2,f3\nA,1,2,3\nB,4,5,6\n")
-        features = imf.load_external_features(path, known_ids={"A", "B"})
+        features = imf.load_external_features(path)
         assert features.ids == ["A", "B"]
         assert features.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
@@ -100,18 +100,6 @@ class TestExternalFeatures:
         path.write_text("series_id,f1,f2,f3\nA,1,2,3\nB,4,5\n")
         with pytest.raises(DataError, match="ragged"):
             imf.load_external_features(path)
-
-    def test_unknown_id(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("series_id,f1\nA,1\nZ,2\n")
-        with pytest.raises(DataError, match="Z"):
-            imf.load_external_features(path, known_ids={"A"})
-
-    def test_known_ids_missing_from_file(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("series_id,f1\nB,1\n")
-        with pytest.raises(DataError, match=r"^series ids missing from feature file: \['A', 'C'\]$"):
-            imf.load_external_features(path, known_ids={"C", "B", "A"})
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -123,7 +111,7 @@ class TestExternalFeatures:
         path = tmp_path / "features.csv"
         path.write_text("series_id,f1\nA,1\nB,2\nA,3\n")
         with pytest.raises(DataError, match=f"^{path}, line 4: duplicate series_id 'A'$"):
-            imf.load_external_features(path, known_ids={"A", "B"})
+            imf.load_external_features(path)
 
     def test_roundtrip(self, tmp_path):
         features = SeriesCollection(["A", "B"], [[0.5, 0.25], [1.0, 0.0]])

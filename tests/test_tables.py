@@ -187,7 +187,7 @@ def test_read_wide_matches_old_reader(tmp_path_factory, cells, dtype, data):
     write_cells(out / name, ["series_id"] + [f"2021-01-{d:02d}" for d in range(1, m + 1)],
                 ids, rows)
     cfg = {"out": str(out), "mode": "price"}
-    old, new = read_wide_ref(cfg, name, dtype), cli.Run(cfg).read(name)
+    old, new = read_wide_ref(cfg, name, dtype), cli.ARTIFACTS[name][1](out / name)
     assert new.ids == old.ids == ids
     assert new.values.dtype == old.values.dtype
     assert new.values.shape == old.values.shape
@@ -246,7 +246,7 @@ def test_load_features_matches_old_reader(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("f") / "features.csv"
     write_cells(path, ["series_id"] + [f"f{j + 1}" for j in range(m)], ids, rows)
     old_ids, old_vectors = load_external_features_ref(path, known_ids=set(ids))
-    new = load_external_features(path, known_ids=set(ids))
+    new = load_external_features(path)
     assert new.ids == old_ids == ids
     assert [hexes(row) for row in new.values] == [hexes(v) for v in old_vectors]
 
