@@ -7,12 +7,13 @@ artifacts into a temporary directory and then moves them into ``out``.  A
 run keeps every artifact it writes, so ``pipeline``, which runs the stages
 over one run, reads none of its own files back and writes the same
 artifacts, byte for byte, as the stage commands run one after another.
-Configuration is a flat ``key = value`` file with ``#`` comments; CLI flags
-and ``-O key=value`` overrides win over the file.  A value outside a key's
+Configuration is a flat ``key = value`` file in which a ``#`` at the start
+of a line or after whitespace starts a comment; CLI flags and
+``-O key=value`` overrides win over the file.  A value outside a key's
 fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
 ``outlier_metric``, ``normalization``, ``algorithm``, ``linkage``), a number
-outside its key's bounds (``omega``, ``k`` (at least 2, or 1 for
-``hierarchical``), ``dtw_window``, the image sides and ``pool_block``,
+outside its key's bounds (``omega``, ``k`` (at least 2, for every
+algorithm), ``dtw_window``, the image sides and ``pool_block``,
 ``outlier_percentile``, ``sparse_threshold``, the four non-decreasing
 ``thresholds``), scale bounds other than ``0 <= scale_lo < scale_hi <= 1``,
 a date bound that is not an ISO date, a ``date_start`` after ``date_end``,
@@ -42,6 +43,7 @@ import argparse
 import datetime as dt
 import math
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -134,6 +136,10 @@ CONFIG_SPEC = {
 }
 
 
+#: A config comment starts at a ``#`` that begins a line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_file(path) -> dict:
     values = {}
     try:
@@ -142,7 +148,7 @@ def parse_config_file(path) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -176,10 +182,9 @@ def build_config(file_values: dict, overrides: dict) -> dict:
     if start and start > end:
         raise ConfigError(f"empty date range: date_start={start} > date_end={end}")
     block, window = cfg["pool_block"], cfg["dtw_window"]
-    least_k = 1 if cfg["algorithm"] == "hierarchical" else 2
     for key, ok, rule in (
         ("omega", math.isfinite(cfg["omega"]) and cfg["omega"] >= 0, "must be finite and >= 0"),
-        ("k", cfg["k"] >= least_k, f"must be >= {least_k} for algorithm {cfg['algorithm']}"),
+        ("k", cfg["k"] >= 2, f"must be >= 2 for algorithm {cfg['algorithm']}"),
         ("k_min", cfg["k_min"] >= 2, "must be >= 2"),
         ("dtw_window", window is None or window >= 0, "must be empty or >= 0"),
         ("image_width", cfg["image_width"] >= 2, "must be >= 2"),
@@ -449,7 +454,7 @@ def _clusterer(cfg, data):
     """(k -> assignment, dendrogram or None) over ``data``, the algorithm's input."""
     algorithm, seed = cfg["algorithm"], cfg["seed"]
     if algorithm == "kmeans":
-        return lambda k: clustering.kmeans(data.values, data.ids, k=k, seed=seed), None
+        return lambda k: clustering.kmeans(data, k=k, seed=seed), None
     if algorithm == "kmeans_features":
         return lambda k: image_features.cluster_features(data, k=k, seed=seed), None
     if algorithm == "kmedoids":

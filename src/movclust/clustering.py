@@ -63,31 +63,55 @@ class Dendrogram:
         return [m[2] for m in self.merges]
 
 
-def _canonical_labels(groups: list[list[str]], k: int, algorithm: str, seed: int,
+def _canonical_labels(ids, groups, k: int, algorithm: str, seed: int,
                       objective: float | None) -> ClusterAssignment:
-    """Number clusters by decreasing size, ties by smallest member id."""
-    order = sorted(range(len(groups)), key=lambda g: (-len(groups[g]), min(groups[g])))
-    labels = {}
-    for new_label, g in enumerate(order, start=1):
-        for sid in groups[g]:
-            labels[sid] = new_label
+    """The assignment putting ``ids[i]`` in group ``groups[i]``.
+
+    Clusters are numbered by decreasing size, ties by smallest member id.
+    """
+    members: dict = {}
+    for sid, group in zip(ids, groups):
+        members.setdefault(group, []).append(sid)
+    order = sorted(members.values(), key=lambda m: (-len(m), min(m)))
+    labels = {sid: label for label, m in enumerate(order, start=1) for sid in m}
     return ClusterAssignment(labels=labels, k=k, algorithm=algorithm, seed=seed,
                              objective=objective)
 
 
 # ---------------------------------------------------------------------------
-# k-means
+# partitioning: k-means and k-medoids
 
 
-def _farthest_point_indices(first: int, k: int, point_dist) -> list[int]:
-    """Greedy spread: repeatedly take the point farthest from the chosen set."""
-    chosen = [first]
-    nearest = point_dist(first)
+def _start(n: int, k: int, seed: int, point_dist) -> list[int]:
+    """k spread start indices: a seeded random first, then each point farthest from the chosen."""
+    if not 2 <= k <= n:
+        raise DataError(f"k={k} out of range [2, {n}]")
+    chosen = [random.Random(seed).randrange(n)]
+    nearest = point_dist(chosen[0])
     while len(chosen) < k:
-        nxt = int(np.argmax(nearest))  # argmax takes the smallest index on ties
-        chosen.append(nxt)
-        nearest = np.minimum(nearest, point_dist(nxt))
+        chosen.append(int(np.argmax(nearest)))  # argmax takes the smallest index on ties
+        nearest = np.minimum(nearest, point_dist(chosen[-1]))
     return chosen
+
+
+def _nearest(dists) -> tuple[np.ndarray, list]:
+    """Each row's nearest centre in the (n, k) ``dists``, with no cluster left empty.
+
+    An empty cluster takes the worst-fitting row of a non-singleton
+    cluster.  That row is then alone in its cluster, so no later repair
+    takes it.  Returns the labels and the repaired (cluster, row) pairs.
+    """
+    n, k = dists.shape
+    labels = dists.argmin(axis=1)
+    fit = dists[np.arange(n), labels]
+    repaired = []
+    for c in range(k):
+        if not (labels == c).any():
+            counts = np.bincount(labels, minlength=k)
+            worst = int(np.argmax(np.where(counts[labels] > 1, fit, -np.inf)))
+            labels[worst] = c
+            repaired.append((c, worst))
+    return labels, repaired
 
 
 def _sq_dists(X, centers, out) -> np.ndarray:
@@ -101,43 +125,20 @@ def _sq_dists(X, centers, out) -> np.ndarray:
     return out
 
 
-def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0) -> ClusterAssignment:
-    """Lloyd iterations with deterministic seeded farthest-point init.
+def kmeans(collection, k: int, seed: int = 0) -> ClusterAssignment:
+    """Lloyd iterations over the rows of a SeriesCollection, from ``_start``.
 
-    Empty clusters are repaired by reseeding with the point farthest from
-    its assigned centroid.  The objective is the final WCSS.
+    The objective is the final WCSS.
     """
-    X = np.asarray(vectors, dtype=float)
-    ids = list(ids)
-    n = len(ids)
-    if X.shape[0] != n:
-        raise DataError("vectors/ids length mismatch")
-    if not 2 <= k <= n:
-        raise DataError(f"k={k} out of range [2, {n}]")
-
-    rng = random.Random(seed)
-    first = rng.randrange(n)
-    point_dist = lambda i: ((X - X[i]) ** 2).sum(axis=1)
-    centers = X[_farthest_point_indices(first, k, point_dist)].copy()
+    X = np.asarray(collection.values, dtype=float)
+    n = len(X)
+    centers = X[_start(n, k, seed, lambda i: ((X - X[i]) ** 2).sum(axis=1))].copy()
 
     prev_wcss = np.inf
     labels = None
     d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITER):
-        _sq_dists(X, centers, d2)
-        new_labels = d2.argmin(axis=1)
-        # repair empty clusters with the worst-fitting point from a non-singleton cluster
-        repaired = False
-        for c in range(k):
-            if not (new_labels == c).any():
-                repaired = True
-                fit = d2[np.arange(n), new_labels]
-                counts = np.bincount(new_labels, minlength=k)
-                fit = np.where(counts[new_labels] > 1, fit, -np.inf)
-                worst = int(np.argmax(fit))
-                new_labels[worst] = c
-                d2[worst, :] = np.inf
-                d2[worst, c] = 0.0
+        new_labels, repaired = _nearest(_sq_dists(X, centers, d2))
         for c in range(k):
             members = new_labels == c
             centers[c] = X[members].mean(axis=0)
@@ -151,39 +152,21 @@ def kmeans(vectors: np.ndarray, ids, k: int, seed: int = 0) -> ClusterAssignment
         if converged or improvement < KMEANS_TOL:
             break
 
-    groups = [[ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)]
-    return _canonical_labels(groups, k, f"kmeans(k={k})", seed, prev_wcss)
-
-
-# ---------------------------------------------------------------------------
-# k-medoids
+    return _canonical_labels(collection.ids, labels.tolist(), k, f"kmeans(k={k})", seed,
+                             prev_wcss)
 
 
 def kmedoids(matrix, k: int, seed: int = 0) -> ClusterAssignment:
-    """Alternating assignment / medoid update on a precomputed DistanceMatrix."""
+    """Alternating assignment / medoid update on a precomputed DistanceMatrix, from ``_start``."""
     D = matrix.entries
-    ids = list(matrix.ids)
-    n = len(ids)
-    if not 2 <= k <= n:
-        raise DataError(f"k={k} out of range [2, {n}]")
-
-    rng = random.Random(seed)
-    first = rng.randrange(n)
-    medoids = _farthest_point_indices(first, k, lambda i: D[i].copy())
+    n = len(matrix.ids)
+    medoids = _start(n, k, seed, lambda i: D[i])
 
     labels = None
     for _ in range(KMEDOIDS_MAX_ITER):
-        cols = D[:, medoids]
-        new_labels = cols.argmin(axis=1)
-        for c in range(k):
-            if not (new_labels == c).any():
-                fit = cols[np.arange(n), new_labels]
-                counts = np.bincount(new_labels, minlength=k)
-                fit = np.where(counts[new_labels] > 1, fit, -np.inf)
-                worst = int(np.argmax(fit))
-                new_labels[worst] = c
-                medoids[c] = worst
-                cols = D[:, medoids]
+        new_labels, repaired = _nearest(D[:, medoids])
+        for c, row in repaired:
+            medoids[c] = row
         new_medoids = []
         for c in range(k):
             members = np.flatnonzero(new_labels == c)
@@ -196,8 +179,7 @@ def kmedoids(matrix, k: int, seed: int = 0) -> ClusterAssignment:
             break
 
     objective = float(D[np.arange(n), [medoids[c] for c in labels]].sum())
-    groups = [[ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)]
-    return _canonical_labels(groups, k, f"kmedoids(k={k})", seed, objective)
+    return _canonical_labels(matrix.ids, labels.tolist(), k, f"kmedoids(k={k})", seed, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +263,9 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int, seed: int = 0,
         ra, rb = find(left), find(right)
         parent[max(ra, rb)] = min(ra, rb)
 
-    groups_by_root: dict[str, list[str]] = {}
-    for sid in dendrogram.leaves:
-        groups_by_root.setdefault(find(sid), []).append(sid)
-    groups = list(groups_by_root.values())
-    name = algorithm or f"hierarchical(k={k})"
-    return _canonical_labels(groups, k, name, seed, None)
+    leaves = dendrogram.leaves
+    return _canonical_labels(leaves, [find(sid) for sid in leaves], k,
+                             algorithm or f"hierarchical(k={k})", seed, None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import csv
 import datetime as dt
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
@@ -138,6 +139,24 @@ def _first_repeat(codes: np.ndarray):
     return int(np.argmax(repeated))
 
 
+@contextmanager
+def _input_rows(path):
+    """(csv reader over the body rows, header row) of the input file ``path``.
+
+    An unopenable file and one without a header row are data errors.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open input file: {exc}") from exc
+    with fh:
+        reader = checked_rows(csv.reader(fh), path)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
+        yield reader, header
+
+
 def load_long_csv(path, schema: dict | None = None):
     """Read a long-format CSV into observations plus a rejects report.
 
@@ -150,15 +169,7 @@ def load_long_csv(path, schema: dict | None = None):
     column in numpy; any other file row by row, with the same result.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open input file: {exc}") from exc
-    with fh:
-        reader = checked_rows(csv.reader(fh), path)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, header row required")
+    with _input_rows(path) as (reader, header):
         columns = {name: i for i, name in enumerate(header)}
         for role in DEFAULT_SCHEMA:
             if header.count(schema[role]) > 1:
@@ -313,16 +324,7 @@ def load_wide_csv(path):
     rejects: list[RejectedRow] = []
     keys: list[tuple] = []
     series, days, values = array("q"), array("q"), array("d")
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open input file: {exc}") from exc
-    with fh:
-        reader = checked_rows(csv.reader(fh), path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
+    with _input_rows(path) as (reader, header):
         try:
             ordinals = [dt.date.fromisoformat(c).toordinal() for c in header[1:]]
         except ValueError as exc:
@@ -440,16 +442,19 @@ def _raise_first(ids, *checks):
         raise DataError(f"{ids[row]}: {message}")
 
 
+def _keep(collection: SeriesCollection, keep, step: str, params: dict) -> SeriesCollection:
+    """The rows where the boolean mask ``keep`` is set, with a record of ``step`` and the rest."""
+    return collection.select(keep, collection.with_step(step, params,
+                                                        compress(collection.ids, ~keep)))
+
+
 def drop_sparse(collection: SeriesCollection, max_missing_fraction: float = 0.8) -> SeriesCollection:
     """Drop series with strictly more than the allowed fraction missing."""
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise DataError(f"max_missing_fraction out of [0,1]: {max_missing_fraction}")
     missing = np.isnan(collection.values)
     keep = np.count_nonzero(missing, axis=1) / missing.shape[1] <= max_missing_fraction
-    return collection.select(keep, collection.with_step(
-        "drop_sparse", {"max_missing_fraction": max_missing_fraction},
-        compress(collection.ids, ~keep),
-    ))
+    return _keep(collection, keep, "drop_sparse", {"max_missing_fraction": max_missing_fraction})
 
 
 def fill_collection(collection: SeriesCollection, strategy: str) -> SeriesCollection:
@@ -549,8 +554,5 @@ def filter_outliers(
     np.fill_diagonal(entries, np.inf)
     nn = entries.min(axis=1)
     keep = nn <= float(np.percentile(nn, percentile))
-    return collection.select(keep, collection.with_step(
-        "filter_outliers",
-        {"metric": metric, "percentile": percentile, "omega": omega},
-        compress(collection.ids, ~keep),
-    ))
+    return _keep(collection, keep, "filter_outliers",
+                 {"metric": metric, "percentile": percentile, "omega": omega})

@@ -366,16 +366,16 @@ def normalize_matrix(matrix: DistanceMatrix, mode: str, value_range: float = 0.9
     if matrix.normalization != "none":
         raise DataError(f"matrix already normalized ({matrix.normalization})")
     entries = matrix.entries.copy()
+    n = matrix.params.get("series_length")
+    if mode == "table1" and not n:
+        raise DataError("table1 normalization needs params['series_length']")
     if mode == "none":
         pass
-    elif mode == "matrix_max":
+    elif mode == "matrix_max" or (mode == "table1" and matrix.metric == "dtw"):
         peak = entries.max()
         if peak > 0:
             entries /= peak
     elif mode == "table1":
-        n = matrix.params.get("series_length")
-        if not n:
-            raise DataError("table1 normalization needs params['series_length']")
         if matrix.metric == "mpbd":
             omega = matrix.params.get("omega", 2.0)
             if not omega > 0:
@@ -385,10 +385,6 @@ def normalize_matrix(matrix: DistanceMatrix, mode: str, value_range: float = 0.9
             entries /= n
         elif matrix.metric == "euclidean":
             entries /= np.sqrt(n) * value_range
-        elif matrix.metric == "dtw":
-            peak = entries.max()
-            if peak > 0:
-                entries /= peak
         else:
             raise DataError(f"no table1 rule for metric {matrix.metric!r}")
     else:

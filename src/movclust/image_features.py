@@ -136,6 +136,6 @@ def cluster_features(features, k: int, seed: int = 0) -> clustering.ClusterAssig
     """k-means over the rows of a feature collection."""
     if not len(features):
         raise DataError("no feature vectors")
-    assignment = clustering.kmeans(features.values, features.ids, k=k, seed=seed)
+    assignment = clustering.kmeans(features, k=k, seed=seed)
     assignment.algorithm = f"kmeans+features[features.csv](k={k})"
     return assignment

@@ -8,11 +8,12 @@ to exercise the fill steps.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import sys
 
 import numpy as np
+
+from .tables import write_rows
 
 CATEGORIES = [
     "Snacks",
@@ -120,10 +121,7 @@ def make_sales_rows(seed: int = 11, n_items: int = 20, n_stores: int = 3,
 
 
 def write_long_csv(rows, path):
-    with open(str(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "date", "value", "category", "store"])
-        writer.writerows(rows)
+    write_rows(path, ["series_id", "date", "value", "category", "store"], rows)
 
 
 def main(argv=None):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from movclust import clustering, core_data, evaluation
+from movclust import core_data, evaluation
 from movclust.clustering import ClusterAssignment, Dendrogram
 from movclust.core_data import DEFAULT_SCHEMA, DEFAULT_THRESHOLDS, RejectedRow
 from movclust.distances import DistanceMatrix
@@ -885,10 +885,13 @@ def kmeans_ref(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 
     if not 2 <= k <= n:
         raise DataError(f"k={k} out of range [2, {n}]")
 
-    rng = random.Random(seed)
-    first = rng.randrange(n)
-    point_dist = lambda i: ((X - X[i]) ** 2).sum(axis=1)
-    centers = X[clustering._farthest_point_indices(first, k, point_dist)].copy()
+    # farthest-point start: each next centre is the point farthest from all chosen ones,
+    # the first of them on ties
+    chosen = [random.Random(seed).randrange(n)]
+    while len(chosen) < k:
+        nearest = [min(float(((X[i] - X[c]) ** 2).sum()) for c in chosen) for i in range(n)]
+        chosen.append(nearest.index(max(nearest)))
+    centers = X[chosen].copy()
 
     prev_wcss = np.inf
     labels = None
@@ -920,8 +923,11 @@ def kmeans_ref(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 
         if converged or improvement < tol:
             break
 
-    groups = [[ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)]
-    return clustering._canonical_labels(groups, k, f"kmeans(k={k})", seed, prev_wcss)
+    # clusters numbered by decreasing size, ties by smallest member id
+    groups = sorted(([ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)),
+                    key=lambda g: (-len(g), min(g)))
+    numbered = {sid: label for label, g in enumerate(groups, start=1) for sid in g}
+    return ClusterAssignment(numbered, k, f"kmeans(k={k})", seed, prev_wcss)
 
 
 # ---------------------------------------------------------------------------

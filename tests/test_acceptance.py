@@ -128,7 +128,7 @@ def test_criterion_6_oracle_equivalence():
             [rng.normal(0, 0.3, size=(4, 2)), rng.normal(6, 0.3, size=(4, 2))]
         )
         ids = [f"p{i}" for i in range(8)]
-        out = cl.kmeans(X, ids, k=2, seed=trial)
+        out = cl.kmeans(SeriesCollection(ids, X), k=2, seed=trial)
         best, (left, right) = best_two_partition(X)
         expect = {frozenset(ids[i] for i in left), frozenset(ids[i] for i in right)}
         assert partition_of(out) == expect
@@ -173,7 +173,7 @@ def test_criterion_7_monotonicity_invariants():
     # kmeans asserts WCSS non-increase internally on every iteration
     for trial in range(50):
         X = rng.normal(size=(20, 4))
-        cl.kmeans(X, [f"p{i}" for i in range(20)], k=4, seed=trial)
+        cl.kmeans(SeriesCollection([f"p{i}" for i in range(20)], X), k=4, seed=trial)
     # dendrogram heights non-decreasing for all four linkages, cuts nest
     points = rng.normal(size=(15, 3))
     D = np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1))

@@ -220,11 +220,11 @@ class TestConfig:
         assert f"error: bad value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("algorithm", ["kmeans", "kmedoids", "kmeans_features"])
+    @pytest.mark.parametrize("algorithm",
+                             ["hierarchical", "kmeans", "kmedoids", "kmeans_features"])
     def test_k_below_two_exits_1_before_reading_input(self, price_cfg, algorithm, capsys):
         with pytest.raises(ConfigError, match=f"'k': 1 \\(must be >= 2 for algorithm {algorithm}"):
             cli.build_config({"algorithm": algorithm}, {"k": "1"})
-        assert cli.build_config({"algorithm": "hierarchical"}, {"k": "1"})["k"] == 1
         cfg, out = price_cfg
         assert run("pipeline", "--config", str(cfg), "-O", f"algorithm={algorithm}",
                    "-O", "k=1") == 1
@@ -244,6 +244,44 @@ class TestConfig:
         cfg.write_text("# comment\n\nseed = 5  # trailing\n")
         values = cli.parse_config_file(cfg)
         assert values == {"seed": "5"}
+
+    def test_hash_inside_a_value_is_part_of_it(self, sample_dir, tmp_path, capsys):
+        # a comment starts only at a line's start or after whitespace
+        out = tmp_path / "o3#1"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"input = {sample_dir / 'price_long.csv'}\nout = {out}\n"
+                       "\t# indented comment\nseed = 5\t# tab before the comment\n")
+        assert cli.parse_config_file(cfg) == {"input": str(sample_dir / "price_long.csv"),
+                                              "out": str(out), "seed": "5"}
+        assert run("preprocess", "--config", str(cfg)) == 0
+        assert (out / "scaled.csv").exists()
+        assert not (tmp_path / "o3").exists()
+        cfg.write_text("k = 5#x\n")
+        assert run("preprocess", "--config", str(cfg)) == 1
+        assert "error: bad value for 'k': '5#x'" in capsys.readouterr().err
+
+    def test_unreadable_config_file_exits_1(self, tmp_path, capsys):
+        assert run("preprocess", "--config", str(tmp_path / "missing.cfg")) == 1
+        assert "error: cannot read config file:" in capsys.readouterr().err
+
+    def test_config_line_without_equals_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\nseed 6\n")
+        assert run("preprocess", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: expected 'key = value', got 'seed 6'\n")
+
+    def test_option_without_equals_exits_1(self, price_cfg, capsys):
+        cfg, out = price_cfg
+        assert run("preprocess", "--config", str(cfg), "-O", "seed") == 1
+        assert capsys.readouterr().err == "error: -O expects KEY=VALUE, got 'seed'\n"
+        assert not out.exists()
+
+    def test_missing_input_key_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("preprocess", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: config key 'input' is required\n"
+        assert not out.exists()
 
 
 class TestPreprocess:
@@ -536,58 +574,64 @@ class TestStageCommands:
         assert all(r["ch"] and r["db"] and r["mpbi"] for r in rows)
 
 
-#: (mode, algorithm, metric) of the pipeline-equals-stepwise grid: every metric
-#: for the algorithms that cluster a distance matrix, and one for the others,
-#: whose artifacts only record its name.
+#: (mode, algorithm, metric, normalization) of the pipeline-equals-stepwise
+#: grid: under table1 normalization every metric for the algorithms that
+#: cluster a distance matrix, and one for the others, whose artifacts only
+#: record its name; and two matrices left unnormalized.
 PIPELINE_GRID = [
-    (mode, algorithm, metric)
+    (mode, algorithm, metric, "table1")
     for mode in ("price", "sales")
     for algorithm in ("hierarchical", "kmedoids", "kmeans", "kmeans_features")
     for metric in (distances.METRICS if algorithm in ("hierarchical", "kmedoids") else ("mpbd",))
-]
+] + [("price", "hierarchical", "mpbd", "none"), ("sales", "kmedoids", "euclidean", "none")]
 #: ``tree_digest`` of the pipeline artifacts of each grid case, keyed by
-#: (mode, algorithm, metric, outlier_filter), on the regenerated samples.
+#: (mode, algorithm, metric, outlier_filter, normalization), on the
+#: regenerated samples.
 GRID_DIGESTS = {
-    ("price", "hierarchical", "euclidean", "true"): "fc4fd39a32512709f754c81ee474164a8322c0880abc3a2ec0d60ce92b5cfc8f",
-    ("price", "hierarchical", "levenshtein", "true"): "014404a1bda9eed4ddc645f3f9bcc3dfac5d55d518860b258285ff03bf128eb8",
-    ("price", "hierarchical", "dtw", "true"): "86afbbca972b0d8bad951839de534fb359c64467f6d84ff25c019750a6c1a4fc",
-    ("price", "hierarchical", "mpbd", "true"): "9f5c252cd381f20c72ea0e30be6611d840a7aabd68b98d97332ebbb8140db69b",
-    ("price", "kmedoids", "euclidean", "true"): "fd7f1fa33604ec487c8fdfbcc0b803301749b0065d62ff634fb772f6f42dec8d",
-    ("price", "kmedoids", "levenshtein", "true"): "05b483114c883fbe6b59bb0fb501f890e71691de0cf402c224764f49cd25c93e",
-    ("price", "kmedoids", "dtw", "true"): "a8ae03dda6f77f3ccf7a88e4d090068cb0f825088582cf9689396e22f7c71717",
-    ("price", "kmedoids", "mpbd", "true"): "03b122cdb3efcf19a7b63a95114db2d316587d1314e1295fe430554aef36b415",
-    ("price", "kmeans", "mpbd", "true"): "ea4fac0771a390878bd39dbd840148fe589000d1fe685fe1edd1524439527812",
-    ("price", "kmeans_features", "mpbd", "true"): "ece63eecceed1d02acf84fa7be4f49ba149ffd86f9e12a44962b18c4a27e56e6",
-    ("sales", "hierarchical", "euclidean", "true"): "f7852da1b1f2fddcc8b338cc318b479f657ad7df160ea49a97b9a24a52af771d",
-    ("sales", "hierarchical", "levenshtein", "true"): "22ede482b7a8f15c5c2ee6282b1697fecdc1ede8fb457bdfb8e9eb2aca0f1947",
-    ("sales", "hierarchical", "dtw", "true"): "8addb9cbecdb12f1cbe80faa5b121597967fee2e262ce87e68c1134b7205b5cc",
-    ("sales", "hierarchical", "mpbd", "true"): "22e66517156392ee2a3a3011f7581556ba84339b15173572ee9d41bc78742af8",
-    ("sales", "kmedoids", "euclidean", "true"): "663d8b910ca923a81e1de6d88b18aeab5b7f613dd061d1403e456a8d25d98258",
-    ("sales", "kmedoids", "levenshtein", "true"): "b3435464623fc6f74347851a2bc7ebfeae6c06883bd7d5cd8202dec56aa279b7",
-    ("sales", "kmedoids", "dtw", "true"): "7f43dbb1552f69c63fa04feec2f8ba709e4320e882ec696b54144aef85430cf8",
-    ("sales", "kmedoids", "mpbd", "true"): "d11eca08ffd9568f69eae9f3a71177774ce2b581d64b33ee066cc9b0fd6a7c42",
-    ("sales", "kmeans", "mpbd", "true"): "5caf839f231f240d5bb63f8239c69a37144e11f51f03dd217abae96ba1a06eee",
-    ("sales", "kmeans_features", "mpbd", "true"): "07da1fe6f707702dc3cbcf5f9732d2eeddcb81364a02b9f8b0ba7caa6fd56bf2",
-    ("price", "hierarchical", "euclidean", "false"): "bc2f5fff2d9b35ec31bb09be98f77ea31a29feee638ede8d5516b93c04271057",
-    ("price", "hierarchical", "levenshtein", "false"): "3848170fd9ced9bf239a3b638050c3891d04cd7302b605bf49eb4e608141b7ff",
-    ("price", "hierarchical", "dtw", "false"): "304684cf258b083e1bd6873aa82adb5fdc514ace9ab631e7299073583aabfea7",
-    ("price", "hierarchical", "mpbd", "false"): "35c8c0369334c6a504ba21cb7b92f286a76b7d2c64a0cca5c4a947e3b1bd958b",
-    ("price", "kmedoids", "euclidean", "false"): "017cce4f34e00b69e3817d1e667e242fa4dcba5a153ec23e3507c5469e9367d8",
-    ("price", "kmedoids", "levenshtein", "false"): "a7e3670dcc2e1137830ed964dcdaa855fd4ea9a42cee684e95b3796184b6d818",
-    ("price", "kmedoids", "dtw", "false"): "6a7974f95a69b90d4d636330aa46f53e7af749ea006cce4a9b9efcab571b5f6a",
-    ("price", "kmedoids", "mpbd", "false"): "33a2d72bee54a0bdce7eed29585054a23139aae38e59206262b15ecbdcd749f4",
-    ("price", "kmeans", "mpbd", "false"): "f6f937dffbfc668e11f4e70a211676dbc1a4fba51f278f806a54ea453a58acac",
-    ("price", "kmeans_features", "mpbd", "false"): "8d228094a5603890064b89604659df0a71e9324e4700adc814c6f87bd83e33d0",
-    ("sales", "hierarchical", "euclidean", "false"): "8d55f3cb43b5e46c5b2a90ad0bc5029705a4ea9e4e80c275b9fa21a098baac9d",
-    ("sales", "hierarchical", "levenshtein", "false"): "0492fe3926491d35b9a0d60ec96d33a226628ba2343225efd67a48a997e2fe3f",
-    ("sales", "hierarchical", "dtw", "false"): "ed4fb31c40a9713cae4005d8a656928aa59cc720385cf6729f836437f670ab1f",
-    ("sales", "hierarchical", "mpbd", "false"): "9a3ea54738d681cb19ca2a2a7f5e8d841795adf8f876f1faea030c584ad414f6",
-    ("sales", "kmedoids", "euclidean", "false"): "f85854af313a9d0dca4bd86b2e985bac736a3c86ee04a01cb929c412f1fcc7a1",
-    ("sales", "kmedoids", "levenshtein", "false"): "7f7188350a4f0e37daf9ec67acce4ba99a161be5843aaa513b856dc4f0349642",
-    ("sales", "kmedoids", "dtw", "false"): "cd1a569be357c04a9649b0011b7fec1d6a81f328af348f9ab05a545cbab3d4f1",
-    ("sales", "kmedoids", "mpbd", "false"): "64667fa0de42f535a5fbe2587cd426bea813e761fa3e8e43b395b9d420c9baa2",
-    ("sales", "kmeans", "mpbd", "false"): "055351bbf8fec2115c90a1b3b8021f04bc14d09de1589d232f5285b2c9a3f85a",
-    ("sales", "kmeans_features", "mpbd", "false"): "c69b29f471d334271160431c469193deb7497245d42ffe8da36fe633bdec359d",
+    ("price", "hierarchical", "euclidean", "true", "table1"): "fc4fd39a32512709f754c81ee474164a8322c0880abc3a2ec0d60ce92b5cfc8f",
+    ("price", "hierarchical", "levenshtein", "true", "table1"): "014404a1bda9eed4ddc645f3f9bcc3dfac5d55d518860b258285ff03bf128eb8",
+    ("price", "hierarchical", "dtw", "true", "table1"): "86afbbca972b0d8bad951839de534fb359c64467f6d84ff25c019750a6c1a4fc",
+    ("price", "hierarchical", "mpbd", "true", "table1"): "9f5c252cd381f20c72ea0e30be6611d840a7aabd68b98d97332ebbb8140db69b",
+    ("price", "kmedoids", "euclidean", "true", "table1"): "fd7f1fa33604ec487c8fdfbcc0b803301749b0065d62ff634fb772f6f42dec8d",
+    ("price", "kmedoids", "levenshtein", "true", "table1"): "05b483114c883fbe6b59bb0fb501f890e71691de0cf402c224764f49cd25c93e",
+    ("price", "kmedoids", "dtw", "true", "table1"): "a8ae03dda6f77f3ccf7a88e4d090068cb0f825088582cf9689396e22f7c71717",
+    ("price", "kmedoids", "mpbd", "true", "table1"): "03b122cdb3efcf19a7b63a95114db2d316587d1314e1295fe430554aef36b415",
+    ("price", "kmeans", "mpbd", "true", "table1"): "ea4fac0771a390878bd39dbd840148fe589000d1fe685fe1edd1524439527812",
+    ("price", "kmeans_features", "mpbd", "true", "table1"): "ece63eecceed1d02acf84fa7be4f49ba149ffd86f9e12a44962b18c4a27e56e6",
+    ("sales", "hierarchical", "euclidean", "true", "table1"): "f7852da1b1f2fddcc8b338cc318b479f657ad7df160ea49a97b9a24a52af771d",
+    ("sales", "hierarchical", "levenshtein", "true", "table1"): "22ede482b7a8f15c5c2ee6282b1697fecdc1ede8fb457bdfb8e9eb2aca0f1947",
+    ("sales", "hierarchical", "dtw", "true", "table1"): "8addb9cbecdb12f1cbe80faa5b121597967fee2e262ce87e68c1134b7205b5cc",
+    ("sales", "hierarchical", "mpbd", "true", "table1"): "22e66517156392ee2a3a3011f7581556ba84339b15173572ee9d41bc78742af8",
+    ("sales", "kmedoids", "euclidean", "true", "table1"): "663d8b910ca923a81e1de6d88b18aeab5b7f613dd061d1403e456a8d25d98258",
+    ("sales", "kmedoids", "levenshtein", "true", "table1"): "b3435464623fc6f74347851a2bc7ebfeae6c06883bd7d5cd8202dec56aa279b7",
+    ("sales", "kmedoids", "dtw", "true", "table1"): "7f43dbb1552f69c63fa04feec2f8ba709e4320e882ec696b54144aef85430cf8",
+    ("sales", "kmedoids", "mpbd", "true", "table1"): "d11eca08ffd9568f69eae9f3a71177774ce2b581d64b33ee066cc9b0fd6a7c42",
+    ("sales", "kmeans", "mpbd", "true", "table1"): "5caf839f231f240d5bb63f8239c69a37144e11f51f03dd217abae96ba1a06eee",
+    ("sales", "kmeans_features", "mpbd", "true", "table1"): "07da1fe6f707702dc3cbcf5f9732d2eeddcb81364a02b9f8b0ba7caa6fd56bf2",
+    ("price", "hierarchical", "euclidean", "false", "table1"): "bc2f5fff2d9b35ec31bb09be98f77ea31a29feee638ede8d5516b93c04271057",
+    ("price", "hierarchical", "levenshtein", "false", "table1"): "3848170fd9ced9bf239a3b638050c3891d04cd7302b605bf49eb4e608141b7ff",
+    ("price", "hierarchical", "dtw", "false", "table1"): "304684cf258b083e1bd6873aa82adb5fdc514ace9ab631e7299073583aabfea7",
+    ("price", "hierarchical", "mpbd", "false", "table1"): "35c8c0369334c6a504ba21cb7b92f286a76b7d2c64a0cca5c4a947e3b1bd958b",
+    ("price", "kmedoids", "euclidean", "false", "table1"): "017cce4f34e00b69e3817d1e667e242fa4dcba5a153ec23e3507c5469e9367d8",
+    ("price", "kmedoids", "levenshtein", "false", "table1"): "a7e3670dcc2e1137830ed964dcdaa855fd4ea9a42cee684e95b3796184b6d818",
+    ("price", "kmedoids", "dtw", "false", "table1"): "6a7974f95a69b90d4d636330aa46f53e7af749ea006cce4a9b9efcab571b5f6a",
+    ("price", "kmedoids", "mpbd", "false", "table1"): "33a2d72bee54a0bdce7eed29585054a23139aae38e59206262b15ecbdcd749f4",
+    ("price", "kmeans", "mpbd", "false", "table1"): "f6f937dffbfc668e11f4e70a211676dbc1a4fba51f278f806a54ea453a58acac",
+    ("price", "kmeans_features", "mpbd", "false", "table1"): "8d228094a5603890064b89604659df0a71e9324e4700adc814c6f87bd83e33d0",
+    ("sales", "hierarchical", "euclidean", "false", "table1"): "8d55f3cb43b5e46c5b2a90ad0bc5029705a4ea9e4e80c275b9fa21a098baac9d",
+    ("sales", "hierarchical", "levenshtein", "false", "table1"): "0492fe3926491d35b9a0d60ec96d33a226628ba2343225efd67a48a997e2fe3f",
+    ("sales", "hierarchical", "dtw", "false", "table1"): "ed4fb31c40a9713cae4005d8a656928aa59cc720385cf6729f836437f670ab1f",
+    ("sales", "hierarchical", "mpbd", "false", "table1"): "9a3ea54738d681cb19ca2a2a7f5e8d841795adf8f876f1faea030c584ad414f6",
+    ("sales", "kmedoids", "euclidean", "false", "table1"): "f85854af313a9d0dca4bd86b2e985bac736a3c86ee04a01cb929c412f1fcc7a1",
+    ("sales", "kmedoids", "levenshtein", "false", "table1"): "7f7188350a4f0e37daf9ec67acce4ba99a161be5843aaa513b856dc4f0349642",
+    ("sales", "kmedoids", "dtw", "false", "table1"): "cd1a569be357c04a9649b0011b7fec1d6a81f328af348f9ab05a545cbab3d4f1",
+    ("sales", "kmedoids", "mpbd", "false", "table1"): "64667fa0de42f535a5fbe2587cd426bea813e761fa3e8e43b395b9d420c9baa2",
+    ("sales", "kmeans", "mpbd", "false", "table1"): "055351bbf8fec2115c90a1b3b8021f04bc14d09de1589d232f5285b2c9a3f85a",
+    ("sales", "kmeans_features", "mpbd", "false", "table1"): "c69b29f471d334271160431c469193deb7497245d42ffe8da36fe633bdec359d",
+    ("price", "hierarchical", "mpbd", "true", "none"): "37fe5e308e14bd19c93d6dc015797f8f4f0b129ba107e0d8a442678c6b6f3dcd",
+    ("price", "hierarchical", "mpbd", "false", "none"): "dc6d08b768c849728438967357163160057b3a71ebf7544040824db89342c7da",
+    ("sales", "kmedoids", "euclidean", "true", "none"): "1d306e8f80e355946b547e38b445fa54e24c7f04fd62ec03ee17b66a0457da94",
+    ("sales", "kmedoids", "euclidean", "false", "none"): "32610d089e84a93aed93cfc40f7fca7a16805b08773b48d5049fe419a9e61d69",
 }
 
 
@@ -606,12 +650,14 @@ class TestPipeline:
             assert pipeline_files[name] == stepwise_files[name], name
 
     @pytest.mark.parametrize("outlier_filter", ["true", "false"])
-    @pytest.mark.parametrize("mode, algorithm, metric", PIPELINE_GRID)
+    @pytest.mark.parametrize("mode, algorithm, metric, normalization", PIPELINE_GRID,
+                             ids=["-".join(case[: 3 if case[3] == "table1" else 4])
+                                  for case in PIPELINE_GRID])
     def test_pipeline_equals_stepwise_over_grid(self, sample_dir, tmp_path, mode, algorithm,
-                                                metric, outlier_filter):
+                                                metric, normalization, outlier_filter):
         options = ["--input", str(sample_dir / f"{mode}_long.csv")]
         for option in (f"mode={mode}", f"algorithm={algorithm}", f"metric={metric}",
-                       f"outlier_filter={outlier_filter}", "normalization=table1",
+                       f"outlier_filter={outlier_filter}", f"normalization={normalization}",
                        f"outlier_metric={'levenshtein' if metric == 'levenshtein' else 'mpbd'}"):
             options += ["-O", option]
         assert run("pipeline", "--out", str(tmp_path / "pipeline"), *options) == 0
@@ -623,7 +669,27 @@ class TestPipeline:
         assert set(pipeline_files) == set(stepwise_files)
         for name in pipeline_files:
             assert pipeline_files[name] == stepwise_files[name], name
-        assert tree_digest(pipeline_files) == GRID_DIGESTS[mode, algorithm, metric, outlier_filter]
+        assert tree_digest(pipeline_files) == GRID_DIGESTS[mode, algorithm, metric, outlier_filter,
+                                                           normalization]
+
+    def test_strict_escalates_a_degenerate_score_to_exit_3(self, tmp_path, capsys):
+        # two exact twin pairs: k=2 puts each pair in one cluster, with zero scatter
+        prices = {"A": [1, 2, 3, 2], "B": [1, 2, 3, 2], "C": [5, 4, 4, 6], "D": [5, 4, 4, 6]}
+        src = tmp_path / "in.csv"
+        src.write_text("series_id,date,value\n" + "".join(
+            f"{sid},2021-01-0{day},{value}\n" for sid, values in prices.items()
+            for day, value in enumerate(values, start=1)), encoding="utf-8")
+        options = ["--input", str(src), "-O", "k=2", "-O", "outlier_filter=false"]
+        assert run("pipeline", "--out", str(tmp_path / "plain"), *options) == 0
+        report = json.loads((tmp_path / "plain" / "evaluate.json").read_text())
+        assert "ch" in report["notes"]
+        capsys.readouterr()
+        strict = tmp_path / "strict"
+        assert run("pipeline", "--out", str(strict), "--strict", *options) == 3
+        assert capsys.readouterr().err == (
+            "degenerate computation: ch: ch_index: zero within-cluster scatter\n")
+        assert (strict / "assignment.csv").exists()
+        assert not (strict / "evaluate.json").exists()
 
     def test_features_rasterize_scaled_values_as_written(self, tmp_path):
         """A scaled value whose written text lands on another pixel row.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from movclust import clustering as cl
+from movclust.core_data import SeriesCollection
 from movclust.distances import DistanceMatrix
 from movclust.errors import DataError
 
@@ -55,13 +56,13 @@ def matrix_from(D, ids=None):
 class TestKmeans:
     def test_two_separated_pairs(self):
         X = np.array([[0.0], [0.0], [10.0], [10.0]])
-        out = cl.kmeans(X, list("abcd"), k=2, seed=0)
+        out = cl.kmeans(SeriesCollection(list("abcd"), X), k=2, seed=0)
         assert partition_of(out) == {frozenset("ab"), frozenset("cd")}
         assert out.objective == 0.0
 
     def test_k_equals_n(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        out = cl.kmeans(X, list("abcd"), k=4, seed=0)
+        out = cl.kmeans(SeriesCollection(list("abcd"), X), k=4, seed=0)
         assert out.objective == 0.0
         assert all(len(out.members(c)) == 1 for c in range(1, 5))
 
@@ -72,7 +73,7 @@ class TestKmeans:
                 [rng.normal(0, 0.3, size=(3, 2)), rng.normal(5, 0.3, size=(3, 2))]
             )
             ids = [f"p{i}" for i in range(6)]
-            out = cl.kmeans(X, ids, k=2, seed=trial)
+            out = cl.kmeans(SeriesCollection(ids, X), k=2, seed=trial)
             best, (left, right) = best_two_partition(X)
             expect = {frozenset(ids[i] for i in left), frozenset(ids[i] for i in right)}
             assert partition_of(out) == expect
@@ -82,17 +83,17 @@ class TestKmeans:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(12, 4))
         ids = [f"p{i}" for i in range(12)]
-        a = cl.kmeans(X, ids, k=3, seed=99)
-        b = cl.kmeans(X, ids, k=3, seed=99)
+        a = cl.kmeans(SeriesCollection(ids, X), k=3, seed=99)
+        b = cl.kmeans(SeriesCollection(ids, X), k=3, seed=99)
         assert a.labels == b.labels
         assert a.objective == b.objective
 
     def test_k_out_of_range(self):
         X = np.zeros((3, 1))
         with pytest.raises(DataError):
-            cl.kmeans(X, list("abc"), k=4, seed=0)
+            cl.kmeans(SeriesCollection(list("abc"), X), k=4, seed=0)
         with pytest.raises(DataError):
-            cl.kmeans(X, list("abc"), k=1, seed=0)
+            cl.kmeans(SeriesCollection(list("abc"), X), k=1, seed=0)
 
     def test_wcss_increase_raises_under_optimize(self):
         # Centroids that drift further from the means on every update make the
@@ -101,6 +102,7 @@ class TestKmeans:
             import types
             import numpy as np
             from movclust import clustering
+            from movclust.core_data import SeriesCollection
 
             class Drifting(np.ndarray):
                 calls = 0
@@ -112,7 +114,8 @@ class TestKmeans:
             drifting = lambda a, dtype=None: np.asarray(a, dtype).view(Drifting)
             clustering.np = types.SimpleNamespace(**{**vars(np), "asarray": drifting})
             assert False, "not reached under -O"
-            clustering.kmeans([[0.0], [0.5], [100.0], [100.5]], list("abcd"), k=2)
+            points = SeriesCollection(list("abcd"), [[0.0], [0.5], [100.0], [100.5]])
+            clustering.kmeans(points, k=2)
             """)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -123,7 +126,7 @@ class TestKmeans:
     def test_no_empty_clusters(self):
         # 11 coincident points and one far away force empty-cluster repair
         X = np.array([[0.0]] * 11 + [[100.0]])
-        out = cl.kmeans(X, [f"p{i}" for i in range(12)], k=3, seed=1)
+        out = cl.kmeans(SeriesCollection([f"p{i}" for i in range(12)], X), k=3, seed=1)
         assert all(out.members(c) for c in range(1, 4))
 
     @settings(max_examples=100, deadline=None)
@@ -136,7 +139,7 @@ class TestKmeans:
         # coarse: repeated points, so distance ties and empty-cluster repairs occur
         X = rng.integers(0, 3, size=(n, dim)).astype(float) if coarse else rng.normal(size=(n, dim))
         ids = [f"p{i:02d}" for i in range(n)]
-        got = cl.kmeans(X, ids, k=k, seed=seed % 7)
+        got = cl.kmeans(SeriesCollection(ids, X), k=k, seed=seed % 7)
         expected = kmeans_ref(X, ids, k=k, seed=seed % 7)
         assert got.labels == expected.labels
         assert float.hex(got.objective) == float.hex(expected.objective)
@@ -350,7 +353,7 @@ class TestAssignmentContract:
 
     def test_roundtrip_csv(self, tmp_path):
         X = np.array([[0.0], [0.0], [5.0], [5.0]])
-        out = cl.kmeans(X, list("abcd"), k=2, seed=0)
+        out = cl.kmeans(SeriesCollection(list("abcd"), X), k=2, seed=0)
         path = tmp_path / "assignment.csv"
         cl.write_assignment_csv(out, path, {"metric": "mpbd"})
         back = cl.read_assignment_csv(path)
@@ -361,7 +364,7 @@ class TestAssignmentContract:
     def test_missing_sidecar_is_data_error(self, tmp_path):
         X = np.array([[0.0], [0.0], [5.0], [5.0]])
         path = tmp_path / "assignment.csv"
-        cl.write_assignment_csv(cl.kmeans(X, list("abcd"), k=2, seed=0), path)
+        cl.write_assignment_csv(cl.kmeans(SeriesCollection(list("abcd"), X), k=2, seed=0), path)
         (tmp_path / "assignment.json").unlink()
         with pytest.raises(DataError, match="assignment.json"):
             cl.read_assignment_csv(path)

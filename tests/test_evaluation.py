@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from movclust import evaluation as ev
 from movclust.clustering import ClusterAssignment, agglomerative, cut_dendrogram, kmeans, kmedoids
+from movclust.core_data import SeriesCollection
 from movclust.distances import distance_matrix, mpbd_upper
 from movclust.errors import DataError, DegenerateGeometryError
 
@@ -370,14 +371,14 @@ class TestSweep:
     def test_ch_max_at_true_k(self):
         X, levels, ids = self.blobs()
         rows = ev.sweep_k(
-            X, levels, ids, [2, 3, 4], lambda k: kmeans(X, ids, k=k, seed=0)
+            X, levels, ids, [2, 3, 4], lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=0)
         )
         ch = {row.k: row.ch for row in rows}
         assert max(ch, key=ch.get) == 3
 
     def test_rows_strictly_increasing_and_reproducible(self):
         X, levels, ids = self.blobs()
-        fn = lambda k: kmeans(X, ids, k=k, seed=3)
+        fn = lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=3)
         rows1 = ev.sweep_k(X, levels, ids, [4, 2, 3, 2], fn)
         rows2 = ev.sweep_k(X, levels, ids, [2, 3, 4], fn)
         assert [r.k for r in rows1] == [2, 3, 4]
@@ -391,7 +392,7 @@ class TestSweep:
         def fn(k):
             if k == 3:
                 raise DataError("boom")
-            return kmeans(X, ids, k=k, seed=0)
+            return kmeans(SeriesCollection(ids, X), k=k, seed=0)
 
         rows = ev.sweep_k(X, levels, ids, [2, 3], fn)
         assert rows[1].ch is None and "boom" in rows[1].note
@@ -399,7 +400,8 @@ class TestSweep:
 
     def test_write_csv(self, tmp_path):
         X, levels, ids = self.blobs()
-        rows = ev.sweep_k(X, levels, ids, [2, 3], lambda k: kmeans(X, ids, k=k, seed=0))
+        fn = lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=0)
+        rows = ev.sweep_k(X, levels, ids, [2, 3], fn)
         path = tmp_path / "sweep.csv"
         ev.write_sweep_csv(rows, path, {"algorithm": "kmeans"})
         lines = path.read_text().splitlines()
@@ -423,7 +425,7 @@ class TestSweepFromOneMatrix:
         return {
             "hierarchical": lambda k: cut_dendrogram(dendrogram, k),
             "kmedoids": lambda k: kmedoids(matrix, k=k, seed=1),
-            "kmeans": lambda k: kmeans(X, ids, k=k, seed=1),
+            "kmeans": lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=1),
         }
 
     @settings(max_examples=30, deadline=None)
@@ -474,7 +476,7 @@ class TestSweepFromOneMatrix:
         X = rng.normal(size=(8, 2))
         ids = [f"s{i}" for i in range(8)]
         levels = [[3] for _ in ids]
-        fn = lambda k: kmeans(X, ids, k=k, seed=0)
+        fn = lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=0)
         rows = ev.sweep_k(X, levels, ids, [2, 3, 4], fn)
         assert rows == sweep_k_ref(X, levels, ids, [2, 3, 4], fn)
         assert all(r.mpbi is None and "length >= 2" in r.note for r in rows)

@@ -375,9 +375,9 @@ def test_as_written_raises_the_read_table_error_for_a_non_finite_cell(tmp_path, 
 # ---------------------------------------------------------------------------
 # One owner of the artifact format
 
-#: The modules that may import csv or json: the artifact format, the raw
-#: input loaders and the sample-data writer.
-FORMAT_MODULES = {"tables", "core_data", "sample"}
+#: The modules that may import csv or json: the artifact format and the raw
+#: input loaders.
+FORMAT_MODULES = {"tables", "core_data"}
 
 
 def imported_modules(path):
