@@ -8,12 +8,14 @@ run keeps every artifact it writes, so ``pipeline``, which runs the stages
 over one run, reads none of its own files back and writes the same
 artifacts, byte for byte, as the stage commands run one after another.
 Configuration is a flat ``key = value`` file in which a ``#`` at the start
-of a line or after whitespace starts a comment; CLI flags and
-``-O key=value`` overrides win over the file.  A value outside a key's
-fixed set (``mode``, ``input_format``, ``fill``, ``metric``,
-``outlier_metric``, ``normalization``, ``algorithm``, ``linkage``), a number
-outside its key's bounds (``omega``, ``k`` (at least 2, for every
-algorithm), ``dtw_window``, the image sides and ``pool_block``,
+of a line or after whitespace starts a comment and no key is given twice.
+``-O key=value`` overrides win over the file, and each flag of ``FLAGS``,
+``--key value``, is the same as ``-O key=value`` and wins over both; the
+column keys ``<role>_col`` are the roles of ``core_data.DEFAULT_SCHEMA``.
+A value outside a key's fixed set (``mode``, ``input_format``, ``fill``,
+``metric``, ``outlier_metric``, ``normalization``, ``algorithm``,
+``linkage``), a number outside its key's bounds (``omega``, ``k`` (at
+least 2, for every algorithm), ``dtw_window``, the image sides and ``pool_block``,
 ``outlier_percentile``, ``sparse_threshold``, the four non-decreasing
 ``thresholds``), scale bounds other than ``0 <= scale_lo < scale_hi <= 1``,
 a date bound that is not an ISO date, a ``date_start`` after ``date_end``,
@@ -33,8 +35,9 @@ is refused.  An external ``features_path`` file must hold the same series,
 in any order; ``features`` writes them in ``metadata.csv``'s order.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (among them a CSV
-line the csv module cannot read, such as a field over its size limit),
-3 degenerate computation escalated by --strict.
+line the csv module cannot read, such as a field over its size limit, and
+an ``out`` that cannot be made a directory), 3 degenerate computation
+escalated by --strict.
 """
 
 from __future__ import annotations
@@ -101,11 +104,8 @@ CONFIG_SPEC = {
     "input": (str, ""),
     "input_format": (_one_of("long", "wide"), "long"),
     "mode": (_one_of("price", "sales"), "price"),
-    "series_id_col": (str, "series_id"),
-    "date_col": (str, "date"),
-    "value_col": (str, "value"),
-    "category_col": (str, "category"),
-    "store_col": (str, "store"),
+    # "<role>_col": the input column of each role of ``core_data.DEFAULT_SCHEMA``
+    **{f"{role}_col": (str, column) for role, column in core_data.DEFAULT_SCHEMA.items()},
     "date_start": (_iso_date, None),  # empty = the input's first day
     "date_end": (_iso_date, None),  # empty = the input's last day
     "sparse_threshold": (float, 0.8),
@@ -157,6 +157,8 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key not in CONFIG_SPEC:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice")
             values[key] = raw.strip()
     return values
 
@@ -340,7 +342,10 @@ class Run:
     def write(self, *files):
         """Write each (name, value, write) by ``write(value, path)``, then move them into out."""
         out = self.cfg["out"]
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot make output directory {out}: {exc.strerror}") from None
         with tempfile.TemporaryDirectory(dir=out, prefix=".tmp-") as tmp:
             for name, value, write in files:
                 write(value, os.path.join(tmp, name))
@@ -364,13 +369,7 @@ def cmd_preprocess(run):
     cfg = run.cfg
     if not cfg["input"]:
         raise ConfigError("config key 'input' is required")
-    schema = {
-        "series_id": cfg["series_id_col"],
-        "date": cfg["date_col"],
-        "value": cfg["value_col"],
-        "category": cfg["category_col"],
-        "store": cfg["store_col"],
-    }
+    schema = {role: cfg[f"{role}_col"] for role in core_data.DEFAULT_SCHEMA}
     date_range = (cfg["date_start"], cfg["date_end"]) if cfg["date_start"] else None
     if cfg["input_format"] == "long":
         observations, rejects = core_data.load_long_csv(cfg["input"], schema)
@@ -574,6 +573,10 @@ COMMANDS = {
 }
 
 
+#: The config keys that have a flag of their own: ``--key VALUE`` is ``-O key=VALUE``.
+FLAGS = ("input", "out", "seed", "threads")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -586,11 +589,8 @@ def make_parser():
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--input", help="override the input CSV path")
-    parser.add_argument("--threads", type=int,
-                        help="accepted for compatibility; has no effect")
+    for key in FLAGS:
+        parser.add_argument(f"--{key}", help=f"the same as -O {key}=VALUE")
     parser.add_argument("--strict", action="store_true",
                         help="escalate degenerate-computation warnings to exit 3")
     parser.add_argument("-O", "--option", action="append", default=[],
@@ -607,14 +607,8 @@ def run(argv) -> int:
             raise ConfigError(f"-O expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.input is not None:
-        overrides["input"] = args.input
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
+    overrides.update((key, value) for key, value in vars(args).items()
+                     if key in FLAGS and value is not None)
     if args.strict:
         overrides["strict"] = "true"
     cfg = build_config(file_values, overrides)

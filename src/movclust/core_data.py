@@ -16,18 +16,16 @@ one-row collection.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
 
+from . import tables
 from .errors import DataError, DuplicateObservationError
-from .tables import checked_rows
 
 #: Upper bounds of the A..D symbol bands on the [0.1, 1] scale.
 DEFAULT_THRESHOLDS = (0.29, 0.47, 0.65, 0.83)
@@ -139,24 +137,6 @@ def _first_repeat(codes: np.ndarray):
     return int(np.argmax(repeated))
 
 
-@contextmanager
-def _input_rows(path):
-    """(csv reader over the body rows, header row) of the input file ``path``.
-
-    An unopenable file and one without a header row are data errors.
-    """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open input file: {exc}") from exc
-    with fh:
-        reader = checked_rows(csv.reader(fh), path)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, header row required")
-        yield reader, header
-
-
 def load_long_csv(path, schema: dict | None = None):
     """Read a long-format CSV into observations plus a rejects report.
 
@@ -169,7 +149,7 @@ def load_long_csv(path, schema: dict | None = None):
     column in numpy; any other file row by row, with the same result.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
-    with _input_rows(path) as (reader, header):
+    with tables.reading(path) as (header, reader):
         columns = {name: i for i, name in enumerate(header)}
         for role in DEFAULT_SCHEMA:
             if header.count(schema[role]) > 1:
@@ -214,7 +194,7 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
     inner = commas.reshape(rows + 1, width - 1)[1:].T  # each body line's j-th comma
     sizes = [int((right - left).max()) - 1  # each column's widest field
              for left, right in zip([ends[:-1], *inner], [*inner, ends[1:]])]
-    if max(sizes) > csv.field_size_limit():
+    if max(sizes) > tables.field_size_limit():
         return None
     # each text column at its exact width: loadtxt truncates a longer field silently
     dtype = [(f"f{j}", "f8" if j == value_col else f"S{max(size, 1)}")
@@ -324,7 +304,7 @@ def load_wide_csv(path):
     rejects: list[RejectedRow] = []
     keys: list[tuple] = []
     series, days, values = array("q"), array("q"), array("d")
-    with _input_rows(path) as (reader, header):
+    with tables.reading(path) as (header, reader):
         try:
             ordinals = [dt.date.fromisoformat(c).toordinal() for c in header[1:]]
         except ValueError as exc:

@@ -27,64 +27,55 @@ CATEGORIES = [
 START = dt.date(2021, 1, 1)
 
 
+def _long_rows(n_days: int, series):
+    """Long-format rows of each (series_id, category, store, present, value) of ``series``.
+
+    A series has one row per day t where ``present[t]``, in day order,
+    holding ``value(t)``.  The rows of each series are built before the
+    next series is drawn, so every value's random draws come in the order
+    of the rows.
+    """
+    dates = [(START + dt.timedelta(days=t)).isoformat() for t in range(n_days)]
+    return [(series_id, dates[t], value(t), category, store)
+            for series_id, category, store, present, value in series
+            for t in np.flatnonzero(present).tolist()]
+
+
 def make_price_rows(seed: int = 7, n_series: int = 60, n_days: int = 120,
                     n_groups: int = 6, missing_rate: float = 0.08):
     """Long-format price rows: n_groups pattern groups plus one sparse product."""
     rng = np.random.default_rng(seed)
-    rows = []
     group_events = []
     for _ in range(n_groups):
         days = rng.choice(np.arange(5, n_days - 5), size=4, replace=False)
         direction = rng.choice([-1.0, 1.0], size=4)
         group_events.append(list(zip(days.tolist(), direction.tolist())))
 
-    for i in range(n_series):
-        group = i % n_groups
-        base = float(rng.uniform(2.0, 50.0))
-        step = max(0.25, round(base * 0.1, 2))
-        values = np.full(n_days, base)
-        for day, direction in group_events[group]:
-            magnitude = step * int(rng.integers(1, 3))
-            values[day:] += direction * magnitude
-        values = np.maximum(values, 0.5)
-        category = CATEGORIES[group % len(CATEGORIES)]
-        missing = rng.random(n_days) < missing_rate
-        missing[0] = False  # keep at least the first day
-        for t in range(n_days):
-            if missing[t]:
-                continue
-            rows.append(
-                (
-                    f"P{i:03d}",
-                    (START + dt.timedelta(days=t)).isoformat(),
-                    f"{values[t]:.2f}",
-                    category,
-                    "",
-                )
-            )
+    def series():
+        for i in range(n_series):
+            group = i % n_groups
+            base = float(rng.uniform(2.0, 50.0))
+            step = max(0.25, round(base * 0.1, 2))
+            values = np.full(n_days, base)
+            for day, direction in group_events[group]:
+                magnitude = step * int(rng.integers(1, 3))
+                values[day:] += direction * magnitude
+            texts = [f"{v:.2f}" for v in np.maximum(values, 0.5).tolist()]
+            missing = rng.random(n_days) < missing_rate
+            missing[0] = False  # keep at least the first day
+            yield f"P{i:03d}", CATEGORIES[group % len(CATEGORIES)], "", ~missing, texts.__getitem__
+        # one product sparse enough to be dropped by the 80% rule
+        keep = rng.random(n_days) < 0.1
+        keep[0] = True
+        yield "P_SPARSE", "Snacks", "", keep, lambda t: "9.99"
 
-    # one product sparse enough to be dropped by the 80% rule
-    keep = rng.random(n_days) < 0.1
-    keep[0] = True
-    for t in range(n_days):
-        if keep[t]:
-            rows.append(
-                (
-                    "P_SPARSE",
-                    (START + dt.timedelta(days=t)).isoformat(),
-                    "9.99",
-                    "Snacks",
-                    "",
-                )
-            )
-    return rows
+    return _long_rows(n_days, series())
 
 
 def make_sales_rows(seed: int = 11, n_items: int = 20, n_stores: int = 3,
                     n_days: int = 120, missing_rate: float = 0.1):
     """Long-format sales rows keyed by (item, store)."""
     rng = np.random.default_rng(seed)
-    rows = []
     n_groups = 4
     group_profile = []
     for _ in range(n_groups):
@@ -92,32 +83,24 @@ def make_sales_rows(seed: int = 11, n_items: int = 20, n_stores: int = 3,
         spikes = rng.choice(np.arange(10, n_days - 10), size=3, replace=False)
         group_profile.append((weekly, set(spikes.tolist())))
 
-    for i in range(n_items):
-        group = i % n_groups
-        weekly, spikes = group_profile[group]
-        base = float(rng.uniform(3.0, 25.0))
-        category = CATEGORIES[group % len(CATEGORIES)]
-        for s in range(n_stores):
-            store_factor = float(rng.uniform(0.7, 1.4))
-            missing = rng.random(n_days) < missing_rate
-            missing[0] = False
-            for t in range(n_days):
-                if missing[t]:
-                    continue
-                level = base * store_factor * weekly[t % 7]
-                if t in spikes:
-                    level *= 3.0
-                sales = int(rng.poisson(level))
-                rows.append(
-                    (
-                        f"I{i:03d}",
-                        (START + dt.timedelta(days=t)).isoformat(),
-                        str(sales),
-                        category,
-                        f"S{s}",
-                    )
-                )
-    return rows
+    def series():
+        for i in range(n_items):
+            group = i % n_groups
+            weekly, spikes = group_profile[group]
+            base = float(rng.uniform(3.0, 25.0))
+            category = CATEGORIES[group % len(CATEGORIES)]
+            for s in range(n_stores):
+                scale = base * float(rng.uniform(0.7, 1.4))
+                missing = rng.random(n_days) < missing_rate
+                missing[0] = False
+
+                def sales(t):
+                    level = scale * weekly[t % 7]
+                    return str(int(rng.poisson(level * 3.0 if t in spikes else level)))
+
+                yield f"I{i:03d}", category, f"S{s}", ~missing, sales
+
+    return _long_rows(n_days, series())
 
 
 def write_long_csv(rows, path):

@@ -1,11 +1,12 @@
 """The artifact file format: CSV tables of id-keyed rows and their JSON sidecars.
 
 Every artifact the CLI writes, and every one it reads back, goes through
-this module.  A table is a header row, then one row per id: the id, then
-its cells.  A table's sidecar holds what the cells do not say, in a JSON
-file of the same name.  ``as_written`` gives a float matrix as
-``read_table`` would read it back, for a caller that keeps the matrix it
-wrote.
+this module, and ``reading`` opens every CSV file that is read, the raw
+inputs of ``core_data``'s loaders too.  A table is a header row, then one
+row per id: the id, then its cells.  A table's sidecar holds what the
+cells do not say, in a JSON file of the same name.  ``as_written`` gives a
+float matrix as ``read_table`` would read it back, for a caller that keeps
+the matrix it wrote.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -106,7 +108,7 @@ def write_table(path, header, ids, rows: np.ndarray, sidecar: dict | None = None
         write_json(_sidecar_path(path), sidecar)
 
 
-def checked_rows(reader, path):
+def _checked_rows(reader, path):
     """The rows of the csv ``reader`` over the file ``path``.
 
     A row the csv module cannot read, such as one with a field over its
@@ -116,6 +118,31 @@ def checked_rows(reader, path):
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+@contextmanager
+def reading(path):
+    """(header row, iterator over the rows after it) of the CSV file ``path``, kept open.
+
+    An unopenable file, one with no header row (an empty file or a blank
+    first line) and a line the csv module cannot read are data errors that
+    name the file.
+    """
+    try:
+        fh = open(str(path), newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from None
+    with fh:
+        rows = _checked_rows(csv.reader(fh), path)
+        header = next(rows, [])
+        if not header:
+            raise DataError(f"{path}: empty file, header row required")
+        yield header, rows
+
+
+def field_size_limit() -> int:
+    """The most characters a field that the csv module reads may hold."""
+    return csv.field_size_limit()
 
 
 def read_table(path, dtype=float, header=None):
@@ -128,20 +155,12 @@ def read_table(path, dtype=float, header=None):
     cell that does not parse as ``dtype`` and a non-finite float are data
     errors that name the file and line.
     """
-    try:
-        fh = open(str(path), newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc.strerror}") from None
     ids, rows, seen = [], [], set()
-    with fh:
-        reader = checked_rows(csv.reader(fh), path)
-        found = next(reader, [])
-        if not found:
-            raise DataError(f"{path}: empty file, header row required")
+    with reading(path) as (found, body):
         if header is not None and found != list(header):
             raise DataError(f"{path}, line 1: header {found} is not {list(header)}")
         width = len(found)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(body, start=2):
             if len(row) != width:
                 raise DataError(f"{path}, line {lineno}: {len(row)} cells, "
                                 f"header has {width} (ragged row)")

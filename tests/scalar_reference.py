@@ -12,17 +12,20 @@ bit.  The series loops carry each series in a test-local record
 ``SeriesCollection`` into them; the rasterizer draws one series into a
 pixel array, and the pooling averages the tiles of one such array.  The
 agglomerative loop records each merge's member tuples, whose first members
-are the ids that ``Dendrogram.merges`` holds.
+are the ids that ``Dendrogram.merges`` holds, and the dendrogram cut
+replays those merges as unions of member sets.
 
 More are earlier forms of the package code, kept as they were: the
 anti-diagonal edit-distance DP that ran Levenshtein before the bit-parallel
 kernel, the sweep that recomputed each k's within-cluster MPBD pairs, the
 float64 MPBD row kernel that the integer one must match, the Davies-Bouldin
 loop over cluster pairs, the Calinski-Harabasz sums that each worked out the
-cluster means again, k-means distances through an (n, k, m) cube, the
-artifact writers that formatted and csv-quoted one cell at a time (now
-quoting a cell with a carriage return, as the package writers do), and the
-artifact readers that each parsed their own rows.  The package's scores,
+cluster means again, k-means distances through an (n, k, m) cube,
+k-medoids with its own start and an empty-cluster repair that reads the
+fits again after each repair, the artifact writers that formatted and
+csv-quoted one cell at a time (now quoting a cell with a carriage return,
+as the package writers do), and the artifact readers that each parsed
+their own rows.  The package's scores,
 matrices, labels, bytes and read-back values must equal theirs.
 """
 
@@ -273,6 +276,20 @@ def agglomerative_ref(matrix, linkage="ward"):
     return Dendrogram(leaves=sorted(ids), merges=merges)
 
 
+def cut_dendrogram_ref(dendrogram, k):
+    """The labels of the k clusters that the first n - k merges leave.
+
+    Each merge is the union of two member sets, each named by its smallest
+    member; clusters are numbered by decreasing size, ties by smallest id.
+    """
+    clusters = {sid: {sid} for sid in dendrogram.leaves}
+    for left, right, _, _ in dendrogram.merges[: len(dendrogram.leaves) - k]:
+        merged = clusters.pop(left) | clusters.pop(right)
+        clusters[min(merged)] = merged
+    groups = sorted(clusters.values(), key=lambda g: (-len(g), min(g)))
+    return {sid: label for label, g in enumerate(groups, start=1) for sid in g}
+
+
 # ---------------------------------------------------------------------------
 # Loaders, assembly and raster: the row-by-row versions
 
@@ -300,10 +317,10 @@ def load_long_csv_ref(path, schema: dict | None = None):
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot open input file: {exc}") from exc
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        if not reader.fieldnames:  # an empty file, or a blank first line
             raise DataError(f"{path}: empty file, header row required")
         for role in ("series_id", "date", "value"):
             if schema[role] not in reader.fieldnames:
@@ -355,13 +372,12 @@ def load_wide_csv_ref(path):
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot open input file: {exc}") from exc
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
+        header = next(reader, [])
+        if not header:  # an empty file, or a blank first line
+            raise DataError(f"{path}: empty file, header row required")
         try:
             dates = [dt.date.fromisoformat(c) for c in header[1:]]
         except ValueError as exc:
@@ -928,6 +944,57 @@ def kmeans_ref(vectors: np.ndarray, ids, k: int, seed: int = 0, max_iter: int = 
                     key=lambda g: (-len(g), min(g)))
     numbered = {sid: label for label, g in enumerate(groups, start=1) for sid in g}
     return ClusterAssignment(numbered, k, f"kmeans(k={k})", seed, prev_wcss)
+
+
+def kmedoids_ref(matrix, k: int, seed: int = 0, max_iter: int = 100) -> ClusterAssignment:
+    """Alternating assignment / medoid update on a precomputed DistanceMatrix.
+
+    An empty cluster takes the worst-fitting point of a non-singleton
+    cluster as its medoid, and the fits are read again after each repair.
+    """
+    D = matrix.entries
+    ids = list(matrix.ids)
+    n = len(ids)
+    if not 2 <= k <= n:
+        raise DataError(f"k={k} out of range [2, {n}]")
+
+    # farthest-point start: each next medoid is the point farthest from all chosen ones,
+    # the first of them on ties
+    medoids = [random.Random(seed).randrange(n)]
+    while len(medoids) < k:
+        nearest = [min(float(D[c, i]) for c in medoids) for i in range(n)]
+        medoids.append(nearest.index(max(nearest)))
+
+    labels = None
+    for _ in range(max_iter):
+        cols = D[:, medoids]
+        new_labels = cols.argmin(axis=1)
+        for c in range(k):
+            if not (new_labels == c).any():
+                fit = cols[np.arange(n), new_labels]
+                counts = np.bincount(new_labels, minlength=k)
+                fit = np.where(counts[new_labels] > 1, fit, -np.inf)
+                worst = int(np.argmax(fit))
+                new_labels[worst] = c
+                medoids[c] = worst
+                cols = D[:, medoids]
+        new_medoids = []
+        for c in range(k):
+            members = np.flatnonzero(new_labels == c)
+            costs = D[np.ix_(members, members)].sum(axis=1)
+            new_medoids.append(int(members[int(np.argmin(costs))]))
+        stable = new_medoids == medoids and labels is not None and np.array_equal(new_labels, labels)
+        medoids = new_medoids
+        labels = new_labels
+        if stable:
+            break
+
+    objective = float(D[np.arange(n), [medoids[c] for c in labels]].sum())
+    # clusters numbered by decreasing size, ties by smallest member id
+    groups = sorted(([ids[i] for i in np.flatnonzero(labels == c)] for c in range(k)),
+                    key=lambda g: (-len(g), min(g)))
+    numbered = {sid: label for label, g in enumerate(groups, start=1) for sid in g}
+    return ClusterAssignment(numbered, k, f"kmedoids(k={k})", seed, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,34 @@ class TestConfig:
         assert run("preprocess", "--config", str(tmp_path / "missing.cfg")) == 1
         assert "error: cannot read config file:" in capsys.readouterr().err
 
+    def test_key_given_twice_exits_1(self, price_cfg, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\n# a comment\nseed = 6\n")
+        assert run("preprocess", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: config key 'seed' given twice\n"
+        # an -O override still wins over the file
+        file_values = cli.parse_config_file(price_cfg[0])
+        assert cli.build_config(file_values, {"seed": "6"})["seed"] == 6
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_bad_flag_value_is_reported_like_a_bad_option(self, price_cfg, flag, capsys):
+        cfg, out = price_cfg
+        key = flag[2:]
+        assert run("preprocess", "--config", str(cfg), flag, "x") == 1
+        flag_error = capsys.readouterr().err
+        assert run("preprocess", "--config", str(cfg), "-O", f"{key}=x") == 1
+        assert flag_error == capsys.readouterr().err == (
+            f"error: bad value for '{key}': 'x' (invalid literal for int() with base 10: 'x')\n")
+        assert not out.exists()
+
+    def test_flags_win_over_options_and_the_file(self, price_cfg, monkeypatch):
+        cfg, _ = price_cfg
+        seen = {}
+        monkeypatch.setitem(cli.COMMANDS, "preprocess", lambda run: seen.update(run.cfg))
+        assert run("preprocess", "--config", str(cfg), "-O", "seed=5", "--seed", "3",
+                   "--threads", "2", "--input", "in.csv", "-O", "out=x", "--out", "o") == 0
+        assert [seen[key] for key in cli.FLAGS] == ["in.csv", "o", 3, 2]
+
     def test_config_line_without_equals_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 5\nseed 6\n")
@@ -374,6 +402,18 @@ class TestPreprocess:
                    "-O", f"input_format={input_format}") == 2
         assert (f"data error: {src}, line {lineno}: field larger than field limit"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, sample_dir, tmp_path, under, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out = afile / "sub" if under else afile
+        assert run("preprocess", "--input", str(sample_dir / "price_long.csv"),
+                   "--out", str(out)) == 2
+        reason = "Not a directory" if under else "File exists"
+        assert capsys.readouterr().err == (
+            f"data error: cannot make output directory {out}: {reason}\n")
+        assert afile.read_text(encoding="utf-8") == ""
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("preprocess", "--input", str(tmp_path / "nope.csv"),

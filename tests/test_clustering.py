@@ -14,7 +14,9 @@ from movclust.core_data import SeriesCollection
 from movclust.distances import DistanceMatrix
 from movclust.errors import DataError
 
-from scalar_reference import agglomerative_ref, kmeans_ref, sq_dists_ref
+from scalar_reference import (
+    agglomerative_ref, cut_dendrogram_ref, kmeans_ref, kmedoids_ref, sq_dists_ref,
+)
 
 
 def partition_of(assignment):
@@ -190,6 +192,21 @@ class TestKmedoids:
         b = cl.kmedoids(matrix_from(D), k=3, seed=5)
         assert a.labels == b.labels
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 13), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_reference_loop(self, n, diagonal, seed, data):
+        # small integer distances: ties, coincident medoids and empty-cluster repairs occur
+        k = data.draw(st.integers(2, n), label="k")
+        rng = np.random.default_rng(seed)
+        D = random_matrix(rng, n, integer=True)
+        if diagonal:
+            D[np.diag_indices(n)] = rng.integers(1, 4, size=n)
+        matrix = matrix_from(D)
+        got = cl.kmedoids(matrix, k=k, seed=seed % 7)
+        expected = kmedoids_ref(matrix, k=k, seed=seed % 7)
+        assert got.labels == expected.labels
+        assert float.hex(got.objective) == float.hex(expected.objective)
+
 
 class TestAgglomerative:
     def test_two_series(self):
@@ -344,6 +361,16 @@ class TestCutDendrogram:
         out = cl.cut_dendrogram(cl.agglomerative(matrix_from(D, list("abcd")), "single"), 2)
         assert out.members(1) == ["a", "b", "c"]
         assert out.members(2) == ["d"]
+
+    @pytest.mark.parametrize("linkage", cl.LINKAGES)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 14), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_set_union_replay(self, linkage, n, integer, seed):
+        rng = np.random.default_rng(seed)
+        ids = [f"s{v}" for v in rng.permutation(100)[:n]]  # unsorted, uneven widths
+        dendrogram = cl.agglomerative(matrix_from(random_matrix(rng, n, integer), ids), linkage)
+        for k in range(1, n + 1):
+            assert cl.cut_dendrogram(dendrogram, k).labels == cut_dendrogram_ref(dendrogram, k)
 
 
 class TestAssignmentContract:

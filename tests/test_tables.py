@@ -20,7 +20,7 @@ from movclust import cli
 from movclust.clustering import read_assignment_csv
 from movclust.distances import DistanceMatrix, read_matrix_csv, write_matrix_csv
 from movclust.errors import DataError
-from movclust.core_data import SeriesCollection
+from movclust.core_data import SeriesCollection, load_long_csv, load_wide_csv
 from movclust.image_features import load_external_features, write_features_csv
 from movclust import tables as tb
 from movclust.tables import NUMBER, as_written, read_sidecar, read_table, write_rows, write_table
@@ -275,6 +275,23 @@ def test_read_table_rejects_ragged_rows_header_and_empty_file(tmp_path):
         read_table(path)
 
 
+@pytest.mark.parametrize("read", [load_long_csv, load_wide_csv, read_table],
+                         ids=lambda read: read.__name__)
+def test_every_reader_refuses_an_unopenable_file_and_a_blank_first_line(tmp_path, read):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DataError) as error:
+        read(missing)
+    assert str(error.value) == f"cannot open {missing}: No such file or directory"
+    with pytest.raises(DataError) as error:
+        read(tmp_path)
+    assert str(error.value) == f"cannot open {tmp_path}: Is a directory"
+    path = tmp_path / "t.csv"
+    path.write_text("\nseries_id,2021-01-01\nA,1\n", encoding="utf-8")
+    with pytest.raises(DataError) as error:
+        read(path)
+    assert str(error.value) == f"{path}: empty file, header row required"
+
+
 def test_read_sidecar_rejects_missing_and_unparseable_sidecars(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["id", "a"], ["r"], np.ones((1, 1)), sidecar={"metric": "mpbd"})
@@ -375,9 +392,9 @@ def test_as_written_raises_the_read_table_error_for_a_non_finite_cell(tmp_path, 
 # ---------------------------------------------------------------------------
 # One owner of the artifact format
 
-#: The modules that may import csv or json: the artifact format and the raw
-#: input loaders.
-FORMAT_MODULES = {"tables", "core_data"}
+#: The modules that may import csv or json: the artifact format, which also
+#: opens the raw inputs for the loaders.
+FORMAT_MODULES = {"tables"}
 
 
 def imported_modules(path):
