@@ -38,14 +38,12 @@ def _bresenham(r0, c0, r1, c1):
             r += sr
 
 
-#: Series drawn together by extract_features; bounds the pixel cube.
-_BLOCK_SERIES = 256
+#: Pixels of the cube that extract_features draws at a time: 256 series of 64x64.
+_BLOCK_PIXELS = 1 << 20
 
 
 def _pixel_coords(values, width, height):
     """Validate a (series x time) block of scaled values; return its pixel rows and columns."""
-    if width < 2 or height < 2:
-        raise DataError(f"grid must be at least 2x2, got {width}x{height}")
     values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise DataError("image features need a complete series")
@@ -64,24 +62,28 @@ def _draw(rows, cols, width, height, paths):
 
     A Bresenham line depends only on its end's offset from its start, so the
     segments are grouped by offset (dr, dc) and each group is drawn with one
-    assignment.  ``paths`` caches the pixel offsets of each (dr, dc).
+    assignment into the flat cube: the pixels of segment s are its start's
+    flat index, (s * height + r0) * width + c0, plus the offset's path of
+    flat steps, dr' * width + dc'.  ``paths`` caches the path of each offset.
     """
-    m, n = rows.shape
+    m = len(rows)
     cube = np.zeros((m, height, width), dtype=bool)
-    series = np.repeat(np.arange(m), n - 1)
-    r0 = rows[:, :-1].reshape(-1)
-    c0 = np.tile(cols[:-1], m)
-    # columns never decrease and dc < width, so the code identifies (dr, dc)
-    codes = (rows[:, 1:].reshape(-1) - r0) * width + np.tile(np.diff(cols), m)
+    flat = cube.reshape(-1)
+    r0 = rows[:, :-1]
+    base = ((np.arange(m)[:, None] * height + r0) * width + cols[:-1]).reshape(-1)
+    # columns never decrease and dc < width, so the code identifies (dr, dc);
+    # |code| < height * width, so it fits int16, which sorts by radix, when that is at most 2**15
+    codes = ((rows[:, 1:] - r0) * width + np.diff(cols)).reshape(-1)
+    if height * width <= 1 << 15:
+        codes = codes.astype(np.int16)
     order = np.argsort(codes, kind="stable")
-    offsets, starts = np.unique(codes[order], return_index=True)
-    for code, segments in zip(offsets.tolist(), np.split(order, starts[1:])):
-        offset = divmod(code, width)
-        if offset not in paths:
-            paths[offset] = np.array(list(_bresenham(0, 0, *offset))).T
-        path_r, path_c = paths[offset]
-        segments = segments[:, None]
-        cube[series[segments], r0[segments] + path_r, c0[segments] + path_c] = True
+    codes = codes[order]
+    starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    for code, segments in zip(codes[np.r_[0, starts]].tolist(), np.split(order, starts)):
+        if code not in paths:
+            path_r, path_c = np.array(list(_bresenham(0, 0, *divmod(code, width)))).T
+            paths[code] = path_r * width + path_c
+        flat[base[segments][:, None] + paths[code]] = True
     return cube
 
 
@@ -103,12 +105,15 @@ def extract_features(collection, width: int = 64, height: int = 64, block: int =
     time maps onto columns [0, width-1], value 0 onto the bottom row and
     value 1 onto the top row, with no anti-aliasing.  Its vector is the
     mean intensity of each ``block`` x ``block`` tile, row-major, so with
-    ``block=1`` it is the image's pixels.  ``_BLOCK_SERIES`` series are
-    drawn at a time.
+    ``block=1`` it is the image's pixels.  As many series as fill
+    ``_BLOCK_PIXELS`` pixels, and at least one, are drawn at a time.
     """
+    if width < 2 or height < 2:
+        raise DataError(f"grid must be at least 2x2, got {width}x{height}")
+    step = max(1, _BLOCK_PIXELS // (width * height))
     paths, tiles = {}, []
-    for lo in range(0, len(collection), _BLOCK_SERIES):
-        rows, cols = _pixel_coords(collection.values[lo : lo + _BLOCK_SERIES], width, height)
+    for lo in range(0, len(collection), step):
+        rows, cols = _pixel_coords(collection.values[lo : lo + step], width, height)
         tiles.append(_pool(_draw(rows, cols, width, height, paths), block))
     return SeriesCollection(collection.ids, np.concatenate(tiles) if tiles else np.empty((0, 0)))
 

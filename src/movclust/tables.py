@@ -4,9 +4,11 @@ Every artifact the CLI writes, and every one it reads back, goes through
 this module, and ``reading`` opens every CSV file that is read, the raw
 inputs of ``core_data``'s loaders too.  A table is a header row, then one
 row per id: the id, then its cells.  A table's sidecar holds what the
-cells do not say, in a JSON file of the same name.  ``as_written`` gives a
-float matrix as ``read_table`` would read it back, for a caller that keeps
-the matrix it wrote.
+cells do not say, in a JSON file of the same name.  ``write_table`` writes
+every numeric table, and formats each distinct value once when a table's
+values repeat enough.  ``as_written`` gives a float matrix as
+``read_table`` would read it back, for a caller that keeps the matrix it
+wrote.
 """
 
 from __future__ import annotations
@@ -89,23 +91,55 @@ def write_table(path, header, ids, rows: np.ndarray, sidecar: dict | None = None
     """Write a header row, then one line per id: the id, then its row of ``rows``.
 
     Only the header and the id cells go through the csv module's quoting.
-    Each row's values are formatted by one ``%`` operation on the row's
-    tuple, with one format per value that the matrix's dtype picks: ``"%d"``
-    (``str(v)``) for an integer matrix, else ``NUMBER``.
+    The values are formatted with the one format that the matrix's dtype
+    picks: ``"%d"`` (``str(v)``) for an integer matrix, else ``NUMBER``.
+    ``_row_texts`` formats each distinct value once when the matrix has few,
+    and each row on its own otherwise, to the same bytes.
     """
     cell = "%d" if rows.dtype.kind in "iu" else NUMBER
     start = io.StringIO()  # the id cell and its comma, as csv.writer writes them
     id_writer = _writer(start)
+    lines = []
+    for sid, text in zip(ids, _row_texts(rows, cell)):
+        start.seek(0)
+        start.truncate()
+        id_writer.writerow((sid, "") if rows.shape[1] else (sid,))
+        lines.append(start.getvalue()[:-1] + text + "\n")
     with open(str(path), "w", newline="", encoding="utf-8") as fh:
         _writer(fh).writerow(header)
-        for sid, row in zip(ids, rows):
-            values = tuple(row.tolist())
-            start.seek(0)
-            start.truncate()
-            id_writer.writerow((sid, "") if values else (sid,))
-            fh.write(start.getvalue()[:-1] + ",".join([cell] * len(values)) % values + "\n")
+        fh.write("".join(lines))
     if sidecar is not None:
         write_json(_sidecar_path(path), sidecar)
+
+
+#: The largest share of a matrix's cells that its distinct values may make up
+#: for ``_row_texts`` to format each distinct value once.
+_DISTINCT_SHARE = 0.25
+
+
+def _row_texts(rows, cell):
+    """The text of each row of the matrix ``rows``: its values through ``cell``, comma-separated.
+
+    Artifact tables hold few distinct values (prices are step functions,
+    sales small counts, levels 1..5), so when the distinct values are at
+    most ``_DISTINCT_SHARE`` of the cells, each is formatted once and the
+    rows are joined from the texts.  Cells are told apart by their bits, not
+    their value, so ``0.0`` and ``-0.0`` (written ``0`` and ``-0``) stay
+    apart; NaNs with other payloads are each written ``nan``.  Otherwise,
+    as on a matrix of all-distinct floats, each row is formatted by one
+    ``%`` operation on its tuple.
+    """
+    n, m = rows.shape
+    values = np.ascontiguousarray(rows).reshape(-1)
+    keys = values.view(f"u{values.itemsize}")
+    # numpy 2.4's bare np.unique(keys) hashes, 70x slower than sorting on distinct keys
+    ordered = np.sort(keys)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    if len(distinct) > _DISTINCT_SHARE * len(keys):
+        line = ",".join([cell] * m)
+        return (line % tuple(row.tolist()) for row in rows)
+    texts = np.array([cell % v for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return [",".join(row) for row in texts[np.searchsorted(distinct, keys)].reshape(n, m).tolist()]
 
 
 def _checked_rows(reader, path):

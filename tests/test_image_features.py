@@ -191,13 +191,31 @@ class TestRasterMatchesSegmentLoop:
         rng = np.random.default_rng(5)
         series = [
             ts(f"s{i:03d}", rng.uniform(0.0, 1.0, size=50))
-            for i in range(2 * imf._BLOCK_SERIES + 7)
+            for i in range(2 * (imf._BLOCK_PIXELS // (64 * 64)) + 7)
         ]
         _same_features(
             imf.extract_features(collection(series)),
             [s.ids[0] for s in series],
             [pool_features_ref(rasterize_ref(s.values[0])) for s in series],
         )
+
+    @pytest.mark.parametrize("width, height, block", [(256, 256, 16), (200, 64, 8), (64, 520, 8)])
+    def test_large_and_non_square_grids(self, width, height, block):
+        """Grids of more than 2**15 pixels (256x256, 64x520), whose offset codes do not fit int16."""
+        rng = np.random.default_rng(8)
+        for n in (2, 9, 30, 365):  # fewer and more points than columns
+            series = [
+                ts("flat", [0.5] * n),
+                ts("full-height jumps", [float(t % 2) for t in range(n)]),
+                ts("random", rng.uniform(0.0, 1.0, size=n)),
+            ]
+            expected = [rasterize_ref(s.values[0], width, height) for s in series]
+            _same_features(
+                imf.extract_features(collection(series), width, height, block),
+                [s.ids[0] for s in series],
+                [pool_features_ref(pixels, block) for pixels in expected],
+            )
+            assert raster(series[2].values[0], width, height).tobytes() == expected[2].tobytes()
 
     def test_pool_of_grey_pixels(self):
         rng = np.random.default_rng(6)

@@ -10,6 +10,8 @@ import datetime as dt
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,12 +47,50 @@ FLOATS = st.one_of(
 
 @st.composite
 def tables(draw, elements=FLOATS, dtype=float, min_rows=0):
-    """(ids, values): up to 5 rows of 1 to 5 values each."""
+    """(ids, values): up to 5 rows of 1 to 5 values each.
+
+    Half the tables draw their cells from a pool of one to three values, so
+    that ``write_table`` meets repeated values as well as distinct ones.
+    """
     n = draw(st.integers(min_rows, 5))
     m = draw(st.integers(1, 5))
     ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
+    if draw(st.booleans(), label="small pool"):
+        elements = st.sampled_from(draw(st.lists(elements, min_size=1, max_size=3)))
     values = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n))
     return ids, np.array(values, dtype=dtype).reshape(n, m)
+
+
+def square(cells, dtype=float, n=6):
+    """(ids, values): ``cells`` repeated row by row into an n x n table."""
+    return [f"r{i}" for i in range(n)], np.resize(np.array(cells, dtype=dtype), (n, n))
+
+
+#: Tables of few distinct values, which ``write_table`` formats once each,
+#: but for the last, which is all distinct and formatted row by row.
+EDGE_TABLES = [
+    square([0.0, -0.0]),  # equal values whose bits differ, written "0" and "-0"
+    square(np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(float)),  # NaNs with three payloads
+    square([np.inf, -np.inf, 5e-324, np.nextafter(1e22, 0), 1e22, np.nextafter(1e22, np.inf),
+            np.nextafter(1e-13, 0), 1e-13, np.nextafter(1e-13, 1)]),
+    square([0.1]),
+    square(np.random.default_rng(0).random(36)),
+]
+#: Tables of integer levels, each with few distinct values.
+LEVEL_TABLES = [
+    square([1, 2, 3, 4, 5], np.int8),
+    square([1, 5, -(2**63), 2**63 - 1], np.int64),
+]
+
+
+def with_examples(tables):
+    """Decorator: run a Hypothesis test on each of ``tables`` as an explicit example."""
+    def decorate(test):
+        for table in tables:
+            test = example(table)(test)
+        return test
+    return decorate
 
 
 def hexes(values):
@@ -66,6 +106,7 @@ def same_bytes(tmp, write, write_ref):
 
 @settings(max_examples=200, deadline=None)
 @given(tables())
+@with_examples(EDGE_TABLES)
 def test_matrix_csv(tmp_path_factory, table):
     ids, values = table
     matrix = DistanceMatrix(ids=ids, entries=np.resize(values, (len(ids), len(ids))),
@@ -76,6 +117,7 @@ def test_matrix_csv(tmp_path_factory, table):
 
 @settings(max_examples=200, deadline=None)
 @given(tables(min_rows=1))
+@with_examples(EDGE_TABLES)
 def test_features_csv(tmp_path_factory, table):
     ids, values = table
     features = SeriesCollection(ids, values)
@@ -95,6 +137,7 @@ def dates(m):
 
 @settings(max_examples=200, deadline=None)
 @given(tables())
+@with_examples(EDGE_TABLES)
 def test_wide_numeric_csv(tmp_path_factory, table):
     ids, values = table
     series = collection(ts(i, row) for i, row in zip(ids, values))
@@ -105,6 +148,7 @@ def test_wide_numeric_csv(tmp_path_factory, table):
 
 @settings(max_examples=100, deadline=None)
 @given(tables(elements=st.integers(-(2**63), 2**63 - 1), dtype=np.int64))
+@with_examples(LEVEL_TABLES)
 def test_wide_symbolic_csv(tmp_path_factory, table):
     ids, levels = table
     series = collection(sym(i, row) for i, row in zip(ids, levels))
@@ -112,6 +156,46 @@ def test_wide_symbolic_csv(tmp_path_factory, table):
     assert same_bytes(tmp_path_factory.mktemp("s"),
                       lambda p: cli._write_wide(p, series, days),
                       lambda p: write_wide_ref(p, series, days, symbolic=True))
+
+
+def typed_tables(dtype):
+    """``tables`` of ``dtype`` cells, each a value that the dtype holds exactly."""
+    if np.dtype(dtype).kind == "f":
+        bits = np.finfo(dtype).bits
+        return tables(FLOATS if bits == 64 else st.floats(width=bits), dtype)
+    info = np.iinfo(dtype)
+    return tables(st.integers(int(info.min), int(info.max)), dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.float16, np.float32, np.float64, np.int8, np.int16, np.int32,
+                        np.int64, np.uint8, np.uint64]).flatmap(typed_tables))
+@with_examples(EDGE_TABLES + LEVEL_TABLES)
+def test_every_dtype_matches_the_wide_writer(tmp_path_factory, table):
+    """``write_table`` writes a matrix of any numeric dtype as the old per-cell writer did."""
+    ids, values = table
+    days = dates(values.shape[1])
+    header = ["series_id"] + [d.isoformat() for d in days]
+    wide = SimpleNamespace(ids=ids, values=values)  # keeps the dtype a SeriesCollection would not
+    assert same_bytes(tmp_path_factory.mktemp("d"), lambda p: write_table(p, header, ids, values),
+                      lambda p: write_wide_ref(p, wide, days, symbolic=values.dtype.kind in "iu"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+@with_examples(EDGE_TABLES + LEVEL_TABLES)
+def test_both_ways_of_formatting_write_the_same_bytes(tmp_path_factory, table):
+    """Formatting each distinct value once and formatting row by row give the same file."""
+    ids, values = table
+    header = ["id"] + [f"c{j}" for j in range(values.shape[1])]
+
+    def write(share):
+        def go(path):
+            with mock.patch.object(tb, "_DISTINCT_SHARE", share):
+                write_table(path, header, ids, values)
+        return go
+
+    assert same_bytes(tmp_path_factory.mktemp("b"), write(1.0), write(-1.0))
 
 
 @settings(max_examples=200, deadline=None)
