@@ -109,6 +109,10 @@ class SeriesCollection:
 # Loading
 
 
+#: Bytes that ``_field_sizes`` reads at a time, then up to the end of the line they end in.
+_SCAN_BLOCK = 1 << 20
+
+
 def _ordinal(text: str):
     """Day ordinal of an ISO date string, or None when it does not parse."""
     try:
@@ -178,22 +182,14 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
     has body rows, each of exactly ``width`` fields.  Any row the row loop
     would reject also gives None, so that loop alone decides every reject.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     keys = [col for col in (id_col, store_col, category_col) if col is not None]
-    if (not data.isascii() or any(byte in data for byte in b'"\r\0\x1c\x1d\x1e\x1f')
-            or not data.endswith(b"\n") or value_col in (date_col, *keys)):
+    if value_col in (date_col, *keys):
         return None
-    raw = np.frombuffer(data, np.uint8)
-    ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
-    rows = len(ends) - 1
-    # the header has width - 1 commas; a body line with fewer (width >= 2 here, so a blank
-    # or whitespace-only line too) leaves another with more, on which loadtxt raises
-    if rows < 1 or len(commas) != (rows + 1) * (width - 1):
+    with open(path, "rb") as fh:
+        scanned = _field_sizes(fh, width)
+    if scanned is None:
         return None
-    inner = commas.reshape(rows + 1, width - 1)[1:].T  # each body line's j-th comma
-    sizes = [int((right - left).max()) - 1  # each column's widest field
-             for left, right in zip([ends[:-1], *inner], [*inner, ends[1:]])]
+    rows, sizes = scanned
     if max(sizes) > tables.field_size_limit():
         return None
     # each text column at its exact width: loadtxt truncates a longer field silently
@@ -205,9 +201,10 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
     except ValueError:
         return None
     value = np.ascontiguousarray(table[f"f{value_col}"])
-    dates = table[f"f{date_col}"].tolist()
-    ordinals = {date: _ordinal(date.decode()) for date in dict.fromkeys(dates)}
-    if not np.isfinite(value).all() or None in ordinals.values():
+    dates = table[f"f{date_col}"]
+    texts = np.unique(dates)  # sorted, so each row finds its text by binary search
+    ordinals = [_ordinal(text.decode()) for text in texts.tolist()]
+    if not np.isfinite(value).all() or None in ordinals:
         return None
     # a run of rows with equal raw key fields is one key: decode each run's first row only
     starts = np.zeros(rows, bool)
@@ -229,8 +226,41 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
     codes = [key_index.setdefault(key, len(key_index))
              for key in zip(ids, at_starts(store_col), at_starts(category_col))]
     series = np.repeat(np.array(codes, np.int64), np.diff(starts, append=rows))
-    day = np.fromiter(map(ordinals.__getitem__, dates), np.int64, rows)
-    return Observations(list(key_index), series, day, value), np.arange(2, rows + 2)
+    day = np.array(ordinals, np.int64)[np.searchsorted(texts, dates)]
+    return Observations(list(key_index), series, day, value), range(2, rows + 2)
+
+
+def _field_sizes(fh, width):
+    """(body rows, each column's widest field) of the plain long CSV open in ``fh``, else None.
+
+    The body is scanned one block of whole lines at a time, so no more than
+    one block of the file's bytes is held at once.
+    """
+    if not _plain(fh.readline()):  # the header
+        return None
+    rows, sizes = 0, [0] * width
+    while block := fh.read(_SCAN_BLOCK) + fh.readline():  # up to a line's end, or the file's
+        if not _plain(block):
+            return None
+        raw = np.frombuffer(block, np.uint8)
+        ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+        # a line with fewer than width - 1 commas (width >= 2 here, so a blank or
+        # whitespace-only line too) leaves another in its block with more, on which
+        # loadtxt raises
+        if len(commas) != len(ends) * (width - 1):
+            return None
+        inner = commas.reshape(len(ends), width - 1).T  # each line's j-th comma
+        lefts = [np.concatenate(([-1], ends[:-1])), *inner]
+        sizes = [max(size, int((right - left).max()) - 1)
+                 for size, left, right in zip(sizes, lefts, [*inner, ends])]
+        rows += len(ends)
+    return (rows, sizes) if rows else None
+
+
+def _plain(lines: bytes) -> bool:
+    """Whether ``lines`` are plain (see ``_load_columnar``) and end in a newline."""
+    return (lines.isascii() and not any(byte in lines for byte in b'"\r\0\x1c\x1d\x1e\x1f')
+            and lines.endswith(b"\n"))
 
 
 def _load_rows(reader, width, id_col, date_col, value_col, store_col, category_col):
@@ -276,8 +306,11 @@ def _load_rows(reader, width, id_col, date_col, value_col, store_col, category_c
     return _observations(list(key_index), series, days, values), lines, rejects
 
 
-def _check_duplicate_keys(observations: Observations, lines: array):
-    """Raise on the first row whose (series_id, store, date) an earlier row has."""
+def _check_duplicate_keys(observations: Observations, lines):
+    """Raise on the first row whose (series_id, store, date) an earlier row has.
+
+    ``lines`` holds each row's line number: an array, or a range.
+    """
     if not len(observations):
         return
     pairs: dict[tuple, int] = {}

@@ -1,15 +1,16 @@
 import csv
 import datetime as dt
 import io
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scalar_reference
-from movclust import core_data as cd
+from movclust import core_data as cd, sample
 from movclust.errors import DataError, DuplicateObservationError
 
 from conftest import DIFFERENTIAL, collection, day, observation_rows, observations, sym, ts
@@ -639,9 +640,19 @@ def _columnar_only():
     return mock.patch.object(cd, "_load_rows", side_effect=AssertionError("row loop used"))
 
 
+@pytest.fixture(params=[cd._SCAN_BLOCK, 1, 7, 64], ids=lambda size: f"block{size}")
+def scan_block(request):
+    """The plain-file scan at its own block size, then at 1, 7 and 64 bytes, whose reads
+    stop inside body lines, on blank lines and at the final newline."""
+    with mock.patch.object(cd, "_SCAN_BLOCK", request.param):
+        yield
+
+
 class TestColumnarLongCsv:
-    @DIFFERENTIAL
+    # the patched block size holds for every example, so one fixture per test suffices
+    @settings(DIFFERENTIAL, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(plain_long_csv())
+    @pytest.mark.usefixtures("scan_block")
     def test_matches_row_loop_and_reference(self, tmp_path_factory, case):
         text, schema = case
         path = tmp_path_factory.mktemp("plain") / "in.csv"
@@ -679,6 +690,7 @@ class TestColumnarLongCsv:
     ], ids=["non_ascii_id", "quoted_field", "crlf", "nul_in_id", "blank_line",
             "whitespace_line", "ragged_row", "ragged_pair", "no_final_newline", "header_only", "underscore",
             "inf", "bad_date", "empty_id", "unit_separator"])
+    @pytest.mark.usefixtures("scan_block")
     def test_fallback(self, tmp_path, body):
         path = tmp_path / "in.csv"
         path.write_bytes((self.HEADER + body).encode("utf-8"))
@@ -696,6 +708,7 @@ class TestColumnarLongCsv:
                 cd.load_long_csv(path)
         assert rows.call_count == 1
 
+    @pytest.mark.usefixtures("scan_block")
     def test_interleaved_stores_and_duplicate_line(self, tmp_path):
         path = write(tmp_path / "in.csv", self.HEADER + "A,2021-01-01,1,S1\nA,2021-01-01,2,S2\n"
                      " A ,2021-01-02,3,S1\nA,2021-01-02,4, S2\n")
@@ -708,12 +721,27 @@ class TestColumnarLongCsv:
             cd.load_long_csv(path)
 
     @pytest.mark.parametrize("name", ["price_long.csv", "sales_long.csv"])
+    @pytest.mark.usefixtures("scan_block")
     def test_samples_take_the_columnar_path(self, sample_dir, name):
         for path in (SAMPLE_DATA / name, sample_dir / name):
             with _row_loop_only():
                 expected = _loaded(path)
             with _columnar_only():
                 assert _loaded(path) == expected
+
+    def test_peak_memory_is_bounded_by_the_file_size(self, tmp_path):
+        path = tmp_path / "in.csv"
+        sample.write_long_csv(sample.make_sales_rows(seed=3, n_items=50, n_stores=4, n_days=365),
+                              path)
+        tracemalloc.start()
+        try:
+            with _columnar_only():
+                cd.load_long_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy's arrays count here: the parsed table alone is about 1.2x the file
+        assert peak <= 3.5 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
