@@ -114,21 +114,24 @@ def _nearest(dists) -> tuple[np.ndarray, list]:
     return labels, repaired
 
 
-def _sq_dists(X, centers, out) -> np.ndarray:
-    """``out[i, c]`` = squared distance from row i of ``X`` to centre c.
+def _sq_dists(X, centers, out, which=None) -> np.ndarray:
+    """``out[i, c]`` = squared distance from row i of ``X`` to centre c, for each c of ``which``.
 
-    One (n, m) temporary per centre instead of an (n, k, m) cube: each entry
-    is the same contiguous row sum either way.
+    ``which`` defaults to every centre; the other columns of ``out`` are
+    left as they are.  One (n, m) temporary per centre instead of an
+    (n, k, m) cube: each entry is the same contiguous row sum either way.
     """
-    for c, center in enumerate(centers):
-        out[:, c] = ((X - center) ** 2).sum(axis=1)
+    for c in range(len(centers)) if which is None else which:
+        out[:, c] = ((X - centers[c]) ** 2).sum(axis=1)
     return out
 
 
 def kmeans(collection, k: int, seed: int = 0) -> ClusterAssignment:
     """Lloyd iterations over the rows of a SeriesCollection, from ``_start``.
 
-    The objective is the final WCSS.
+    A centre whose mean comes out bit-identical to the centre it replaces
+    keeps its column of distances; only the columns of moved centres are
+    worked out again.  The objective is the final WCSS.
     """
     X = np.asarray(collection.values, dtype=float)
     n = len(X)
@@ -137,11 +140,14 @@ def kmeans(collection, k: int, seed: int = 0) -> ClusterAssignment:
     prev_wcss = np.inf
     labels = None
     d2 = np.empty((n, k))
+    moved = range(k)
     for _ in range(KMEANS_MAX_ITER):
-        new_labels, repaired = _nearest(_sq_dists(X, centers, d2))
+        new_labels, repaired = _nearest(_sq_dists(X, centers, d2, moved))
+        old = centers.view(np.uint64).copy()
         for c in range(k):
             members = new_labels == c
             centers[c] = X[members].mean(axis=0)
+        moved = np.flatnonzero((centers.view(np.uint64) != old).any(axis=1)).tolist()
         wcss = float(((X - centers[new_labels]) ** 2).sum())
         if not repaired and wcss > prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)):
             raise RuntimeError(f"k-means WCSS increased from {prev_wcss!r} to {wcss!r}")

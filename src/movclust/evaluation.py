@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import mpbd_upper
+from .distances import delta_rows, mpbd_upper
 from .errors import DataError, DegenerateGeometryError
 from .tables import NUMBER, write_rows
 
@@ -69,35 +69,79 @@ def _db(mus, spreads) -> float:
     return _running_sum(worst) / k
 
 
-def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None) -> float:
+def step_bins(levels, omega: float = 2.0):
+    """Each series' step deltas as histogram bins, and the MPBD cost of each pair of bins.
+
+    Returns (bins, costs) when ``distances.delta_rows`` gives int8 deltas,
+    so that every step cost |a - b| x (omega where the signs of a and b
+    differ, else 1) is an exact integer of at most 127, and when the pairs
+    of all the series would sum below 2**53 at the largest cost; else None.
+    ``bins[i, t]`` is series i's delta at step t less the smallest delta, a
+    bin of 0..V-1, and ``costs`` is the (V, V) int64 table of the step cost
+    between the deltas of two bins.
+    """
+    D, _, w = delta_rows(np.asarray(levels, dtype=float), omega)
+    if D.dtype != np.int8:
+        return None
+    lo = int(D.min())
+    deltas = np.arange(lo, int(D.max()) + 1)
+    signs = np.sign(deltas)
+    costs = np.abs(deltas[:, None] - deltas) * np.where(signs[:, None] != signs, int(w), 1)
+    n, steps = D.shape
+    # every sum below 2**53 is also what adding the pairs' float costs one at a time gives
+    if n * (n - 1) // 2 * steps * int(costs.max()) >= 2**53:
+        return None
+    return D - np.int8(lo), costs
+
+
+def _binned_pair_sum(bins, costs, members) -> int:
+    """The exact sum of the pairwise MPBD of ``members``, from ``step_bins``.
+
+    With N_t the count of members in each bin at step t, the pairs cost
+    1/2 sum_t N_t' costs N_t: a bin's cost to itself is 0.
+    """
+    steps, width = bins.shape[1], len(costs)
+    counts = np.bincount((bins[members] + np.arange(0, steps * width, width)).ravel(),
+                         minlength=steps * width).reshape(steps, width)
+    return int(((counts @ costs) * counts).sum()) // 2
+
+
+def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None) -> float:
     """Movement-pattern index: per-cluster mean pairwise raw distance.
 
     Per cluster, the pairwise mpbd sum divided by the cluster size; the
     result averages those over clusters.  Singletons contribute 0; lower
-    is better.  Each cluster's pairs are the upper triangle of its rows of
-    ``raw_mpbd``, which is ``distances.mpbd_upper`` of ``levels`` at this
-    ``omega``; without it, of ``mpbd_upper`` of the cluster's levels.
+    is better.  A cluster's pair sum is counted from ``bins``, the
+    ``step_bins`` of ``levels`` at this ``omega``, worked out here unless
+    ``raw_mpbd`` is given, when those apply.  Otherwise its pairs are added
+    in (a, b) order: the upper triangle of its rows of ``raw_mpbd``, which
+    is ``distances.mpbd_upper`` of ``levels`` at this ``omega``, or without
+    it of ``mpbd_upper`` of the cluster's levels.  Both give the same bits.
     """
     levels = np.asarray(levels, dtype=float)
+    if raw_mpbd is None and bins is None:
+        bins = step_bins(levels, omega)
     total = 0.0
     for members in _groups(ids, assignment):
-        if raw_mpbd is None:
-            within = mpbd_upper(levels[members], omega)
+        if bins is not None:
+            pair_sum = float(_binned_pair_sum(*bins, members)) if len(members) > 1 else 0.0
         else:
-            within = raw_mpbd[np.ix_(members, members)]
-        # one cluster's pairs, added in (a, b) order
-        total += _running_sum(within[np.triu_indices(len(members), 1)]) / len(members)
+            within = (mpbd_upper(levels[members], omega) if raw_mpbd is None
+                      else raw_mpbd[np.ix_(members, members)])
+            # one cluster's pairs, added in (a, b) order
+            pair_sum = _running_sum(within[np.triu_indices(len(members), 1)])
+        total += pair_sum / len(members)
     return total / assignment.k
 
 
 def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
-             raw_mpbd=None) -> ValidityReport:
+             raw_mpbd=None, bins=None) -> ValidityReport:
     """Score ``assignment`` with every index; degenerate geometry is noted, not fatal.
 
     The clusters, their means and each one's sum of squared deviations are
     worked out once: the sums give WCSS for both CH forms and the spreads
-    of DB.  ``raw_mpbd`` is passed on to ``mpbi``, which is called by its
-    public name so that a wrapper around it sees every call.
+    of DB.  ``raw_mpbd`` and ``bins`` are passed on to ``mpbi``, which is
+    called by its public name so that a wrapper around it sees every call.
     """
     X = np.asarray(vectors, dtype=float)
     n, k = X.shape[0], assignment.k
@@ -124,27 +168,33 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
         db = _db(mus, np.sqrt(within / sizes))
     except DegenerateGeometryError as exc:
         notes["db"] = str(exc)
-    index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd)
+    index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd, bins=bins)
     return ValidityReport(k, ch, ch_paper, db, index, notes or None)
 
 
 def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0) -> list[SweepRow]:
     """Run cluster_fn(k) for each k and score it; per-k failures become notes.
 
-    Every k's MPBI reads one raw MPBD matrix over ``levels``, computed once.
+    Every k's MPBI counts from the ``step_bins`` of ``levels``, or where
+    those do not apply reads one raw MPBD matrix over ``levels``; either is
+    computed once.
     """
     ks = sorted(set(int(k) for k in ks))
-    raw_mpbd = None
+    raw_mpbd = bins = None
     if ks and len(levels) >= 2:
-        try:
-            raw_mpbd = mpbd_upper(np.asarray(levels, dtype=float), omega)
-        except DataError:
-            pass  # series too short to move: each k's mpbi meets and notes the same error
+        levels = np.asarray(levels, dtype=float)
+        bins = step_bins(levels, omega)
+        if bins is None:
+            try:
+                raw_mpbd = mpbd_upper(levels, omega)
+            except DataError:
+                pass  # series too short to move: each k's mpbi meets and notes the same error
     rows = []
     for k in ks:
         try:
             assignment = cluster_fn(k)
-            report = evaluate(vectors, levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd)
+            report = evaluate(vectors, levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd,
+                              bins=bins)
         except (DataError, DegenerateGeometryError) as exc:
             rows.append(SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
             continue

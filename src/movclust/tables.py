@@ -115,6 +115,9 @@ def write_table(path, header, ids, rows: np.ndarray, sidecar: dict | None = None
 #: The largest share of a matrix's cells that its distinct values may make up
 #: for ``_row_texts`` to format each distinct value once.
 _DISTINCT_SHARE = 0.25
+#: Odd multiplier of ``_distinct_index``'s hash, 2**64 over the golden ratio:
+#: the top bits of a cell's bits times it, wrapped in uint64, pick its slot.
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 
 
 def _row_texts(rows, cell):
@@ -135,11 +138,36 @@ def _row_texts(rows, cell):
     # numpy 2.4's bare np.unique(keys) hashes, 70x slower than sorting on distinct keys
     ordered = np.sort(keys)
     distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    del ordered
     if len(distinct) > _DISTINCT_SHARE * len(keys):
         line = ",".join([cell] * m)
         return (line % tuple(row.tolist()) for row in rows)
     texts = np.array([cell % v for v in distinct.view(values.dtype).tolist()], dtype=object)
-    return [",".join(row) for row in texts[np.searchsorted(distinct, keys)].reshape(n, m).tolist()]
+    return [",".join(row) for row in texts[_distinct_index(distinct, keys)].reshape(n, m).tolist()]
+
+
+def _distinct_index(distinct, keys):
+    """The index of each of ``keys`` in the sorted array ``distinct``, which holds them all.
+
+    Each key is hashed to a slot of a table of 2 to 4 times as many slots
+    as there are distinct keys, which holds the index of one distinct key
+    that hashes there.  A key that differs from the one its slot names is
+    found by binary search.  So the result is exact whatever the hash, and
+    the table is never larger than the index array it fills, as there are
+    at most a quarter as many distinct keys as keys.
+    """
+    bits = (len(distinct) - 1).bit_length() + 1
+    shift, multiplier = np.uint64(64 - bits), np.uint64(_HASH_MULTIPLIER)
+    table = np.zeros(1 << bits, dtype=np.intp)
+    table[(distinct.astype(np.uint64) * multiplier) >> shift] = np.arange(len(distinct))
+    slots = keys.astype(np.uint64)
+    slots *= multiplier
+    slots >>= shift
+    index = table[slots]
+    del slots
+    miss = np.flatnonzero(distinct[index] != keys)
+    index[miss] = np.searchsorted(distinct, keys[miss])
+    return index
 
 
 def _checked_rows(reader, path):

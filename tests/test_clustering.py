@@ -154,6 +154,50 @@ class TestKmeans:
         got = cl._sq_dists(X, centers, np.empty((n, k)))
         assert got.tobytes() == sq_dists_ref(X, centers).tobytes()
 
+    @staticmethod
+    def traced_kmeans(monkeypatch, X, k, seed):
+        """kmeans of ``X``, and per iteration the centres it measured and the repairs it made."""
+        measured, repairs = [], []
+        sq_dists, nearest = cl._sq_dists, cl._nearest
+
+        def counting_sq_dists(X, centers, out, which=None):
+            measured.append(list(which))
+            return sq_dists(X, centers, out, which)
+
+        def counting_nearest(dists):
+            labels, repaired = nearest(dists)
+            repairs.append(list(repaired))
+            return labels, repaired
+
+        monkeypatch.setattr(cl, "_sq_dists", counting_sq_dists)
+        monkeypatch.setattr(cl, "_nearest", counting_nearest)
+        ids = [f"p{i:03d}" for i in range(len(X))]
+        got = cl.kmeans(SeriesCollection(ids, X), k=k, seed=seed)
+        expected = kmeans_ref(X, ids, k=k, seed=seed)
+        assert got.labels == expected.labels
+        assert float.hex(got.objective) == float.hex(expected.objective)
+        return measured, repairs
+
+    def test_settled_centres_keep_their_distances(self, monkeypatch):
+        # blobs of different spreads: the centres stop moving at different iterations
+        rng = np.random.default_rng(2)
+        X = np.concatenate([rng.normal(c, 1.0, size=(30, 2)) for c in (0, 4, 8, 30)])
+        measured, _ = self.traced_kmeans(monkeypatch, X, 6, seed=1)
+        counts = [len(which) for which in measured]
+        assert counts == [6, 6, 5, 5, 4, 2, 2, 2]
+
+    def test_repair_after_a_centre_settled(self, monkeypatch):
+        # Seed 23 starts at -1, then 100, 3.5 and -3.3.  The blob at 100 never
+        # moves.  After one update the mean of {-1, 1, 1} lies farther from -1
+        # than the mean of the -3.3 cluster, and from 1 than the mean of the
+        # 3.5 cluster, so its cluster empties on the second assignment, which
+        # reuses the blob's column.
+        X = np.array([-3.3] + [-2.2] * 8 + [-1.0] + [1.0] * 2 + [1.3] * 6 + [3.5]
+                     + [100.0] * 3)[:, None]
+        measured, repairs = self.traced_kmeans(monkeypatch, X, 4, seed=23)
+        assert measured[:2] == [[0, 1, 2, 3], [0, 2, 3]]
+        assert repairs[:2] == [[], [(0, 18)]]
+
 
 class TestKmedoids:
     def test_two_zero_blocks(self):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,6 +320,81 @@ class TestInvariances:
         r1, r2 = report(X, [1, 2, 3, 1, 2, 3]), report(X, [2, 3, 1, 2, 3, 1])
         for index in ("ch", "ch_paper", "db"):
             assert getattr(r1, index) == pytest.approx(getattr(r2, index))
+
+
+class TestMpbiFromStepBins:
+    """MPBI counted from per-cluster step-delta histograms equals the pair sums bit for bit.
+
+    No step cost of exactly 127 passes the int8 gate, as 127 is odd: flat
+    series at omega 127 meet its bound of 127, and steps of +-63 at omega 1
+    make the largest cost it admits, 126.
+    """
+
+    #: (the values each level is drawn from, omega, whether ``step_bins`` applies)
+    EDGES = [
+        ((3.0,), 127.0, True),  # flat series: the bound max(2 * 0, 1) * 127 is 127
+        ((0.0, 63.0), 1.0, True),  # a cost of 126 between the steps +63 and -63
+        ((0.0, 21.0), 3.0, True),  # a cost of 126, a gap of 42 at weight 3
+        ((0.0, 64.0), 1.0, False),  # a cost of 128
+        ((0.0, 32.0), 2.0, False),  # a cost of 128, a gap of 64 at weight 2
+        ((1.0, 5.0), 0.3, False),  # a non-integral omega
+        ((0.5, 1.0, 2.25), 2.0, False),  # non-integral steps
+    ]
+
+    @staticmethod
+    def check(levels, labels, omega, binned):
+        a, ids = assign(labels)
+        assert (ev.step_bins(levels, omega) is not None) == binned
+        got = float.hex(ev.mpbi(levels, ids, a, omega=omega))
+        assert got == float.hex(mpbi_rows_ref(levels, ids, a, omega=omega))
+        assert got == float.hex(mpbi_ref(levels, labels, omega=omega))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 30), st.data(),
+           st.sampled_from([0.0, 1.0, 2.0, 15.0]), st.integers(0, 2**32 - 1))
+    def test_symbolic_levels_match_the_references(self, n, length, data, omega, seed):
+        rng = np.random.default_rng(seed)
+        labels = random_labels(rng, n, data.draw(st.integers(2, n), label="k"))
+        self.check(rng.integers(1, 6, size=(n, length)).astype(float), labels, omega, True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 30), st.data(), st.sampled_from(EDGES),
+           st.integers(0, 2**32 - 1))
+    def test_the_gate_edges_match_the_references(self, n, length, data, edge, seed):
+        values, omega, binned = edge
+        rng = np.random.default_rng(seed)
+        labels = random_labels(rng, n, data.draw(st.integers(2, n), label="k"))
+        levels = rng.choice(values, size=(n, length))
+        # the drawn levels may lack the step that sets the bound
+        levels[0, :2] = values[0], values[-1]
+        levels[1, :2] = values[-1], values[0]
+        self.check(levels, labels, omega, binned)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 30), st.data(), st.integers(0, 2**32 - 1))
+    def test_float_levels_keep_the_pair_sums(self, n, length, data, seed):
+        rng = np.random.default_rng(seed)
+        labels = random_labels(rng, n, data.draw(st.integers(2, n), label="k"))
+        self.check(rng.normal(size=(n, length)), labels, 2.0, False)
+
+    def test_one_day_series_cannot_move(self):
+        a, ids = assign([1, 1, 2])
+        with pytest.raises(DataError, match="length >= 2"):
+            ev.mpbi([[3.0], [4.0], [5.0]], ids, a)
+
+    def test_sweep_of_integer_levels_builds_no_raw_matrix(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(12, 2))
+        levels = rng.integers(1, 6, size=(12, 9)).astype(float)
+        ids = [f"s{i:02d}" for i in range(12)]
+        fn = lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=0)
+        expected = {omega: sweep_k_ref(X, levels, ids, range(2, 7), fn, omega=omega)
+                    for omega in (2.0, 0.3)}
+        with mock.patch.object(ev, "mpbd_upper", side_effect=AssertionError("raw matrix")):
+            assert ev.sweep_k(X, levels, ids, range(2, 7), fn, omega=2.0) == expected[2.0]
+        with mock.patch.object(ev, "mpbd_upper", wraps=mpbd_upper) as raw:
+            assert ev.sweep_k(X, levels, ids, range(2, 7), fn, omega=0.3) == expected[0.3]
+        raw.assert_called_once()
 
 
 def _outcome(fn, *args, **kwargs):

@@ -167,18 +167,46 @@ def typed_tables(dtype):
     return tables(st.integers(int(info.min), int(info.max)), dtype)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([np.float16, np.float32, np.float64, np.int8, np.int16, np.int32,
-                        np.int64, np.uint8, np.uint64]).flatmap(typed_tables))
-@with_examples(EDGE_TABLES + LEVEL_TABLES)
-def test_every_dtype_matches_the_wide_writer(tmp_path_factory, table):
-    """``write_table`` writes a matrix of any numeric dtype as the old per-cell writer did."""
+#: Tables of every numeric dtype that ``write_table`` takes.
+TYPED_TABLES = st.sampled_from([np.float16, np.float32, np.float64, np.int8, np.int16, np.int32,
+                                np.int64, np.uint8, np.uint64]).flatmap(typed_tables)
+#: A table whose distinct values are exactly ``_DISTINCT_SHARE`` of its cells.
+AT_THE_SHARE = square([0.5, -0.0, np.nan, 7.0], n=4)
+
+
+def matches_the_wide_writer(tmp, table):
+    """Whether ``write_table`` writes ``table`` as the old per-cell writer did."""
     ids, values = table
     days = dates(values.shape[1])
     header = ["series_id"] + [d.isoformat() for d in days]
     wide = SimpleNamespace(ids=ids, values=values)  # keeps the dtype a SeriesCollection would not
-    assert same_bytes(tmp_path_factory.mktemp("d"), lambda p: write_table(p, header, ids, values),
+    return same_bytes(tmp, lambda p: write_table(p, header, ids, values),
                       lambda p: write_wide_ref(p, wide, days, symbolic=values.dtype.kind in "iu"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TYPED_TABLES)
+@with_examples(EDGE_TABLES + LEVEL_TABLES + [AT_THE_SHARE])
+def test_every_dtype_matches_the_wide_writer(tmp_path_factory, table):
+    """``write_table`` writes a matrix of any numeric dtype as the old per-cell writer did."""
+    assert matches_the_wide_writer(tmp_path_factory.mktemp("d"), table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TYPED_TABLES)
+@with_examples(EDGE_TABLES + LEVEL_TABLES + [AT_THE_SHARE])
+def test_hash_misses_find_their_text(tmp_path_factory, table):
+    """With every cell hashed to one slot, all but one distinct value are found by search."""
+    with mock.patch.object(tb, "_HASH_MULTIPLIER", 0):
+        assert matches_the_wide_writer(tmp_path_factory.mktemp("h"), table)
+
+
+def test_a_share_at_the_bound_formats_each_distinct_value_once(tmp_path):
+    ids, values = AT_THE_SHARE
+    assert len(np.unique(values.view(np.uint64))) == tb._DISTINCT_SHARE * values.size
+    with mock.patch.object(tb, "_distinct_index", wraps=tb._distinct_index) as lookup:
+        assert matches_the_wide_writer(tmp_path, AT_THE_SHARE)
+    lookup.assert_called_once()
 
 
 @settings(max_examples=200, deadline=None)
