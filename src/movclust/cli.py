@@ -396,7 +396,8 @@ def cmd_preprocess(run):
             omega=cfg["omega"],
             window=cfg["dtw_window"],
         )
-        keep = np.isin(symbolic.ids, filtered.ids)
+        kept = set(filtered.ids)  # np.isin would import numpy.ma, as np.unique does in numpy 2.4
+        keep = np.array([sid in kept for sid in symbolic.ids], dtype=bool)
         original, scaled = (c.select(keep, filtered.provenance) for c in (original, scaled))
         symbolic = filtered
 

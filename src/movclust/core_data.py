@@ -109,10 +109,6 @@ class SeriesCollection:
 # Loading
 
 
-#: Bytes that ``_field_sizes`` reads at a time, then up to the end of the line they end in.
-_SCAN_BLOCK = 1 << 20
-
-
 def _ordinal(text: str):
     """Day ordinal of an ISO date string, or None when it does not parse."""
     try:
@@ -176,22 +172,18 @@ def load_long_csv(path, schema: dict | None = None):
 def _load_columnar(path, width, id_col, date_col, value_col, store_col, category_col):
     """(observations, line numbers) of a plain long CSV, parsed by numpy, else None.
 
-    A plain file is ASCII without a quote, carriage return, NUL (which
-    numpy's fixed-width strings drop) or 0x1c-0x1f byte (which numpy's
-    float parser strips and ``float`` does not); it ends in a newline and
-    has body rows, each of exactly ``width`` fields.  Any row the row loop
-    would reject also gives None, so that loop alone decides every reject.
+    A plain file is one that ``tables.plain_field_sizes`` scans.  Any row the
+    row loop would reject also gives None, so that loop alone decides every
+    reject.
     """
     keys = [col for col in (id_col, store_col, category_col) if col is not None]
     if value_col in (date_col, *keys):
         return None
     with open(path, "rb") as fh:
-        scanned = _field_sizes(fh, width)
+        scanned = tables.plain_field_sizes(fh, width)
     if scanned is None:
         return None
     rows, sizes = scanned
-    if max(sizes) > tables.field_size_limit():
-        return None
     # each text column at its exact width: loadtxt truncates a longer field silently
     dtype = [(f"f{j}", "f8" if j == value_col else f"S{max(size, 1)}")
              for j, size in enumerate(sizes)]
@@ -201,10 +193,8 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
     except ValueError:
         return None
     value = np.ascontiguousarray(table[f"f{value_col}"])
-    dates = table[f"f{date_col}"]
-    texts = np.unique(dates)  # sorted, so each row finds its text by binary search
-    ordinals = [_ordinal(text.decode()) for text in texts.tolist()]
-    if not np.isfinite(value).all() or None in ordinals:
+    day = _days(table, f"f{date_col}")
+    if not np.isfinite(value).all() or day is None:
         return None
     # a run of rows with equal raw key fields is one key: decode each run's first row only
     starts = np.zeros(rows, bool)
@@ -226,41 +216,59 @@ def _load_columnar(path, width, id_col, date_col, value_col, store_col, category
     codes = [key_index.setdefault(key, len(key_index))
              for key in zip(ids, at_starts(store_col), at_starts(category_col))]
     series = np.repeat(np.array(codes, np.int64), np.diff(starts, append=rows))
-    day = np.array(ordinals, np.int64)[np.searchsorted(texts, dates)]
     return Observations(list(key_index), series, day, value), range(2, rows + 2)
 
 
-def _field_sizes(fh, width):
-    """(body rows, each column's widest field) of the plain long CSV open in ``fh``, else None.
+def _days(table, name):
+    """The day ordinal of each row's date, the bytes field ``name`` of ``table``, else None.
 
-    The body is scanned one block of whole lines at a time, so no more than
-    one block of the file's bytes is held at once.
+    None when a text is not a date.  Each distinct text is decoded once.
     """
-    if not _plain(fh.readline()):  # the header
+    code, used, texts = _text_codes(table, name)
+    ordinals = [_ordinal(text.decode()) for text in texts.tolist()]
+    if None in ordinals:
         return None
-    rows, sizes = 0, [0] * width
-    while block := fh.read(_SCAN_BLOCK) + fh.readline():  # up to a line's end, or the file's
-        if not _plain(block):
-            return None
-        raw = np.frombuffer(block, np.uint8)
-        ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
-        # a line with fewer than width - 1 commas (width >= 2 here, so a blank or
-        # whitespace-only line too) leaves another in its block with more, on which
-        # loadtxt raises
-        if len(commas) != len(ends) * (width - 1):
-            return None
-        inner = commas.reshape(len(ends), width - 1).T  # each line's j-th comma
-        lefts = [np.concatenate(([-1], ends[:-1])), *inner]
-        sizes = [max(size, int((right - left).max()) - 1)
-                 for size, left, right in zip(sizes, lefts, [*inner, ends])]
-        rows += len(ends)
-    return (rows, sizes) if rows else None
+    by_code = np.zeros(used[-1] + 1, np.int64)
+    by_code[used] = ordinals
+    return by_code[code]
 
 
-def _plain(lines: bytes) -> bool:
-    """Whether ``lines`` are plain (see ``_load_columnar``) and end in a newline."""
-    return (lines.isascii() and not any(byte in lines for byte in b'"\r\0\x1c\x1d\x1e\x1f')
-            and lines.endswith(b"\n"))
+def _text_codes(table, name):
+    """(each row's code, the codes in use, their texts) of the bytes field ``name`` of ``table``.
+
+    A text is coded by its bytes in mixed radix over the positions whose
+    bytes vary, each byte less the smallest at its position.  The code is
+    exact, and a span of dates takes a few thousand codes at most.  Were
+    there to be more codes than rows and 2**16, a text's code is its index
+    among the sorted distinct texts instead.
+    """
+    field, offset = table.dtype.fields[name][:2]
+    rows = len(table)
+    # the field's bytes as one row per position in the text, a view of the table
+    positions = np.ndarray((field.itemsize, rows), np.uint8, table, offset, (1, table.itemsize))
+    code = np.zeros(rows, np.int64)
+    codes, digits = 1, []
+    for position, column in enumerate(positions):
+        column = np.ascontiguousarray(column)
+        lo, hi = int(column.min()), int(column.max())
+        if lo == hi:
+            continue
+        radix = hi - lo + 1
+        codes *= radix
+        if codes > max(rows, 1 << 16):
+            texts, code = np.unique(table[name], return_inverse=True)
+            return code, np.arange(len(texts)), texts
+        code *= radix
+        code += column
+        code -= lo
+        digits.append((position, lo, radix))
+    used = np.flatnonzero(np.bincount(code, minlength=codes))
+    spelled = np.repeat(positions[:, :1].T, len(used), axis=0)  # the first row's bytes
+    rest = used.copy()
+    for position, lo, radix in reversed(digits):
+        spelled[:, position] = rest % radix + lo
+        rest //= radix
+    return code, used, spelled.view(field).reshape(-1)
 
 
 def _load_rows(reader, width, id_col, date_col, value_col, store_col, category_col):
@@ -566,6 +574,26 @@ def filter_outliers(
     entries = matrix.entries.copy()
     np.fill_diagonal(entries, np.inf)
     nn = entries.min(axis=1)
-    keep = nn <= float(np.percentile(nn, percentile))
+    keep = nn <= _percentile(nn, percentile)
     return _keep(collection, keep, "filter_outliers",
                  {"metric": metric, "percentile": percentile, "omega": omega})
+
+
+def _percentile(values, q: float) -> float:
+    """``float(np.percentile(values, q))``, by its default linear method.
+
+    numpy 2.4's percentile picks its order statistics through a bare
+    ``np.unique``, whose masked-array check imports ``numpy.ma``: 11-14 ms
+    of each process that filters outliers.  Here the same float operations
+    run on the same two order statistics of the sorted ``values``, so the
+    result has numpy's bits, but for the sign of a zero where 0.0 and -0.0
+    tie, which no comparison sees.
+    """
+    ordered = np.sort(values)
+    virtual = (len(ordered) - 1) * (q / 100)
+    if virtual >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = math.floor(virtual)
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    t = virtual - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t

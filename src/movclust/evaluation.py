@@ -5,6 +5,10 @@ forms, Davies-Bouldin and the movement-pattern index.  CH's ``standard``
 form is the conventional higher-is-better one, (BCSS_w / (k-1)) / (WCSS /
 (n-k)) with the size-weighted BCSS; its ``paper`` form is the inverted,
 lower-is-better WCSS / BCSS with the unweighted BCSS.
+
+A sweep's clusterings share most of their clusters (a hierarchical sweep
+over k = 2..20 has at most 38 distinct ones among its 209), so ``sweep_k``
+works out each distinct cluster's mean row, scatter and MPBI term once.
 """
 
 from __future__ import annotations
@@ -46,6 +50,21 @@ def _groups(ids, assignment):
             raise DataError(f"cluster {c} is empty")
         groups.append(members)
     return groups
+
+
+def _per_cluster(cache, name, members, compute):
+    """``compute(members)``, kept in ``cache`` under ``name`` and the member indices.
+
+    ``cache`` holds the values of one sweep, over one set of vectors and
+    levels at one omega; without it each value is worked out anew.  A kept
+    value came from the same operations, so it has the same bits.
+    """
+    if cache is None:
+        return compute(members)
+    key = (name, members.tobytes())
+    if key not in cache:
+        cache[key] = compute(members)
+    return cache[key]
 
 
 def _running_sum(values) -> float:
@@ -106,7 +125,8 @@ def _binned_pair_sum(bins, costs, members) -> int:
     return int(((counts @ costs) * counts).sum()) // 2
 
 
-def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None) -> float:
+def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None, groups=None,
+         cache=None) -> float:
     """Movement-pattern index: per-cluster mean pairwise raw distance.
 
     Per cluster, the pairwise mpbd sum divided by the cluster size; the
@@ -117,12 +137,14 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None) 
     in (a, b) order: the upper triangle of its rows of ``raw_mpbd``, which
     is ``distances.mpbd_upper`` of ``levels`` at this ``omega``, or without
     it of ``mpbd_upper`` of the cluster's levels.  Both give the same bits.
+    ``groups``, the member indices of each cluster, are worked out from
+    ``assignment`` when not given; ``cache`` is ``_per_cluster``'s.
     """
     levels = np.asarray(levels, dtype=float)
     if raw_mpbd is None and bins is None:
         bins = step_bins(levels, omega)
-    total = 0.0
-    for members in _groups(ids, assignment):
+
+    def term(members):
         if bins is not None:
             pair_sum = float(_binned_pair_sum(*bins, members)) if len(members) > 1 else 0.0
         else:
@@ -130,18 +152,24 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None) 
                       else raw_mpbd[np.ix_(members, members)])
             # one cluster's pairs, added in (a, b) order
             pair_sum = _running_sum(within[np.triu_indices(len(members), 1)])
-        total += pair_sum / len(members)
+        return pair_sum / len(members)
+
+    total = 0.0
+    for members in _groups(ids, assignment) if groups is None else groups:
+        total += _per_cluster(cache, "mpbi", members, term)
     return total / assignment.k
 
 
 def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
-             raw_mpbd=None, bins=None) -> ValidityReport:
+             raw_mpbd=None, bins=None, cache=None) -> ValidityReport:
     """Score ``assignment`` with every index; degenerate geometry is noted, not fatal.
 
     The clusters, their means and each one's sum of squared deviations are
     worked out once: the sums give WCSS for both CH forms and the spreads
-    of DB.  ``raw_mpbd`` and ``bins`` are passed on to ``mpbi``, which is
-    called by its public name so that a wrapper around it sees every call.
+    of DB.  ``raw_mpbd`` and ``bins`` are passed on to ``mpbi``, with the
+    clusters and ``cache`` (see ``_per_cluster``); it is called by its
+    public name, with ``assignment`` third, so that a wrapper around it
+    sees every call and can count its pairs.
     """
     X = np.asarray(vectors, dtype=float)
     n, k = X.shape[0], assignment.k
@@ -149,8 +177,14 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
         raise DataError(f"ch_index requires 2 <= k < n, got k={k}, n={n}")
     groups = _groups(ids, assignment)
     sizes = np.array([len(members) for members in groups])
-    mus = np.stack([X[members].mean(axis=0) for members in groups])
-    within = np.array([((X[members] - mu) ** 2).sum() for members, mu in zip(groups, mus)])
+
+    def scatter(members):
+        rows = X[members]
+        mu = rows.mean(axis=0)
+        return mu, ((rows - mu) ** 2).sum()
+
+    mus, within = zip(*(_per_cluster(cache, "scatter", members, scatter) for members in groups))
+    mus, within = np.stack(mus), np.array(within)
     grand = X.mean(axis=0)
     between = np.array([((mu - grand) ** 2).sum() for mu in mus])
     wcss, bcss = _running_sum(within), _running_sum(between)
@@ -168,7 +202,8 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
         db = _db(mus, np.sqrt(within / sizes))
     except DegenerateGeometryError as exc:
         notes["db"] = str(exc)
-    index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd, bins=bins)
+    index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd, bins=bins,
+                 groups=groups, cache=cache)
     return ValidityReport(k, ch, ch_paper, db, index, notes or None)
 
 
@@ -177,7 +212,7 @@ def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0) -> list[Sw
 
     Every k's MPBI counts from the ``step_bins`` of ``levels``, or where
     those do not apply reads one raw MPBD matrix over ``levels``; either is
-    computed once.
+    computed once, and so is each distinct cluster's share of every index.
     """
     ks = sorted(set(int(k) for k in ks))
     raw_mpbd = bins = None
@@ -189,12 +224,12 @@ def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0) -> list[Sw
                 raw_mpbd = mpbd_upper(levels, omega)
             except DataError:
                 pass  # series too short to move: each k's mpbi meets and notes the same error
-    rows = []
+    rows, cache = [], {}
     for k in ks:
         try:
             assignment = cluster_fn(k)
             report = evaluate(vectors, levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd,
-                              bins=bins)
+                              bins=bins, cache=cache)
         except (DataError, DegenerateGeometryError) as exc:
             rows.append(SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
             continue

@@ -6,16 +6,21 @@ inputs of ``core_data``'s loaders too.  A table is a header row, then one
 row per id: the id, then its cells.  A table's sidecar holds what the
 cells do not say, in a JSON file of the same name.  ``write_table`` writes
 every numeric table, and formats each distinct value once when a table's
-values repeat enough.  ``as_written`` gives a float matrix as
-``read_table`` would read it back, for a caller that keeps the matrix it
-wrote.
+values repeat enough.  ``read_table`` parses a plain table (see
+``plain_field_sizes``, which ``core_data``'s long loader shares) of float or
+int cells with one ``np.loadtxt`` call, and every other table with the csv
+module, to the same ids, bits and errors.  ``as_written`` gives a float
+matrix as ``read_table`` would read it back, for a caller that keeps the
+matrix it wrote.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -174,12 +179,37 @@ def _checked_rows(reader, path):
     """The rows of the csv ``reader`` over the file ``path``.
 
     A row the csv module cannot read, such as one with a field over its
-    size limit, is a data error that names the file and line.
+    size limit, is a data error that names the file and line, and a byte
+    that is not UTF-8 text one that names the file and the byte's offset.
     """
     try:
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> DataError:
+    """The data error for the first byte of the file ``path`` that is not UTF-8 text.
+
+    The file is decoded one block at a time, so no more than a block of it
+    is held at once.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    start = 0  # the file offset of the block being decoded
+    with open(str(path), "rb") as fh:
+        while True:
+            block = fh.read(_SCAN_BLOCK)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # exc.object is the block after the bytes held over from the blocks before it
+                offset = start - (len(exc.object) - len(block)) + exc.start
+                return DataError(f"{path}, byte {offset}: not UTF-8 ({exc.reason})")
+            if not block:
+                return DataError(f"{path}: not UTF-8")  # the file changed while it was read
+            start += len(block)
 
 
 @contextmanager
@@ -187,8 +217,8 @@ def reading(path):
     """(header row, iterator over the rows after it) of the CSV file ``path``, kept open.
 
     An unopenable file, one with no header row (an empty file or a blank
-    first line) and a line the csv module cannot read are data errors that
-    name the file.
+    first line), a line the csv module cannot read and a byte that is not
+    UTF-8 text are data errors that name the file.
     """
     try:
         fh = open(str(path), newline="", encoding="utf-8")
@@ -202,9 +232,61 @@ def reading(path):
         yield header, rows
 
 
-def field_size_limit() -> int:
-    """The most characters a field that the csv module reads may hold."""
-    return csv.field_size_limit()
+#: Bytes that ``plain_field_sizes`` reads at a time, then up to the end of the line they end in.
+_SCAN_BLOCK = 1 << 20
+
+
+def plain_field_sizes(fh, width):
+    """(body rows, each column's widest field) of the plain CSV open in ``fh``, else None.
+
+    ``fh`` is a binary file at its start.  A plain file is ASCII without a
+    quote, carriage return, NUL (which numpy's fixed-width strings drop) or
+    0x1c-0x1f byte (which numpy's float parser strips and ``float`` does
+    not); it ends in a newline, and each of its body rows, of which it has
+    at least one, holds the header's ``width`` >= 2 fields, none longer
+    than the csv module's field size limit.  Only the counts of a file's
+    newlines and commas are checked here, so a row with another number of
+    fields may pass; ``np.loadtxt`` raises on it.  The body is scanned one
+    block of whole lines at a time, so no more than one block of the
+    file's bytes is held at once.
+    """
+    if width < 2 or not _plain(fh.readline()):  # the header
+        return None
+    rows, sizes = 0, np.zeros(width, np.int64)
+    while block := fh.read(_SCAN_BLOCK) + fh.readline():  # up to a line's end, or the file's
+        if not _plain(block):
+            return None
+        raw = np.frombuffer(block, np.uint8)
+        ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+        # a line with fewer than width - 1 commas (a blank or whitespace-only line
+        # too) leaves another in its block with more, on which loadtxt raises
+        if len(commas) != len(ends) * (width - 1):
+            return None
+        inner = commas.reshape(len(ends), width - 1).T  # each line's j-th comma
+        # each field's bounds: the newline before its line (-1 before the block's first) or
+        # the comma before it, and the comma or newline after it
+        lefts, rights = [np.concatenate(([-1], ends[:-1])), *inner], [*inner, ends]
+        # numpy reduces a few long rows faster one by one than along an axis, and a
+        # table of many columns and few lines faster along the axis than in a loop
+        if width < len(ends):
+            widest = np.array([(right - left).max() for left, right in zip(lefts, rights)])
+        else:
+            widest = (np.array(rights) - np.array(lefts)).max(axis=1)
+        np.maximum(sizes, widest - 1, out=sizes)
+        rows += len(ends)
+    if not rows or sizes.max() > csv.field_size_limit():
+        return None
+    return rows, sizes.tolist()
+
+
+def _plain(lines: bytes) -> bool:
+    """Whether ``lines`` are plain (see ``plain_field_sizes``) and end in a newline."""
+    return (lines.isascii() and not any(byte in lines for byte in b'"\r\0\x1c\x1d\x1e\x1f')
+            and lines.endswith(b"\n"))
+
+
+#: The cell dtypes of a table that ``read_table`` parses with ``np.loadtxt`` when it is plain.
+_PLAIN_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 def read_table(path, dtype=float, header=None):
@@ -215,29 +297,83 @@ def read_table(path, dtype=float, header=None):
     given), a line the csv module cannot read, a row whose cell count
     differs from the header's, a first cell that an earlier row holds, a
     cell that does not parse as ``dtype`` and a non-finite float are data
-    errors that name the file and line.
+    errors that name the file and line.  A plain table of float64 or int64
+    cells is parsed by ``_read_plain``, and any other, or one that numpy
+    will not parse, row by row with the csv module.  Either way a repeated
+    id and a non-finite cell raise the same error, and every other error
+    comes from the csv loop.
     """
-    ids, rows, seen = [], [], set()
     with reading(path) as (found, body):
         if header is not None and found != list(header):
             raise DataError(f"{path}, line 1: header {found} is not {list(header)}")
-        width = len(found)
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != width:
-                raise DataError(f"{path}, line {lineno}: {len(row)} cells, "
-                                f"header has {width} (ragged row)")
-            if row[0] in seen:
-                raise DataError(f"{path}, line {lineno}: duplicate {found[0]} {row[0]!r}")
-            seen.add(row[0])
-            try:
-                rows.append(np.array(row[1:], dtype=dtype))
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}, line {lineno}: {exc} (non-numeric cell)") from None
-            ids.append(row[0])
-    values = np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
+        parsed = _read_plain(path, len(found), dtype)
+        if parsed is None:
+            ids, values = _read_rows(path, found, body, dtype)
+        else:
+            ids, values = parsed
+            seen = set()
+            for lineno, sid in enumerate(ids, start=2):
+                if sid in seen:
+                    raise _duplicate(path, lineno, found, sid)
+                seen.add(sid)
     if values.dtype.kind == "f":
         _check_finite(values, path, found)
     return found, ids, values
+
+
+def _duplicate(path, lineno, header, sid) -> DataError:
+    return DataError(f"{path}, line {lineno}: duplicate {header[0]} {sid!r}")
+
+
+def _read_plain(path, width, dtype):
+    """(ids, cells) of the table at ``path`` when it is plain, parsed by ``np.loadtxt``; else None.
+
+    One ``np.loadtxt`` call, past the header, reads each row as a record of
+    its id, at the exact width of the widest (``loadtxt`` truncates a
+    longer one silently), and its cells as ``dtype``.  A cell that numpy
+    parses comes out with the bits the csv loop gives it; a cell it does
+    not parse, and a row of another width, make it raise, and then None
+    sends the table to the csv loop.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in _PLAIN_DTYPES:
+        return None
+    with open(str(path), "rb") as fh:
+        scanned = plain_field_sizes(fh, width)
+        if scanned is None:
+            return None
+        fh.seek(0)
+        fh.readline()
+        record = np.dtype([("id", f"S{max(scanned[1][0], 1)}"), ("cells", dtype, (width - 1,))])
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 parses "1.0" as an int with only this warning; the csv loop refuses it
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(fh, record, delimiter=",", comments=None, quotechar=None,
+                                   encoding="ascii", ndmin=1)
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+    return [sid.decode("ascii") for sid in table["id"].tolist()], np.ascontiguousarray(
+        table["cells"])
+
+
+def _read_rows(path, header, body, dtype):
+    """(ids, cells) of the rows left in the csv ``body`` of the table at ``path``."""
+    ids, rows, seen = [], [], set()
+    width = len(header)
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise DataError(f"{path}, line {lineno}: {len(row)} cells, "
+                            f"header has {width} (ragged row)")
+        if row[0] in seen:
+            raise _duplicate(path, lineno, header, row[0])
+        seen.add(row[0])
+        try:
+            rows.append(np.array(row[1:], dtype=dtype))
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}, line {lineno}: {exc} (non-numeric cell)") from None
+        ids.append(row[0])
+    return ids, np.array(rows, dtype=dtype).reshape(len(ids), width - 1)
 
 
 def _check_finite(values, path, header):

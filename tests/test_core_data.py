@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scalar_reference
-from movclust import core_data as cd, sample
+from movclust import core_data as cd, sample, tables
 from movclust.errors import DataError, DuplicateObservationError
 
 from conftest import DIFFERENTIAL, collection, day, observation_rows, observations, sym, ts
@@ -344,6 +344,19 @@ class TestFilterOutliers:
         with pytest.raises(DataError):
             cd.filter_outliers(collection([sym("A", [1, 2])]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 3).map(float),
+                              st.floats(allow_nan=False, allow_infinity=False, width=32)),
+                    min_size=2, max_size=40),
+           st.one_of(st.sampled_from([95.0, 100.0, 50.0, 0.5, 99.9, 5e-324]),
+                     st.floats(0.0, 100.0, exclude_min=True)))
+    def test_cutoff_is_np_percentile(self, values, q):
+        values = np.array(values)
+        cutoff, expected = cd._percentile(values, q), float(np.percentile(values, q))
+        assert cutoff == expected
+        if expected:  # a tie of 0.0 and -0.0 may put either sign on a zero
+            assert float.hex(cutoff) == float.hex(expected)
+
 
 class TestCollectionInvariants:
     def test_duplicate_ids_rejected(self):
@@ -640,11 +653,11 @@ def _columnar_only():
     return mock.patch.object(cd, "_load_rows", side_effect=AssertionError("row loop used"))
 
 
-@pytest.fixture(params=[cd._SCAN_BLOCK, 1, 7, 64], ids=lambda size: f"block{size}")
+@pytest.fixture(params=[tables._SCAN_BLOCK, 1, 7, 64], ids=lambda size: f"block{size}")
 def scan_block(request):
     """The plain-file scan at its own block size, then at 1, 7 and 64 bytes, whose reads
     stop inside body lines, on blank lines and at the final newline."""
-    with mock.patch.object(cd, "_SCAN_BLOCK", request.param):
+    with mock.patch.object(tables, "_SCAN_BLOCK", request.param):
         yield
 
 
@@ -728,6 +741,21 @@ class TestColumnarLongCsv:
                 expected = _loaded(path)
             with _columnar_only():
                 assert _loaded(path) == expected
+
+    @pytest.mark.parametrize("dates", [
+        ["2021-01-05", "2021-01-05", "2021-12-31", "2020-02-29"],
+        ["1000-01-01", "2999-12-31", "1999-06-15", "2000-10-28", "1000-01-01"],
+    ], ids=["mixed_radix", "sorted_texts"])
+    @pytest.mark.usefixtures("scan_block")
+    def test_each_distinct_date_is_decoded_once(self, tmp_path, dates):
+        """Dates over a thousand years take more codes than rows and 2**16: a sort numbers them."""
+        path = write(tmp_path / "in.csv", self.HEADER + "".join(
+            f"{sid},{date},1,S1\n" for sid, date in zip("ABCDE", dates)))
+        with mock.patch.object(cd, "_ordinal", wraps=cd._ordinal) as decode:
+            got = _loaded(path)
+        assert decode.call_count == len(set(dates))
+        with _row_loop_only():
+            assert got == _loaded(path)
 
     def test_peak_memory_is_bounded_by_the_file_size(self, tmp_path):
         path = tmp_path / "in.csv"

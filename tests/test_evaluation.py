@@ -556,3 +556,58 @@ class TestSweepFromOneMatrix:
         rows = ev.sweep_k(X, levels, ids, [2, 3, 4], fn)
         assert rows == sweep_k_ref(X, levels, ids, [2, 3, 4], fn)
         assert all(r.mpbi is None and "length >= 2" in r.note for r in rows)
+
+
+def _bits(value):
+    return None if value is None else float.hex(value)
+
+
+class TestSweepScoresEachClusterOnce:
+    """A sweep works out each distinct cluster's share of CH, DB and MPBI once.
+
+    Its rows must equal, bit for bit, ``evaluate`` of each k on its own,
+    which shares nothing between calls.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 16), st.integers(2, 9), st.integers(1, 4),
+           st.sampled_from(["levels", "floats"]), st.integers(0, 2**32 - 1))
+    def test_rows_bit_equal_to_scoring_each_k_afresh(self, n, length, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        # symbolic levels count MPBI from step bins; float levels at omega 0.3 read a raw matrix
+        if kind == "levels":
+            levels, omega = rng.integers(1, 6, size=(n, length)).astype(float), 2.0
+        else:
+            levels, omega = rng.normal(size=(n, length)), 0.3
+        assert (ev.step_bins(levels, omega) is None) == (kind == "floats")
+        ids = [f"s{i:02d}" for i in range(n)]
+        X = rng.integers(0, 3, size=(n, dim)) * rng.normal(size=dim)  # ties and coincident means
+        ks = range(2, n + 1)
+        for name, fn in TestSweepFromOneMatrix.clusterers(list(levels), ids, omega).items():
+            rows = ev.sweep_k(X, levels, ids, ks, fn, omega=omega)
+            for row in rows:
+                try:
+                    r = ev.evaluate(X, levels, ids, fn(row.k), omega=omega)
+                except (DataError, DegenerateGeometryError) as exc:
+                    expected = (None, None, None, str(exc))
+                else:
+                    note = ";".join(f"{key}:{msg}" for key, msg in sorted((r.notes or {}).items())
+                                    if key != "ch_paper")
+                    expected = (_bits(r.ch), _bits(r.db), _bits(r.mpbi), note)
+                assert (_bits(row.ch), _bits(row.db), _bits(row.mpbi), row.note) == expected, (
+                    name, row.k)
+
+    def test_a_hierarchical_sweep_counts_each_distinct_cluster_once(self):
+        rng = np.random.default_rng(30)
+        levels = rng.integers(1, 6, size=(40, 12)).astype(float)
+        ids = [f"s{i:02d}" for i in range(40)]
+        fn = TestSweepFromOneMatrix.clusterers(list(levels), ids, 2.0)["hierarchical"]
+        distinct = set()
+        for k in range(2, 21):
+            labels = fn(k).label_array(ids)
+            distinct |= {tuple(np.flatnonzero(labels == c)) for c in range(1, k + 1)}
+        with mock.patch.object(ev, "_binned_pair_sum", wraps=ev._binned_pair_sum) as pairs, \
+                mock.patch.object(ev, "mpbi", wraps=ev.mpbi) as calls:
+            ev.sweep_k(levels, levels, ids, range(2, 21), fn)
+        assert pairs.call_count == sum(len(members) > 1 for members in distinct) < 209
+        assert calls.call_count == 19

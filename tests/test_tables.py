@@ -6,8 +6,10 @@ json, so the artifact format has one owner.
 """
 
 import ast
+import csv
 import datetime as dt
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import movclust
 from movclust import cli
@@ -499,6 +501,166 @@ def test_as_written_raises_the_read_table_error_for_a_non_finite_cell(tmp_path, 
     with pytest.raises(DataError) as error:
         as_written(values, path)
     assert str(error.value) == str(read_error.value)
+
+
+# ---------------------------------------------------------------------------
+# The plain read path against the csv loop
+
+#: Cell texts that float() or int() take and numpy's parsers may not, or the
+#: other way round, and any ASCII text.
+ODD_CELLS = st.one_of(
+    st.sampled_from(["1_0", " 1.5", "1.5 ", "+1", "1.0", "1.", "inf", "-Infinity", "nan", "-nan",
+                     "", " ", "٣", "1e5", "007", "-0", "0x10", "\x0b2", "2\x0c", "\t3", "1 2",
+                     "#1", "9" * 20, str(-(2**63)), str(2**63)]),
+    st.text(st.characters(max_codepoint=127), max_size=3),
+)
+#: Ids that need no quoting, with spaces.
+SPACED_IDS = st.text(" ab", max_size=3)
+
+
+@st.composite
+def raw_tables(draw, cells):
+    """The text of a table of 1 to 4 columns, with repeated ids.
+
+    Half the tables hold ``cells`` in rows of the header's width, most of
+    which numpy parses; the rest also hold ``ODD_CELLS``, other ids, ragged
+    rows and blank lines, and may lack their final newline.
+    """
+    width = draw(st.integers(1, 4))
+    well_formed = draw(st.booleans(), label="well formed")
+    if not well_formed:
+        cells = cells | ODD_CELLS
+    cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3))) | cells
+    ids = SPACED_IDS if well_formed else SPACED_IDS | IDS
+    lines = ["id," + ",".join(f"c{j}" for j in range(1, width))]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(ids), *draw(st.lists(cells, min_size=width - 1, max_size=width - 1))]
+        shape = draw(st.sampled_from(["row"] if well_formed else ["row", "short", "long", "blank"]))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row.append(draw(cells))
+        lines.append("" if shape == "blank" else ",".join(row))
+    return "\n".join(lines) + ("\n" if well_formed else draw(st.sampled_from(["\n", ""])))
+
+
+def read_outcome(path, dtype):
+    """read_table's header, ids, dtype and value bits, or the text of its data error."""
+    try:
+        header, ids, values = read_table(path, dtype)
+    except DataError as exc:
+        return str(exc)
+    bits = values.view(np.uint64) if values.dtype.kind == "f" else values
+    return header, ids, values.dtype, values.shape, bits.tolist()
+
+
+def csv_loop_only():
+    return mock.patch.object(tb, "_read_plain", return_value=None)
+
+
+@pytest.fixture(params=[tb._SCAN_BLOCK, 1, 7, 64], ids=lambda size: f"block{size}")
+def scan_block(request):
+    """The plain-file scan at its own block size, then at 1, 7 and 64 bytes."""
+    with mock.patch.object(tb, "_SCAN_BLOCK", request.param):
+        yield
+
+
+@pytest.mark.parametrize("dtype, cells", [(float, FLOAT_CELLS), (int, INT_CELLS)],
+                         ids=["float", "int"])
+@pytest.mark.usefixtures("scan_block")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_plain_path_reads_what_the_csv_loop_reads(tmp_path_factory, dtype, cells, data):
+    """The same header, ids, dtype and value bits, or the same data error."""
+    check_plain_path(tmp_path_factory, dtype, data.draw(raw_tables(cells)))
+
+
+@pytest.mark.parametrize("dtype", [float, int])
+@pytest.mark.parametrize("text", [
+    "id,a,b\nr1,1,2\nr1,inf,3\n",  # a repeated id is named before a non-finite cell
+    "id,a,b\nr1,1,2\nr2,inf,3\n",
+    "id,a\nr1,1.0\nr2,2\n",  # "1.0" as an int: numpy < 2 parses it with only a warning
+    "id,a\nr1,1\n\nr2,2,3\n",  # a blank line, and a line with a field too many
+    "id\nr1\nr2\n",
+    "id\nr1\n\nr2\n",  # no comma to count: loadtxt would skip the blank line
+], ids=["repeat_then_inf", "inf", "float_text_as_int", "blank_line", "width_1",
+        "width_1_blank_line"])
+def test_plain_path_edge_cases(tmp_path_factory, dtype, text):
+    check_plain_path(tmp_path_factory, dtype, text)
+
+
+def check_plain_path(tmp_path_factory, dtype, text):
+    path = tmp_path_factory.mktemp("plain") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with csv_loop_only():
+        expected = read_outcome(path, dtype)
+    assert read_outcome(path, dtype) == expected
+
+
+@pytest.mark.parametrize("dtype", [float, int])
+@pytest.mark.usefixtures("scan_block")
+def test_written_tables_take_the_plain_path(tmp_path, dtype):
+    rng = np.random.default_rng(5)
+    values = (rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 5))
+              if dtype is float else rng.integers(-(2**63), 2**63 - 1, size=(7, 5)))
+    path = tmp_path / "t.csv"
+    write_table(path, ["id", *"abcde"], [f" r {i}" for i in range(7)], values)
+    with csv_loop_only():
+        expected = read_outcome(path, dtype)
+    with mock.patch.object(tb, "_read_rows", side_effect=AssertionError("csv loop used")):
+        assert read_outcome(path, dtype) == expected
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "over_the_limit"])
+def test_an_id_over_the_field_limit_is_the_csv_error(tmp_path, extra):
+    path = tmp_path / "t.csv"
+    path.write_text(f"id,a\n{'A' * (csv.field_size_limit() + extra)},1\nB,2\n",
+                    encoding="ascii")
+    with csv_loop_only():
+        expected = read_outcome(path, float)
+    assert read_outcome(path, float) == expected
+    assert isinstance(expected, str) == bool(extra)
+
+
+def test_a_deprecation_warning_from_loadtxt_falls_back_to_the_csv_loop(tmp_path):
+    """As numpy < 2 warns when it parses "1.0" as an int, which the csv loop refuses."""
+    path = tmp_path / "t.csv"
+    path.write_text("id,a\nr1,1\n", encoding="ascii")
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    with mock.patch.object(tb.np, "loadtxt", warning_loadtxt), \
+            mock.patch.object(tb, "_read_rows", wraps=tb._read_rows) as rows:
+        assert read_table(path, int)[1:2] == (["r1"],)
+    assert rows.call_count == 1
+
+
+@pytest.mark.parametrize("body", [
+    b"r1\xa31\n",
+    "é–ü,1\nr2,1\n".encode("utf-8").replace(b"r", b"\xa3"),
+    b"r1,\xc3x\n",
+    b"r1,\xc3",
+], ids=["ascii", "after_multibyte", "broken_sequence", "cut_short"])
+@pytest.mark.parametrize("read, header", [
+    (read_table, b"series_id,2021-01-01\n"),
+    (load_wide_csv, b"series_id,2021-01-01\n"),
+    (load_long_csv, b"series_id,date,value\n"),
+], ids=["read_table", "load_wide_csv", "load_long_csv"])
+@pytest.mark.usefixtures("scan_block")
+def test_a_byte_that_is_not_utf8_is_a_data_error_naming_its_offset(tmp_path, read, header, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(header + body)
+    with pytest.raises(UnicodeDecodeError) as decode:
+        (header + body).decode("utf-8")
+    with pytest.raises(DataError) as error:
+        read(path)
+    assert str(error.value) == (f"{path}, byte {decode.value.start}: "
+                                f"not UTF-8 ({decode.value.reason})")
 
 
 # ---------------------------------------------------------------------------
