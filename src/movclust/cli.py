@@ -339,8 +339,12 @@ class Run:
             _check_matrix(self.cfg, value)
         return value
 
-    def write(self, *files):
-        """Write each (name, value, write) by ``write(value, path)``, then move them into out."""
+    def write(self, *files, stale=()):
+        """Write each (name, value, write) by ``write(value, path)``, then move them into out.
+
+        Each name in ``stale`` is then removed from out, where an earlier
+        run may have left it.
+        """
         out = self.cfg["out"]
         try:
             os.makedirs(out, exist_ok=True)
@@ -351,6 +355,9 @@ class Run:
                 write(value, os.path.join(tmp, name))
             for name in sorted(os.listdir(tmp)):
                 os.replace(os.path.join(tmp, name), os.path.join(out, name))
+            for name in stale:
+                if os.path.exists(os.path.join(out, name)):
+                    os.remove(os.path.join(out, name))
         for name, value, _ in files:
             if name in ARTIFACTS:
                 self._written[name] = value
@@ -474,9 +481,10 @@ def cmd_cluster(run):
     extra = {"metric": cfg["metric"], "normalization": cfg["normalization"]}
     files = [("assignment.csv", assignment,
               lambda assignment, path: clustering.write_assignment_csv(assignment, path, extra))]
-    if dendrogram is not None:
-        files.append(("dendrogram.csv", dendrogram, clustering.write_dendrogram_csv))
-    run.write(*files)
+    if dendrogram is None:
+        run.write(*files, stale=["dendrogram.csv"])
+    else:
+        run.write(*files, ("dendrogram.csv", dendrogram, clustering.write_dendrogram_csv))
 
 
 def cmd_sweep(run):

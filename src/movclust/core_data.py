@@ -128,13 +128,16 @@ def _observations(keys, series: array, days: array, values: array) -> Observatio
 
 
 def _first_repeat(codes: np.ndarray):
-    """Index of the first entry equal to an earlier entry, or None."""
-    _, first = np.unique(codes, return_index=True)
-    if len(first) == len(codes):
-        return None
-    repeated = np.ones(len(codes), dtype=bool)
-    repeated[first] = False
-    return int(np.argmax(repeated))
+    """Index of the first entry equal to an earlier entry, or None.
+
+    A stable sort keeps equal entries in index order, so every entry that
+    equals its sorted predecessor repeats an earlier one, and the first
+    repeat is the smallest such index.
+    """
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats.min()) if len(repeats) else None
 
 
 def load_long_csv(path, schema: dict | None = None):

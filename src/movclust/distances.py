@@ -11,14 +11,14 @@ and only the last two diagonals are kept.  Levenshtein runs the
 bit-parallel recurrence of Myers (1999, J. ACM 46(3)) in the multi-word
 form of Hyyrö (2003): one text item advances a whole column of the
 edit-distance table, 64 rows per uint64 word, for a block of pairs at
-once, and the distances come out as exact integers.  MPBD and euclidean
-broadcast one series against all later ones.  DTW and euclidean entries go
-through the same floating-point operations, in the same order, as the
-recurrence of one pair.  MPBD runs in int8 when every step cost is an exact
-integer of at most 127 (integral deltas and omega, see ``delta_rows``) and
-in float64 otherwise; the integer sums are exact, and so is the float64 sum
-of the same costs.  So every entry is bit-identical to computing its pair
-on its own.
+once, and the distances come out as exact integers.  Euclidean and the
+float64 MPBD kernel broadcast one series against all later ones, through
+the same floating-point operations, in the same order, as one pair; so
+does DTW's recurrence.  When every MPBD step cost is an exact integer of at
+most 127 (``step_bins``), the MPBD matrix is instead an exact blocked
+product over the step bins, whose integer sums are also what the float64
+kernel gives.  So every entry is bit-identical to computing its pair on its
+own.
 """
 
 from __future__ import annotations
@@ -41,89 +41,101 @@ PAIR_BLOCK = 128
 BIT_BLOCK = 1 << 18
 #: Bits per word of the Levenshtein kernel.
 WORD = 64
-#: Delta values per block of the MPBD row kernel, in float64: its
-#: temporaries stay small enough for the CPU cache whatever the collection
-#: size.  int8 blocks take as many bytes (eight times the values).
+#: Delta values per block of the float64 MPBD row kernel: its temporaries
+#: stay small enough for the CPU cache whatever the collection size.
 ROW_BLOCK = 1 << 15
-#: Rows per block when a matrix's upper triangle is mirrored onto its lower one.
+#: Bytes of the gathered float32 costs of one block of steps of the MPBD
+#: product, or n**2 (an eighth of the result) where more; and the bound
+#: below which its float32 sums are exact.
+PRODUCT_BLOCK = 1 << 18
+EXACT_FLOAT32 = 2**24
+#: Rows per block when the MPBD product is formed, a matrix's upper triangle
+#: is mirrored onto its lower one, or its lower triangle zeroed.
 MIRROR_BLOCK = 64
 
 
-#: Largest step cost, omega included, of the int8 MPBD kernel.
-_INT8_TOP = int(np.iinfo(np.int8).max)
-#: Longest delta row whose int8 costs always sum within int32.
-_INT32_STEPS = (2**31 - 1) // _INT8_TOP
+def step_bins(levels, omega: float = 2.0):
+    """Each series' step deltas as histogram bins, and the MPBD cost of each pair of bins.
 
-
-def _int8_costs(D, omega) -> bool:
-    """Whether every step cost |d - D| * omega is an exact integer that int8 holds.
-
-    Costs are exact integers when the deltas and omega are integral and
-    omega >= 0.  Every cost, and the weight omega itself, is at most
-    max(2 max|D|, 1) x max(omega, 1).  Whether every delta is integral is
-    left to the caller.
+    Returns (bins, costs) when every step cost |a - b| x (omega where the
+    signs of the deltas a and b differ, else 1) is an exact integer of at
+    most 127: the deltas and omega are integral, omega >= 0, and
+    max(2 max|delta|, 1) x max(omega, 1) <= 127.  Else None.  ``bins[i, t]``
+    is series i's delta at step t less the smallest delta, an int8 of
+    0..V-1, and ``costs`` the (V, V) int64 step cost between two bins.
     """
+    levels = np.asarray(levels, dtype=float)
+    D = levels[:, :-1] - levels[:, 1:]
     if D.size == 0 or not (omega >= 0 and float(omega).is_integer()):
-        return False
-    peak = float(np.abs(D).max())
-    if not peak.is_integer():  # also nan and inf
-        return False
-    return max(2 * int(peak), 1) * max(int(omega), 1) <= _INT8_TOP
-
-
-def delta_rows(X, omega):
-    """Per-step deltas of each row of a 2-D series array, their signs, and omega.
-
-    When every step cost is an exact integer of at most 127 (``_int8_costs``),
-    all three come back in int8: symbolic levels 1..5 run in int8 for every
-    integral omega up to 15.  Otherwise the deltas are float64 and omega is
-    returned as given.
-    """
-    D = X[:, :-1] - X[:, 1:]
-    if _int8_costs(D, omega):
-        Di = D.astype(np.int8)
-        if np.array_equal(Di, D):
-            return Di, np.sign(Di), np.int8(omega)
-    return D, np.sign(D), omega
-
-
-def mpbd_row(d, s, D, S, omega) -> np.ndarray:
-    """MPBD from one delta row ``d`` (signs ``s``) to each row of ``D`` (signs ``S``).
-
-    Takes the three values of ``delta_rows``.  Each step costs gap x
-    weight, the weight omega where the signs differ and 1 elsewhere: equal
-    deltas have a zero gap and equal signs, so they cost exactly 0 without
-    a test of their own.  int8 rows weigh steps without a branch and sum
-    exactly, in int32 (int64 past ``_INT32_STEPS`` steps); any such sum is
-    far below 2**53, so it is also what the float64 sum of the same costs
-    gives.  Float rows sum over a contiguous row, so numpy's pairwise
-    summation adds the step costs exactly as it does for a single pair.
-    """
-    if len(d) == 0:
-        raise DataError("mpbd: sequences must have length >= 2")
-    exact = D.dtype == np.int8
-    acc = (np.int32 if len(d) <= _INT32_STEPS else np.int64) if exact else None
-    out = np.empty(len(D))
-    step = max(1, ROW_BLOCK * 8 // (D.itemsize * len(d)))
-    for c in range(0, len(D), step):
-        Dc, Sc = D[c : c + step], S[c : c + step]
-        cost = np.abs(d - Dc)
-        differ = s != Sc
-        if exact:
-            cost *= differ.view(np.int8) * (omega - 1) + 1
-        else:
-            cost *= np.where(differ, omega, 1.0)
-        out[c : c + step] = cost.sum(axis=1, dtype=acc)
-    return out
+        return None
+    if not max(2 * float(np.abs(D).max()), 1) * max(omega, 1) <= 127:
+        return None  # also nan and inf
+    D8 = D.astype(np.int8)
+    if not np.array_equal(D8, D):  # a non-integral delta
+        return None
+    lo = int(D8.min())
+    deltas = np.arange(lo, int(D8.max()) + 1)
+    signs = np.sign(deltas)
+    costs = np.abs(deltas[:, None] - deltas) * np.where(signs[:, None] != signs, int(omega), 1)
+    return D8 - np.int8(lo), costs
 
 
 def mpbd_upper(X, omega: float = 2.0) -> np.ndarray:
-    """Raw MPBD between the rows of ``X``: entry (i, j) for i < j, zeros elsewhere."""
-    n = len(X)
-    D, S, w = delta_rows(X, omega)
+    """Raw MPBD between the rows of ``X``: entry (i, j) for i < j, zeros elsewhere.
+
+    Where ``step_bins`` apply, MPBD(p, q) = sum_t costs[b_pt, b_qt] =
+    <E_p, G_q>, E one-hot coding bin b_pt at column tV + b_pt and
+    G[q, tV + a] = costs[a, b_qt].  Per block of steps, each block of
+    MIRROR_BLOCK rows i adds its float32 product E_i G_j^T over the columns
+    j >= i into a float64 sum.  The float32 sums are integers of at most the
+    block's steps x max(costs) < EXACT_FLOAT32 = 2**24: exact in any order
+    and with any number of BLAS threads, as the float64 sums are below 2**53.
+
+    All other input runs the float64 row kernel, one row against all later
+    ones.  A step costs gap x weight, the weight omega where the signs
+    differ and 1 elsewhere: equal deltas have a zero gap and equal signs,
+    so they cost exactly 0 without a test of their own.  Each pair sums a
+    contiguous cost row, so numpy's pairwise summation adds the step costs
+    as it does for one pair, and gives the product's integers where both run.
+    """
+    X = np.asarray(X, dtype=float)
+    n, binned = len(X), step_bins(X, omega)
     entries = np.zeros((n, n))
-    for i in range(n - 1):
-        entries[i, i + 1 :] = mpbd_row(D[i], S[i], D[i + 1 :], S[i + 1 :], w)
+    if binned is None:
+        D = X[:, :-1] - X[:, 1:]
+        S = np.sign(D)
+        if n > 1 and D.shape[1] == 0:
+            raise DataError("mpbd: sequences must have length >= 2")
+        step = max(1, ROW_BLOCK // max(D.shape[1], 1))
+        for i in range(n - 1):
+            for c in range(i + 1, n, step):
+                cost = np.abs(D[i] - D[c : c + step])
+                cost *= np.where(S[i] != S[c : c + step], omega, 1.0)
+                entries[i, c : c + step] = cost.sum(axis=1)
+        return entries
+    bins, costs = binned
+    width, steps, rows = len(costs), bins.shape[1], min(MIRROR_BLOCK, n)
+    per_block = min(max(1, max(PRODUCT_BLOCK, n * n) // (4 * n * width)), steps,
+                    max(1, (EXACT_FLOAT32 - 1) // max(int(costs.max()), 1)))
+    one_hot, gathered = np.eye(width, dtype=np.float32), costs.T.astype(np.float32)
+    G_flat, E_flat = (np.empty(m * per_block * width, np.float32) for m in (n, rows))
+    product, flat = np.zeros((rows, n), np.float32), entries.reshape(-1)
+
+    def take(table, block, buffer):  # a contiguous out, which "clip" fills in place
+        out = buffer[: block.size * width].reshape(*block.shape, width)
+        return np.take(table, block, axis=0, out=out, mode="clip").reshape(len(block), -1)
+
+    for t in range(0, steps, per_block):
+        G = take(gathered, bins[:, t : t + per_block], G_flat)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            E = take(one_hot, bins[lo:hi, t : t + per_block], E_flat)
+            np.matmul(E, G[lo:].T, out=product[: hi - lo, lo:])
+            # product is 0 left of column lo: entries from (lo, lo) take it as one run
+            flat[lo * n + lo : hi * n] += product.reshape(-1)[lo : (hi - lo) * n]
+            product[:, lo:hi] = 0.0
+    for lo in range(0, n, rows):  # zeros on and below the diagonal
+        entries[lo : lo + rows, lo : lo + rows][np.tri(min(rows, n - lo), dtype=bool)] = 0.0
     return entries
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import delta_rows, mpbd_upper
+from .distances import mpbd_upper, step_bins
 from .errors import DataError, DegenerateGeometryError
 from .tables import NUMBER, write_rows
 
@@ -88,29 +88,16 @@ def _db(mus, spreads) -> float:
     return _running_sum(worst) / k
 
 
-def step_bins(levels, omega: float = 2.0):
-    """Each series' step deltas as histogram bins, and the MPBD cost of each pair of bins.
+def _mpbi_bins(levels, omega):
+    """``step_bins`` of ``levels``, or None if all their pairs could sum to 2**53.
 
-    Returns (bins, costs) when ``distances.delta_rows`` gives int8 deltas,
-    so that every step cost |a - b| x (omega where the signs of a and b
-    differ, else 1) is an exact integer of at most 127, and when the pairs
-    of all the series would sum below 2**53 at the largest cost; else None.
-    ``bins[i, t]`` is series i's delta at step t less the smallest delta, a
-    bin of 0..V-1, and ``costs`` is the (V, V) int64 table of the step cost
-    between the deltas of two bins.
+    Any sum below it is also what adding the pairs' float costs one at a time gives.
     """
-    D, _, w = delta_rows(np.asarray(levels, dtype=float), omega)
-    if D.dtype != np.int8:
+    binned = step_bins(levels, omega)
+    pairs = len(levels) * (len(levels) - 1) // 2
+    if binned is None or pairs * binned[0].shape[1] * int(binned[1].max()) >= 2**53:
         return None
-    lo = int(D.min())
-    deltas = np.arange(lo, int(D.max()) + 1)
-    signs = np.sign(deltas)
-    costs = np.abs(deltas[:, None] - deltas) * np.where(signs[:, None] != signs, int(w), 1)
-    n, steps = D.shape
-    # every sum below 2**53 is also what adding the pairs' float costs one at a time gives
-    if n * (n - 1) // 2 * steps * int(costs.max()) >= 2**53:
-        return None
-    return D - np.int8(lo), costs
+    return binned
 
 
 def _binned_pair_sum(bins, costs, members) -> int:
@@ -142,7 +129,7 @@ def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None, 
     """
     levels = np.asarray(levels, dtype=float)
     if raw_mpbd is None and bins is None:
-        bins = step_bins(levels, omega)
+        bins = _mpbi_bins(levels, omega)
 
     def term(members):
         if bins is not None:
@@ -218,7 +205,7 @@ def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0) -> list[Sw
     raw_mpbd = bins = None
     if ks and len(levels) >= 2:
         levels = np.asarray(levels, dtype=float)
-        bins = step_bins(levels, omega)
+        bins = _mpbi_bins(levels, omega)
         if bins is None:
             try:
                 raw_mpbd = mpbd_upper(levels, omega)

@@ -18,7 +18,8 @@ replays those merges as unions of member sets.
 More are earlier forms of the package code, kept as they were: the
 anti-diagonal edit-distance DP that ran Levenshtein before the bit-parallel
 kernel, the sweep that recomputed each k's within-cluster MPBD pairs, the
-float64 MPBD row kernel that the integer one must match, the Davies-Bouldin
+float64 MPBD row kernel that the exact product over step bins must match,
+the repeated-key search through ``np.unique``, the Davies-Bouldin
 loop over cluster pairs, the Calinski-Harabasz sums that each worked out the
 cluster means again, k-means distances through an (n, k, m) cube,
 k-medoids with its own start and an empty-cluster repair that reads the
@@ -358,6 +359,20 @@ def load_long_csv_ref(path, schema: dict | None = None):
             seen.add(key)
             observations.append(RawObservation(series_id, date, value, category, store))
     return observations, rejects
+
+
+def first_repeat_ref(codes):
+    """Index of the first entry equal to an earlier entry, or None, from ``np.unique``.
+
+    The first index of each distinct value is not a repeat; the first of
+    the other indices is.
+    """
+    _, first = np.unique(codes, return_index=True)
+    if len(first) == len(codes):
+        return None
+    repeated = np.ones(len(codes), dtype=bool)
+    repeated[first] = False
+    return int(np.argmax(repeated))
 
 
 def load_wide_csv_ref(path):

@@ -1,19 +1,23 @@
 import ast
 import builtins
+import contextlib
 import csv
 import datetime as dt
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from movclust import cli, distances, image_features, tables
 from movclust.core_data import SeriesCollection
@@ -549,6 +553,20 @@ class TestStageCommands:
                    "-O", "k=6") == 0
         sidecar = json.loads((out / "assignment.json").read_text())
         assert sidecar["algorithm"].startswith("kmedoids")
+
+    @pytest.mark.parametrize("command, algorithm", [
+        ("cluster", "kmeans"), ("pipeline", "kmedoids"), ("pipeline", "kmeans_features"),
+    ])
+    def test_assignment_without_a_dendrogram_removes_a_stale_one(self, price_cfg, command,
+                                                                algorithm):
+        """An earlier hierarchical run's dendrogram is not left beside an assignment without one."""
+        cfg, out = price_cfg
+        assert run("pipeline", "--config", str(cfg)) == 0
+        assert (out / "dendrogram.csv").exists()
+        assert run(command, "--config", str(cfg), "-O", f"algorithm={algorithm}") == 0
+        assert not (out / "dendrogram.csv").exists()
+        assert run("cluster", "--config", str(cfg)) == 0
+        assert (out / "dendrogram.csv").exists()
 
     @pytest.mark.parametrize("algorithm", ["kmedoids", "kmeans_features"])
     def test_sweep_missing_input_artifact_exits_2(self, price_cfg, algorithm, capsys):
@@ -1198,6 +1216,60 @@ READERS = {
 }
 
 READS = [(name, argv) for name, commands in READERS.items() for argv in commands]
+
+
+@pytest.fixture(scope="module")
+def finished_run(sample_dir, tmp_path_factory):
+    """The artifacts of a default ``pipeline`` and ``sweep`` on the price sample, by name."""
+    out = tmp_path_factory.mktemp("finished") / "out"
+    assert run("pipeline", "--input", str(sample_dir / "price_long.csv"), "--out", str(out)) == 0
+    assert run("sweep", "--out", str(out)) == 0
+    return snapshot(out)
+
+
+@st.composite
+def corruptions(draw, artifacts):
+    """(artifact name, its corrupted bytes): one byte flipped, 1-20 deleted, 1-5 inserted,
+    the file truncated, or one line repeated."""
+    name = draw(st.sampled_from(sorted(artifacts)))
+    data = artifacts[name]
+    at = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(["flip", "delete", "insert", "truncate", "repeat_line"]))
+    if kind == "flip":
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    elif kind == "delete":
+        data = data[:at] + data[at + draw(st.integers(1, 20)) :]
+    elif kind == "insert":
+        data = data[:at] + draw(st.binary(min_size=1, max_size=5)) + data[at:]
+    elif kind == "truncate":
+        data = data[:at]
+    else:
+        lines = data.splitlines(keepends=True)
+        line = draw(st.integers(0, len(lines) - 1))
+        data = b"".join(lines[: line + 1] + lines[line:])
+    return name, data
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       command=st.sampled_from(["distmat", "cluster", "sweep", "evaluate", "profile", "features"]))
+def test_corrupted_artifact_exits_0_or_2_with_one_line(finished_run, tmp_path_factory, data,
+                                                       command):
+    """A stage command over a finished run with one corrupted artifact never escapes main.
+
+    It runs, or refuses with exit 2 and a single line on stderr.
+    """
+    name, corrupted = data.draw(corruptions(finished_run))
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as out:
+        for artifact, content in finished_run.items():
+            Path(out, artifact).write_bytes(corrupted if artifact == name else content)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run(command, "--out", out)
+    assert code in (0, 2)
+    assert stderr.getvalue().count("\n") == (code == 2)
+    assert stderr.getvalue().endswith("\n") == (code == 2)
 
 
 def rewrite(path, change):

@@ -1,6 +1,9 @@
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -297,12 +300,14 @@ class TestDistanceMatrix:
         col = collection([sym(f"S{i:02d}", rng.integers(1, 6, size=12)) for i in range(19)])
         byte_images = set()
         # BIT_BLOCK 1 and 56 give Levenshtein blocks of 1 and 7 pairs, of one row each
-        for pair_block, row_block, bit_block, mirror_block in (
-            (1, 11, 1, 1), (7, 50, 56, 7), (128, 1 << 15, 1 << 18, 64),
-            (1000, 1 << 20, 1 << 22, 1000),
+        # PRODUCT_BLOCK 1 and 3000 give MPBD products of 1 and 4 steps a block
+        for pair_block, row_block, product_block, bit_block, mirror_block in (
+            (1, 11, 1, 1, 1), (7, 50, 3000, 56, 7), (128, 1 << 15, 1 << 20, 1 << 18, 64),
+            (1000, 1 << 20, 1 << 22, 1 << 22, 1000),
         ):
             monkeypatch.setattr(di, "PAIR_BLOCK", pair_block)
             monkeypatch.setattr(di, "ROW_BLOCK", row_block)
+            monkeypatch.setattr(di, "PRODUCT_BLOCK", product_block)
             monkeypatch.setattr(di, "BIT_BLOCK", bit_block)
             monkeypatch.setattr(di, "MIRROR_BLOCK", mirror_block)
             byte_images.add(di.distance_matrix(col, metric, **kwargs).entries.tobytes())
@@ -491,8 +496,7 @@ class TestBatchedMatchesScalar:
         # pairs and 3 rows in three words
         ("levenshtein", di.PAIR_BLOCK // 7 + 2, 15),
         ("levenshtein", 12, 130),
-        # rows longer than one MPBD block, and long enough for numpy's
-        # pairwise summation to recurse
+        # rows longer than one block of the MPBD product
         ("mpbd", 40, 2 * di.ROW_BLOCK // 37 + 300),
     ])
     def test_many_blocks(self, metric, n, length, monkeypatch):
@@ -611,11 +615,11 @@ class TestBitParallelLevenshtein:
 
 
 # ---------------------------------------------------------------------------
-# the integer MPBD kernel against the float64 one, bit for bit
+# the exact MPBD product over step bins against the float64 row kernel, bit for bit
 
-#: omega values on both sides of the int8 bound for levels 1..5 (top = 8 x
-#: omega: 15 -> 120, 16 -> 128) and for unit deltas (63 -> 126, 64 -> 128),
-#: plus two non-integral ones that keep the float64 kernel.
+#: omega values on both sides of the step-bin bound for levels 1..5 (top =
+#: 8 x omega: 15 -> 120, 16 -> 128) and for unit deltas (63 -> 126, 64 ->
+#: 128), plus two non-integral ones that keep the float64 kernel.
 OMEGAS = [0.0, 1.0, 2.0, 3.0, 15.0, 16.0, 63.0, 64.0, 0.3, 2.5]
 
 
@@ -645,36 +649,68 @@ def check_matches_float_kernel(X, omega):
     assert float.hex(pair_distance("mpbd", X[0], X[1], omega=omega)) == float.hex(pair)
 
 
+#: Prints OpenBLAS's thread count in this process ("None" where numpy's BLAS
+#: is not OpenBLAS) and the sha256 of ``mpbd_upper`` of seeded unit steps at
+#: omega 63, whose steps cost up to 126, with the float32 bound patched low to
+#: cut blocks of 37 steps.  Each block of 64 rows is a product of millions of
+#: multiply-adds, far past the size below which OpenBLAS keeps a GEMM on one
+#: thread.
+THREADED_SCRIPT = """
+import ctypes, hashlib, sys
+import numpy as np
+from movclust import distances as di
+
+def blas_threads():
+    if not sys.platform.startswith("linux"):
+        return None
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+X = np.cumsum(np.random.default_rng(5).integers(-1, 2, size=(300, 400)), axis=1).astype(float)
+assert di.step_bins(X, 63.0)[1].max() == 126
+di.EXACT_FLOAT32 = 126 * 37 + 1
+print(blas_threads(), hashlib.sha256(di.mpbd_upper(X, 63.0).tobytes()).hexdigest())
+"""
+
+
 class TestIntegerKernel:
-    @pytest.mark.parametrize("X, omega, dtype", [
-        # int8 when top = max(2 max|D|, 1) x max(omega, 1) is at most 127
-        ([[3, 3, 3], [3, 3, 3]], 127.0, np.int8),  # flat rows: top = omega
-        ([[3, 3, 3], [3, 3, 3]], 128.0, np.float64),
-        ([[1, 5, 1], [3, 3, 3]], 15.0, np.int8),  # 2 x 4 x 15 = 120
-        ([[1, 5, 1], [3, 3, 3]], 16.0, np.float64),  # 2 x 4 x 16 = 128
-        ([[1, 2, 1], [2, 2, 2]], 63.0, np.int8),
-        ([[1, 2, 1], [2, 2, 2]], 64.0, np.float64),
-        ([[1, 2, 1], [2, 2, 2]], 0.0, np.int8),
-        ([[1, 64, 1], [2, 2, 2]], 1.0, np.int8),  # 2 x 63 = 126
-        ([[1, 65, 1], [2, 2, 2]], 1.0, np.float64),  # 2 x 64 = 128
-        ([[1, 3000, 1], [2, 2, 2]], 3.0, np.float64),  # wide integral levels
-        ([[3, 3, 3], [3, 3, 3]], 1000.0, np.float64),
-        ([[3, 3, 3], [3, 3, 3]], 2.0**40, np.float64),
-        ([[1, 2, 3], [3, 2, 1]], 0.3, np.float64),
-        ([[1, 2, 3], [3, 2, 1]], 2.5, np.float64),
-        ([[1, 2, 3], [3, 2, 1]], -1.0, np.float64),
-        ([[1, 2.5, 3], [3, 2, 1]], 2.0, np.float64),  # non-integral deltas
-        ([[1, np.inf, 3], [3, 2, 1]], 2.0, np.float64),
+    @pytest.mark.parametrize("X, omega, binned", [
+        # binned when top = max(2 max|D|, 1) x max(omega, 1) is at most 127
+        ([[3, 3, 3], [3, 3, 3]], 127.0, True),  # flat rows: top = omega
+        ([[3, 3, 3], [3, 3, 3]], 128.0, False),
+        ([[1, 5, 1], [3, 3, 3]], 15.0, True),  # 2 x 4 x 15 = 120
+        ([[1, 5, 1], [3, 3, 3]], 16.0, False),  # 2 x 4 x 16 = 128
+        ([[1, 2, 1], [2, 2, 2]], 63.0, True),
+        ([[1, 2, 1], [2, 2, 2]], 64.0, False),
+        ([[1, 2, 1], [2, 2, 2]], 0.0, True),
+        ([[1, 64, 1], [2, 2, 2]], 1.0, True),  # 2 x 63 = 126
+        ([[1, 65, 1], [2, 2, 2]], 1.0, False),  # 2 x 64 = 128
+        ([[1, 3000, 1], [2, 2, 2]], 3.0, False),  # wide integral levels
+        ([[3, 3, 3], [3, 3, 3]], 1000.0, False),
+        ([[3, 3, 3], [3, 3, 3]], 2.0**40, False),
+        ([[1, 2, 3], [3, 2, 1]], 0.3, False),
+        ([[1, 2, 3], [3, 2, 1]], 2.5, False),
+        ([[1, 2, 3], [3, 2, 1]], -1.0, False),
+        ([[1, 2.5, 3], [3, 2, 1]], 2.0, False),  # non-integral deltas
+        ([[1, np.inf, 3], [3, 2, 1]], 2.0, False),
     ])
-    def test_dtype_choice(self, X, omega, dtype):
+    def test_dtype_choice(self, X, omega, binned):
         X = np.asarray(X, dtype=float)
-        D, S, w = di.delta_rows(X, omega)
-        assert D.dtype == S.dtype == dtype
-        if dtype is np.float64:
-            assert w is omega
-        else:
-            assert type(w) is dtype and w == omega
-        assert np.array_equal(D, X[:, :-1] - X[:, 1:])
+        got = di.step_bins(X, omega)
+        assert (got is not None) == binned
+        if binned:
+            bins, costs = got
+            assert bins.dtype == np.int8 and costs.max() <= 127
+            D = X[:, :-1] - X[:, 1:]
+            assert np.array_equal(bins + D.min(), D)
+        assert same_bits(di.mpbd_upper(X, omega), mpbd_upper_float(X, omega))
 
     @pytest.mark.parametrize("omega", [1000.0, 2.0**40])
     def test_flat_rows_with_large_omega(self, omega):
@@ -688,15 +724,52 @@ class TestIntegerKernel:
     @given(level_rows())
     def test_matches_float_kernel(self, case):
         X, omega = case
-        D, _, _ = di.delta_rows(X, omega)
         peak = np.abs(X[:, :-1] - X[:, 1:]).max()
-        int8 = float(omega).is_integer() and max(2 * peak, 1) * max(omega, 1) <= 127
-        assert (D.dtype == np.int8) == int8
+        binned = float(omega).is_integer() and max(2 * peak, 1) * max(omega, 1) <= 127
+        assert (di.step_bins(X, omega) is not None) == binned
         check_matches_float_kernel(X, omega)
 
-    @pytest.mark.parametrize("omega", [0.0, 2.0, 15.0])
-    def test_int64_sums_past_int32_steps(self, omega, monkeypatch):
-        # rows past _INT32_STEPS steps sum in int64; shorten the bound to reach it
-        monkeypatch.setattr(di, "_INT32_STEPS", 4)
-        X = np.random.default_rng(11).integers(1, 6, size=(6, 9)).astype(float)
-        check_matches_float_kernel(X, omega)
+    @pytest.mark.parametrize("cap, steps", [(2**24, 39), (126 * 3 + 1, 3), (127, 1)])
+    def test_blocks_cut_by_the_float32_bound(self, cap, steps, monkeypatch):
+        """Steps costing 126 add up exactly in blocks of as many steps as EXACT_FLOAT32 allows.
+
+        At 2**24 one block holds all 39 steps; patched low, the bound cuts
+        them into blocks of 3 and of 1.
+        """
+        X = np.random.default_rng(12).choice([0.0, 63.0], size=(9, 40))
+        width = len(di.step_bins(X, 1.0)[1])
+        assert di.step_bins(X, 1.0)[1].max() == 126
+        monkeypatch.setattr(di, "EXACT_FLOAT32", cap)
+        widths, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda E, G, out: widths.append(E.shape[1])
+                            or matmul(E, G, out=out))
+        upper = di.mpbd_upper(X, 1.0)
+        assert widths == [steps * width] * (39 // steps)
+        assert same_bits(upper, mpbd_upper_float(X, 1.0))
+
+    def test_same_bits_with_one_and_two_blas_threads(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs = {threads: subprocess.run([sys.executable, "-c", THREADED_SCRIPT],
+                                        env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                                        capture_output=True, text=True).stdout.split()
+                for threads in ("1", "2")}
+        if runs["2"][0] != "2":  # not OpenBLAS, or OpenBLAS held to one core
+            pytest.skip(f"numpy's BLAS runs {runs['2'][0]} threads where OpenBLAS is asked for 2")
+        assert runs["1"] == ["1", runs["2"][1]]
+
+    def test_peak_memory_of_the_product(self):
+        """mpbd_upper at n=1000 x 365 peaks below 1.5 matrices of float64.
+
+        The result is one of them.  The gathered costs of one block of steps
+        take n**2 bytes here, an eighth of it, and the one-hot and float32
+        product of one block of MIRROR_BLOCK rows much less.
+        """
+        n = 1000
+        X = np.random.default_rng(13).integers(1, 6, size=(n, 365)).astype(float)
+        tracemalloc.start()
+        try:
+            di.mpbd_upper(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n

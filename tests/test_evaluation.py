@@ -275,7 +275,7 @@ class TestMpbi:
         k = min(k, n)
         labels = [int(c) for c in rng.permutation(
             np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)]))]
-        # symbolic levels: int8 costs up to omega 15, float64 above and off integers
+        # symbolic levels: step bins up to omega 15, float64 above and off integers
         levels = [rng.integers(1, 6, size=length).astype(float)
                   for _ in range(n)]
         a, ids = assign(labels)
@@ -325,7 +325,7 @@ class TestInvariances:
 class TestMpbiFromStepBins:
     """MPBI counted from per-cluster step-delta histograms equals the pair sums bit for bit.
 
-    No step cost of exactly 127 passes the int8 gate, as 127 is odd: flat
+    No step cost of exactly 127 passes the step-bin gate, as 127 is odd: flat
     series at omega 127 meet its bound of 127, and steps of +-63 at omega 1
     make the largest cost it admits, 126.
     """
