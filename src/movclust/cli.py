@@ -477,10 +477,9 @@ def cmd_cluster(run):
     """Cluster the algorithm's input; write assignment.csv, and dendrogram.csv when there is one."""
     cfg = run.cfg
     cluster_fn, dendrogram = _clusterer(cfg, run.read(CLUSTERS[cfg["algorithm"]]))
-    assignment = cluster_fn(cfg["k"])
-    extra = {"metric": cfg["metric"], "normalization": cfg["normalization"]}
-    files = [("assignment.csv", assignment,
-              lambda assignment, path: clustering.write_assignment_csv(assignment, path, extra))]
+    assignment = replace(cluster_fn(cfg["k"]), metric=cfg["metric"],
+                         normalization=cfg["normalization"])
+    files = [("assignment.csv", assignment, clustering.write_assignment_csv)]
     if dendrogram is None:
         run.write(*files, stale=["dendrogram.csv"])
     else:
@@ -525,8 +524,8 @@ def cmd_evaluate(run):
         "mpbi": report.mpbi,
         "algorithm": assignment.algorithm,
         "seed": assignment.seed,
-        "metric": cfg["metric"],
-        "normalization": cfg["normalization"],
+        "metric": assignment.metric,
+        "normalization": assignment.normalization,
         "notes": report.notes,
     }
     run.write(("evaluate.json", payload, lambda payload, path: tables.write_json(path, payload)))

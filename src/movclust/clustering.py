@@ -34,6 +34,8 @@ class ClusterAssignment:
     algorithm: str
     seed: int = 0
     objective: float | None = None
+    metric: str | None = None
+    normalization: str | None = None
 
     def __post_init__(self):
         used = set(self.labels.values())
@@ -278,14 +280,15 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int, seed: int = 0,
 # File formats
 
 
-def write_assignment_csv(assignment: ClusterAssignment, path, extra: dict | None = None):
+def write_assignment_csv(assignment: ClusterAssignment, path):
     sidecar = {
         "algorithm": assignment.algorithm,
         "k": assignment.k,
         "seed": assignment.seed,
         "objective": assignment.objective,
+        "metric": assignment.metric,
+        "normalization": assignment.normalization,
     }
-    sidecar.update(extra or {})
     labels = assignment.labels
     write_rows(path, ASSIGNMENT, ([sid, labels[sid]] for sid in sorted(labels)), sidecar)
 
@@ -300,6 +303,8 @@ def read_assignment_csv(path) -> ClusterAssignment:
         algorithm=sidecar["algorithm"],
         seed=sidecar.get("seed", 0),
         objective=sidecar.get("objective"),
+        metric=sidecar.get("metric"),
+        normalization=sidecar.get("normalization"),
     )
 
 

@@ -175,26 +175,18 @@ def load_long_csv(path, schema: dict | None = None):
 def _load_columnar(path, width, id_col, date_col, value_col, store_col, category_col):
     """(observations, line numbers) of a plain long CSV, parsed by numpy, else None.
 
-    A plain file is one that ``tables.plain_field_sizes`` scans.  Any row the
-    row loop would reject also gives None, so that loop alone decides every
+    A plain file is one that ``tables.load_plain`` parses.  Any row the row
+    loop would reject also gives None, so that loop alone decides every
     reject.
     """
     keys = [col for col in (id_col, store_col, category_col) if col is not None]
     if value_col in (date_col, *keys):
         return None
-    with open(path, "rb") as fh:
-        scanned = tables.plain_field_sizes(fh, width)
-    if scanned is None:
+    table = tables.load_plain(path, width, lambda texts: [
+        (f"f{j}", "f8" if j == value_col else text) for j, text in enumerate(texts)])
+    if table is None:
         return None
-    rows, sizes = scanned
-    # each text column at its exact width: loadtxt truncates a longer field silently
-    dtype = [(f"f{j}", "f8" if j == value_col else f"S{max(size, 1)}")
-             for j, size in enumerate(sizes)]
-    try:
-        table = np.loadtxt(path, dtype, delimiter=",", comments=None, quotechar=None,
-                           encoding="ascii", skiprows=1, ndmin=1)
-    except ValueError:
-        return None
+    rows = len(table)
     value = np.ascontiguousarray(table[f"f{value_col}"])
     day = _days(table, f"f{date_col}")
     if not np.isfinite(value).all() or day is None:

@@ -52,18 +52,18 @@ def _groups(ids, assignment):
     return groups
 
 
-def _per_cluster(cache, name, members, compute):
-    """``compute(members)``, kept in ``cache`` under ``name`` and the member indices.
+def _kept(cache, key, compute):
+    """``compute()``, kept in ``cache`` under ``key``.
 
     ``cache`` holds the values of one sweep, over one set of vectors and
-    levels at one omega; without it each value is worked out anew.  A kept
-    value came from the same operations, so it has the same bits.
+    levels at one omega: a cluster's under its name and member indices, the
+    sweep's own under a name.  Without it each value is worked out anew.
+    A kept value came from the same operations, so it has the same bits.
     """
     if cache is None:
-        return compute(members)
-    key = (name, members.tobytes())
+        return compute()
     if key not in cache:
-        cache[key] = compute(members)
+        cache[key] = compute()
     return cache[key]
 
 
@@ -112,51 +112,50 @@ def _binned_pair_sum(bins, costs, members) -> int:
     return int(((counts @ costs) * counts).sum()) // 2
 
 
-def mpbi(levels, ids, assignment, omega: float = 2.0, raw_mpbd=None, bins=None, groups=None,
-         cache=None) -> float:
+def mpbi(levels, ids, assignment, omega: float = 2.0, groups=None, cache=None) -> float:
     """Movement-pattern index: per-cluster mean pairwise raw distance.
 
     Per cluster, the pairwise mpbd sum divided by the cluster size; the
     result averages those over clusters.  Singletons contribute 0; lower
-    is better.  A cluster's pair sum is counted from ``bins``, the
-    ``step_bins`` of ``levels`` at this ``omega``, worked out here unless
-    ``raw_mpbd`` is given, when those apply.  Otherwise its pairs are added
-    in (a, b) order: the upper triangle of its rows of ``raw_mpbd``, which
-    is ``distances.mpbd_upper`` of ``levels`` at this ``omega``, or without
-    it of ``mpbd_upper`` of the cluster's levels.  Both give the same bits.
+    is better.  A cluster's pair sum is counted from the ``step_bins`` of
+    ``levels`` at this ``omega`` where those apply.  Otherwise its pairs are
+    added in (a, b) order: the upper triangle of its rows of
+    ``distances.mpbd_upper`` of all ``levels``, or without ``cache`` of
+    ``mpbd_upper`` of the cluster's levels.  Both give the same bits.  The
+    bins and the matrix are worked out once per ``cache`` (see ``_kept``).
     ``groups``, the member indices of each cluster, are worked out from
-    ``assignment`` when not given; ``cache`` is ``_per_cluster``'s.
+    ``assignment`` when not given.
     """
-    levels = np.asarray(levels, dtype=float)
-    if raw_mpbd is None and bins is None:
-        bins = _mpbi_bins(levels, omega)
+    levels = np.asarray(levels)  # step_bins and mpbd_upper make it float
+    bins = _kept(cache, "bins", lambda: _mpbi_bins(levels, omega))
 
     def term(members):
+        if len(members) < 2:
+            return 0.0
         if bins is not None:
-            pair_sum = float(_binned_pair_sum(*bins, members)) if len(members) > 1 else 0.0
+            return float(_binned_pair_sum(*bins, members)) / len(members)
+        if cache is None:
+            within = mpbd_upper(levels[members], omega)
         else:
-            within = (mpbd_upper(levels[members], omega) if raw_mpbd is None
-                      else raw_mpbd[np.ix_(members, members)])
-            # one cluster's pairs, added in (a, b) order
-            pair_sum = _running_sum(within[np.triu_indices(len(members), 1)])
-        return pair_sum / len(members)
+            within = _kept(cache, "mpbd", lambda: mpbd_upper(levels, omega))[
+                np.ix_(members, members)]
+        # one cluster's pairs, added in (a, b) order
+        return _running_sum(within[np.triu_indices(len(members), 1)]) / len(members)
 
     total = 0.0
     for members in _groups(ids, assignment) if groups is None else groups:
-        total += _per_cluster(cache, "mpbi", members, term)
+        total += _kept(cache, ("mpbi", members.tobytes()), lambda: term(members))
     return total / assignment.k
 
 
-def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
-             raw_mpbd=None, bins=None, cache=None) -> ValidityReport:
+def evaluate(vectors, levels, ids, assignment, omega: float = 2.0, cache=None) -> ValidityReport:
     """Score ``assignment`` with every index; degenerate geometry is noted, not fatal.
 
     The clusters, their means and each one's sum of squared deviations are
     worked out once: the sums give WCSS for both CH forms and the spreads
-    of DB.  ``raw_mpbd`` and ``bins`` are passed on to ``mpbi``, with the
-    clusters and ``cache`` (see ``_per_cluster``); it is called by its
-    public name, with ``assignment`` third, so that a wrapper around it
-    sees every call and can count its pairs.
+    of DB.  ``mpbi`` gets the clusters and ``cache`` (see ``_kept``), and is
+    called by its public name, with ``assignment`` third, so that a wrapper
+    around it sees every call and can count its pairs.
     """
     X = np.asarray(vectors, dtype=float)
     n, k = X.shape[0], assignment.k
@@ -170,7 +169,8 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
         mu = rows.mean(axis=0)
         return mu, ((rows - mu) ** 2).sum()
 
-    mus, within = zip(*(_per_cluster(cache, "scatter", members, scatter) for members in groups))
+    mus, within = zip(*(_kept(cache, ("scatter", members.tobytes()), lambda: scatter(members))
+                        for members in groups))
     mus, within = np.stack(mus), np.array(within)
     grand = X.mean(axis=0)
     between = np.array([((mu - grand) ** 2).sum() for mu in mus])
@@ -189,34 +189,22 @@ def evaluate(vectors, levels, ids, assignment, omega: float = 2.0,
         db = _db(mus, np.sqrt(within / sizes))
     except DegenerateGeometryError as exc:
         notes["db"] = str(exc)
-    index = mpbi(levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd, bins=bins,
-                 groups=groups, cache=cache)
+    index = mpbi(levels, ids, assignment, omega=omega, groups=groups, cache=cache)
     return ValidityReport(k, ch, ch_paper, db, index, notes or None)
 
 
 def sweep_k(vectors, levels, ids, ks, cluster_fn, omega: float = 2.0) -> list[SweepRow]:
     """Run cluster_fn(k) for each k and score it; per-k failures become notes.
 
-    Every k's MPBI counts from the ``step_bins`` of ``levels``, or where
-    those do not apply reads one raw MPBD matrix over ``levels``; either is
-    computed once, and so is each distinct cluster's share of every index.
+    The k share one cache (see ``_kept``), so MPBI's step bins or raw MPBD
+    matrix are worked out once, and so is each distinct cluster's share of
+    every index.
     """
-    ks = sorted(set(int(k) for k in ks))
-    raw_mpbd = bins = None
-    if ks and len(levels) >= 2:
-        levels = np.asarray(levels, dtype=float)
-        bins = _mpbi_bins(levels, omega)
-        if bins is None:
-            try:
-                raw_mpbd = mpbd_upper(levels, omega)
-            except DataError:
-                pass  # series too short to move: each k's mpbi meets and notes the same error
     rows, cache = [], {}
-    for k in ks:
+    for k in sorted(set(int(k) for k in ks)):
         try:
             assignment = cluster_fn(k)
-            report = evaluate(vectors, levels, ids, assignment, omega=omega, raw_mpbd=raw_mpbd,
-                              bins=bins, cache=cache)
+            report = evaluate(vectors, levels, ids, assignment, omega=omega, cache=cache)
         except (DataError, DegenerateGeometryError) as exc:
             rows.append(SweepRow(k=k, ch=None, db=None, mpbi=None, note=str(exc)))
             continue

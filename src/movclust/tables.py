@@ -6,12 +6,11 @@ inputs of ``core_data``'s loaders too.  A table is a header row, then one
 row per id: the id, then its cells.  A table's sidecar holds what the
 cells do not say, in a JSON file of the same name.  ``write_table`` writes
 every numeric table, and formats each distinct value once when a table's
-values repeat enough.  ``read_table`` parses a plain table (see
-``plain_field_sizes``, which ``core_data``'s long loader shares) of float or
-int cells with one ``np.loadtxt`` call, and every other table with the csv
-module, to the same ids, bits and errors.  ``as_written`` gives a float
-matrix as ``read_table`` would read it back, for a caller that keeps the
-matrix it wrote.
+values repeat enough.  ``read_table`` parses a plain table of float or int
+cells with ``load_plain``, which ``core_data``'s long loader shares, and
+every other table with the csv module, to the same ids, bits and errors.
+``as_written`` gives a float matrix as ``read_table`` would read it back,
+for a caller that keeps the matrix it wrote.
 """
 
 from __future__ import annotations
@@ -232,12 +231,12 @@ def reading(path):
         yield header, rows
 
 
-#: Bytes that ``plain_field_sizes`` reads at a time, then up to the end of the line they end in.
+#: Bytes that ``_plain_field_sizes`` reads at a time, then up to the end of the line they end in.
 _SCAN_BLOCK = 1 << 20
 
 
-def plain_field_sizes(fh, width):
-    """(body rows, each column's widest field) of the plain CSV open in ``fh``, else None.
+def _plain_field_sizes(fh, width):
+    """Each column's widest field in the plain CSV open in ``fh``, else None.
 
     ``fh`` is a binary file at its start.  A plain file is ASCII without a
     quote, carriage return, NUL (which numpy's fixed-width strings drop) or
@@ -276,16 +275,44 @@ def plain_field_sizes(fh, width):
         rows += len(ends)
     if not rows or sizes.max() > csv.field_size_limit():
         return None
-    return rows, sizes.tolist()
+    return sizes.tolist()
 
 
 def _plain(lines: bytes) -> bool:
-    """Whether ``lines`` are plain (see ``plain_field_sizes``) and end in a newline."""
+    """Whether ``lines`` are plain (see ``_plain_field_sizes``) and end in a newline."""
     return (lines.isascii() and not any(byte in lines for byte in b'"\r\0\x1c\x1d\x1e\x1f')
             and lines.endswith(b"\n"))
 
 
-#: The cell dtypes of a table that ``read_table`` parses with ``np.loadtxt`` when it is plain.
+def load_plain(path, width, record):
+    """The body rows of the plain CSV at ``path`` as one structured array, else None.
+
+    A plain file is one that ``_plain_field_sizes`` scans, and whose name
+    numpy would not decompress.  ``record(texts)`` gives the row dtype from
+    each column's text dtype: bytes at the exact width of its widest field,
+    as ``np.loadtxt`` truncates a longer one silently.  One ``np.loadtxt``
+    call, given the path (which it reads faster than an open file), parses
+    the body.  A row of another width and a field that ``record`` does not
+    parse make it raise, and then None sends the file to the csv loop.
+    """
+    if str(path).endswith((".bz2", ".gz", ".lzma", ".xz")):  # given the path, numpy decompresses
+        return None
+    with open(str(path), "rb") as fh:
+        sizes = _plain_field_sizes(fh, width)
+    if sizes is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 parses "1.0" as an int with only this warning; the csv loop refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(str(path), record([f"S{max(size, 1)}" for size in sizes]),
+                              delimiter=",", comments=None, quotechar=None, encoding="ascii",
+                              skiprows=1, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+
+
+#: The cell dtypes of a table that ``read_table`` parses with ``load_plain`` when it is plain.
 _PLAIN_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
@@ -326,33 +353,18 @@ def _duplicate(path, lineno, header, sid) -> DataError:
 
 
 def _read_plain(path, width, dtype):
-    """(ids, cells) of the table at ``path`` when it is plain, parsed by ``np.loadtxt``; else None.
+    """(ids, cells) of the table at ``path`` when it is plain, parsed by ``load_plain``; else None.
 
-    One ``np.loadtxt`` call, past the header, reads each row as a record of
-    its id, at the exact width of the widest (``loadtxt`` truncates a
-    longer one silently), and its cells as ``dtype``.  A cell that numpy
-    parses comes out with the bits the csv loop gives it; a cell it does
-    not parse, and a row of another width, make it raise, and then None
-    sends the table to the csv loop.
+    Each row is a record of its id and its cells as ``dtype``.  A cell that
+    numpy parses comes out with the bits the csv loop gives it.
     """
     dtype = np.dtype(dtype)
     if dtype not in _PLAIN_DTYPES:
         return None
-    with open(str(path), "rb") as fh:
-        scanned = plain_field_sizes(fh, width)
-        if scanned is None:
-            return None
-        fh.seek(0)
-        fh.readline()
-        record = np.dtype([("id", f"S{max(scanned[1][0], 1)}"), ("cells", dtype, (width - 1,))])
-        try:
-            with warnings.catch_warnings():
-                # numpy < 2 parses "1.0" as an int with only this warning; the csv loop refuses it
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(fh, record, delimiter=",", comments=None, quotechar=None,
-                                   encoding="ascii", ndmin=1)
-        except (ValueError, OverflowError, DeprecationWarning):
-            return None
+    table = load_plain(path, width, lambda texts: [("id", texts[0]),
+                                                  ("cells", dtype, (width - 1,))])
+    if table is None:
+        return None
     return [sid.decode("ascii") for sid in table["id"].tolist()], np.ascontiguousarray(
         table["cells"])
 

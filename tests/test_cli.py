@@ -461,6 +461,20 @@ class TestStageCommands:
         for r in rows:
             assert float(r["min_value"]) <= float(r["avg_value"]) <= float(r["max_value"])
 
+    def test_evaluate_records_what_made_the_assignment(self, sample_dir, tmp_path):
+        """Not the metric and normalization of the config it is run under."""
+        out = tmp_path / "out"
+        assert run("pipeline", "--input", str(sample_dir / "price_long.csv"),
+                   "--out", str(out)) == 0
+        recorded = json.loads((out / "assignment.json").read_text())
+        assert (recorded["metric"], recorded["normalization"]) == ("mpbd", "matrix_max")
+        scored = read(out / "evaluate.json")
+        assert run("evaluate", "--out", str(out), "-O", "metric=euclidean",
+                   "-O", "normalization=none") == 0
+        assert read(out / "evaluate.json") == scored
+        report = json.loads(scored)
+        assert (report["metric"], report["normalization"]) == ("mpbd", "matrix_max")
+
     def test_profile_sales_columns(self, sample_dir, tmp_path):
         out = tmp_path / "sales"
         base = [
@@ -1229,7 +1243,7 @@ def finished_run(sample_dir, tmp_path_factory):
 
 @st.composite
 def corruptions(draw, artifacts):
-    """(artifact name, its corrupted bytes): one byte flipped, 1-20 deleted, 1-5 inserted,
+    """(file name, its corrupted bytes): one byte flipped, 1-20 deleted, 1-5 inserted,
     the file truncated, or one line repeated."""
     name = draw(st.sampled_from(sorted(artifacts)))
     data = artifacts[name]
@@ -1267,6 +1281,36 @@ def test_corrupted_artifact_exits_0_or_2_with_one_line(finished_run, tmp_path_fa
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code = run(command, "--out", out)
+        left = snapshot(out)
+    assert code in (0, 2)
+    assert stderr.getvalue().count("\n") == (code == 2)
+    assert stderr.getvalue().endswith("\n") == (code == 2)
+    if code == 2:  # a refused command leaves out as it was
+        assert left == {**finished_run, name: corrupted}
+
+
+@pytest.fixture(scope="module")
+def sample_inputs():
+    """The bundled long-format samples, by name."""
+    return {name: read(SAMPLE_DATA / name) for name in ("price_long.csv", "sales_long.csv")}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_input_exits_0_or_2_with_one_line(sample_inputs, tmp_path_factory, data):
+    """``preprocess`` of a corrupted sample runs, or refuses with exit 2 and a single line.
+
+    A corruption that leaves the file plain is read by the columnar loader,
+    any other by the row loader.
+    """
+    name, corrupted = data.draw(corruptions(sample_inputs))
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as work:
+        Path(work, name).write_bytes(corrupted)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run("preprocess", "--input", str(Path(work, name)), "--out",
+                       str(Path(work, "out")), "-O", f"mode={name.split('_')[0]}")
     assert code in (0, 2)
     assert stderr.getvalue().count("\n") == (code == 2)
     assert stderr.getvalue().endswith("\n") == (code == 2)

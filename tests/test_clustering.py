@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,11 +427,9 @@ class TestAssignmentContract:
         X = np.array([[0.0], [0.0], [5.0], [5.0]])
         out = cl.kmeans(SeriesCollection(list("abcd"), X), k=2, seed=0)
         path = tmp_path / "assignment.csv"
-        cl.write_assignment_csv(out, path, {"metric": "mpbd"})
-        back = cl.read_assignment_csv(path)
-        assert back.labels == out.labels
-        assert back.k == out.k
-        assert back.objective == out.objective
+        for made in (out, replace(out, metric="mpbd", normalization="none")):
+            cl.write_assignment_csv(made, path)
+            assert cl.read_assignment_csv(path) == made
 
     def test_missing_sidecar_is_data_error(self, tmp_path):
         X = np.array([[0.0], [0.0], [5.0], [5.0]])

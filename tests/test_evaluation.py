@@ -280,9 +280,8 @@ class TestMpbi:
                   for _ in range(n)]
         a, ids = assign(labels)
         expected = float.hex(mpbi_rows_ref(levels, ids, a, omega=omega))
-        raw = mpbd_upper(np.stack(levels), omega)
         assert float.hex(ev.mpbi(levels, ids, a, omega=omega)) == expected
-        assert float.hex(ev.mpbi(levels, ids, a, omega=omega, raw_mpbd=raw)) == expected
+        assert float.hex(ev.mpbi(levels, ids, a, omega=omega, cache={})) == expected
 
     def test_series_without_a_label_names_the_first(self):
         levels = [[1, 2, 3], [3, 2, 1], [2, 2, 2], [1, 1, 1]]
@@ -395,6 +394,19 @@ class TestMpbiFromStepBins:
         with mock.patch.object(ev, "mpbd_upper", wraps=mpbd_upper) as raw:
             assert ev.sweep_k(X, levels, ids, range(2, 7), fn, omega=0.3) == expected[0.3]
         raw.assert_called_once()
+
+    def test_sweep_computes_its_step_bins_once(self):
+        rng = np.random.default_rng(30)
+        X = rng.normal(size=(12, 2))
+        levels = rng.integers(1, 6, size=(12, 9)).astype(float)
+        ids = [f"s{i:02d}" for i in range(12)]
+        fn = lambda k: kmeans(SeriesCollection(ids, X), k=k, seed=0)
+        # step bins at omega 2; at 0.3 none, which is also worked out once
+        for omega in (2.0, 0.3):
+            expected = sweep_k_ref(X, levels, ids, range(2, 9), fn, omega=omega)
+            with mock.patch.object(ev, "_mpbi_bins", wraps=ev._mpbi_bins) as bins:
+                assert ev.sweep_k(X, levels, ids, range(2, 9), fn, omega=omega) == expected
+            bins.assert_called_once()
 
 
 def _outcome(fn, *args, **kwargs):
@@ -525,7 +537,6 @@ class TestSweepFromOneMatrix:
         n = len(levels)
         ids = [f"s{i:02d}" for i in range(n)]
         X = np.stack(levels)
-        raw = mpbd_upper(X, omega)
         for name, fn in self.clusterers(levels, ids, omega).items():
             ks = range(1, n + 1)
             rows = ev.sweep_k(X, levels, ids, ks, fn, omega=omega)
@@ -541,7 +552,7 @@ class TestSweepFromOneMatrix:
                 expected = [float.hex(mpbi_ref(levels, labels, omega=omega)),
                             float.hex(mpbi_rows_ref(levels, ids, a, omega=omega))]
                 assert [float.hex(one_off)] * 2 == expected, (name, row.k)
-                assert float.hex(ev.mpbi(levels, ids, a, omega=omega, raw_mpbd=raw)) \
+                assert float.hex(ev.mpbi(levels, ids, a, omega=omega, cache={})) \
                     == expected[0], (name, row.k)
                 if row.mpbi is not None:
                     assert float.hex(row.mpbi) == expected[0], (name, row.k)

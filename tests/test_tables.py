@@ -640,6 +640,17 @@ def test_a_deprecation_warning_from_loadtxt_falls_back_to_the_csv_loop(tmp_path)
     assert rows.call_count == 1
 
 
+@pytest.mark.parametrize("suffix", [".bz2", ".gz", ".lzma", ".xz"])
+def test_a_plain_file_named_as_compressed_is_read_as_text(tmp_path, suffix):
+    """Given such a path, ``np.loadtxt`` would decompress the file and raise."""
+    long_body = "series_id,date,value\nA,2020-01-01,1\nA,2020-01-02,2\n"
+    for body, read in ((long_body, load_long_csv),
+                       ("id,a\nr1,1.5\n", lambda path: read_outcome(path, float))):
+        (tmp_path / "t.csv").write_text(body, encoding="ascii")
+        (tmp_path / f"t{suffix}").write_text(body, encoding="ascii")
+        assert repr(read(tmp_path / f"t{suffix}")) == repr(read(tmp_path / "t.csv"))
+
+
 @pytest.mark.parametrize("body", [
     b"r1\xa31\n",
     "é–ü,1\nr2,1\n".encode("utf-8").replace(b"r", b"\xa3"),
